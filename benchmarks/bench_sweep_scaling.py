@@ -1,7 +1,7 @@
 """Sweep engine scaling benchmark: 1/2/4-worker wall time + parity.
 
-Runs the full 21-experiment x 5-seed matrix through
-:class:`tussle.sweep.ProcessPoolExecutor` at 1, 2, and 4 workers,
+Runs the full registry x 5-seed matrix through
+:class:`tussle.sweep.ResilientExecutor` at 1, 2, and 4 workers,
 records each configuration's wall time via the sanctioned Profiler
 channel into ``benchmarks/results/bench_sweep_scaling.json``, and
 asserts two things:
@@ -20,7 +20,7 @@ from tussle.experiments import ALL_EXPERIMENTS
 from tussle.experiments.common import canonical_json
 from tussle.obs import Profiler
 from tussle.obs.bench import bench_record, write_bench_record
-from tussle.sweep import ProcessPoolExecutor, SweepSpec, aggregate, run_sweep
+from tussle.sweep import ResilientExecutor, SweepSpec, aggregate, run_sweep
 
 #: Worker counts exercised, in recorded order.
 JOB_COUNTS = (1, 2, 4)
@@ -39,7 +39,7 @@ def test_sweep_scaling_and_parity(results_dir):
     merged = {}
     for jobs in JOB_COUNTS:
         with profiler.time(f"jobs_{jobs}"):
-            report = run_sweep(spec, executor=ProcessPoolExecutor(jobs=jobs))
+            report = run_sweep(spec, executor=ResilientExecutor(jobs=jobs))
         assert report.ok, report.failed
         merged[jobs] = canonical_json({"cells": report.cells,
                                        "aggregate": aggregate(report.cells)})

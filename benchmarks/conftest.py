@@ -1,8 +1,9 @@
 """Shared helpers for the benchmark suite.
 
-Each benchmark runs one experiment (E01-E12), times it with
-pytest-benchmark, asserts that the paper's qualitative shape holds, and
-persists two artifacts under ``benchmarks/results/``:
+``bench_experiments.py`` runs each registered experiment through
+:func:`run_and_record`, which times it with pytest-benchmark, asserts
+that the paper's qualitative shape holds, and persists two artifacts
+under ``benchmarks/results/``:
 
 * ``<id>.txt`` — the regenerated table, so the rows survive pytest's
   output capture;

@@ -26,12 +26,19 @@ Subcommands
     ``0..N-1`` (each cell runs at a seed *derived* from its identity, so
     no two cells share RNG state), ``--grid key=v1,v2`` adds a parameter
     axis (repeatable; values are swept as a cartesian product),
-    ``--jobs N`` fans cells out over a process pool, and ``--cache-dir``
-    makes re-runs incremental (completed cells are keyed by experiment,
-    params, seed, and a code fingerprint, so any source change
-    invalidates them).  ``--json`` emits the aggregated robustness
-    document; the bytes are identical whatever ``--jobs`` is.  Exits
-    non-zero unless every shape check holds on every seed.
+    ``--jobs N`` fans cells out over N supervised worker processes, and
+    ``--cache-dir`` makes re-runs incremental (completed cells are keyed
+    by experiment, params, seed, and a code fingerprint, so any source
+    change invalidates them).  ``--json`` emits the aggregated
+    robustness document; the bytes are identical whatever ``--jobs`` is.
+    Exits non-zero unless every shape check holds on every seed.
+
+    Every sweep runs on the crash-safe executor: a cell whose worker
+    dies or outlives ``--timeout`` seconds (default 30) is retried up to
+    ``--retries`` times (default 3) on a fresh worker, then reported as
+    failed.  ``--chaos-workers FRACTION`` (with ``--chaos-seed``)
+    deliberately crashes or hangs that fraction of first attempts to
+    drill the recovery path.
 
     ``--telemetry PATH`` records the sweep's two-channel telemetry
     stream: cell lifecycle facts on a deterministic channel at PATH
@@ -47,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -89,12 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment ids (e.g. E01 X03); default: all",
     )
     sweep_parser.add_argument(
-        "--seeds", type=int, default=5, metavar="N",
+        "--seeds", type=_int_at_least(1), default=5, metavar="N",
         help="sweep base seeds 0..N-1 (default 5)",
     )
     sweep_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default 1: in-process executor)",
+        "--jobs", type=_int_at_least(1), default=1, metavar="N",
+        help="worker processes, each reused across cells and replaced "
+             "if it dies or hangs (default 1)",
     )
     sweep_parser.add_argument(
         "--grid", action="append", default=[], metavar="KEY=V1,V2",
@@ -106,19 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache completed cells under PATH for incremental re-runs",
     )
     sweep_parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock timeout; enables the crash-safe "
-             "resilient executor",
+        "--timeout", type=_positive_seconds, default=30.0, metavar="SECONDS",
+        help="per-cell wall-clock timeout; a cell still running after it "
+             "is killed and retried (default 30)",
     )
     sweep_parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="retries per cell on worker death/timeout (default 3; "
-             "enables the resilient executor)",
+        "--retries", type=_int_at_least(0), default=3, metavar="N",
+        help="retries per cell on worker death or timeout (default 3)",
     )
     sweep_parser.add_argument(
-        "--chaos-workers", type=float, default=None, metavar="FRACTION",
+        "--chaos-workers", type=float, default=0.0, metavar="FRACTION",
         help="sabotage this fraction of first attempts (crash or hang) "
-             "to exercise recovery; enables the resilient executor",
+             "to exercise recovery (default 0)",
     )
     sweep_parser.add_argument(
         "--chaos-seed", type=int, default=0, metavar="SEED",
@@ -140,6 +148,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the aggregated robustness document as JSON",
     )
     return parser
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an int no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its errors
+    return parse
+
+
+def _positive_seconds(text: str) -> float:
+    """An argparse type: a finite number of seconds above zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def _select(ids: Sequence[str]) -> List[str]:
@@ -229,40 +257,27 @@ def _parse_grid(entries: Sequence[str]) -> dict:
 def _command_sweep(ids: Sequence[str], seeds: int, jobs: int,
                    grid_entries: Sequence[str],
                    cache_dir: Optional[str] = None,
-                   timeout: Optional[float] = None,
-                   retries: Optional[int] = None,
-                   chaos_workers: Optional[float] = None,
+                   timeout: float = 30.0,
+                   retries: int = 3,
+                   chaos_workers: float = 0.0,
                    chaos_seed: int = 0,
                    telemetry_path: Optional[str] = None,
                    progress: bool = False,
                    as_json: bool = False) -> int:
     from .obs import Profiler, SweepTelemetry
-    from .sweep import (InProcessExecutor, ProcessPoolExecutor,
-                        ResilientExecutor, ResultCache, StreamingAggregator,
+    from .resil import WorkerChaos
+    from .sweep import (ResilientExecutor, ResultCache, StreamingAggregator,
                         SweepSpec, aggregate, run_sweep)
 
-    if seeds < 1:
-        raise SystemExit("--seeds must be >= 1")
     spec = SweepSpec(
         experiment_ids=_select(ids),
         seeds=list(range(seeds)),
         grid=_parse_grid(grid_entries),
     )
-    resilient = (timeout is not None or retries is not None
-                 or chaos_workers is not None)
-    if resilient:
-        from .resil import WorkerChaos
-        chaos = (WorkerChaos(seed=chaos_seed, fraction=chaos_workers)
-                 if chaos_workers else None)
-        executor: object = ResilientExecutor(
-            jobs=jobs,
-            timeout=timeout if timeout is not None else 30.0,
-            retries=retries if retries is not None else 3,
-            chaos=chaos,
-        )
-    else:
-        executor = (ProcessPoolExecutor(jobs) if jobs > 1
-                    else InProcessExecutor())
+    chaos = (WorkerChaos(seed=chaos_seed, fraction=chaos_workers)
+             if chaos_workers else None)
+    executor = ResilientExecutor(jobs=jobs, timeout=timeout,
+                                 retries=retries, chaos=chaos)
     cache = ResultCache(cache_dir) if cache_dir else None
     metrics = Metrics()
     profiler = Profiler()
@@ -286,10 +301,7 @@ def _command_sweep(ids: Sequence[str], seeds: int, jobs: int,
     wall_seconds = telemetry.elapsed()
     telemetry.wall_event("sweep_finished",
                          seconds=round(wall_seconds, 6))
-    # Streaming and batch aggregation are byte-identical (test-asserted);
-    # use the streaming snapshot when it was built anyway.
-    aggregated = (streaming.snapshot() if streaming is not None
-                  else aggregate(report.cells))
+    aggregated = aggregate(report.cells)
     if telemetry_path:
         det_path, wall_path = telemetry.write(telemetry_path)
         print(f"telemetry written to {det_path} (wall: {wall_path})",
@@ -317,13 +329,12 @@ def _command_sweep(ids: Sequence[str], seeds: int, jobs: int,
               f"{stats['cells_cached']} cached, "
               f"{stats['cells_dispatched']} dispatched, "
               f"{stats['cells_failed']} failed")
-        if report.recovery:
-            recovery = report.recovery
-            print(f"recovery: {recovery['retries']} retries "
-                  f"({recovery['worker_deaths']} worker deaths, "
-                  f"{recovery['timeouts']} timeouts), "
-                  f"{recovery['recovered_cells']} cells recovered, "
-                  f"{recovery['failed_cells']} cells abandoned")
+        recovery = report.recovery
+        print(f"recovery: {recovery['retries']} retries "
+              f"({recovery['worker_deaths']} worker deaths, "
+              f"{recovery['timeouts']} timeouts), "
+              f"{recovery['recovered_cells']} cells recovered, "
+              f"{recovery['failed_cells']} cells abandoned")
         utilization = profiler.snapshot()
         workers = [k for k in utilization if k.startswith("worker.")]
         if workers:

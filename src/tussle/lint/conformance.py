@@ -5,16 +5,21 @@ CLI, the benchmark suite, the determinism seed-check — which is only
 possible if each one exposes the same contract: a single ``run_*`` entry
 point with an explicit ``seed`` keyword returning an
 :class:`~tussle.experiments.common.ExperimentResult`, registered in
-``tussle.experiments.ALL_EXPERIMENTS``, with a benchmark and test
-counterpart on disk.
+``tussle.experiments.ALL_EXPERIMENTS``, with a test counterpart on disk.
+The benchmark suite is parametrized over the registry, so registration
+alone gives an experiment its benchmark.
+
+The modules checked are found by content, not by a filename pattern
+that a new naming scheme could silently escape: every module the
+registry imports a ``run_*`` from, plus every module in the experiments
+package that defines a top-level ``run_*`` — the latter is how a module
+whose import was forgotten still gets its E202 finding.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from pathlib import Path
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from .context import ModuleInfo, ProjectContext, dotted_name
 from .findings import Finding, Rule, register_rule
@@ -34,12 +39,6 @@ E202 = register_rule(Rule(
     "Unregistered experiments silently drop out of the CLI, the summary "
     "gate, and the seed-check harness.",
 ))
-E203 = register_rule(Rule(
-    "E203", "experiment-benchmark",
-    "experiment must have a matching benchmarks/bench_<module>.py",
-    "Every paper claim is also a perf workload; an experiment without a "
-    "benchmark cannot regress visibly.",
-))
 E204 = register_rule(Rule(
     "E204", "experiment-tested",
     "experiment must be exercised by a test module",
@@ -47,19 +46,28 @@ E204 = register_rule(Rule(
     "no test imports can silently lose the paper's shape.",
 ))
 
-CONFORMANCE_RULES = (E201, E202, E203, E204)
-
-#: Experiment modules look like ``e04_routing_control.py`` /
-#: ``x03_mail_choice.py`` / ``r01_fault_blame.py``.
-_EXPERIMENT_MODULE_RE = re.compile(r"^[exlr]\d{2}_\w+$")
+CONFORMANCE_RULES = (E201, E202, E204)
 
 
 def _experiment_modules(context: ProjectContext) -> List[ModuleInfo]:
-    return [
-        info for info in context.modules
-        if info.path.parent.name == "experiments"
-        and _EXPERIMENT_MODULE_RE.match(info.path.stem)
-    ]
+    """Experiments-package modules the registry imports or that define run_*."""
+    init = context.module_by_relpath("experiments/__init__.py")
+    if init is None:
+        return []
+    imported = {
+        node.module for node in init.tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        and node.module is not None
+        and any(alias.name.startswith("run_") for alias in node.names)
+    }
+    return [info for info in context.modules
+            if info.path.parent == init.path.parent
+            and (info.path.stem in imported or _defines_run_entry(info))]
+
+
+def _defines_run_entry(info: ModuleInfo) -> bool:
+    return any(isinstance(node, ast.FunctionDef)
+               and node.name.startswith("run_") for node in info.tree.body)
 
 
 def _run_functions(info: ModuleInfo) -> List[ast.FunctionDef]:
@@ -123,7 +131,6 @@ def check_experiment_conformance(context: ProjectContext) -> List[Finding]:
         return findings
     registered = _registered_run_names(context)
     tests_corpus = _tests_corpus(context)
-    benchmarks_dir = context.benchmarks_dir
 
     for info in experiments:
         path = str(info.path)
@@ -157,15 +164,6 @@ def check_experiment_conformance(context: ProjectContext) -> List[Finding]:
                 f"`{entry.name}` is not registered in "
                 "tussle.experiments.ALL_EXPERIMENTS",
             ))
-
-        # E203 — benchmark counterpart exists.
-        if benchmarks_dir is not None:
-            bench = benchmarks_dir / f"bench_{info.path.stem}.py"
-            if not bench.is_file():
-                findings.append(Finding(
-                    E203.rule_id, path, 1, 1,
-                    f"missing benchmark {bench.name} in benchmarks/",
-                ))
 
         # E204 — some test references the entry point (directly, or via the
         # registry-driven parametrized suite when the experiment is registered).

@@ -265,13 +265,6 @@ class ProjectContext:
         return None
 
     @property
-    def benchmarks_dir(self) -> Optional[Path]:
-        if self.repo_root is None:
-            return None
-        candidate = self.repo_root / "benchmarks"
-        return candidate if candidate.is_dir() else None
-
-    @property
     def tests_dir(self) -> Optional[Path]:
         if self.repo_root is None:
             return None

@@ -133,10 +133,9 @@ WALL_CLOCK_ALLOWLIST = ("tussle/obs/profiler.py",
 #: the scheduler's deterministic merge, so D110 does not apply inside them.
 PARALLELISM_ALLOWLIST = ("tussle/sweep/executors.py",)
 
-#: Modules sanctioned to call time.sleep. The resilient executor's
-#: supervision/poll loop is the only entry (rule D112): its waits pace
-#: worker monitoring and retry backoff on the quarantined wall clock and
-#: never influence cell payloads.
+#: Modules sanctioned to call time.sleep (rule D112). The sweep
+#: executors are the only entry: a wait there paces worker supervision
+#: on the quarantined wall clock and never influences cell payloads.
 RETRY_SLEEP_ALLOWLIST = ("tussle/sweep/executors.py",)
 
 #: Modules held to the vectorized-kernel discipline: D111 flags Python

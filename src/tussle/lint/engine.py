@@ -103,7 +103,7 @@ def collect_files(paths: Sequence[Path]) -> List[Path]:
 
 
 def find_repo_root(start: Path) -> Optional[Path]:
-    """Nearest ancestor holding pyproject.toml/setup.py (for E203/E204)."""
+    """Nearest ancestor holding pyproject.toml/setup.py (for E204)."""
     current = start.resolve()
     if current.is_file():
         current = current.parent

@@ -81,11 +81,13 @@ def nash_bargain(total: float, disagreement: Tuple[float, float],
 
         ``u_i = d_i + S / (2 * w_i)``  with  ``S = total - w·d``.
 
-    If the surplus ``S`` is non-positive there is no feasible deal that
-    improves on disagreement, and the outcome is ``agreed=False`` with
-    both parties at their disagreement payoffs.  The weights let callers
-    express utility scales; the solution is invariant to positive affine
-    rescaling of either party's utility (tested property, not prose).
+    A deal must leave each party strictly better off after rounding.  If
+    the surplus ``S`` is non-positive, or so small that ``d_i + S/(2w_i)``
+    rounds back to ``d_i`` for either party, the outcome is
+    ``agreed=False`` with both parties at their disagreement payoffs.
+    The weights let callers express utility scales; the solution is
+    invariant to positive affine rescaling of either party's utility
+    (tested property, not prose).
     """
     w_a, w_b = weights
     if w_a <= 0 or w_b <= 0:
@@ -94,16 +96,12 @@ def nash_bargain(total: float, disagreement: Tuple[float, float],
     if not all(math.isfinite(x) for x in (total, d_a, d_b, w_a, w_b)):
         raise PeeringError("bargaining inputs must be finite")
     surplus = float(total) - (w_a * d_a + w_b * d_b)
-    if surplus <= 0.0:
+    utilities = (d_a + surplus / (2.0 * w_a), d_b + surplus / (2.0 * w_b))
+    if not (utilities[0] > d_a and utilities[1] > d_b):
         return BargainOutcome(agreed=False, utilities=(d_a, d_b),
                               disagreement=(d_a, d_b), surplus=surplus)
-    return BargainOutcome(
-        agreed=True,
-        utilities=(d_a + surplus / (2.0 * w_a),
-                   d_b + surplus / (2.0 * w_b)),
-        disagreement=(d_a, d_b),
-        surplus=surplus,
-    )
+    return BargainOutcome(agreed=True, utilities=utilities,
+                          disagreement=(d_a, d_b), surplus=surplus)
 
 
 class AgreementKind(Enum):

@@ -3,17 +3,18 @@
 The ROADMAP's north star asks the framework to validate the paper's
 qualitative claims over "as many scenarios as you can imagine", as fast
 as the hardware allows.  This package fans ``(experiment, params, seed)``
-cells out across a process pool while keeping the output byte-
-reproducible:
+cells out across supervised worker processes while keeping the output
+byte-reproducible:
 
 :mod:`~tussle.sweep.cells`
     The cell model — canonical parameter JSON, grid expansion, and the
     SHA-256 seed derivation that keeps every cell's RNG stream
     independent of every other's.
 :mod:`~tussle.sweep.executors`
-    The sanctioned parallelism site (lint rule D110): a
-    ``multiprocessing`` pool plus an in-process fallback for debugging,
-    both returning identical payloads.
+    The sanctioned parallelism site (lint rule D110): the crash-safe
+    ``ResilientExecutor`` (one reused, supervised worker process per
+    job slot) plus an in-process executor for debugging, both returning
+    identical payloads.
 :mod:`~tussle.sweep.scheduler`
     Cache-aware dispatch and the deterministic merge: output is sorted
     by cell identity, never by completion order.
@@ -22,14 +23,15 @@ reproducible:
     code fingerprint) — re-runs and CI are incremental.
 :mod:`~tussle.sweep.aggregate`
     Collapses the seed axis into per-metric summaries and robustness
-    verdicts ("E01 shape holds on 50/50 seeds").
+    verdicts ("E01 shape holds on 50/50 seeds") by folding every cell
+    through :class:`~tussle.sweep.progress.StreamingAggregator`.
 
 Quickstart::
 
-    from tussle.sweep import SweepSpec, ProcessPoolExecutor, run_sweep, aggregate
+    from tussle.sweep import SweepSpec, ResilientExecutor, run_sweep, aggregate
 
     spec = SweepSpec(experiment_ids=["E01"], seeds=list(range(20)), grid={})
-    report = run_sweep(spec, executor=ProcessPoolExecutor(jobs=4))
+    report = run_sweep(spec, executor=ResilientExecutor(jobs=4))
     print(aggregate(report.cells)["verdicts"])
 
 or from the command line: ``python -m tussle sweep E01 --seeds 20 --jobs 4``.
@@ -38,12 +40,7 @@ or from the command line: ``python -m tussle sweep E01 --seeds 20 --jobs 4``.
 from .aggregate import aggregate, metric_scalars
 from .cache import ResultCache, code_fingerprint
 from .cells import Cell, SweepSpec, canonical_params, derive_seed, expand_grid
-from .executors import (
-    InProcessExecutor,
-    ProcessPoolExecutor,
-    ResilientExecutor,
-    run_cell,
-)
+from .executors import InProcessExecutor, ResilientExecutor, run_cell
 from .progress import MergingDigest, StreamingAggregator
 from .scheduler import SweepReport, run_sweep
 
@@ -51,8 +48,7 @@ __all__ = [
     "aggregate", "metric_scalars",
     "ResultCache", "code_fingerprint",
     "Cell", "SweepSpec", "canonical_params", "derive_seed", "expand_grid",
-    "InProcessExecutor", "ProcessPoolExecutor", "ResilientExecutor",
-    "run_cell",
+    "InProcessExecutor", "ResilientExecutor", "run_cell",
     "MergingDigest", "StreamingAggregator",
     "SweepReport", "run_sweep",
 ]

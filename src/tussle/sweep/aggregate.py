@@ -11,9 +11,9 @@ module collapses the seed axis of a merged sweep into, per
   per-seed scalar being the column's mean over its rows;
 * a one-line robustness verdict.
 
-Aggregation is arithmetic over the merged (already deterministically
-ordered) cells — values are summed in sorted-seed order — so the
-aggregate JSON inherits the sweep's byte-reproducibility.
+Groups come out in sorted identity order and checks are rebuilt in
+sorted-seed order, so the aggregate JSON inherits the sweep's
+byte-reproducibility.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional
 
-from .cells import canonical_params
-from .progress import MergingDigest
+from .progress import StreamingAggregator
 
 __all__ = ["aggregate", "metric_scalars"]
 
@@ -45,17 +44,6 @@ def _numeric(value: Any) -> Optional[float]:
     return value
 
 
-def _summary(values: List[float]) -> Dict[str, float]:
-    """Summary over the seed axis, via the shared mergeable digest.
-
-    Using :class:`~tussle.sweep.progress.MergingDigest` here keeps the
-    batch aggregate byte-identical to the streaming aggregator's final
-    snapshot: both compute every statistic from the same sorted-multiset
-    representation, whatever order the values were folded in.
-    """
-    return MergingDigest.from_values(values).summary()
-
-
 def metric_scalars(result: Dict[str, Any]) -> Dict[str, float]:
     """Per-metric scalar for one seed: column mean per numeric column."""
     scalars: Dict[str, float] = {}
@@ -69,78 +57,14 @@ def metric_scalars(result: Dict[str, Any]) -> Dict[str, float]:
     return scalars
 
 
-def _aggregate_group(experiment_id: str, params: Dict[str, Any],
-                     cells: List[Dict[str, Any]]) -> Dict[str, Any]:
-    seeds = [cell["base_seed"] for cell in cells]
-    ok_cells = [cell for cell in cells if cell["status"] == "ok"]
-    holding = [cell for cell in ok_cells
-               if cell["result"]["shape_holds"]]
-
-    checks: List[Dict[str, Any]] = []
-    if ok_cells:
-        claims = [check["claim"] for check in ok_cells[0]["result"]["checks"]]
-        for index, claim in enumerate(claims):
-            passes = sum(
-                1 for cell in ok_cells
-                if index < len(cell["result"]["checks"])
-                and cell["result"]["checks"][index]["holds"]
-            )
-            checks.append({
-                "claim": claim,
-                "passes": passes,
-                "seeds": len(ok_cells),
-                "pass_fraction": passes / len(ok_cells),
-            })
-
-    metrics: Dict[str, Dict[str, float]] = {}
-    per_seed = [metric_scalars(cell["result"]) for cell in ok_cells]
-    for name in sorted({name for scalars in per_seed for name in scalars}):
-        values = [scalars[name] for scalars in per_seed if name in scalars]
-        metrics[name] = _summary(values)
-
-    robust = bool(ok_cells) and len(holding) == len(cells)
-    verdict = (
-        f"{experiment_id} shape holds on {len(holding)}/{len(cells)} seeds"
-        + (f" ({len(cells) - len(ok_cells)} failed)"
-           if len(ok_cells) < len(cells) else "")
-    )
-    return {
-        "experiment_id": experiment_id,
-        "params": params,
-        "seeds": sorted(seeds),
-        "cells": len(cells),
-        "cells_failed": len(cells) - len(ok_cells),
-        "shape_holds_count": len(holding),
-        "robust": robust,
-        "verdict": verdict,
-        "checks": checks,
-        "metrics": metrics,
-    }
-
-
 def aggregate(cells: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Collapse the seed axis of merged sweep payloads.
 
-    ``cells`` is ``SweepReport.cells`` — already sorted by cell
-    identity, so groups come out in deterministic order too.
+    A fold of ``cells`` (normally ``SweepReport.cells``) through
+    :class:`~tussle.sweep.progress.StreamingAggregator`, so a batch
+    document and a streaming snapshot are one computation.
     """
-    grouped: Dict[tuple, List[Dict[str, Any]]] = {}
-    order: List[tuple] = []
+    streaming = StreamingAggregator()
     for cell in cells:
-        key = (cell["experiment_id"], canonical_params(cell["params"]))
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(cell)
-
-    groups = []
-    for key in order:
-        members = sorted(grouped[key], key=lambda c: c["base_seed"])
-        groups.append(_aggregate_group(members[0]["experiment_id"],
-                                       members[0]["params"], members))
-    return {
-        "schema": AGGREGATE_SCHEMA,
-        "groups": groups,
-        "robust": all(group["robust"] for group in groups),
-        "verdicts": [group["verdict"] for group in groups],
-    }
+        streaming.fold(cell)
+    return streaming.snapshot()

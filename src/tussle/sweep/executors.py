@@ -12,8 +12,9 @@ hazards of parallel simulation are contained:
   order cells finish; the scheduler re-sorts by cell identity before
   merging, so the merged output is order-independent by construction.
 * **Failure isolation** — :func:`run_cell` converts any exception into
-  an error payload for that cell alone; one diverging cell never takes
-  down the pool or its siblings.
+  an error payload for that cell alone, and :class:`ResilientExecutor`
+  turns a dead or hung worker into a retry; one diverging cell never
+  takes down its worker or its siblings.
 
 Workers communicate in JSON-safe dicts (the ``ExperimentResult.to_dict``
 form), so payloads cross process boundaries and the result cache without
@@ -25,11 +26,14 @@ merge.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import signal
 import time
+from multiprocessing.connection import wait
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..errors import SweepError
@@ -39,8 +43,7 @@ from ..resil.failures import FailedCell
 from ..resil.workerchaos import WorkerChaos, digest63
 from .cells import Cell
 
-__all__ = ["InProcessExecutor", "ProcessPoolExecutor", "ResilientExecutor",
-           "run_cell", "cell_task"]
+__all__ = ["InProcessExecutor", "ResilientExecutor", "run_cell", "cell_task"]
 
 
 def cell_task(cell: Cell) -> Dict[str, Any]:
@@ -97,7 +100,7 @@ class InProcessExecutor:
 
     The debugging baseline — no pickling, no fork, breakpoints and
     monkeypatches work — and the parity reference: its merged output
-    must be byte-identical to the pool's.
+    must be byte-identical to :class:`ResilientExecutor`'s.
     """
 
     jobs = 1
@@ -113,62 +116,36 @@ class InProcessExecutor:
         return list(self.imap(tasks))
 
 
-class ProcessPoolExecutor:
-    """Parallel executor over a ``multiprocessing`` pool.
+def _resilient_worker(conn: Any) -> None:
+    """Worker loop for :class:`ResilientExecutor`: one cell at a time.
 
-    Results are collected in completion order (``imap_unordered``) —
-    deliberately, so the scheduler's deterministic merge is exercised on
-    every parallel run rather than masked by an ordered iterator.
+    Answers every task received over ``conn`` with its :func:`run_cell`
+    output, and returns once the parent process is gone, however it
+    died.  Pipe EOF cannot signal that: a forked worker holds copies of
+    the parent's end of every pipe open when it started, its own
+    included.  Honors the chaos directive planted by the parent
+    (``_chaos`` key): ``"exit"`` dies with a nonzero exit code,
+    ``"kill"`` SIGKILLs itself, ``"hang"`` blocks past any per-cell
+    timeout.
     """
-
-    telemetry: Any = None
-
-    def __init__(self, jobs: int):
-        if jobs < 1:
-            raise SweepError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def imap(self, tasks: List[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
-        """Yield outputs in completion order as workers finish cells."""
-        if not tasks or self.jobs == 1:
-            yield from InProcessExecutor().imap(tasks)
+    parent = multiprocessing.parent_process().sentinel
+    while parent not in wait([conn, parent]):
+        task = conn.recv()
+        mode = task.pop("_chaos", None)
+        if mode == "exit":
+            os._exit(3)
+        elif mode == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        elif mode == "hang":  # until the parent's deadline reaps us
+            wait([parent])
             return
-        with multiprocessing.Pool(processes=min(self.jobs, len(tasks))) as pool:
-            yield from pool.imap_unordered(run_cell, tasks)
-
-    def map(self, tasks: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        return list(self.imap(tasks))
-
-
-def _resilient_worker(task: Dict[str, Any], conn: Any) -> None:
-    """Worker entry point for :class:`ResilientExecutor`.
-
-    Honors the chaos directive planted by the parent (``_chaos`` key):
-    ``"exit"`` dies with a nonzero exit code, ``"kill"`` SIGKILLs
-    itself, ``"hang"`` sleeps past any per-cell timeout.  With no
-    directive it behaves exactly like :func:`run_cell` and ships the
-    output back over the pipe.
-    """
-    task = dict(task)
-    mode = task.pop("_chaos", None)
-    if mode == "exit":
-        os._exit(3)
-    elif mode == "kill":
-        os.kill(os.getpid(), signal.SIGKILL)
-    elif mode == "hang":
-        while True:  # parent's deadline reaps us
-            time.sleep(0.5)
-    try:
         conn.send(run_cell(task))
-    finally:
-        conn.close()
 
 
 class _PendingCell:
     """Parent-side retry state for one cell in a resilient sweep."""
 
-    __slots__ = ("task", "backoff", "attempt", "reasons", "retry_at",
-                 "process", "conn", "deadline")
+    __slots__ = ("task", "backoff", "attempt", "reasons", "retry_at")
 
     def __init__(self, task: Dict[str, Any], backoff: Backoff):
         self.task = task
@@ -176,25 +153,64 @@ class _PendingCell:
         self.attempt = 0
         self.reasons: List[str] = []
         self.retry_at = 0.0  # on the quarantined monotonic clock
-        self.process: Optional[multiprocessing.Process] = None
-        self.conn: Any = None
-        self.deadline: Optional[float] = None
 
     def identity(self) -> tuple:
         return (self.task["experiment_id"], self.task["params_json"],
                 self.task["base_seed"])
 
 
-class ResilientExecutor:
-    """Crash-safe executor: one supervised process per cell.
+class _Worker:
+    """Parent-side handle on one job slot's worker process."""
 
-    Unlike :class:`ProcessPoolExecutor` (which loses cells silently if a
-    worker dies and blocks forever if one hangs), this executor watches
-    every worker with a per-cell wall-clock deadline and retries
-    infrastructure failures — worker death, timeout — with seeded
-    exponential backoff.  Deterministic ``status: "error"`` payloads are
-    *not* retried: the cell ran to a verdict, and rerunning a pure
-    function cannot change it.
+    __slots__ = ("process", "conn", "cell", "deadline")
+
+    def __init__(self, name: str):
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_resilient_worker, args=(child,), name=name, daemon=True)
+        self.process.start()
+        child.close()  # the worker holds the only other end
+        #: the cell now running here, and its monotonic-clock deadline
+        self.cell: Optional[_PendingCell] = None
+        self.deadline = 0.0
+
+    @property
+    def name(self) -> str:
+        return self.process.name
+
+    def assign(self, pending: _PendingCell, task: Dict[str, Any],
+               timeout: float) -> None:
+        self.cell = pending
+        self.deadline = time.monotonic() + timeout
+        try:
+            self.conn.send(task)
+        except OSError:  # died while idle: its sentinel reports the death
+            pass
+
+    def stop(self) -> None:
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
+
+
+class ResilientExecutor:
+    """Crash-safe parallel executor: one supervised worker per job slot.
+
+    Each of ``jobs`` slots keeps one worker process that runs cells one
+    at a time, so a sweep pays a fork per slot, not per cell.  Reuse is
+    safe because nothing reachable from a worker writes module state
+    (lint rule F207): a cell cannot observe the cells that ran before
+    it in the same process.
+
+    The parent watches every running cell with a wall-clock deadline
+    and retries infrastructure failures — worker death, timeout — with
+    seeded exponential backoff; the slot gets a fresh process.
+    Deterministic ``status: "error"`` payloads are *not* retried: the
+    cell ran to a verdict, and rerunning a pure function cannot change
+    it.  Between events the parent blocks in
+    :func:`multiprocessing.connection.wait` on the busy workers' pipes
+    and process sentinels, until a result, a death, the nearest
+    deadline, or — while a slot is free — the nearest backoff expiry.
 
     A cell that exhausts its retry budget yields a structured
     ``status: "failed"`` payload (:class:`~tussle.resil.FailedCell`)
@@ -203,16 +219,12 @@ class ResilientExecutor:
     quarantined from the deterministic merge, which stays byte-identical
     to a fault-free run whenever every cell eventually succeeds.
 
-    The wall clock (``time.monotonic``) and the poll sleep
-    (``time.sleep``) used here are the package's single sanctioned
-    retry-sleep site, allowlisted by lint rules D104/D112.
+    The wall-clock reads (``time.monotonic``) sit outside the
+    simulation; lint rule D104 allowlists them in this module only.
 
     ``chaos`` (a :class:`~tussle.resil.WorkerChaos`) deterministically
     sabotages a fraction of first attempts — the chaos gate in CI.
     """
-
-    #: seconds between supervision polls of running workers
-    poll_interval = 0.02
 
     def __init__(self, jobs: int = 1, timeout: float = 30.0,
                  retries: int = 3, backoff: Optional[Backoff] = None,
@@ -220,8 +232,9 @@ class ResilientExecutor:
                  backoff_seed: int = 0):
         if jobs < 1:
             raise SweepError(f"jobs must be >= 1, got {jobs}")
-        if timeout <= 0:
-            raise SweepError(f"timeout must be positive, got {timeout}")
+        if not 0 < timeout < math.inf:
+            raise SweepError(
+                f"timeout must be positive and finite, got {timeout}")
         if retries < 0:
             raise SweepError(f"retries must be >= 0, got {retries}")
         self.jobs = jobs
@@ -246,40 +259,16 @@ class ResilientExecutor:
                         task["params_json"], str(task["base_seed"]))
         return self._backoff_template.spawn(seed)
 
-    def _chaos_mode(self, task: Dict[str, Any], attempt: int) -> Optional[str]:
-        if self.chaos is None:
-            return None
-        return self.chaos.mode_for(task["experiment_id"],
-                                   task["params_json"],
-                                   task["base_seed"], attempt)
-
-    def _start(self, pending: _PendingCell) -> None:
+    def _attempt_task(self, pending: _PendingCell) -> Dict[str, Any]:
+        """The task for the cell's next attempt, with any chaos directive."""
         task = dict(pending.task)
-        mode = self._chaos_mode(task, pending.attempt)
-        if mode is not None:
-            task["_chaos"] = mode
-        recv, send = multiprocessing.Pipe(duplex=False)
-        process = multiprocessing.Process(
-            target=_resilient_worker, args=(task, send),
-            name=f"resil-{task['experiment_id']}-a{pending.attempt}",
-            daemon=True,
-        )
-        process.start()
-        send.close()  # parent keeps only the read end
-        pending.process = process
-        pending.conn = recv
-        pending.deadline = time.monotonic() + self.timeout
-
-    def _reap(self, pending: _PendingCell) -> None:
-        if pending.process is not None:
-            if pending.process.is_alive():
-                pending.process.kill()
-            pending.process.join()
-        if pending.conn is not None:
-            pending.conn.close()
-        pending.process = None
-        pending.conn = None
-        pending.deadline = None
+        if self.chaos is not None:
+            mode = self.chaos.mode_for(task["experiment_id"],
+                                       task["params_json"],
+                                       task["base_seed"], pending.attempt)
+            if mode is not None:
+                task["_chaos"] = mode
+        return task
 
     def _failed_payload(self, pending: _PendingCell) -> Dict[str, Any]:
         task = pending.task
@@ -316,102 +305,113 @@ class ResilientExecutor:
         telemetry = (self.telemetry
                      if self.telemetry is not None
                      and self.telemetry.enabled else None)
+        names = (f"resil-{n}" for n in itertools.count())
 
-        def count(event: str, n: int = 1) -> None:
-            self.recovery[event] += n
+        def count(event: str) -> None:
+            self.recovery[event] += 1
             if scope is not None:
-                scope.counter(event).inc(n)
+                scope.counter(event).inc(1)
+
+        def spawn() -> _Worker:
+            worker = _Worker(next(names))
+            if telemetry is not None:
+                telemetry.worker_started(worker.name)
+            return worker
+
+        def retire(worker: _Worker, reason: str) -> None:
+            worker.stop()
+            if telemetry is not None:
+                telemetry.worker_exited(worker.name, reason)
 
         waiting = [_PendingCell(task, self._cell_backoff(task))
                    for task in tasks]
-        running: List[_PendingCell] = []
-
-        while waiting or running:
-            now = time.monotonic()
-            # promote waiting cells whose backoff delay has elapsed
-            ready = [p for p in waiting if p.retry_at <= now]
-            for pending in ready:
-                if len(running) >= self.jobs:
-                    break
-                waiting.remove(pending)
-                self._start(pending)
-                running.append(pending)
-                if telemetry is not None:
-                    name = pending.process.name
-                    telemetry.worker_started(name)
-                    telemetry.cell_attempt(pending.identity(),
-                                           pending.attempt, name)
-
-            progressed = False
-            for pending in list(running):
-                worker = (pending.process.name
-                          if pending.process is not None else "?")
-                outcome = self._poll(pending)
-                if outcome is None:
-                    continue
-                progressed = True
-                running.remove(pending)
-                kind, output = outcome
-                if kind == "ok":
-                    if pending.attempt > 0:
-                        count("recovered_cells")
+        workers = [spawn() for _ in range(min(self.jobs, len(tasks)))]
+        try:
+            while True:
+                now = time.monotonic()
+                for worker in workers:
+                    if worker.cell is not None:
+                        continue
+                    ready = next((p for p in waiting if p.retry_at <= now),
+                                 None)
+                    if ready is None:
+                        break
+                    waiting.remove(ready)
+                    worker.assign(ready, self._attempt_task(ready),
+                                  self.timeout)
                     if telemetry is not None:
-                        telemetry.worker_exited(worker, "ok")
-                    yield output
-                    continue
-                # infrastructure failure: retry or give up
-                count("worker_deaths" if kind == "death" else "timeouts")
-                reason = pending.reasons[-1] if pending.reasons else kind
-                if telemetry is not None:
-                    telemetry.worker_exited(worker, reason)
-                if pending.backoff.exhausted:
-                    count("failed_cells")
-                    if telemetry is not None:
-                        telemetry.wall_event(
-                            "cell_abandoned",
-                            experiment_id=pending.task["experiment_id"],
-                            base_seed=pending.task["base_seed"],
-                            attempts=pending.attempt + 1,
-                            reasons=list(pending.reasons))
-                    yield self._failed_payload(pending)
-                else:
+                        telemetry.cell_attempt(ready.identity(),
+                                               ready.attempt, worker.name)
+                busy = [w for w in workers if w.cell is not None]
+                if not busy and not waiting:
+                    return
+                # Sleep until the next thing that needs the parent: a
+                # deadline, or a backoff expiry once a slot is free.
+                wake = [w.deadline for w in busy]
+                if waiting and len(busy) < len(workers):
+                    wake.append(min(p.retry_at for p in waiting))
+                signalled = wait(
+                    [w.conn for w in busy] + [w.process.sentinel for w in busy],
+                    max(0.0, min(wake) - time.monotonic()))
+
+                for index, worker in enumerate(workers):
+                    pending = worker.cell
+                    if pending is None:
+                        continue
+                    output = None
+                    if worker.process.sentinel in signalled:
+                        failure = "death"
+                    elif worker.conn.poll():  # a result beats the deadline
+                        try:
+                            output = worker.conn.recv()
+                            failure = None
+                        except EOFError:  # died mid-send
+                            failure = "death"
+                    elif time.monotonic() >= worker.deadline:
+                        failure = "timeout"
+                    else:
+                        continue
+                    if failure is None:
+                        worker.cell = None
+                        if pending.attempt > 0:
+                            count("recovered_cells")
+                        yield output
+                        continue
+                    # infrastructure failure: fresh worker, then retry or
+                    # give up
+                    if failure == "death":
+                        worker.process.join()
+                        reason = (f"worker-death(exitcode="
+                                  f"{worker.process.exitcode})")
+                        count("worker_deaths")
+                    else:
+                        reason = f"timeout({self.timeout:g}s)"
+                        count("timeouts")
+                    pending.reasons.append(reason)
+                    retire(worker, reason)
+                    workers[index] = spawn()
+                    if pending.backoff.exhausted:
+                        count("failed_cells")
+                        if telemetry is not None:
+                            telemetry.wall_event(
+                                "cell_abandoned",
+                                experiment_id=pending.task["experiment_id"],
+                                base_seed=pending.task["base_seed"],
+                                attempts=pending.attempt + 1,
+                                reasons=list(pending.reasons))
+                        yield self._failed_payload(pending)
+                        continue
                     count("retries")
                     delay = pending.backoff.next_delay()
                     if telemetry is not None:
                         telemetry.cell_retried(pending.identity(),
-                                               pending.attempt, reason,
-                                               delay)
+                                               pending.attempt, reason, delay)
                     pending.attempt += 1
                     pending.retry_at = time.monotonic() + delay
                     waiting.append(pending)
-
-            if not progressed and (running or waiting):
-                time.sleep(self.poll_interval)
+        finally:
+            for worker in workers:
+                retire(worker, "done")
 
     def map(self, tasks: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         return list(self.imap(tasks))
-
-    def _poll(self, pending: _PendingCell):
-        """One supervision check.  ``None`` means still running."""
-        conn, process = pending.conn, pending.process
-        assert conn is not None and process is not None
-        if conn.poll():
-            try:
-                output = conn.recv()
-            except EOFError:  # died mid-send: treat as worker death
-                self._reap(pending)
-                pending.reasons.append("worker-death(eof)")
-                return ("death", None)
-            self._reap(pending)
-            return ("ok", output)
-        if not process.is_alive():
-            code = process.exitcode
-            self._reap(pending)
-            pending.reasons.append(f"worker-death(exitcode={code})")
-            return ("death", None)
-        if pending.deadline is not None and \
-                time.monotonic() >= pending.deadline:
-            self._reap(pending)
-            pending.reasons.append(f"timeout({self.timeout:g}s)")
-            return ("timeout", None)
-        return None

@@ -1,8 +1,8 @@
 """Streaming aggregation: running verdicts while a sweep is in flight.
 
-Batch :func:`tussle.sweep.aggregate.aggregate` needs every cell before
-it can say anything; the distributed sweep fabric (ROADMAP) wants
-verdicts that *update as cells land*.  This module provides that:
+A sweep's verdicts should *update as cells land*, not only once every
+cell is in.  This module provides that, and batch
+:func:`tussle.sweep.aggregate.aggregate` is a fold over it:
 
 :class:`MergingDigest`
     A mergeable summary of a float multiset supporting incremental
@@ -19,10 +19,11 @@ verdicts that *update as cells land*.  This module provides that:
 :class:`StreamingAggregator`
     Folds merged-channel payloads one at a time, in any order, into
     per-``(experiment, parameter point)`` group states, and exposes a
-    running one-line verdict after every fold.  Its final
-    :meth:`~StreamingAggregator.snapshot` is byte-identical to the
-    batch aggregator's output on the same cells (test-asserted) because
-    both share the digest and reconstruct checks in sorted-seed order.
+    running one-line verdict after every fold.  Its
+    :meth:`~StreamingAggregator.snapshot` is the aggregate document;
+    checks are reconstructed in sorted-seed order, so folding cells in
+    completion order gives the same bytes as folding them sorted
+    (test-asserted).
 """
 
 from __future__ import annotations
@@ -224,7 +225,8 @@ class StreamingAggregator:
 
     Payloads may arrive in any order (completion order under a parallel
     executor); the final :meth:`snapshot` is nonetheless byte-identical
-    to :func:`tussle.sweep.aggregate.aggregate` over the same cells.
+    to :func:`tussle.sweep.aggregate.aggregate`, the same fold over the
+    sorted cells.
     """
 
     def __init__(self) -> None:
@@ -275,10 +277,8 @@ class StreamingAggregator:
     def snapshot(self) -> Dict[str, Any]:
         """The full aggregate document over the cells folded so far.
 
-        Matches :func:`tussle.sweep.aggregate.aggregate` byte-for-byte
-        on the same cell set: groups in sorted identity order, checks
-        reconstructed in sorted-seed order, metric summaries from the
-        shared digest.
+        Groups come out in sorted identity order, checks reconstructed
+        in sorted-seed order, metric summaries from each group's digest.
         """
         from .aggregate import AGGREGATE_SCHEMA
 
@@ -306,13 +306,6 @@ class StreamingAggregator:
                        for name in sorted(group.digests)}
             total = len(group.seeds)
             holding = group.holding
-            robust = bool(ok_seeds) and holding == total
-            verdict = (
-                f"{group.experiment_id} shape holds on "
-                f"{holding}/{total} seeds"
-                + (f" ({len(group.failed_seeds)} failed)"
-                   if group.failed_seeds else "")
-            )
             groups.append({
                 "experiment_id": group.experiment_id,
                 "params": group.params,
@@ -320,8 +313,8 @@ class StreamingAggregator:
                 "cells": total,
                 "cells_failed": len(group.failed_seeds),
                 "shape_holds_count": holding,
-                "robust": robust,
-                "verdict": verdict,
+                "robust": bool(ok_seeds) and holding == total,
+                "verdict": group.verdict(),
                 "checks": checks,
                 "metrics": metrics,
             })

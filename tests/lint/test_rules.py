@@ -465,8 +465,8 @@ class TestX302DunderAll:
         assert rule_ids_found(report) == []
 
 
-def write_fake_repo(tmp_path, *, run_src=None, register=True, bench=True,
-                    tests_reference=True):
+def write_fake_repo(tmp_path, *, run_src=None, register=True,
+                    tests_reference=True, module="e01_sample"):
     """A minimal repo with one experiment module, for E-series tests."""
     (tmp_path / "pyproject.toml").write_text("[project]\nname='fake'\n")
     pkg = tmp_path / "src" / "pkg"
@@ -478,17 +478,13 @@ def write_fake_repo(tmp_path, *, run_src=None, register=True, bench=True,
             "def run_e01(seed: int = 0) -> 'ExperimentResult':\n"
             "    return None\n"
         )
-    (experiments / "e01_sample.py").write_text(run_src)
+    (experiments / f"{module}.py").write_text(run_src)
     registry = (
-        "from .e01_sample import run_e01\n"
+        f"from .{module} import run_e01\n"
         "ALL_EXPERIMENTS = {'E01': run_e01}\n" if register else
         "ALL_EXPERIMENTS = {}\n"
     )
     (experiments / "__init__.py").write_text(registry)
-    benchmarks = tmp_path / "benchmarks"
-    benchmarks.mkdir()
-    if bench:
-        (benchmarks / "bench_e01_sample.py").write_text("# bench\n")
     tests = tmp_path / "tests"
     tests.mkdir()
     if tests_reference:
@@ -530,10 +526,26 @@ class TestESeriesConformance:
         # Not registered and not named directly in tests -> also untested.
         assert "E204" in ids
 
-    def test_missing_benchmark(self, tmp_path):
-        pkg = write_fake_repo(tmp_path, bench=False)
+    def test_any_module_name_is_checked(self, tmp_path):
+        # A p-prefixed module (like p01_paid_peering) is checked although
+        # its file name is outside the old e/x/l/r pattern.
+        pkg = write_fake_repo(tmp_path, module="p01_sample", run_src=(
+            "def run_e01(rounds: int = 3) -> 'ExperimentResult':\n"
+            "    return None\n"
+        ))
         report = run_lint([pkg])
-        assert rule_ids_found(report) == ["E203"]
+        assert rule_ids_found(report) == ["E201"]
+
+    def test_registry_import_is_checked_without_a_run_def(self, tmp_path):
+        # The registry imports run_e01, but the module only binds it by
+        # assignment: still an experiment module, so E201 fires.
+        pkg = write_fake_repo(tmp_path, run_src=(
+            "def _impl(seed: int = 0) -> 'ExperimentResult':\n"
+            "    return None\n"
+            "run_e01 = _impl\n"
+        ))
+        report = run_lint([pkg])
+        assert rule_ids_found(report) == ["E201"]
 
     def test_registry_parametrized_suite_counts_as_tested(self, tmp_path):
         pkg = write_fake_repo(tmp_path, tests_reference=True)

@@ -6,7 +6,6 @@ from tussle.obs import NullSweepTelemetry, SweepTelemetry, wall_path_for
 from tussle.resil import WorkerChaos
 from tussle.sweep import (
     InProcessExecutor,
-    ProcessPoolExecutor,
     ResilientExecutor,
     ResultCache,
     SweepSpec,
@@ -76,7 +75,7 @@ class TestChannels:
 class TestByteIdentity:
     def test_serial_vs_pool(self):
         serial = det_bytes(InProcessExecutor())
-        pooled = det_bytes(ProcessPoolExecutor(jobs=4))
+        pooled = det_bytes(ResilientExecutor(jobs=4))
         assert serial == pooled
 
     def test_serial_vs_chaos(self):
@@ -126,6 +125,25 @@ class TestWallChannel:
         assert telemetry.wall_counters["attempts"] == len(attempts) == 3
         for event in events:
             assert isinstance(event["t"], float) and event["t"] >= 0.0
+
+    def test_workers_reused_and_replaced_only_after_a_death(self):
+        spec = SweepSpec(experiment_ids=["E01"], seeds=list(range(6)),
+                         grid={"n_consumers": [15], "rounds": [6]})
+
+        def workers_started(chaos):
+            executor = ResilientExecutor(jobs=2, chaos=chaos)
+            telemetry = SweepTelemetry()
+            run_sweep(spec, executor=executor, telemetry=telemetry)
+            events = [json.loads(line)["event"]
+                      for line in telemetry.wall_lines()[1:-1]]
+            return events.count("worker_started"), executor.recovery
+
+        assert workers_started(None)[0] == 2
+        # This chaos plan SIGKILLs the worker running base seed 2 once.
+        started, recovery = workers_started(
+            WorkerChaos(seed=1, fraction=0.3, modes=("kill",)))
+        assert recovery["worker_deaths"] == 1
+        assert started == 3
 
     def test_retry_reasons_classified(self):
         telemetry = SweepTelemetry()

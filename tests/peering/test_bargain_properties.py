@@ -15,7 +15,7 @@ to them with Hypothesis rather than hand-picked examples:
 import math
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from tussle.errors import PeeringError
@@ -110,6 +110,8 @@ class TestNashBargain:
         assert outcome.gains == (0.0, 0.0)
 
     @given(totals, payoffs)
+    # A positive surplus that rounds away: d + S/2 == d, so no deal.
+    @example(total=-5e-324, d=-5e-324)
     def test_symmetric_problem_splits_equally(self, total, d):
         outcome = nash_bargain(total, (d, d))
         assert outcome.utilities[0] == outcome.utilities[1]

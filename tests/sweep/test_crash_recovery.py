@@ -6,8 +6,17 @@ byte-identical to an all-healthy ``--jobs 1`` run.  Recovery accounting
 is visible only on the quarantined ``resil`` channel.
 """
 
+import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import tussle
 from tussle.errors import SweepError
 from tussle.experiments.common import canonical_json
 from tussle.obs import Metrics, observe
@@ -136,6 +145,7 @@ class TestGracefulDegradation:
 class TestConfiguration:
     @pytest.mark.parametrize("kwargs", [
         {"jobs": 0}, {"timeout": 0.0}, {"retries": -1},
+        {"timeout": float("inf")},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(SweepError):
@@ -150,3 +160,48 @@ class TestConfiguration:
         assert executor.recovery == {"retries": 0, "worker_deaths": 0,
                                      "timeouts": 0, "recovered_cells": 0,
                                      "failed_cells": 0}
+
+
+#: Parks one idle worker (its cell done, the generator suspended), prints
+#: the worker pids, then SIGKILLs itself: no atexit, no daemon cleanup.
+ORPHANING_PARENT = textwrap.dedent("""
+    import multiprocessing, os, signal
+    from tussle.sweep import ResilientExecutor, SweepSpec
+    from tussle.sweep.executors import cell_task
+    spec = SweepSpec(experiment_ids=["E01"], seeds=[0],
+                     grid={"n_consumers": [15], "rounds": [6]})
+    outputs = ResilientExecutor(jobs=1).imap(
+        [cell_task(cell) for cell in spec.cells()])
+    next(outputs)
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+""")
+
+
+class TestParentDeath:
+    def test_idle_worker_exits_when_its_parent_is_killed(self):
+        # The parent and its forked worker inherit the write end of this
+        # pipe; EOF on the read end means every holder has exited.
+        read_end, write_end = os.pipe()
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(tussle.__file__).resolve().parents[1]))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", ORPHANING_PARENT], env=env,
+            stdout=subprocess.PIPE, text=True, pass_fds=(write_end,))
+        os.close(write_end)
+        pids = []
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert parent.wait(timeout=60) == -signal.SIGKILL
+            assert len(pids) == 1
+            ready, _, _ = select.select([read_end], [], [], 20.0)
+            assert ready, "worker outlived its killed parent"
+            assert os.read(read_end, 1) == b""
+        finally:
+            os.close(read_end)
+            parent.stdout.close()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass

@@ -1,4 +1,4 @@
-"""Executor parity: process pool and in-process runs are byte-identical."""
+"""Executor parity: resilient worker and in-process runs are byte-identical."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from tussle.experiments import ALL_EXPERIMENTS
 from tussle.experiments.common import canonical_json
 from tussle.sweep import (
     InProcessExecutor,
-    ProcessPoolExecutor,
+    ResilientExecutor,
     SweepSpec,
     aggregate,
     run_cell,
@@ -29,18 +29,18 @@ class TestParity:
             grid={"n_consumers": [15], "rounds": [6]},
         )
         serial = merged_json(spec, InProcessExecutor())
-        pooled = merged_json(spec, ProcessPoolExecutor(jobs=2))
+        pooled = merged_json(spec, ResilientExecutor(jobs=2))
         assert serial == pooled
 
     def test_pool_isolates_cell_failures(self):
         spec = SweepSpec(experiment_ids=["E01"], seeds=[0, 1],
                          grid={"bogus_kwarg": [1]})
-        report = run_sweep(spec, executor=ProcessPoolExecutor(jobs=2))
+        report = run_sweep(spec, executor=ResilientExecutor(jobs=2))
         assert len(report.failed) == 2
         assert all(c["error"]["type"] == "TypeError" for c in report.cells)
 
-    def test_jobs_one_pool_degrades_to_in_process(self):
-        executor = ProcessPoolExecutor(jobs=1)
+    def test_jobs_one_runs_in_a_single_worker(self):
+        executor = ResilientExecutor(jobs=1)
         spec = SweepSpec(experiment_ids=["E01"], seeds=[0],
                          grid={"n_consumers": [15], "rounds": [6]})
         report = run_sweep(spec, executor=executor)
@@ -50,7 +50,7 @@ class TestParity:
         from tussle.errors import SweepError
 
         with pytest.raises(SweepError):
-            ProcessPoolExecutor(jobs=0)
+            ResilientExecutor(jobs=0)
 
 
 class TestWorkerPayload:
@@ -81,11 +81,11 @@ class TestWorkerPayload:
 
 @pytest.mark.slow
 class TestFullMatrixDeterminism:
-    """Acceptance: all 23 experiments x 5 seeds, --jobs 1 vs --jobs 4."""
+    """Acceptance: every experiment x 5 seeds, --jobs 1 vs --jobs 4."""
 
     def test_full_matrix_byte_identical_across_job_counts(self):
         spec = SweepSpec(experiment_ids=sorted(ALL_EXPERIMENTS),
                          seeds=list(range(5)), grid={})
         serial = merged_json(spec, InProcessExecutor())
-        pooled = merged_json(spec, ProcessPoolExecutor(jobs=4))
+        pooled = merged_json(spec, ResilientExecutor(jobs=4))
         assert serial == pooled

@@ -83,3 +83,28 @@ class TestRunTraceAndJson:
         assert main(["run", "E07", "--json", "--trace", str(trace)]) == 0
         json.loads(capsys.readouterr().out)  # stdout stays pure JSON
         assert trace.exists()
+
+
+class TestSweepFlagValidation:
+    """Out-of-range sweep flags are usage errors (exit 2), not runs."""
+
+    @staticmethod
+    def usage_error(capsys, *flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "E01", "--seeds", "1", *flags])
+        assert exit_info.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        assert "argument --jobs: must be >= 1" in self.usage_error(
+            capsys, "--jobs", jobs)
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "inf"])
+    def test_timeout_not_positive_rejected(self, capsys, timeout):
+        assert "argument --timeout: must be > 0" in self.usage_error(
+            capsys, "--timeout", timeout)
+
+    def test_negative_retries_rejected(self, capsys):
+        assert "argument --retries: must be >= 0" in self.usage_error(
+            capsys, "--retries", "-1")
