@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..errors import LintError
+from ..obs.diff import first_divergence
 
 __all__ = ["SeedCheckOutcome", "fingerprint", "run_seedcheck", "main"]
 
@@ -83,16 +84,46 @@ class SeedCheckOutcome:
         }
 
 
-def _first_divergence(a: Tuple, b: Tuple) -> str:
-    """Human-oriented pointer at where two fingerprints first differ."""
-    if a == b:
+def _records(print_: Tuple) -> List[Tuple[str, str]]:
+    """A fingerprint as ``(where, JSON line)`` records.
+
+    The header fields, then per table its title and columns followed by
+    one record per row, then one record per check.  ``repr`` stands in
+    for values JSON cannot hold and NaN/inf are allowed: a diagnostic
+    must not raise on the values it is diagnosing.
+    """
+    experiment_id, title, paper_claim, tables, checks = print_
+    records: List[Tuple[str, Any]] = [(
+        "header", {"experiment_id": experiment_id, "title": title,
+                   "paper_claim": paper_claim})]
+    for table_title, columns, rows in tables:
+        where = f"table {table_title!r}"
+        records.append((where, {"title": table_title,
+                                "columns": list(columns)}))
+        records.extend((f"{where} row {index}", dict(row))
+                       for index, row in enumerate(rows))
+    records.extend((f"check {claim!r}", {"claim": claim, "holds": holds,
+                                         "detail": detail})
+                   for claim, holds, detail in checks)
+    return [(where, json.dumps(record, sort_keys=True, default=repr))
+            for where, record in records]
+
+
+def _divergence_detail(a: Tuple, b: Tuple) -> str:
+    """Name the first differing fingerprint record and its fields."""
+    a_records, b_records = _records(a), _records(b)
+    divergence = first_divergence([line for _, line in a_records],
+                                  [line for _, line in b_records])
+    if divergence is None:
         return ""
-    for index, (left, right) in enumerate(zip(a, b)):
-        if left != right:
-            section = ("experiment_id", "title", "paper_claim",
-                       "tables", "checks")[index] if index < 5 else str(index)
-            return f"first divergence in {section}"
-    return "fingerprints differ in length"
+    where = (a_records if divergence.index < len(a_records)
+             else b_records)[divergence.index][0]
+    detail = f"first divergence at record {divergence.index} ({where})"
+    if divergence.kind == "length":
+        return f"{detail}: present in one run only"
+    if divergence.changed_fields:
+        detail += f": {', '.join(divergence.changed_fields)} changed"
+    return detail
 
 
 def run_seedcheck(
@@ -131,9 +162,11 @@ def run_seedcheck(
             if default is not None and default.default is not inspect.Parameter.empty:
                 effective_seed = default.default
         results = [entry(**kwargs) for _ in range(runs)]
-        prints = [fingerprint(r) for r in results]
-        deterministic = all(p == prints[0] for p in prints[1:])
-        detail = "" if deterministic else _first_divergence(prints[0], prints[1])
+        first, *others = [fingerprint(r) for r in results]
+        differing = [p for p in others if p != first]
+        deterministic = not differing
+        detail = "" if deterministic else _divergence_detail(first,
+                                                              differing[0])
         outcomes.append(SeedCheckOutcome(
             experiment_id=identifier,
             seed=effective_seed,

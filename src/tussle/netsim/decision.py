@@ -3,9 +3,9 @@ forwarding backend.
 
 :class:`~tussle.netsim.forwarding.ForwardingEngine` (the scalar
 reference) and :class:`~tussle.scale.vforwarding.VectorForwardingEngine`
-(the NumPy backend) must make *identical* choices — the netsim parity
-harness in :mod:`tussle.scale.nparity` asserts their round records match
-byte for byte.  As with :mod:`tussle.econ.decision`, that is only
+(the NumPy backend) must make *identical* choices — the ``netsim`` pair
+of the parity harness in :mod:`tussle.scale.parity` asserts their round
+records match byte for byte.  As with :mod:`tussle.econ.decision`, that is only
 tractable if every decision lives in one place, as pure functions of
 plain values with a documented operation order.  The vectorized kernels
 in :mod:`tussle.scale.nkernels` mirror these functions element-wise; any

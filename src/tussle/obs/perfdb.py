@@ -182,7 +182,8 @@ class PerfFinding:
     """One observation from the regression check."""
 
     bench_id: str
-    kind: str      # "regression" | "counter-drift" | "new-benchmark"
+    #: "regression" | "counter-drift" | "new-benchmark" | "unmeasured"
+    kind: str
     message: str
     blocking: bool
 
@@ -200,10 +201,12 @@ def check(history: Dict[str, Any], results: Dict[str, Dict[str, Any]],
     Returns ``(findings, ok)``.  Blocking findings are wall-time
     regressions: current best-of-N above ``threshold`` × the ledger's
     best *and* above the absolute floor.  Counter drift (deterministic
-    event counts changed vs. the latest ledger entry) and benchmarks
-    with no baseline are reported but do not block — counts legitimately
-    move when instrumentation or workloads change, and a new benchmark
-    has nothing to regress against.
+    event counts changed vs. the latest ledger entry), benchmarks with
+    no baseline, and benchmarks whose wall comparison had to be skipped
+    (``unmeasured``: no wall time in the fresh record or in any ledger
+    entry) are reported but do not block — counts legitimately move
+    when instrumentation or workloads change, and a benchmark without
+    walls has nothing to regress against.
     """
     if threshold <= 1.0:
         raise ObservabilityError(
@@ -224,7 +227,14 @@ def check(history: Dict[str, Any], results: Dict[str, Dict[str, Any]],
             current = record.get("wall_seconds")
         baselines = [w for w in (_wall_min(e) for e in entries)
                      if w is not None]
-        if current is not None and baselines:
+        if current is None or not baselines:
+            findings.append(PerfFinding(
+                bench_id, "unmeasured",
+                "regression check skipped: no wall time in the "
+                + ("fresh record" if current is None
+                   else "any ledger entry"),
+                blocking=False))
+        else:
             best = min(baselines)
             limit = best * threshold
             if current > limit and (current - best) > abs_floor:

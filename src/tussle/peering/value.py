@@ -34,20 +34,14 @@ byte-identical across runs and independent of dict insertion order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import PeeringError
 from ..netsim.topology import Network
-
-# The scale-package imports live inside the functions that use them:
-# ``tussle.scale``'s package init pulls in the parity harnesses, which
-# import the experiment registry, which registers P01/P02 — a cycle if
-# resolved at module import time (same deferral the routing layer uses
-# for its fast path).
-if TYPE_CHECKING:
-    from ..scale.vrouting import RibArrays
+from ..scale.tmatrix import gravity_demand, stub_content, stub_populations
+from ..scale.vrouting import CLASS_NONE, RibArrays
 
 __all__ = ["PeeringEconomics", "TrafficMatrix", "customer_cones",
            "route_volumes", "AsAccount", "as_accounts", "PairTraffic",
@@ -124,12 +118,6 @@ class TrafficMatrix:
     @classmethod
     def from_network(cls, network: Network, seed: int,
                      econ: PeeringEconomics = PeeringEconomics()) -> "TrafficMatrix":
-        from ..scale.tmatrix import (
-            gravity_demand,
-            stub_content,
-            stub_populations,
-        )
-
         stubs = sorted(a.asn for a in network.ases if a.tier == 3)
         n = len(stubs)
         if n < 2:
@@ -213,8 +201,6 @@ def route_volumes(rib: RibArrays, traffic: TrafficMatrix) -> np.ndarray:
     in-flight weight onto its next-hop edge, for at most
     ``max path length`` levels.
     """
-    from ..scale.vrouting import CLASS_NONE
-
     n = len(rib.index)
     d = len(rib.dest_asns)
     vol = np.zeros(n * n, dtype=np.float64)
@@ -330,8 +316,6 @@ def as_accounts(network: Network, rib: RibArrays, vol: np.ndarray,
     — and therefore every byte of downstream canonical JSON — is a pure
     function of the inputs.
     """
-    from ..scale.vrouting import CLASS_NONE
-
     transfers = transfers or {}
     # Delivered demand per stub column: weight that reached its target.
     delivered_by_stub: Dict[int, float] = {}

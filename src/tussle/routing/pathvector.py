@@ -18,6 +18,7 @@ from typing import Dict, Optional, Tuple
 from ..errors import RoutingError
 from ..netsim.topology import Network
 from ..obs.runtime import current as _obs_current
+from ..scale.vrouting import converge_valley_free
 from .base import ControlPoint, Route, RoutingProtocol
 from .policies import GaoRexfordPolicy, RoutingPolicy
 
@@ -159,8 +160,6 @@ class PathVectorRouting(RoutingProtocol):
         eligible; bespoke policies need the scalar protocol.  Returns
         the number of propagation levels (the iteration-count analogue).
         """
-        from ..scale.vrouting import converge_valley_free
-
         if type(self.policy) is not GaoRexfordPolicy:
             raise RoutingError(
                 "converge_fast() implements the Gao-Rexford policy only; "

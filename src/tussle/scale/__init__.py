@@ -8,9 +8,7 @@ Market side: consumer populations live in NumPy structure-of-arrays
 (:mod:`~tussle.scale.arrays`), each market round runs as
 whole-population kernels (:mod:`~tussle.scale.kernels`), and
 :class:`~tussle.scale.vmarket.VectorMarket` wraps them behind the scalar
-market's interface.  The backends are held bit-for-bit equal by the
-parity harness (:mod:`~tussle.scale.parity`, also
-``python -m tussle.scale parity``).  :mod:`~tussle.scale.large` builds
+market's interface.  :mod:`~tussle.scale.large` builds
 10^4–10^6-consumer scenarios and the L01/L02 at-scale experiments on
 top.
 
@@ -19,16 +17,18 @@ Netsim side, the same recipe one rung up the fidelity ladder (see
 planes in :mod:`~tussle.scale.narrays`, per-round forwarding kernels in
 :mod:`~tussle.scale.nkernels`,
 :class:`~tussle.scale.vforwarding.VectorForwardingEngine` as the
-drop-in packet-vector backend, the byte-identity gate in
-:mod:`~tussle.scale.nparity` (``python -m tussle.scale netsim-parity``),
-and :mod:`~tussle.scale.flowsim` as the declared flow-level
-approximation for 10^6-flow populations.
+drop-in packet-vector backend, and :mod:`~tussle.scale.flowsim` as the
+declared flow-level approximation for 10^6-flow populations.
 
 Routing side: :mod:`~tussle.scale.vrouting` batches Gao-Rexford
 valley-free route propagation over arrays so
 ``PathVectorRouting.converge_fast()`` reaches the scalar protocol's
-fixed point on 10^3-10^4-AS graphs in seconds
-(``tests/topogen/test_fastpath.py`` holds the backends path-identical).
+fixed point on 10^3-10^4-AS graphs in seconds.
+
+One harness, :mod:`~tussle.scale.parity` (``python -m tussle.scale
+parity``), holds all three fast backends bit-for-bit equal to their
+scalar references.  This package does not import it: its market cases
+load the experiment registry, which only the gate needs.
 """
 
 from .arrays import ConsumerBatch, MarketArrays
@@ -41,14 +41,6 @@ from .narrays import (
     packets_from_traffic,
     traffic_stream,
 )
-from .nparity import (
-    NetParityCase,
-    NetParityReport,
-    netsim_parity_cases,
-    run_netsim_parity,
-    verify_netsim_case,
-)
-from .parity import ParityCase, ParityReport, parity_cases, run_parity, verify_case
 from .tmatrix import (
     gravity_demand,
     stub_content,
@@ -63,11 +55,6 @@ __all__ = [
     "ConsumerBatch",
     "MarketArrays",
     "VectorMarket",
-    "ParityCase",
-    "ParityReport",
-    "parity_cases",
-    "run_parity",
-    "verify_case",
     # netsim backend
     "NetIndex",
     "LinkArrays",
@@ -77,11 +64,6 @@ __all__ = [
     "packets_from_traffic",
     "NetRound",
     "VectorForwardingEngine",
-    "NetParityCase",
-    "NetParityReport",
-    "netsim_parity_cases",
-    "run_netsim_parity",
-    "verify_netsim_case",
     # flow-level approximation
     "FlowArrays",
     "FlowReport",

@@ -1,11 +1,10 @@
-"""CLI for the scale subsystem: parity gates as shell commands.
+"""CLI for the scale subsystem: the parity gate as a shell command.
 
-``python -m tussle.scale parity`` runs the scalar-vs-vector *market*
-harness over the E01/E02/E03 configurations;
-``python -m tussle.scale netsim-parity`` runs the *forwarding* harness
-over the topology configurations in :mod:`tussle.scale.nparity`.  Both
-exit non-zero on any mismatch, so CI uses them as gates, and both take
-``--json`` for machine-readable reports.
+``python -m tussle.scale parity`` runs every backend pair in
+:mod:`tussle.scale.parity` — ``market``, ``netsim`` and ``routing`` —
+over all its cases and seeds, prints one line per report, and exits
+non-zero on any mismatch, so CI uses it as a gate.  ``--json`` emits a
+machine-readable report instead.
 """
 
 from __future__ import annotations
@@ -15,76 +14,50 @@ import json
 import sys
 from typing import List, Optional
 
-from .nparity import run_netsim_parity
+from ..obs.diff import format_divergence
 from .parity import PARITY_SEEDS, run_parity
 
 __all__ = ["main"]
 
 
-def _print_reports(reports, args, count_field: str) -> int:
-    failures = [r for r in reports if not r.ok]
-    if args.json:
-        payload = [
-            {
-                "label": r.label,
-                "seed": r.seed,
-                "rounds": r.rounds,
-                count_field: getattr(r, count_field),
-                "ok": r.ok,
-                "mismatches": r.mismatches,
-                "divergence": (r.divergence.to_dict()
-                               if r.divergence is not None else None),
-            }
-            for r in reports
-        ]
-        print(json.dumps(
-            {"seeds": args.seeds, "reports": payload, "ok": not failures},
-            indent=2))
-    else:
-        for report in reports:
-            status = "ok" if report.ok else "FAIL"
-            print(f"[{status}] {report.label} seed={report.seed} "
-                  f"rounds={report.rounds} n={getattr(report, count_field)}")
-            for line in report.mismatches:
-                print(f"       {line}")
-            if report.divergence is not None:
-                from ..obs.diff import format_divergence
-                for line in format_divergence(report.divergence, "scalar",
-                                              "vector").splitlines():
-                    print(f"       {line}")
-        print(f"parity: {len(reports) - len(failures)}/{len(reports)} "
-              f"report(s) clean")
-    return 1 if failures else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tussle.scale",
-        description="Vectorized backend tools (markets and forwarding).",
+        description="Vectorized backend tools (markets, forwarding, routing).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_gate(name: str, help_text: str) -> None:
-        gate = sub.add_parser(name, help=help_text)
-        gate.add_argument(
-            "--seeds", type=int, nargs="+", default=list(PARITY_SEEDS),
-            help=f"seeds to check each configuration under "
-                 f"(default: {' '.join(map(str, PARITY_SEEDS))})",
-        )
-        gate.add_argument("--json", action="store_true",
-                          help="emit one JSON object per report")
-
-    add_gate("parity",
-             "verify VectorMarket reproduces scalar MarketRound records")
-    add_gate("netsim-parity",
-             "verify VectorForwardingEngine reproduces scalar forwarding")
+    gate = sub.add_parser(
+        "parity",
+        help="verify every fast backend reproduces its scalar reference")
+    gate.add_argument(
+        "--seeds", type=int, nargs="+", default=list(PARITY_SEEDS),
+        help=f"seeds to check each configuration under "
+             f"(default: {' '.join(map(str, PARITY_SEEDS))})",
+    )
+    gate.add_argument("--json", action="store_true",
+                      help="emit one JSON object per report")
     args = parser.parse_args(argv)
 
-    if args.command == "parity":
-        return _print_reports(run_parity(seeds=args.seeds), args,
-                              "n_consumers")
-    return _print_reports(run_netsim_parity(seeds=args.seeds), args,
-                          "n_packets")
+    reports = run_parity(seeds=args.seeds)
+    failures = [r for r in reports if not r.ok]
+    if args.json:
+        print(json.dumps({"seeds": args.seeds,
+                          "reports": [r.to_dict() for r in reports],
+                          "ok": not failures}, indent=2))
+        return 1 if failures else 0
+    for report in reports:
+        status = "ok" if report.ok else "FAIL"
+        print(f"[{status}] {report.pair} {report.label} seed={report.seed} "
+              f"rounds={report.rounds} n={report.n}")
+        for line in report.mismatches:
+            print(f"       {line}")
+        if report.divergence is not None:
+            for line in format_divergence(report.divergence, "scalar",
+                                          "fast").splitlines():
+                print(f"       {line}")
+    print(f"parity: {len(reports) - len(failures)}/{len(reports)} "
+          f"report(s) clean")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ the registry's seedcheck double-runs every experiment, and the 10^5 /
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,10 +42,15 @@ from ..econ.pricing import (
     UndercutPricing,
     ValuePricingStrategy,
 )
-from ..experiments.common import ExperimentResult, Table
 from ..netsim.addressing import AddressingMode, RenumberingModel
 from .arrays import ConsumerBatch
 from .vmarket import VectorMarket
+
+# The experiment registry imports run_l01/run_l02 from here, so the
+# result types are imported inside them: a module-level import would
+# load the registry first and find this module half-initialised.
+if TYPE_CHECKING:
+    from ..experiments.common import ExperimentResult
 
 __all__ = [
     "lockin_batch",
@@ -206,6 +211,8 @@ def run_l01(
     seed: int = 7,
 ) -> ExperimentResult:
     """E01's lock-in claim shape at 10^4+-consumer populations."""
+    from ..experiments.common import ExperimentResult, Table
+
     tiers = tuple(DEFAULT_TIERS if tiers is None else tiers)
     model = RenumberingModel()
     table = Table(
@@ -282,6 +289,8 @@ def run_l02(
     seed: int = 11,
 ) -> ExperimentResult:
     """E02's value-pricing/tunnelling claim shape at 10^4+ consumers."""
+    from ..experiments.common import ExperimentResult, Table
+
     tiers = tuple(DEFAULT_TIERS if tiers is None else tiers)
     table = Table(
         "L02: value pricing x tunnelling at population scale",

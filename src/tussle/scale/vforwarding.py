@@ -5,9 +5,9 @@ table-routed, middlebox-free fragment — same table-installation API,
 same topology object — but packets live in
 :class:`~tussle.scale.narrays.PacketArrays` columns and each forwarding
 round runs through the kernels in :mod:`tussle.scale.nkernels`.  The
-parity harness (:mod:`tussle.scale.nparity`) asserts this backend and
-the scalar engine emit byte-identical round records from identical
-specs.
+parity harness's ``netsim`` pair (:mod:`tussle.scale.parity`) asserts
+this backend and the scalar engine emit byte-identical round records
+from identical specs.
 
 Round structure (mirrors the scalar ``_forward`` loop exactly):
 

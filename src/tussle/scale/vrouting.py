@@ -20,9 +20,10 @@ All destinations propagate simultaneously: each phase is a handful of
 ``np.minimum.at`` scatter-reductions over the relationship edge arrays,
 the same pattern the packet-vector backend uses
 (:mod:`tussle.scale.vforwarding`).  The result is bit-identical to the
-scalar protocol's fixed point (``tests/topogen/test_fastpath.py`` gates
-路 parity over seeds), because Gao-Rexford guarantees a unique stable
-selection and both backends break ties the same documented way.
+scalar protocol's fixed point (the ``routing`` pair of
+:mod:`tussle.scale.parity` gates it over seeds), because Gao-Rexford
+guarantees a unique stable selection and both backends break ties the
+same documented way.
 
 Scope: customer/provider and peer relationships only.  Sibling edges
 (which the scalar protocol treats as UNKNOWN neighbours) and pairs

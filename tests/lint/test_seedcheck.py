@@ -89,3 +89,49 @@ class TestReporting:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["experiment"] == "E12"
         assert payload[0]["deterministic"] is True
+
+
+class TestDivergenceDetail:
+    def test_detail_names_the_divergent_row(self, monkeypatch):
+        """A cell that changes on the second run is pinned to its row."""
+        import tussle.experiments as experiments
+
+        calls = []
+
+        def flaky(seed=0):
+            calls.append(seed)
+            table = Table("t", ["metric", "value"])
+            table.add_row(metric="a", value=1.0)
+            table.add_row(metric="b", value=2.0 if len(calls) == 1 else 2.5)
+            result = ExperimentResult(experiment_id="T00", title="t",
+                                      paper_claim="c", tables=[table])
+            result.add_check("claim", True)
+            return result
+
+        monkeypatch.setitem(experiments.ALL_EXPERIMENTS, "T00", flaky)
+        [outcome] = run_seedcheck(["T00"])
+        assert not outcome.deterministic
+        assert "table 't' row 1" in outcome.detail
+        assert "value" in outcome.detail
+        assert "metric" not in outcome.detail
+        assert "T00: DIVERGENT" in format_outcomes([outcome])
+
+    def test_detail_survives_values_json_cannot_hold(self, monkeypatch):
+        import tussle.experiments as experiments
+
+        calls = []
+
+        def flaky(seed=0):
+            calls.append(seed)
+            table = Table("t", ["value", "obj"])
+            table.add_row(value=float("inf"), obj=complex(1, 2))
+            result = ExperimentResult(experiment_id="T00", title="t",
+                                      paper_claim="c", tables=[table])
+            result.add_check("claim", len(calls) == 1)
+            return result
+
+        monkeypatch.setitem(experiments.ALL_EXPERIMENTS, "T00", flaky)
+        [outcome] = run_seedcheck(["T00"])
+        assert not outcome.deterministic
+        assert "check 'claim'" in outcome.detail
+        assert "holds" in outcome.detail

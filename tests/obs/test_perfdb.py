@@ -139,6 +139,27 @@ class TestCheck:
         [finding] = findings
         assert finding.kind == "counter-drift" and not finding.blocking
 
+    def test_fresh_record_without_wall_is_reported_unmeasured(self):
+        record = bench_record("E01", 0.05)
+        record["wall_seconds"] = record["wall_seconds_min"] = None
+        findings, ok = perfdb.check(self.history, {"E01": record})
+        assert ok
+        [finding] = findings
+        assert finding.kind == "unmeasured" and not finding.blocking
+        assert "fresh record" in finding.message
+
+    def test_ledger_without_walls_is_reported_unmeasured(self):
+        history = {"schema": 1, "benchmarks": {}}
+        unmeasured = bench_record("S01", 0.05)
+        unmeasured["wall_seconds"] = unmeasured["wall_seconds_min"] = None
+        perfdb.ingest(history, {"S01": unmeasured})
+        findings, ok = perfdb.check(history,
+                                    {"S01": bench_record("S01", 50.0)})
+        assert ok
+        [finding] = findings
+        assert finding.kind == "unmeasured" and not finding.blocking
+        assert "ledger" in finding.message
+
     def test_threshold_must_exceed_one(self):
         with pytest.raises(ObservabilityError, match="threshold"):
             perfdb.check(self.history, {}, threshold=0.9)

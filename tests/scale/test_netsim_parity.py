@@ -13,53 +13,47 @@ import pytest
 from tussle.netsim.decision import MAX_TTL
 from tussle.obs.diff import format_divergence
 from tussle.scale import nkernels
-from tussle.scale.nparity import (
-    NetParityCase,
-    netsim_parity_cases,
-    run_netsim_parity,
-    verify_netsim_case,
-)
-from tussle.scale.parity import PARITY_SEEDS
+from tussle.scale.parity import NETSIM, PARITY_SEEDS, run_parity, verify
 
 
 def _fail_message(report):
     lines = [f"{report.label} seed={report.seed}:"] + report.mismatches
     if report.divergence is not None:
         lines.append(format_divergence(report.divergence, "scalar",
-                                       "vector"))
+                                       "fast"))
     return "\n".join(lines)
 
 
 class TestNetsimParityGate:
     def test_gate_covers_enough_configurations(self):
-        cases = netsim_parity_cases()
+        cases = NETSIM.cases()
         assert len(cases) >= 10
         assert len(PARITY_SEEDS) >= 5
         assert len({case.label for case in cases}) == len(cases)
 
     def test_vector_backend_is_byte_identical_everywhere(self):
-        reports = run_netsim_parity()
+        reports = run_parity([NETSIM])
         failures = [r for r in reports if not r.ok]
         assert not failures, "\n\n".join(
             _fail_message(report) for report in failures)
-        assert len(reports) == len(netsim_parity_cases()) * len(PARITY_SEEDS)
+        assert len(reports) == len(NETSIM.cases()) * len(PARITY_SEEDS)
 
     def test_adversarial_shapes_actually_exercise_failure_lanes(self):
         """The gate must compare failures, not only happy deliveries."""
-        by_label = {case.label: case for case in netsim_parity_cases()}
+        by_label = {case.label: case for case in NETSIM.cases()}
         for label in ("partitioned", "star-14-failed-links",
                       "dumbbell-zero-capacity", "loop-tables"):
-            report = verify_netsim_case(by_label[label], seed=7)
+            report = verify(NETSIM, by_label[label], seed=7)
             assert report.ok, _fail_message(report)
         # The looping tables must drive packets all the way to the TTL
         # bound, so the TTL-exceeded lane is genuinely compared.
-        report = verify_netsim_case(by_label["loop-tables"], seed=7)
+        report = verify(NETSIM, by_label["loop-tables"], seed=7)
         assert report.rounds == MAX_TTL + 1
 
 
 def _qos_case():
     """The smallest QoS-billing case: divergences land in round 0."""
-    return netsim_parity_cases()[0]  # line-8, bill_per_packet=0.75
+    return NETSIM.cases()[0]  # line-8, billed at 0.75 per priority packet
 
 
 class TestGateHasTeeth:
@@ -71,7 +65,7 @@ class TestGateHasTeeth:
             return real(tos, threshold + 1)
 
         monkeypatch.setattr(nkernels, "priority_mask", perturbed)
-        report = verify_netsim_case(_qos_case(), seed=7)
+        report = verify(NETSIM, _qos_case(), seed=7)
         assert not report.ok
         assert any("prioritized" in line or "revenue" in line
                    for line in report.mismatches)
@@ -89,7 +83,7 @@ class TestGateHasTeeth:
                 moving, 1e-9, 0.0)
 
         monkeypatch.setattr(nkernels, "hop_latency_deltas", perturbed)
-        report = verify_netsim_case(_qos_case(), seed=7)
+        report = verify(NETSIM, _qos_case(), seed=7)
         assert not report.ok
         assert any("latency" in line for line in report.mismatches)
         assert report.divergence is not None
@@ -110,13 +104,13 @@ class TestGateHasTeeth:
             return out
 
         monkeypatch.setattr(nkernels, "no_route_mask", perturbed)
-        report = verify_netsim_case(_qos_case(), seed=7)
+        report = verify(NETSIM, _qos_case(), seed=7)
         assert not report.ok
         assert report.divergence is not None
 
     def test_unperturbed_rerun_is_clean(self):
         """Monkeypatches must not leak across tests."""
-        report = verify_netsim_case(_qos_case(), seed=7)
+        report = verify(NETSIM, _qos_case(), seed=7)
         assert report.ok, _fail_message(report)
 
 

@@ -4,70 +4,71 @@ Gao-Rexford guarantees a unique stable route selection and both
 backends break ties by the same documented total order (class, AS-path
 length, lowest next-hop ASN, lexicographic path), so parity is exact:
 same paths, same reachability, same transit loads — not approximately,
-byte for byte.
+byte for byte.  The comparison is the shared harness's ``routing`` pair,
+which checks ``as_path`` and ``reachable`` for every AS pair, then every
+AS's ``transit_load`` and the whole ``reachability_matrix``.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from tussle.errors import RoutingError, ScaleError
 from tussle.netsim.topology import Network, Relationship, random_as_graph
 from tussle.routing import GaoRexfordPolicy, OpenPolicy, PathVectorRouting
+from tussle.scale.parity import ROUTING, verify
 from tussle.scale.vrouting import converge_valley_free
-from tussle.topogen import TopogenConfig, generate_internet
 
 
-def assert_parity(net):
-    scalar = PathVectorRouting(net)
-    scalar.converge()
-    fast = PathVectorRouting(net)
-    fast.converge_fast()
-    asns = [a.asn for a in net.ases]
-    for s in asns:
-        for d in asns:
-            assert scalar.as_path(s, d) == fast.as_path(s, d), (s, d)
-            assert scalar.reachable(s, d) == fast.reachable(s, d)
-    for asn in asns:
-        assert scalar.transit_load(asn) == fast.transit_load(asn), asn
-    assert scalar.reachability_matrix() == fast.reachability_matrix()
+def routing_case(label):
+    return next(case for case in ROUTING.cases() if case.label == label)
+
+
+def assert_clean(label, seed=0):
+    report = verify(ROUTING, routing_case(label), seed)
+    assert report.ok, "\n".join(report.mismatches)
+    return report
 
 
 class TestParity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_as_graphs(self, seed):
-        assert_parity(random_as_graph(n_tier1=3, n_tier2=6, n_tier3=12,
-                                      rng=random.Random(seed)))
+        assert_clean("random-3x6x12", seed)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_generated_internets(self, seed):
-        assert_parity(generate_internet(
-            TopogenConfig(n_ases=40, router_detail="none"), seed=seed))
+        assert_clean("topogen-40", seed)
 
     def test_partitioned_business_graph(self):
         """Unreachable pairs are unreachable in both backends."""
-        net = Network()
-        for asn in (1, 2, 10, 11):
-            net.add_as(asn)
-        net.add_as_relationship(1, 2, Relationship.CUSTOMER_PROVIDER)
-        net.add_as_relationship(10, 11, Relationship.CUSTOMER_PROVIDER)
-        assert_parity(net)
-        rib = converge_valley_free(net)
+        assert_clean("partitioned")
+        rib = converge_valley_free(routing_case("partitioned").spec(0))
         assert rib.reachable(1, 2) and not rib.reachable(1, 10)
 
     def test_valley_blocked_pair(self):
         """Two providers of one customer cannot reach each other through
         it — the textbook valley both backends must refuse."""
-        net = Network()
-        for asn in (1, 2, 3):
-            net.add_as(asn)
-        net.add_as_relationship(1, 2, Relationship.CUSTOMER_PROVIDER)
-        net.add_as_relationship(1, 3, Relationship.CUSTOMER_PROVIDER)
-        assert_parity(net)
-        rib = converge_valley_free(net)
+        assert_clean("valley-blocked")
+        rib = converge_valley_free(routing_case("valley-blocked").spec(0))
         assert not rib.reachable(2, 3)
         assert not rib.reachable(3, 2)
         assert rib.reachable(2, 1) and rib.reachable(1, 3)
+
+
+class TestGateHasTeeth:
+    def test_hidden_peering_link_is_caught(self):
+        """A peering link the fast path never sees must fail the gate."""
+        def hide_one_peering(net):
+            asn = min(a.asn for a in net.ases if net.peers_of(a.asn))
+            net.remove_as_relationship(asn, min(net.peers_of(asn)))
+            return ROUTING.fast(net)
+
+        sabotaged = replace(ROUTING, fast=hide_one_peering)
+        report = verify(sabotaged, routing_case("random-3x6x12"), seed=0)
+        assert not report.ok
+        assert report.divergence is not None
+        assert {"paths", "reachable"} & set(report.divergence.changed_fields)
 
 
 class TestRibArrays:
