@@ -3,12 +3,13 @@
 The paper's argument is that outcomes depend on who moves and in what
 order — so a tussle simulation whose results drift with RNG state, dict
 ordering, or wall-clock time reproduces noise, not the paper.  This
-package enforces that discipline with three rule families:
+package enforces that discipline with four rule families, all evaluated
+by one run (:func:`run_lint`) over one parse of each file:
 
 ``D1xx`` — determinism
-    No global RNG state, no unseeded generators, no wall-clock or
-    environment reads, no iteration over unordered sets into
-    ordering-sensitive sinks, no hidden-default RNG fallbacks.
+    No global RNG state, no wall-clock or environment reads, no
+    iteration over unordered sets into ordering-sensitive sinks, no
+    hidden-default RNG fallbacks.
 ``E2xx`` — experiment conformance
     Every experiment module exposes ``run_*(seed=...) ->
     ExperimentResult``, is registered in ``ALL_EXPERIMENTS``, and has a
@@ -18,9 +19,11 @@ package enforces that discipline with three rule families:
     ``__all__`` matches what modules actually define; X303/X304 keep the
     analyzer itself honest (stale suppressions, unparseable files).
 ``F2xx`` — whole-program flow (:mod:`tussle.lint.flow`)
-    Interprocedural seed provenance, purity inference for the
-    bit-parity kernel contract, and worker safety for code reachable
-    from the sweep executors.  Run with ``python -m tussle.lint flow``.
+    Interprocedural seed provenance (every generator traces to an
+    explicit seed), purity inference for the bit-parity kernel
+    contract, and worker safety for code reachable from the sweep
+    executors.  ``--kernel-candidates`` also lists the pure
+    netsim/routing functions the purity pass found.
 
 The static pass never imports the code under analysis; its dynamic
 sibling :mod:`tussle.lint.seedcheck` double-runs each experiment at a
@@ -30,11 +33,9 @@ See DESIGN.md ("Determinism contract & lint rule catalog") for the full
 rule list and the blessed idioms each rule steers toward.
 """
 
-from .baseline import (Baseline, apply_baseline, load_baseline,
-                       update_baseline, write_baseline)
+from .baseline import Baseline, apply_baseline, load_baseline, update_baseline
 from .engine import LintReport, collect_files, find_repo_root, run_lint
 from .findings import RULE_REGISTRY, Finding, Rule, get_rule, rule_ids
-from .flow import FlowReport, run_flow
 
 # Importing the rule modules registers their rules.  The dynamic
 # seedcheck harness is intentionally NOT imported here: it pulls in the
@@ -46,7 +47,6 @@ from . import api, conformance, determinism  # noqa: F401  isort: skip
 __all__ = [
     "Baseline",
     "Finding",
-    "FlowReport",
     "LintReport",
     "Rule",
     "RULE_REGISTRY",
@@ -56,8 +56,6 @@ __all__ = [
     "get_rule",
     "load_baseline",
     "rule_ids",
-    "run_flow",
     "run_lint",
     "update_baseline",
-    "write_baseline",
 ]

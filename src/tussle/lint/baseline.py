@@ -18,8 +18,7 @@ from typing import Dict, List, Tuple
 from ..errors import LintError
 from .findings import Finding
 
-__all__ = ["Baseline", "load_baseline", "write_baseline", "apply_baseline",
-           "update_baseline"]
+__all__ = ["Baseline", "load_baseline", "apply_baseline", "update_baseline"]
 
 _VERSION = 1
 
@@ -70,13 +69,6 @@ def load_baseline(path: Path) -> Baseline:
             raise LintError(f"malformed baseline entry {entry!r}") from exc
         budgets[key] = budgets.get(key, 0) + count
     return Baseline(budgets)
-
-
-def write_baseline(path: Path, findings: List[Finding]) -> Baseline:
-    baseline = Baseline.from_findings(findings)
-    path.write_text(json.dumps(baseline.to_payload(), indent=2) + "\n",
-                    encoding="utf-8")
-    return baseline
 
 
 def apply_baseline(findings: List[Finding],

@@ -14,24 +14,20 @@ from typing import List, Optional, Sequence
 
 from ..errors import LintError
 from . import api, conformance, determinism  # noqa: F401  (register rules)
-from . import flow as flow_pkg  # registers F rules
-from .baseline import (Baseline, load_baseline, update_baseline,
-                       write_baseline)
-from .engine import find_repo_root, run_lint
+from .baseline import load_baseline, update_baseline
+from .engine import LintReport, find_repo_root, run_lint
 from .findings import RULE_REGISTRY, rule_ids
 
-__all__ = ["main", "build_parser", "build_flow_parser", "flow_main"]
+__all__ = ["main", "build_parser"]
 
 _DEFAULT_BASELINE_NAME = "lint-baseline.json"
-_DEFAULT_FLOW_BASELINE_NAME = "lint-flow-baseline.json"
-_DEFAULT_FLOW_CACHE_NAME = ".lint-flow-cache"
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tussle-lint",
-        description=("AST-based determinism and simulation-invariant "
-                     "analyzer for the tussle package."),
+        description=("Determinism, simulation-invariant and whole-program "
+                     "flow analyzer for the tussle package."),
     )
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
@@ -49,56 +45,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="baseline file of grandfathered findings "
                              f"(default: {_DEFAULT_BASELINE_NAME} at the "
                              "repo root, when present)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline file "
-                             "and exit 0")
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite the baseline from current findings, "
                              "pruning entries for findings that no longer "
                              "exist, and exit 0")
     parser.add_argument("--show-suppressed", action="store_true",
                         help="also print suppressed/baselined findings")
-    parser.add_argument("--seedcheck", action="store_true",
-                        help="additionally double-run every registered "
-                             "experiment and assert identical results")
-    return parser
-
-
-def build_flow_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tussle-lint flow",
-        description=("Whole-program flow analysis: seed provenance, "
-                     "purity inference, worker safety (F rules)."),
-    )
-    parser.add_argument("paths", nargs="*", metavar="PATH",
-                        help="files or directories to scan (default: the "
-                             "installed tussle package source)")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (default text)")
-    parser.add_argument("--select", metavar="PREFIXES",
-                        help="comma-separated rule-id prefixes to keep")
     parser.add_argument("--kernel-candidates", action="store_true",
-                        help="print the pure, vectorization-eligible "
+                        help="also print the pure, vectorization-eligible "
                              "netsim/routing functions with their inferred "
-                             "side-effect summaries")
-    parser.add_argument("--cache-dir", metavar="DIR", type=Path, default=None,
-                        help="incremental summary cache directory "
-                             f"(default: {_DEFAULT_FLOW_CACHE_NAME} at the "
-                             "repo root)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental summary cache")
-    parser.add_argument("--baseline", metavar="FILE", type=Path, default=None,
-                        help="baseline file of grandfathered F findings "
-                             f"(default: {_DEFAULT_FLOW_BASELINE_NAME} at "
-                             "the repo root, when present)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline file "
-                             "and exit 0")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from current findings, "
-                             "pruning stale entries, and exit 0")
-    parser.add_argument("--show-suppressed", action="store_true",
-                        help="also print suppressed/baselined findings")
+                             "side-effect summaries (always in JSON output)")
     return parser
 
 
@@ -108,17 +64,14 @@ def _default_paths() -> List[Path]:
 
 
 def _resolve_baseline_path(args: argparse.Namespace,
-                           scan_paths: Sequence[Path],
-                           name: str = _DEFAULT_BASELINE_NAME,
-                           ) -> Optional[Path]:
+                           scan_paths: Sequence[Path]) -> Optional[Path]:
     if args.baseline is not None:
         return args.baseline
     repo_root = find_repo_root(Path(scan_paths[0]))
     if repo_root is None:
         return None
-    candidate = repo_root / name
-    writeish = args.write_baseline or getattr(args, "update_baseline", False)
-    return candidate if (candidate.is_file() or writeish) else None
+    candidate = repo_root / _DEFAULT_BASELINE_NAME
+    return candidate if (candidate.is_file() or args.update_baseline) else None
 
 
 def _list_rules(fmt: str) -> int:
@@ -144,7 +97,7 @@ def _list_rules(fmt: str) -> int:
     return 0
 
 
-def _print_text_report(report, show_suppressed: bool) -> None:
+def _print_text_report(report: LintReport, show_suppressed: bool) -> None:
     for finding in report.active:
         print(finding.format())
     if show_suppressed:
@@ -162,72 +115,17 @@ def _print_text_report(report, show_suppressed: bool) -> None:
           f"{len(report.active)} findings{suppressed_note}")
 
 
-def flow_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point for ``python -m tussle.lint flow ...``."""
-    parser = build_flow_parser()
-    args = parser.parse_args(argv)
-
-    scan_paths = [Path(p) for p in args.paths] or _default_paths()
-    select = (
-        [part.strip() for part in args.select.split(",") if part.strip()]
-        if args.select else None
-    )
-    baseline_path = _resolve_baseline_path(args, scan_paths,
-                                           _DEFAULT_FLOW_BASELINE_NAME)
-    cache_dir = args.cache_dir
-    if cache_dir is None and not args.no_cache:
-        repo_root = find_repo_root(Path(scan_paths[0]))
-        if repo_root is not None:
-            cache_dir = repo_root / _DEFAULT_FLOW_CACHE_NAME
-    if args.no_cache:
-        cache_dir = None
-
-    try:
-        baseline = None
-        if baseline_path is not None and baseline_path.is_file() \
-                and not (args.write_baseline or args.update_baseline):
-            baseline = load_baseline(baseline_path)
-        report = flow_pkg.run_flow(scan_paths, cache_dir=cache_dir,
-                                   baseline=baseline, select=select)
-        if args.write_baseline or args.update_baseline:
-            if baseline_path is None:
-                raise LintError(
-                    "cannot locate a repo root for the baseline; pass "
-                    "--baseline FILE explicitly"
-                )
-            written = (update_baseline if args.update_baseline
-                       else write_baseline)(baseline_path, report.findings)
-            print(f"wrote {sum(written.budgets.values())} grandfathered "
-                  f"findings to {baseline_path}")
-            return 0
-    except LintError as exc:
-        print(f"tussle-lint: {exc}", file=sys.stderr)
-        return 2
-
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        _print_text_report(report, args.show_suppressed)
-        stats = report.cache_stats
-        print(f"summary cache: {stats.get('hits', 0)} hits, "
-              f"{stats.get('misses', 0)} misses")
-    if args.kernel_candidates and args.format == "text":
-        pure = [c for c in report.kernel_candidates if c["pure"]]
-        print(f"\n{len(pure)} kernel-eligible pure functions:")
-        for entry in report.kernel_candidates:
-            marker = "pure" if entry["pure"] else "pure*"
-            print(f"  [{marker}] {entry['function']} "
-                  f"({entry['path']}:{entry['line']}) — {entry['effects']}")
-
-    return 0 if report.clean else 1
+def _print_kernel_candidates(report: LintReport) -> None:
+    pure = [c for c in report.kernel_candidates if c["pure"]]
+    print(f"\n{len(pure)} kernel-eligible pure functions:")
+    for entry in report.kernel_candidates:
+        marker = "pure" if entry["pure"] else "pure*"
+        print(f"  [{marker}] {entry['function']} "
+              f"({entry['path']}:{entry['line']}) — {entry['effects']}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["flow"]:
-        return flow_main(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     if args.list_rules:
         return _list_rules(args.format)
@@ -242,17 +140,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         baseline = None
         if baseline_path is not None and baseline_path.is_file() \
-                and not (args.write_baseline or args.update_baseline):
+                and not args.update_baseline:
             baseline = load_baseline(baseline_path)
         report = run_lint(scan_paths, select=select, baseline=baseline)
-        if args.write_baseline or args.update_baseline:
+        if args.update_baseline:
             if baseline_path is None:
                 raise LintError(
                     "cannot locate a repo root for the baseline; pass "
                     "--baseline FILE explicitly"
                 )
-            written = (update_baseline if args.update_baseline
-                       else write_baseline)(baseline_path, report.findings)
+            written = update_baseline(baseline_path, report.findings)
             print(f"wrote {sum(written.budgets.values())} grandfathered "
                   f"findings to {baseline_path}")
             return 0
@@ -260,26 +157,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"tussle-lint: {exc}", file=sys.stderr)
         return 2
 
-    seedcheck_ok = True
-    seedcheck_payload = None
-    if args.seedcheck:
-        from .seedcheck import format_outcomes, run_seedcheck
-        outcomes = run_seedcheck()
-        seedcheck_ok = all(o.ok for o in outcomes)
-        if args.format == "json":
-            seedcheck_payload = [o.to_dict() for o in outcomes]
-        else:
-            print(format_outcomes(outcomes))
-
     if args.format == "json":
-        payload = report.to_dict()
-        if seedcheck_payload is not None:
-            payload["seedcheck"] = seedcheck_payload
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report.to_dict(), indent=2))
     else:
         _print_text_report(report, args.show_suppressed)
+        if args.kernel_candidates:
+            _print_kernel_candidates(report)
 
-    return 0 if report.clean and seedcheck_ok else 1
+    return 0 if report.clean else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main()

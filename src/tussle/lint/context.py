@@ -4,6 +4,7 @@ The engine parses every file exactly once into a :class:`ModuleInfo`
 (AST, import table, inline suppressions) and bundles them into a
 :class:`ProjectContext` so project-level rules (experiment conformance,
 exception taxonomy) can see the whole tree without re-reading files.
+The flow summaries behind the F rules are extracted from the same ASTs.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ __all__ = [
     "resolve_call_name",
 ]
 
-#: Inline suppression: ``# lint: disable=D103`` or ``# lint: disable=D103,X301``
-#: (``# noqa: D103`` is honoured as a familiar alias).  A bare
+#: Inline suppression: ``# lint: disable=D101`` or ``# lint: disable=D101,X301``
+#: (``# noqa: D101`` is honoured as a familiar alias).  A bare
 #: ``# lint: disable`` suppresses every rule on that line.
 _SUPPRESS_RE = re.compile(
     r"#\s*(?:lint:\s*disable|noqa:?)\s*(?:=\s*)?([A-Z]\d+(?:\s*,\s*[A-Z]\d+)*)?"
@@ -70,7 +71,10 @@ def _parse_disable_comments(
     nothing to audit there.
     """
     table: Dict[int, Optional[Set[str]]] = {}
-    reader = io.StringIO("\n".join(source_lines) + "\n").readline
+    text = "\n".join(source_lines) + "\n"
+    if "lint:" not in text:
+        return table  # every _DISABLE_RE match contains it; skip tokenizing
+    reader = io.StringIO(text).readline
     try:
         tokens = list(tokenize.generate_tokens(reader))
     except (tokenize.TokenError, IndentationError, SyntaxError, ValueError):
@@ -93,7 +97,6 @@ class ModuleInfo:
     """One parsed source file plus derived lookup tables."""
 
     path: Path
-    module_name: str
     tree: ast.Module
     source_lines: List[str]
     #: local name -> canonical dotted module/object path, built from the
@@ -215,7 +218,7 @@ def _build_import_table(tree: ast.Module) -> Dict[str, str]:
     return table
 
 
-def parse_module(path: Path, root: Path) -> ModuleInfo:
+def parse_module(path: Path) -> ModuleInfo:
     """Parse one file into a :class:`ModuleInfo`.
 
     Raises :class:`LintError` on anything that prevents analysis —
@@ -234,12 +237,9 @@ def parse_module(path: Path, root: Path) -> ModuleInfo:
         raise LintError(f"syntax error in {path}: {exc}") from exc
     except ValueError as exc:  # e.g. NUL bytes on some Python versions
         raise LintError(f"cannot parse {path}: {exc}") from exc
-    relative = path.relative_to(root) if root in path.parents or path == root else path
-    module_name = ".".join(relative.with_suffix("").parts)
     source_lines = source.splitlines()
     return ModuleInfo(
         path=path,
-        module_name=module_name,
         tree=tree,
         source_lines=source_lines,
         imports=_build_import_table(tree),
@@ -252,7 +252,6 @@ def parse_module(path: Path, root: Path) -> ModuleInfo:
 class ProjectContext:
     """Everything project-level rules need: all modules plus repo layout."""
 
-    package_root: Path
     modules: List[ModuleInfo]
     #: Repository root (directory holding pyproject.toml) when detectable;
     #: benchmark/test conformance rules are skipped without it.

@@ -32,13 +32,6 @@ D102 = register_rule(Rule(
     "numpy's legacy module-level RandomState is process-global. Use "
     "numpy.random.default_rng(seed) and thread the generator through.",
 ))
-D103 = register_rule(Rule(
-    "D103", "unseeded-rng-constructor",
-    "RNG constructed without an explicit seed argument",
-    "random.Random() / default_rng() with no argument seed from the OS, so "
-    "two runs of the same experiment diverge. Always pass a seed; "
-    "random.SystemRandom is nondeterministic by design and never allowed.",
-))
 D104 = register_rule(Rule(
     "D104", "wall-clock-read",
     "wall-clock read (time.time, datetime.now, ...) inside the simulation",
@@ -114,8 +107,8 @@ D112 = register_rule(Rule(
     "waits belong on the event loop / Backoff schedule instead.",
 ))
 
-DETERMINISM_RULES = (D101, D102, D103, D104, D105, D106, D107, D108, D109,
-                     D110, D111, D112)
+DETERMINISM_RULES = (D101, D102, D104, D105, D106, D107, D108, D109, D110,
+                     D111, D112)
 
 #: Modules (path suffixes, ``/``-separated) sanctioned to read the host
 #: clock. The profiler quarantines wall-clock values to the benchmark
@@ -166,7 +159,7 @@ _ALLOWED_NP_RANDOM = {
     "BitGenerator", "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
 }
 
-#: Constructors that take a seed as their first argument.
+#: Constructors that take a seed as their first argument (D107 sinks).
 _SEEDABLE_CTORS = {"random.Random", "numpy.random.default_rng",
                    "numpy.random.RandomState"}
 
@@ -266,7 +259,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
             self._check_rng_import(node, node.module)
         self.generic_visit(node)
 
-    # -- calls (D101/D102/D103/D104/D105/D106 sinks) -------------------
+    # -- calls (D101/D102/D104/D105/D106/D109/D110/D112 sinks) ---------
     def visit_Call(self, node: ast.Call) -> None:
         canonical = self._canonical(node.func)
         if canonical is not None:
@@ -288,18 +281,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
                           f"`numpy.random.{remainder}()` uses the legacy "
                           "global RandomState; use default_rng(seed)")
                 return
-        if canonical == "random.SystemRandom":
-            self._add(D103, node,
-                      "random.SystemRandom is nondeterministic by design; "
-                      "use random.Random(seed)")
-            return
-        if canonical in _SEEDABLE_CTORS and not node.args:
-            # Keyword form (seed=...) counts as explicit seeding.
-            if not any(kw.arg in ("seed", "x") for kw in node.keywords):
-                self._add(D103, node,
-                          f"`{canonical}()` constructed without a seed; two "
-                          "runs will diverge")
-            return
         if canonical in _WALL_CLOCK_FNS:
             if self._wall_clock_exempt:
                 return

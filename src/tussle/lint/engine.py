@@ -1,5 +1,12 @@
 """Analysis driver: collect files, parse once, run every rule family.
 
+One run parses each file into a :class:`~tussle.lint.context.ModuleInfo`,
+runs the single-file D rules and the project-level E/X rules over those
+parses, extracts the flow summaries from the same ASTs, links them into
+a :class:`~tussle.lint.flow.project.Program` and runs the F rules.  Only
+then are inline suppressions, the stale-suppression audit (X303) and the
+baseline applied, once, over every finding.
+
 The engine is deliberately import-free with respect to the code under
 analysis — everything is AST-level, so linting a module never executes
 it (the dynamic counterpart lives in :mod:`tussle.lint.seedcheck`).
@@ -9,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import LintError
 from .api import check_api_invariants
@@ -18,6 +25,11 @@ from .conformance import check_experiment_conformance
 from .context import ModuleInfo, ProjectContext, parse_module
 from .determinism import check_module_determinism
 from .findings import Finding, Rule, register_rule
+from .flow.project import Program
+from .flow.purity import check_purity, infer_effects, kernel_candidates
+from .flow.rngflow import check_rng_flow
+from .flow.summaries import extract_summary
+from .flow.workersafety import check_worker_safety
 
 __all__ = ["LintReport", "collect_files", "find_repo_root", "run_lint",
            "check_stale_suppressions"]
@@ -55,6 +67,10 @@ class LintReport:
     #: [{"rule", "path", "count"}, ...].  Non-empty means the baseline
     #: is stale and the gate fails until --update-baseline rewrites it.
     stale_baseline: List[dict] = field(default_factory=list)
+    #: Pure netsim/routing functions eligible for kernel extraction.
+    kernel_candidates: List[Dict[str, Any]] = field(default_factory=list)
+    #: The linked whole-program view the F rules ran over.
+    program: Optional[Program] = None
 
     @property
     def active(self) -> List[Finding]:
@@ -74,6 +90,7 @@ class LintReport:
             "findings": [f.to_dict() for f in self.active],
             "suppressed": [f.to_dict() for f in self.suppressed],
             "stale_baseline": list(self.stale_baseline),
+            "kernel_candidates": list(self.kernel_candidates),
             "clean": self.clean,
         }
 
@@ -114,25 +131,12 @@ def find_repo_root(start: Path) -> Optional[Path]:
     return None
 
 
-def _apply_inline_suppressions(info: ModuleInfo,
-                               findings: Iterable[Finding]) -> None:
-    for finding in findings:
-        if info.is_suppressed(finding.rule_id, finding.line):
-            finding.suppressed = True
-            finding.suppression_source = "inline"
-            info.used_suppressions.add((finding.line, finding.rule_id))
-
-
-def check_stale_suppressions(info: ModuleInfo,
-                             families: Sequence[str] = ("D", "E", "X"),
-                             ) -> List[Finding]:
+def check_stale_suppressions(info: ModuleInfo) -> List[Finding]:
     """X303: ``# lint: disable`` comments that suppressed nothing this run.
 
-    ``families`` limits the audit to rule families this run actually
-    evaluated, so a file-scoped run of the D/E/X engine never flags a
-    comment that exists for the flow analyzer (F rules) and vice versa.
-    Bare ``# lint: disable`` comments are audited by the engine run only
-    — suppress F findings by explicit id.
+    Every rule family has run before the audit, so a comment naming any
+    rule id — or a bare one — is stale exactly when no finding on its
+    line consumed it.
 
     X303 findings are deliberately *not* subject to inline suppression:
     the comment under audit must not be able to veto its own audit.
@@ -142,9 +146,8 @@ def check_stale_suppressions(info: ModuleInfo,
     for line in sorted(info.disable_comments):
         ids = info.disable_comments[line]
         if ids is None:
-            if "X" in families and not any(
-                    used_line == line
-                    for used_line, _ in info.used_suppressions):
+            if not any(used_line == line
+                       for used_line, _ in info.used_suppressions):
                 findings.append(Finding(
                     X303.rule_id, path, line, 1,
                     "bare `# lint: disable` suppresses nothing on this "
@@ -152,8 +155,6 @@ def check_stale_suppressions(info: ModuleInfo,
                 ))
             continue
         for rule_id in sorted(ids):
-            if rule_id[:1] not in families:
-                continue
             if (line, rule_id) not in info.used_suppressions:
                 findings.append(Finding(
                     X303.rule_id, path, line, 1,
@@ -168,7 +169,7 @@ def run_lint(
     select: Optional[Sequence[str]] = None,
     baseline: Optional[Baseline] = None,
 ) -> LintReport:
-    """Analyze ``paths`` and return every finding.
+    """Analyze ``paths`` with every rule family and return every finding.
 
     Parameters
     ----------
@@ -184,46 +185,48 @@ def run_lint(
     files = collect_files([Path(p) for p in paths])
     if not files:
         raise LintError(f"no python files found under {list(map(str, paths))}")
-    package_root = files[0].parent
-    repo_root = find_repo_root(files[0])
 
     modules: List[ModuleInfo] = []
-    broken: List[Finding] = []
+    findings: List[Finding] = []
     for path in files:
         try:
-            modules.append(parse_module(path, package_root))
+            modules.append(parse_module(path))
         except LintError as exc:
             # Unparseable file: a structured X304 finding, never a crash.
-            broken.append(Finding(X304.rule_id, str(path), 1, 1, str(exc)))
-    context = ProjectContext(package_root=package_root, modules=modules,
-                             repo_root=repo_root)
-
-    report = LintReport(files_scanned=len(files))
-    report.findings.extend(broken)
-    by_path = {str(info.path): info for info in modules}
+            findings.append(Finding(X304.rule_id, str(path), 1, 1, str(exc)))
+    context = ProjectContext(modules=modules,
+                             repo_root=find_repo_root(files[0]))
 
     for info in modules:
-        module_findings = check_module_determinism(info)
-        _apply_inline_suppressions(info, module_findings)
-        report.findings.extend(module_findings)
+        findings.extend(check_module_determinism(info))
+    findings.extend(check_experiment_conformance(context))
+    findings.extend(check_api_invariants(context))
 
-    for project_finding in (check_experiment_conformance(context)
-                            + check_api_invariants(context)):
-        info = by_path.get(project_finding.path)
-        if info is not None:
-            _apply_inline_suppressions(info, [project_finding])
-        report.findings.append(project_finding)
+    program = Program(extract_summary(info.path, info.tree)
+                      for info in modules)
+    effects = infer_effects(program)
+    findings.extend(check_rng_flow(program))
+    findings.extend(check_purity(program, effects))
+    findings.extend(check_worker_safety(program, effects))
 
-    # Audit suppression comments only after every rule family has had its
+    by_path = {str(info.path): info for info in modules}
+    for finding in findings:
+        info = by_path.get(finding.path)
+        if info is not None and info.is_suppressed(finding.rule_id,
+                                                   finding.line):
+            finding.suppressed = True
+            finding.suppression_source = "inline"
+            info.used_suppressions.add((finding.line, finding.rule_id))
+    # Audit suppression comments only after every finding has had its
     # chance to consume them.
     for info in modules:
-        report.findings.extend(check_stale_suppressions(info))
+        findings.extend(check_stale_suppressions(info))
 
     if select:
-        prefixes = tuple(select)
-        report.findings = [
-            f for f in report.findings if f.rule_id.startswith(prefixes)
-        ]
+        findings = [f for f in findings if f.rule_id.startswith(tuple(select))]
+    report = LintReport(findings=findings, files_scanned=len(files),
+                        kernel_candidates=kernel_candidates(program, effects),
+                        program=program)
     if baseline is not None:
         stale = apply_baseline(report.findings, baseline)
         report.stale_baseline = [

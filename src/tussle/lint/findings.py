@@ -1,6 +1,6 @@
 """Finding and rule metadata types for the :mod:`tussle.lint` analyzer.
 
-A *rule* is a named invariant with a stable identifier (``D103``,
+A *rule* is a named invariant with a stable identifier (``D101``,
 ``E201``, ...); a *finding* is one concrete violation of a rule at a
 source location.  Rules register themselves in :data:`RULE_REGISTRY` at
 import time so the CLI can enumerate them (``--list-rules``) without
@@ -33,7 +33,9 @@ class Rule:
     rule_id:
         Stable identifier: a family letter plus a number.  ``D`` rules
         guard determinism, ``E`` rules guard experiment conformance,
-        ``X`` rules guard the public API surface.
+        ``F`` rules check whole-program flow (seed provenance, purity,
+        worker safety), ``X`` rules guard the public API surface.  One
+        lint run evaluates all four families.
     name:
         Short kebab-case slug used in text output.
     summary:

@@ -1,12 +1,11 @@
-"""Whole-program flow analysis (``python -m tussle.lint flow``).
+"""Whole-program flow analysis: the F rules of ``python -m tussle.lint``.
 
-The single-file D/E/X families check each module in isolation; this
-package links the whole tree.  One run:
+The D/E/X families check each module in isolation; this package links
+the whole tree.  Inside the one lint run
+(:func:`tussle.lint.engine.run_lint`):
 
-1. **extract** — each source file is parsed once into a JSON-safe
-   summary (:mod:`~tussle.lint.flow.summaries`), or loaded straight from
-   the incremental cache keyed on the source SHA-256
-   (:mod:`~tussle.lint.flow.cache`);
+1. **extract** — each module the engine parsed is digested from its AST
+   into a summary (:mod:`~tussle.lint.flow.summaries`);
 2. **link** — summaries are joined into a :class:`~tussle.lint.flow.
    project.Program`: project-wide symbol table, call graph, reverse
    call graph, worker reachability;
@@ -15,199 +14,11 @@ package links the whole tree.  One run:
    program, and the kernel-candidates report lists pure netsim/routing
    functions eligible for vectorization.
 
-A warm run (all cache hits) never touches an AST — only the link phase
-executes, which is what makes the CI cache worthwhile.
+Inline suppressions, the stale-suppression audit (X303) and the
+baseline are applied by the engine once, to F findings and D/E/X
+findings alike.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
-
-from ...errors import LintError
-from ..baseline import Baseline, apply_baseline
-from ..engine import X303, X304, collect_files
-from ..findings import Finding
-from .cache import SummaryCache, source_digest
-from .project import Program
-from .purity import infer_effects, check_purity, kernel_candidates
-from .rngflow import check_rng_flow
 from .rules import FLOW_RULES  # noqa: F401  (import registers F rules)
-from .summaries import ANALYZER_VERSION, extract_summary, module_dotted_name
-from .workersafety import check_worker_safety
 
-__all__ = ["FlowReport", "run_flow", "FLOW_RULES"]
-
-#: Rule families this run evaluates (for the stale-suppression audit).
-_FLOW_FAMILIES = ("F",)
-
-
-@dataclass
-class FlowReport:
-    """Everything one flow-analysis run produced."""
-
-    findings: List[Finding] = field(default_factory=list)
-    files_scanned: int = 0
-    cache_stats: Dict[str, int] = field(default_factory=dict)
-    #: Pure netsim/routing functions eligible for kernel extraction.
-    kernel_candidates: List[Dict[str, Any]] = field(default_factory=list)
-    stale_baseline: List[dict] = field(default_factory=list)
-
-    @property
-    def active(self) -> List[Finding]:
-        return [f for f in self.findings if not f.suppressed]
-
-    @property
-    def suppressed(self) -> List[Finding]:
-        return [f for f in self.findings if f.suppressed]
-
-    @property
-    def clean(self) -> bool:
-        return not self.active and not self.stale_baseline
-
-    def to_dict(self) -> dict:
-        return {
-            "files_scanned": self.files_scanned,
-            "findings": [f.to_dict() for f in self.active],
-            "suppressed": [f.to_dict() for f in self.suppressed],
-            "stale_baseline": list(self.stale_baseline),
-            "cache": dict(self.cache_stats),
-            "kernel_candidates": list(self.kernel_candidates),
-            "clean": self.clean,
-        }
-
-
-def _line_table(raw: Dict[Any, Any]) -> Dict[int, Optional[Set[str]]]:
-    """Normalize a summary suppression table (JSON keys are strings)."""
-    table: Dict[int, Optional[Set[str]]] = {}
-    for line, ids in raw.items():
-        table[int(line)] = set(ids) if ids is not None else None
-    return table
-
-
-def _load_or_extract(path: Path, cache: SummaryCache) -> Dict[str, Any]:
-    """One file's summary: from cache when possible, else parsed fresh.
-
-    Unparseable files yield a *tombstone* summary carrying the error so
-    the link phase can surface an X304 finding without re-reading the
-    file every run.
-    """
-    import ast
-
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        return {"version": ANALYZER_VERSION, "path": str(path),
-                "broken": f"cannot read {path}: {exc}"}
-    digest = source_digest(data, module_dotted_name(path))
-    cached = cache.lookup(digest)
-    if cached is not None:
-        cached["path"] = str(path)  # the tree may have moved since caching
-        return cached
-
-    try:
-        source = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        summary: Dict[str, Any] = {
-            "version": ANALYZER_VERSION, "path": str(path),
-            "broken": f"cannot decode {path} as UTF-8: {exc}"}
-        cache.store(digest, summary)
-        return summary
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except (SyntaxError, ValueError) as exc:
-        summary = {"version": ANALYZER_VERSION, "path": str(path),
-                   "broken": f"cannot parse {path}: {exc}"}
-        cache.store(digest, summary)
-        return summary
-
-    from ..context import _parse_disable_comments, _parse_suppressions
-    lines = source.splitlines()
-    summary = extract_summary(path, tree, _parse_suppressions(lines),
-                              _parse_disable_comments(lines))
-    cache.store(digest, summary)
-    return summary
-
-
-def run_flow(
-    paths: Sequence[Path],
-    cache_dir: Optional[Path] = None,
-    baseline: Optional[Baseline] = None,
-    select: Optional[Sequence[str]] = None,
-) -> FlowReport:
-    """Run the whole-program analyses over ``paths``.
-
-    Parameters mirror :func:`tussle.lint.engine.run_lint`; ``cache_dir``
-    enables the incremental summary cache (None disables caching).
-    """
-    files = collect_files([Path(p) for p in paths])
-    if not files:
-        raise LintError(f"no python files found under {list(map(str, paths))}")
-
-    cache = SummaryCache(directory=cache_dir)
-    summaries: List[Dict[str, Any]] = []
-    findings: List[Finding] = []
-    for path in files:
-        summary = _load_or_extract(path, cache)
-        if "broken" in summary:
-            findings.append(Finding(X304.rule_id, str(path), 1, 1,
-                                    summary["broken"]))
-        else:
-            summaries.append(summary)
-    cache.prune()
-
-    program = Program(summaries)
-    effects = infer_effects(program)
-    findings.extend(check_rng_flow(program))
-    findings.extend(check_purity(program, effects))
-    findings.extend(check_worker_safety(program, effects))
-
-    # Inline suppressions + the F-family stale-suppression audit.
-    by_path: Dict[str, Dict[str, Any]] = {s["path"]: s for s in summaries}
-    used: Dict[str, Set[Tuple[int, str]]] = {}
-    for finding in findings:
-        summary = by_path.get(finding.path)
-        if summary is None:
-            continue
-        table = _line_table(summary.get("suppressions", {}))
-        ids = table.get(finding.line, "absent")
-        if ids != "absent" and (ids is None or finding.rule_id in ids):
-            finding.suppressed = True
-            finding.suppression_source = "inline"
-            used.setdefault(finding.path, set()).add(
-                (finding.line, finding.rule_id))
-    for summary in summaries:
-        disable = _line_table(summary.get("disable_comments", {}))
-        fired = used.get(summary["path"], set())
-        for line in sorted(disable):
-            ids = disable[line]
-            if ids is None:
-                continue  # bare disables are audited by the engine run
-            for rule_id in sorted(ids):
-                if rule_id[:1] not in _FLOW_FAMILIES:
-                    continue
-                if (line, rule_id) not in fired:
-                    findings.append(Finding(
-                        X303.rule_id, summary["path"], line, 1,
-                        f"`# lint: disable={rule_id}` suppresses nothing "
-                        "on this line; remove the stale comment",
-                    ))
-
-    report = FlowReport(files_scanned=len(files),
-                        cache_stats=cache.stats())
-    report.findings = findings
-    if select:
-        prefixes = tuple(select)
-        report.findings = [
-            f for f in report.findings if f.rule_id.startswith(prefixes)
-        ]
-    if baseline is not None:
-        stale = apply_baseline(report.findings, baseline)
-        report.stale_baseline = [
-            {"rule": rule, "path": path, "count": count}
-            for (rule, path), count in sorted(stale.items())
-        ]
-    report.findings.sort(key=Finding.sort_key)
-    report.kernel_candidates = kernel_candidates(program, effects)
-    return report
+__all__ = ["FLOW_RULES"]

@@ -5,8 +5,7 @@ name, resolves call targets (project functions, ``self`` methods via the
 base-class chain, methods on parameters via their annotations), builds
 the reverse call graph for seed-provenance walks, and computes worker
 reachability.  Everything here operates on the plain-dict summaries from
-:mod:`tussle.lint.flow.summaries` — no ASTs — so a fully warm cache run
-executes only this phase.
+:mod:`tussle.lint.flow.summaries`, never on ASTs.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ each trace against the whole program:
   the enclosing function (via the reverse call graph) passes a traced
   value for it, recursively;
 * everything else (unresolvable names, external calls, opaque
-  expressions) fails the trace and fires F201.
+  expressions) fails the trace and fires F201, as does every
+  ``random.SystemRandom``, which can never be seeded.
 
 F202 flags one RNG value passed into two or more distinct tussle
 subsystems from the same function (stream aliasing), F203 flags RNG
@@ -223,8 +224,10 @@ def check_rng_flow(program: Program) -> List[Finding]:
         # F201 — every construction site's seed must trace.
         for ctor in fn["rng_ctors"]:
             if ctor["ctor"] == "random.SystemRandom":
-                continue  # D103 territory: never seedable at all
-            ok, reason = trace_seed_expr(program, fn, ctor["seed"])
+                ok, reason = False, ("draws from OS entropy and ignores any "
+                                     "seed; use random.Random(seed)")
+            else:
+                ok, reason = trace_seed_expr(program, fn, ctor["seed"])
             if not ok:
                 findings.append(Finding(
                     F201.rule_id, path, ctor["line"], ctor["col"],

@@ -2,9 +2,10 @@
 
 Unlike the D/E/X families (single-file, syntactic), every F rule is
 *interprocedural*: it is evaluated over the project-wide symbol table
-and call graph built by :mod:`tussle.lint.flow` from per-file summaries.
-The three analyses are seed provenance (F201-F204), purity inference
-(F205-F206) and worker safety (F207-F208).
+and call graph that :mod:`tussle.lint.flow` links from the per-file
+summaries of the same lint run.  The three analyses are seed provenance
+(F201-F204), purity inference (F205-F206) and worker safety
+(F207-F208).
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ F201 = register_rule(Rule(
     "RNG constructed from a value that never traces to an explicit seed",
     "Every Random/default_rng instance must trace back through the call "
     "graph to an explicit seed parameter, a literal, or a registered "
-    "substream derivation (derive_seed/digest63/rng.getrandbits). A seed "
-    "laundered through an untraceable variable reintroduces the hidden "
-    "nondeterminism D103 catches only at the construction site.",
+    "substream derivation (derive_seed/digest63/rng.getrandbits). A "
+    "generator built with no seed, with None, or as random.SystemRandom "
+    "draws from OS entropy, so two runs diverge; a seed laundered through "
+    "an untraceable variable hides the same nondeterminism one call away.",
 ))
 F202 = register_rule(Rule(
     "F202", "rng-shared-stream",

@@ -1,25 +1,20 @@
 """Per-file summary extraction for the flow analyzer.
 
-One parse of a source file produces a **summary**: a plain-dict,
-JSON-serializable digest of everything the whole-program analyses need —
-functions, resolved call sites, trace expressions for seed arguments,
-local mutation effects, RNG bindings.  Summaries are what the
-:mod:`tussle.lint.flow.cache` stores keyed on the source SHA-256, so a
-warm run never re-parses an unchanged file; the link phase
-(:mod:`tussle.lint.flow.project` and the rule modules) operates on
-summaries only and never touches an AST.
+The engine hands each parsed module's AST to :func:`extract_summary`,
+which digests it into a **summary**: plain dicts holding everything the
+whole-program analyses need — functions, resolved call sites, trace
+expressions for seed arguments, local mutation effects, RNG bindings.
+The link phase (:mod:`tussle.lint.flow.project` and the rule modules)
+operates on summaries only and never touches an AST.
 
-Summary schema (all keys/values JSON-safe)::
+Summary schema::
 
     ModuleSummary = {
-      "version":  int,          # ANALYZER_VERSION at extraction time
       "module":   str,          # canonical dotted name ("tussle.econ.market")
       "path":     str,
       "functions": [FunctionSummary, ...],   # defs, methods, "<module>"
       "classes":  {name: {"bases": [TargetStr], "methods": [name]}},
       "mutable_globals": [name, ...],
-      "suppressions":     {line: [ids] | None},  # every suppression comment
-      "disable_comments": {line: [ids] | None},  # only `# lint: disable` form
     }
 
     FunctionSummary = {
@@ -53,17 +48,15 @@ import builtins
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
+from ..context import dotted_name
+
 __all__ = [
-    "ANALYZER_VERSION",
     "RNG_CTORS",
     "SEED_DERIVATION_FNS",
     "extract_summary",
     "module_dotted_name",
     "is_seedlike",
 ]
-
-#: Bump to invalidate every cached summary when extraction changes shape.
-ANALYZER_VERSION = 1
 
 #: Canonical names of RNG constructors (post import-resolution).
 RNG_CTORS = {
@@ -145,18 +138,6 @@ def _resolve_import_table(tree: ast.Module, module: str,
     return table
 
 
-def _dotted(node: ast.expr) -> Optional[str]:
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
-
-
 class _FunctionExtractor:
     """Walk one function body (nested defs inlined) into a FunctionSummary."""
 
@@ -226,7 +207,7 @@ class _FunctionExtractor:
                 return None
         if isinstance(node, ast.Subscript):  # Optional[X] / List[X] heads
             return None
-        name = _dotted(node)
+        name = dotted_name(node)
         if name is None:
             return None
         return self.owner.resolve_symbol(name)
@@ -347,7 +328,7 @@ class _FunctionExtractor:
         return {"k": "name", "name": name}
 
     def _encode_attribute(self, node: ast.Attribute) -> Dict[str, Any]:
-        dotted = _dotted(node)
+        dotted = dotted_name(node)
         if dotted is not None:
             head, _, rest = dotted.partition(".")
             attrs = rest.split(".") if rest else []
@@ -402,7 +383,7 @@ class _FunctionExtractor:
                 return {"t": "selfm", "cls": self.cls, "attr": attr}
             kind = self.classify_name(head)
             if kind in ("import", "global"):
-                dotted = _dotted(func)
+                dotted = dotted_name(func)
                 if dotted is not None:
                     resolved = self.owner.resolve_symbol(dotted)
                     if resolved is not None:
@@ -420,7 +401,7 @@ class _FunctionExtractor:
                         "ann": self.local_types.get(head)}
             return {"t": "meth", "recv": "other", "attr": attr, "ann": None}
         # Method on an attribute chain / call result / subscript.
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is not None:
             resolved = self.owner.resolve_symbol(dotted)
             if resolved is not None and not resolved.startswith("tussle."):
@@ -442,12 +423,14 @@ class _FunctionExtractor:
     def _walk_stmt(self, node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # Nested def: inline its body (params already counted as locals).
-            for default in list(node.args.defaults) + [
+            for expr in node.decorator_list + list(node.args.defaults) + [
                     d for d in node.args.kw_defaults if d is not None]:
-                self._walk_expr(default)
+                self._walk_expr(expr)
             self.walk_body(node.body)
             return
         if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                self._walk_expr(decorator)
             self.walk_body(node.body)
             return
         if isinstance(node, ast.Assign):
@@ -633,7 +616,7 @@ class _ModuleExtractor:
         return name in self.function_names
 
     def resolve_target_prefix(self, func: ast.expr) -> Optional[str]:
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return None
         return self.resolve_symbol(dotted)
@@ -663,11 +646,8 @@ def _is_mutable_literal(node: ast.expr) -> bool:
     return False
 
 
-def extract_summary(path: Path, tree: ast.Module,
-                    suppressions: Dict[int, Optional[Set[str]]],
-                    disable_comments: Dict[int, Optional[Set[str]]],
-                    ) -> Dict[str, Any]:
-    """Digest one parsed module into its JSON-safe flow summary."""
+def extract_summary(path: Path, tree: ast.Module) -> Dict[str, Any]:
+    """Digest one parsed module into its flow summary."""
     module = module_dotted_name(path)
     owner = _ModuleExtractor(module, tree, is_package=path.stem == "__init__")
 
@@ -675,21 +655,27 @@ def extract_summary(path: Path, tree: ast.Module,
     classes: Dict[str, Dict[str, Any]] = {}
     mutable_globals: List[str] = []
     module_level: List[ast.stmt] = []
+    decorators: List[ast.expr] = []
 
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             functions.append(_extract_function(owner, node, None))
+            decorators.extend(node.decorator_list)
         elif isinstance(node, ast.ClassDef):
             bases = []
             for base in node.bases:
                 resolved = owner.resolve_target_prefix(base)
                 bases.append(resolved if resolved is not None
-                             else (_dotted(base) or "?"))
+                             else (dotted_name(base) or "?"))
+            decorators.extend(node.decorator_list)
             methods = []
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     functions.append(_extract_function(owner, item, node.name))
                     methods.append(item.name)
+                    decorators.extend(item.decorator_list)
+                else:
+                    module_level.append(item)
             classes[node.name] = {"bases": bases, "methods": methods,
                                   "line": node.lineno}
         else:
@@ -699,23 +685,21 @@ def extract_summary(path: Path, tree: ast.Module,
                     if isinstance(target, ast.Name):
                         mutable_globals.append(target.id)
 
-    # Module-level statements form a synthetic "<module>" function so
-    # module-scope RNG construction and calls participate in analysis.
+    # Everything evaluated at import time (module statements, class-body
+    # statements, decorators) forms a synthetic "<module>" function so
+    # RNG construction and calls there participate in analysis.
     mx = _FunctionExtractor(owner, None, f"{module}.<module>", "<module>", None)
     mx.line = 1
     mx.locals = set()  # module scope: names resolve via owner.top_names
     mx.walk_body(module_level)
+    for decorator in decorators:
+        mx._walk_expr(decorator)
     functions.append(mx.summary())
 
     return {
-        "version": ANALYZER_VERSION,
         "module": module,
         "path": str(path),
         "functions": functions,
         "classes": classes,
         "mutable_globals": sorted(set(mutable_globals)),
-        "suppressions": {line: (sorted(ids) if ids is not None else None)
-                         for line, ids in suppressions.items()},
-        "disable_comments": {line: (sorted(ids) if ids is not None else None)
-                             for line, ids in disable_comments.items()},
     }

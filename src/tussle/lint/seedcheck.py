@@ -1,13 +1,12 @@
 """Dynamic determinism harness: run each experiment twice, diff results.
 
-The static D-series rules catch the *causes* of nondeterminism (global
-RNG state, clock reads, set iteration); this harness catches the
-*symptom* — it runs every registered experiment twice at the same seed
-and asserts the two :class:`ExperimentResult` objects are identical down
-to every table cell and shape-check verdict.
+The static D- and F-series rules catch the *causes* of nondeterminism
+(global RNG state, untraced seeds, clock reads, set iteration); this
+harness catches the *symptom* — it runs every registered experiment
+twice at the same seed and asserts the two :class:`ExperimentResult`
+objects are identical down to every table cell and shape-check verdict.
 
-Run it as ``python -m tussle.lint.seedcheck [IDS...]`` or through the
-main CLI as ``python -m tussle.lint --seedcheck``.
+Run it as ``python -m tussle.lint.seedcheck [IDS...]``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ vocabulary every recovery site in the package shares:
     Exponential retry delays with *seeded* jitter.  Unseeded jitter
     would make a retrying run irreproducible, so the jitter stream is a
     ``random.Random(seed)`` like every other RNG in the package: the
-    same seed always yields the same delay sequence (lint rule D103
+    same seed always yields the same delay sequence (lint rule F201
     applies here exactly as in the simulation).
 :class:`Deadline`
     A point on a caller-supplied clock.  In the simulation that clock is

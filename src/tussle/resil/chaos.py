@@ -11,7 +11,7 @@ advances.
 
 Determinism contract: a plan is a pure function of the schedule's config
 and the network's (sorted) link/node inventory.  All randomness flows
-from the explicit ``seed`` (lint rule D103), targets are drawn from
+from the explicit ``seed`` (lint rule F201), targets are drawn from
 sorted candidate lists (D106), and the plan round-trips bit-exactly
 through :func:`~tussle.experiments.common.canonical_json` — so a chaos
 experiment can be cached, swept and seed-checked exactly like a healthy

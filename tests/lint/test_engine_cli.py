@@ -10,9 +10,9 @@ from tussle.lint import (
     Baseline,
     apply_baseline,
     load_baseline,
-    run_lint,
     rule_ids,
-    write_baseline,
+    run_lint,
+    update_baseline,
 )
 from tussle.lint.cli import main
 
@@ -72,7 +72,7 @@ class TestBaseline:
         assert len(first.active) == 1
 
         baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, first.findings)
+        update_baseline(baseline_path, first.findings)
         baseline = load_baseline(baseline_path)
         second = run_lint([path], baseline=baseline)
         assert second.clean
@@ -150,7 +150,7 @@ class TestCli:
         path = write_module(tmp_path, DIRTY)
         baseline_path = tmp_path / "lint-baseline.json"
         assert main([str(path), "--baseline", str(baseline_path),
-                     "--write-baseline"]) == 0
+                     "--update-baseline"]) == 0
         capsys.readouterr()
         # Old finding is grandfathered...
         assert main([str(path), "--baseline", str(baseline_path)]) == 0
@@ -162,6 +162,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "D105" in out
         assert "suppressed" in out
+
+    def test_kernel_candidates_in_text_and_json(self, tmp_path, capsys):
+        pkg = tmp_path / "tussle" / "routing"
+        pkg.mkdir(parents=True)
+        (tmp_path / "tussle" / "__init__.py").write_text("")
+        (pkg / "__init__.py").write_text("")
+        (pkg / "hops.py").write_text(
+            "def hop_count(path):\n    return len(path) - 1\n")
+        root = str(tmp_path / "tussle")
+        assert main([root]) == 0
+        assert "kernel-eligible" not in capsys.readouterr().out
+        assert main([root, "--kernel-candidates"]) == 0
+        out = capsys.readouterr().out
+        assert "1 kernel-eligible pure functions:" in out
+        assert "[pure] tussle.routing.hops.hop_count" in out
+        assert main([root, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [c["function"] for c in payload["kernel_candidates"]] == [
+            "tussle.routing.hops.hop_count"]
 
     def test_show_suppressed(self, tmp_path, capsys):
         path = write_module(tmp_path, """

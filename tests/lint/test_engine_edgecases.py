@@ -55,10 +55,10 @@ class TestBrokenSources:
         import tussle.lint.engine as engine_mod
         real_parse = engine_mod.parse_module
 
-        def racing_parse(path, root):
+        def racing_parse(path):
             if path == doomed:
                 doomed.unlink()  # the race: gone before we read it
-            return real_parse(path, root)
+            return real_parse(path)
 
         monkeypatch.setattr(engine_mod, "parse_module", racing_parse)
         report = run_lint([tmp_path])
@@ -71,7 +71,7 @@ class TestBrokenSources:
         bad = tmp_path / "latin.py"
         bad.write_bytes(b"x = '\xff\xfe'\n")
         with pytest.raises(LintError):
-            parse_module(bad, tmp_path)
+            parse_module(bad)
 
     def test_cli_broken_file_exits_one_not_two(self, tmp_path, capsys):
         write_module(tmp_path, "def broken(:\n")
@@ -112,12 +112,25 @@ class TestStaleSuppressions:
         report = run_lint([path])
         assert report.clean
 
-    def test_stale_f_rule_id_is_left_to_the_flow_run(self, tmp_path):
+    def test_stale_f_rule_id_fires_x303(self, tmp_path):
         path = write_module(tmp_path, """
             value = 41 + 1  # lint: disable=F201
         """)
         report = run_lint([path])
+        x303 = [f for f in report.active if f.rule_id == "X303"]
+        assert len(x303) == 1
+        assert "F201" in x303[0].message
+
+    def test_bare_disable_consumed_by_an_f_finding(self, tmp_path):
+        path = write_module(tmp_path, """
+            import random
+
+            def build(knob):
+                return random.Random(knob)  # lint: disable
+        """)
+        report = run_lint([path])
         assert report.clean
+        assert [f.rule_id for f in report.suppressed] == ["F201"]
 
     def test_stale_bare_disable_fires_x303(self, tmp_path):
         path = write_module(tmp_path, """

@@ -2,15 +2,15 @@
 
 Each test builds a miniature ``tussle``-shaped package tree under
 tmp_path (the subsystem vocabulary of F202/F205/F207 keys off the
-``tussle.<subsystem>`` dotted-name prefix) and runs the whole-program
-analyzer over it.
+``tussle.<subsystem>`` dotted-name prefix) and lints it; the F rules
+run inside that one lint run with the D/E/X families.
 """
 
 import textwrap
 
 import pytest
 
-from tussle.lint import run_flow
+from tussle.lint import run_lint
 
 
 def write_tree(root, files):
@@ -42,7 +42,7 @@ class TestF201SeedProvenance:
                     return random.Random(knob)
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F201" in rule_ids_of(report)
 
     def test_seed_named_param_is_a_terminal(self, tmp_path):
@@ -54,7 +54,7 @@ class TestF201SeedProvenance:
                     return random.Random(seed)
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F201" not in rule_ids_of(report)
 
     def test_interprocedural_trace_through_caller(self, tmp_path):
@@ -69,7 +69,7 @@ class TestF201SeedProvenance:
                     return build(seed)
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F201" not in rule_ids_of(report)
 
     def test_caller_passing_untraced_value_fires(self, tmp_path):
@@ -85,7 +85,7 @@ class TestF201SeedProvenance:
                     return build(os.getpid())
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F201" in rule_ids_of(report)
 
     def test_derive_seed_is_a_sanctioned_derivation(self, tmp_path):
@@ -103,7 +103,7 @@ class TestF201SeedProvenance:
                     return random.Random(derive_seed(seed, index))
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F201" not in rule_ids_of(report)
 
     def test_explicit_none_seed_fires(self, tmp_path):
@@ -115,7 +115,7 @@ class TestF201SeedProvenance:
                     return random.Random(None)
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F201" in rule_ids_of(report)
 
 
@@ -141,7 +141,7 @@ class TestF202SharedStream:
                     return step_market(rng) + step_net(rng)
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F202" in rule_ids_of(report)
 
     def test_one_subsystem_per_rng_is_clean(self, tmp_path):
@@ -166,7 +166,7 @@ class TestF202SharedStream:
                     return step_market(market_rng) + step_net(net_rng)
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F202" not in rule_ids_of(report)
 
 
@@ -184,7 +184,7 @@ class TestF203ExecutorBoundary:
                     return pool.map(work, [rng])
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F203" in rule_ids_of(report)
 
     def test_seed_in_payload_is_clean(self, tmp_path):
@@ -197,7 +197,7 @@ class TestF203ExecutorBoundary:
                     return pool.map(work, [seed])
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F203" not in rule_ids_of(report)
 
 
@@ -211,7 +211,7 @@ class TestF204RngDefault:
                     return rng.random()
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F204" in rule_ids_of(report)
 
     def test_none_default_is_clean(self, tmp_path):
@@ -224,7 +224,7 @@ class TestF204RngDefault:
                     return rng.random()
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F204" not in rule_ids_of(report)
 
 
@@ -237,7 +237,7 @@ class TestF205PureContract:
                     return offers[0]
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F205" in rule_ids_of(report)
 
     def test_transitive_mutation_fires(self, tmp_path):
@@ -254,7 +254,7 @@ class TestF205PureContract:
                     return offers[0]
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F205" in rule_ids_of(report)
 
     def test_pure_decision_module_is_clean(self, tmp_path):
@@ -266,7 +266,7 @@ class TestF205PureContract:
                     return price - math.log1p(quality)
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert rule_ids_of(report) == []
 
     def test_local_mutation_stays_pure(self, tmp_path):
@@ -278,7 +278,7 @@ class TestF205PureContract:
                     return out
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F205" not in rule_ids_of(report)
 
 
@@ -292,7 +292,7 @@ class TestF206UnverifiablePurity:
                     return frobnicate.munge(offers)
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F206" in rule_ids_of(report)
 
     def test_known_pure_external_is_clean(self, tmp_path):
@@ -304,7 +304,7 @@ class TestF206UnverifiablePurity:
                     return math.sqrt(x)
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F206" not in rule_ids_of(report)
 
 
@@ -326,7 +326,7 @@ class TestF207WorkerGlobalMutation:
                     return seed
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F207" in rule_ids_of(report)
 
     def test_unreachable_global_write_is_not_a_worker_finding(self, tmp_path):
@@ -343,7 +343,7 @@ class TestF207WorkerGlobalMutation:
                     return seed
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F207" not in rule_ids_of(report)
 
 
@@ -355,7 +355,7 @@ class TestF208UnpicklableCapture:
                     return pool.map(lambda item: item + 1, items)
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F208" in rule_ids_of(report)
 
     def test_module_level_function_is_clean(self, tmp_path):
@@ -368,7 +368,7 @@ class TestF208UnpicklableCapture:
                     return pool.map(work, items)
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F208" not in rule_ids_of(report)
 
 
@@ -382,7 +382,7 @@ class TestFlowSuppressionsAndStaleness:
                     return random.Random(knob)  # lint: disable=F201
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "F201" not in rule_ids_of(report)
         assert any(f.rule_id == "F201" for f in report.suppressed)
 
@@ -395,10 +395,10 @@ class TestFlowSuppressionsAndStaleness:
                     return random.Random(seed)  # lint: disable=F201
             """,
         })
-        report = run_flow([pkg])
+        report = run_lint([pkg])
         assert "X303" in rule_ids_of(report)
 
-    def test_stale_d_suppression_ignored_by_flow_run(self, tmp_path):
+    def test_stale_d_suppression_fires_x303(self, tmp_path):
         pkg = write_tree(tmp_path, {
             "tussle/econ/mod.py": """
                 import random
@@ -407,8 +407,8 @@ class TestFlowSuppressionsAndStaleness:
                     return random.Random(seed)  # lint: disable=D999
             """,
         })
-        report = run_flow([pkg])
-        assert "X303" not in rule_ids_of(report)
+        report = run_lint([pkg])
+        assert "X303" in rule_ids_of(report)
 
 
 def test_flow_rules_have_positive_and_negative_coverage():

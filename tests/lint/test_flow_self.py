@@ -1,57 +1,31 @@
 """The shipped tree must pass its own whole-program analysis.
 
-This is the seed-provenance proof the flow analyzer exists to provide:
-every RNG constructed anywhere in ``src/tussle`` traces to an explicit
-seed, no stream crosses subsystem or executor boundaries, the
-pure-contract modules verify pure, and nothing worker-reachable touches
-module state.
+Besides the flow findings being clean, the positive proofs the flow
+rules stand on hold: every RNG traces to an explicit seed, the
+pure-contract modules verify pure, and worker reachability covers the
+experiments.  They inspect the linked program of the session's
+full-tree lint (``tree_report``, shared with ``test_self_clean.py``).
 """
 
-from pathlib import Path
-
-import pytest
-
-from tussle.lint import run_flow
-from tussle.lint.flow.project import Program
-from tussle.lint.flow.purity import infer_effects
+from tussle.lint.flow.purity import PURE_CONTRACT_PATHS, infer_effects
 from tussle.lint.flow.rngflow import trace_seed_expr
-
-PACKAGE_DIR = Path(__file__).resolve().parents[2] / "src" / "tussle"
-
-pytestmark = pytest.mark.skipif(
-    not PACKAGE_DIR.is_dir(),
-    reason="source checkout layout required",
-)
+from tussle.lint.flow.workersafety import worker_entries
 
 
-@pytest.fixture(scope="module")
-def report():
-    return run_flow([PACKAGE_DIR])
+def test_package_tree_is_flow_clean(tree_report):
+    offenders = "\n".join(f.format() for f in tree_report.active)
+    assert tree_report.files_scanned > 100
+    assert tree_report.clean, f"lint findings in shipped tree:\n{offenders}"
+    assert not tree_report.suppressed, \
+        "the shipped tree must need no suppressions"
 
 
-def test_package_tree_is_flow_clean(report):
-    offenders = "\n".join(f.format() for f in report.active)
-    assert report.files_scanned > 100
-    assert report.clean, f"flow findings in shipped tree:\n{offenders}"
-    assert not report.suppressed, "the shipped tree must need no suppressions"
-
-
-def test_every_rng_constructor_traces_to_an_explicit_seed(report):
+def test_every_rng_constructor_traces_to_an_explicit_seed(tree_report):
     """Positive proof, independent of the F201 finding path."""
-    from tussle.lint.engine import collect_files
-    from tussle.lint.flow import _load_or_extract
-    from tussle.lint.flow.cache import SummaryCache
-
-    cache = SummaryCache(directory=None)
-    summaries = [_load_or_extract(p, cache)
-                 for p in collect_files([PACKAGE_DIR])]
-    program = Program([s for s in summaries if "broken" not in s])
-
+    program = tree_report.program
     checked = 0
     for qual, fn, _path in program.iter_functions():
         for ctor in fn["rng_ctors"]:
-            if ctor["ctor"] == "random.SystemRandom":
-                continue
             ok, reason = trace_seed_expr(program, fn, ctor["seed"])
             assert ok, f"{qual}: {ctor['ctor']} does not trace: {reason}"
             checked += 1
@@ -60,26 +34,18 @@ def test_every_rng_constructor_traces_to_an_explicit_seed(report):
     assert checked >= 20
 
 
-def test_kernel_candidates_include_netsim_and_routing(report):
-    pure = [c for c in report.kernel_candidates if c["pure"]]
+def test_kernel_candidates_include_netsim_and_routing(tree_report):
+    pure = [c for c in tree_report.kernel_candidates if c["pure"]]
     assert len(pure) >= 5
     subsystems = {c["function"].split(".")[1] for c in pure}
     assert "netsim" in subsystems
     assert "routing" in subsystems
-    for candidate in report.kernel_candidates:
+    for candidate in tree_report.kernel_candidates:
         assert candidate["effects"]  # every entry carries its summary
 
 
-def test_pure_contract_modules_verify_pure():
-    from tussle.lint.engine import collect_files
-    from tussle.lint.flow import _load_or_extract
-    from tussle.lint.flow.cache import SummaryCache
-    from tussle.lint.flow.purity import PURE_CONTRACT_PATHS
-
-    cache = SummaryCache(directory=None)
-    summaries = [_load_or_extract(p, cache)
-                 for p in collect_files([PACKAGE_DIR])]
-    program = Program([s for s in summaries if "broken" not in s])
+def test_pure_contract_modules_verify_pure(tree_report):
+    program = tree_report.program
     effects = infer_effects(program)
 
     verified = 0
@@ -94,16 +60,8 @@ def test_pure_contract_modules_verify_pure():
     assert verified >= 5  # decision.py + kernels.py define real functions
 
 
-def test_worker_reachability_covers_experiments():
-    from tussle.lint.engine import collect_files
-    from tussle.lint.flow import _load_or_extract
-    from tussle.lint.flow.cache import SummaryCache
-    from tussle.lint.flow.workersafety import worker_entries
-
-    cache = SummaryCache(directory=None)
-    summaries = [_load_or_extract(p, cache)
-                 for p in collect_files([PACKAGE_DIR])]
-    program = Program([s for s in summaries if "broken" not in s])
+def test_worker_reachability_covers_experiments(tree_report):
+    program = tree_report.program
     entries = worker_entries(program)
     assert "tussle.sweep.executors.run_cell" in entries
     reachable = program.reachable_from(entries)

@@ -61,27 +61,58 @@ class TestD102LegacyNumpyRandom:
         assert rule_ids_found(report) == []
 
 
-class TestD103UnseededConstructor:
+class TestF201UnseededConstructor:
     def test_fires_on_unseeded_random(self, tmp_path):
         report = lint_source(tmp_path, """
             import random
             rng = random.Random()
         """)
-        assert "D103" in rule_ids_found(report)
+        assert "F201" in rule_ids_found(report)
 
     def test_fires_on_unseeded_default_rng_imported_name(self, tmp_path):
         report = lint_source(tmp_path, """
             from numpy.random import default_rng
             rng = default_rng()
         """)
-        assert "D103" in rule_ids_found(report)
+        assert "F201" in rule_ids_found(report)
 
     def test_fires_on_system_random(self, tmp_path):
         report = lint_source(tmp_path, """
             import random
             rng = random.SystemRandom(3)
         """)
-        assert "D103" in rule_ids_found(report)
+        assert "F201" in rule_ids_found(report)
+
+    def test_fires_in_class_body(self, tmp_path):
+        report = lint_source(tmp_path, """
+            import random
+
+            class Holder:
+                RNG = random.Random()
+        """)
+        assert "F201" in rule_ids_found(report)
+
+    def test_fires_in_decorator_argument(self, tmp_path):
+        report = lint_source(tmp_path, """
+            import random
+
+            def tag(rng):
+                return lambda fn: fn
+
+            class Holder:
+                @tag(random.Random())
+                def method(self):
+                    return 1
+
+            @tag(random.Random())
+            def build():
+                @tag(random.Random())
+                def inner():
+                    return 1
+                return inner
+        """)
+        lines = sorted(f.line for f in report.active if f.rule_id == "F201")
+        assert lines == [8, 12, 14]
 
     def test_quiet_when_seeded(self, tmp_path):
         report = lint_source(tmp_path, """

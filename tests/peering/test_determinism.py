@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from tussle.experiments import run_p01, run_p02
-from tussle.lint import run_flow
+from tussle.lint import run_lint
 from tussle.netsim.topology import Network, Relationship
 from tussle.peering import PeeringDynamics
 from tussle.resil.workerchaos import digest63
@@ -126,7 +126,7 @@ class TestSubstreamIsolation:
 class TestFlowLintClean:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_flow([
+        return run_lint([
             SRC / "peering",
             SRC / "scale" / "tmatrix.py",
             SRC / "experiments" / "p01_paid_peering.py",
