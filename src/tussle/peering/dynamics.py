@@ -12,10 +12,12 @@ One iteration of :class:`PeeringDynamics`:
 
 1. **Route** — :meth:`~tussle.routing.pathvector.PathVectorRouting.converge_fast`
    recomputes the valley-free RIB for the current relationship graph
-   (stub destinations only — stubs are where demand originates).
+   (stub destinations only — stubs are where demand originates),
+   starting from the last RIB: only the destination columns inside the
+   customer cones of re-peered or depeered pairs are recomputed.
 2. **Measure** — :func:`~tussle.peering.value.route_volumes` pushes the
    gravity demand matrix along the converged routes, yielding directed
-   per-edge volumes.
+   per-edge volumes (kept as they are when the graph did not change).
 3. **Re-bargain** — every *existing* agreement is re-evaluated at the
    volumes its own edge actually carried (drop it if the surplus went
    non-positive), and every *candidate* pair (co-located at an IXP,
@@ -172,11 +174,19 @@ class PeeringDynamics:
     # Routing / measurement
     # ------------------------------------------------------------------
     def reconverge(self) -> PathVectorRouting:
-        """Reconverge valley-free routes for the current business graph."""
+        """Reconverge valley-free routes for the current business graph.
+
+        The last RIB seeds the convergence, so only the columns a
+        peer-edge change can reach are recomputed.  An unchanged graph
+        gets that RIB back, and the volumes measured on it are kept.
+        """
+        previous = self.routing.fast_rib if self.routing is not None else None
         proto = PathVectorRouting(self.network)
-        proto.converge_fast(destinations=tuple(self.traffic.stub_asns))
+        proto.converge_fast(destinations=tuple(self.traffic.stub_asns),
+                            previous=previous)
         self.routing = proto
-        self.volumes = route_volumes(proto.fast_rib, self.traffic)
+        if proto.fast_rib is not previous:
+            self.volumes = route_volumes(proto.fast_rib, self.traffic)
         return proto
 
     def accounts(self) -> Dict[int, AsAccount]:

@@ -197,40 +197,48 @@ def route_volumes(rib: RibArrays, traffic: TrafficMatrix) -> np.ndarray:
     valley-free routes.  Unreachable demand cells carry no volume.
 
     Vectorized the same way the fast path itself is: every destination
-    column advances simultaneously, each level scatter-adding the
-    in-flight weight onto its next-hop edge, for at most
-    ``max path length`` levels.
+    column advances simultaneously, each level moving the in-flight
+    weight onto its next-hop edge, for at most ``max path length``
+    levels.  Every sum is one ``np.bincount``, which adds its weights
+    in input order starting from zero: the per-edge volumes are one
+    bincount over all levels' moves in level order, so each float is
+    accumulated in exactly the order a per-level scatter-add would.
     """
     n = len(rib.index)
     d = len(rib.dest_asns)
-    vol = np.zeros(n * n, dtype=np.float64)
     if d == 0 or len(traffic) < 2:
-        return vol.reshape(n, n)
+        return np.zeros((n, n), dtype=np.float64)
     if [int(a) for a in rib.dest_asns] != traffic.stub_asns:
         raise PeeringError("RIB destination columns must be the traffic "
                            "matrix's stubs, in ascending-ASN order")
     stub_rows = rib.index.rows_of(np.array(traffic.stub_asns, dtype=np.int64))
-    # In-flight weight: W[r, c] = demand currently at AS row r heading
-    # for destination column c.
+    # In-flight weight, flat over (AS row, destination column): demand
+    # currently at that AS heading for that column's destination.
     weight = np.zeros((n, d), dtype=np.float64)
     weight[np.ix_(stub_rows, np.arange(d))] = traffic.demand
     weight[rib.cls == CLASS_NONE] = 0.0
-    target_row = stub_rows  # column c's destination row
-    at_target = np.zeros((n, d), dtype=bool)
-    at_target[target_row, np.arange(d)] = True
+    weight = weight.ravel()
+    travelling = np.ones((n, d), dtype=bool)
+    travelling[stub_rows, np.arange(d)] = False  # column c's destination row
+    travelling = travelling.ravel()
+    nhop = rib.nhop.ravel()
+    edges: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    moved: List[np.ndarray] = [np.zeros(0, dtype=np.float64)]
     max_levels = int(rib.plen.max()) if rib.plen.size else 0
     for _ in range(max(max_levels, 0)):
-        rows, cols = np.nonzero((weight > 0) & ~at_target)
-        if rows.size == 0:
+        cells = np.flatnonzero((weight > 0) & travelling)
+        if cells.size == 0:
             break
-        moving = weight[rows, cols]
-        hops = rib.nhop[rows, cols]
-        np.add.at(vol, rows * n + hops, moving)
-        advanced = np.zeros((n, d), dtype=np.float64)
-        np.add.at(advanced, (hops, cols), moving)
-        weight = np.where(at_target, weight, 0.0)
-        weight += advanced
-    return vol.reshape(n, n)
+        moving = weight[cells]
+        rows, cols = np.divmod(cells, d)
+        hops = nhop[cells]
+        edges.append(rows * n + hops)
+        moved.append(moving)
+        # Weight that reached its destination row is not travelling, so
+        # the next level leaves it where it is.
+        weight = np.bincount(hops * d + cols, weights=moving, minlength=n * d)
+    return np.bincount(np.concatenate(edges), weights=np.concatenate(moved),
+                       minlength=n * n).reshape(n, n)
 
 
 def edge_traffic(network: Network, rib: RibArrays, vol: np.ndarray,

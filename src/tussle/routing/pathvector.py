@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 from ..errors import RoutingError
 from ..netsim.topology import Network
 from ..obs.runtime import current as _obs_current
-from ..scale.vrouting import converge_valley_free
+from ..scale.vrouting import RibArrays, converge_valley_free
 from .base import ControlPoint, Route, RoutingProtocol
 from .policies import GaoRexfordPolicy, RoutingPolicy
 
@@ -143,22 +143,33 @@ class PathVectorRouting(RoutingProtocol):
             f"path-vector routing failed to converge in {self.max_iterations} iterations"
         )
 
-    def converge_fast(self, destinations: Optional[Tuple[int, ...]] = None) -> int:
+    def converge_fast(self, destinations: Optional[Tuple[int, ...]] = None,
+                      previous: Optional[RibArrays] = None) -> int:
         """Compute the same fixed point via the array-batched fast path.
 
         Delegates to :func:`tussle.scale.vrouting.converge_valley_free`,
         which exploits Gao-Rexford structure to reach the unique stable
-        selection in three propagation phases instead of whole-RIB
-        announce/select rounds — seconds, not minutes, at 10^3-10^4
-        ASes.  Queries (``routes``/``as_path``/``reachable``/
-        ``transit_load``/``reachability_matrix``) then read the array
-        RIB; per-round ``announced_routes`` visibility is the one thing
-        the fast path cannot answer, since it never materialises rounds.
+        selection in one pull pass per route class (customer, peer,
+        provider) instead of whole-RIB announce/select rounds — well
+        under a second, not minutes, at 10^3 ASes.  Queries
+        (``routes``/``as_path``/``reachable``/``transit_load``/
+        ``reachability_matrix``) then read the array RIB; per-round
+        ``announced_routes`` visibility is the one thing the fast path
+        cannot answer, since it never materialises rounds.
 
         ``destinations`` restricts the RIB to those destination ASes
-        (the 10^4-AS mode).  Only the default Gao-Rexford policy is
-        eligible; bespoke policies need the scalar protocol.  Returns
-        the number of propagation levels (the iteration-count analogue).
+        (the 10^4-AS mode).  ``previous`` is an earlier ``fast_rib``:
+        when only peer edges changed since, just the columns where an
+        endpoint of a changed peer edge holds a customer route are
+        recomputed, and an unchanged graph reuses ``previous`` itself.
+        Only the default Gao-Rexford policy is eligible; bespoke
+        policies need the scalar protocol.  Returns the number of
+        propagation levels (the iteration-count analogue; see
+        :class:`~tussle.scale.vrouting.RibArrays`).
+
+        With obs metrics enabled, the ``routing.pathvector`` scope
+        counts the RIB's destination ``columns`` and the
+        ``columns_recomputed`` to build it.
         """
         if type(self.policy) is not GaoRexfordPolicy:
             raise RoutingError(
@@ -166,9 +177,16 @@ class PathVectorRouting(RoutingProtocol):
                 f"{type(self.policy).__name__} needs the scalar converge()")
         self._rib = {}
         self.announcements = {}
-        self._fast = converge_valley_free(self.network, destinations)
+        self._fast = converge_valley_free(self.network, destinations,
+                                          previous=previous)
         self._converged = True
         self.iterations_used = self._fast.levels
+        ctx = _obs_current()
+        if ctx.metrics.enabled:
+            metrics = ctx.metrics.scope("routing.pathvector")
+            metrics.counter("columns").inc(len(self._fast.dest_asns))
+            metrics.counter("columns_recomputed").inc(
+                0 if self._fast is previous else self._fast.recomputed)
         return self.iterations_used
 
     @property

@@ -6,29 +6,45 @@ convergence is minutes of object churn.  This module is the
 convergence-only fast path: it exploits the *structure* of Gao-Rexford
 policies — customer > peer > provider, shorter path, lowest next-hop
 ASN — to compute the unique stable route selection directly, batched
-over NumPy arrays, in three phases per destination column:
+over NumPy arrays.
 
-1. **customer routes** climb the provider DAG level by level (a BFS
-   where each level's new holders pick the lowest-ASN announcing
-   customer);
-2. **peer routes** take exactly one lateral hop from any
-   customer-routed peer (composite ``(length, asn)`` min-key);
-3. **provider routes** descend the customer DAG in length order, each
-   AS re-announcing its *selected* route downward.
+Every selected route is one hop longer than a route a neighbour
+announced, so an AS can *pull* its route from its in-edges once those
+neighbours are final.  Rows are sorted by ASN, so the composite key
+``(class << 61) | (length << 32) | next_hop_row`` orders routes exactly
+as the policy does: one ``np.minimum.reduceat`` over an AS's in-edges
+finds its best offer, and the minimum of that and the route it already
+holds applies class preference.  Convergence is one pass per
+Gao-Rexford phase over the customer/provider DAG, in depth order:
 
-All destinations propagate simultaneously: each phase is a handful of
-``np.minimum.at`` scatter-reductions over the relationship edge arrays,
-the same pattern the packet-vector backend uses
-(:mod:`tussle.scale.vforwarding`).  The result is bit-identical to the
-scalar protocol's fixed point (the ``routing`` pair of
-:mod:`tussle.scale.parity` gates it over seeds), because Gao-Rexford
-guarantees a unique stable selection and both backends break ties the
-same documented way.
+1. **customer routes** climb bottom-up: ASes grouped by height above
+   the DAG's leaves, each pulling from its customers;
+2. **peer routes** take exactly one lateral hop: an AS without a
+   customer route pulls the customer routes its peers announce;
+3. **provider routes** descend top-down: ASes grouped by depth below
+   the DAG's roots, each one without a customer or peer route pulling
+   the route its providers *selected*.
+
+Destination columns never interact, so the passes run over fixed-width
+column blocks, which bounds the gathered (columns x in-edges) working
+set.  The result is bit-identical to the scalar protocol's fixed point
+(the ``routing`` pair of :mod:`tussle.scale.parity` gates it over
+seeds), because Gao-Rexford guarantees a unique stable selection and
+both backends break ties the same documented way.
+
+**Incremental reconvergence.**  Given the ``previous`` RIB of the same
+ASes, destinations and customer/provider edges, only peer edges can
+differ.  A directed peer edge ``s -> t`` carries only ``s``'s customer
+routes, so a changed edge can alter only the columns where ``s`` holds
+a customer route.  Those columns re-run the peer and provider phases
+over the unchanged customer-phase cells; every other column is reused,
+and an unchanged graph returns ``previous`` itself.
 
 Scope: customer/provider and peer relationships only.  Sibling edges
-(which the scalar protocol treats as UNKNOWN neighbours) and pairs
-carrying two relationship kinds at once are rejected — the generator
-and the CAIDA loader never produce either.
+(which the scalar protocol treats as UNKNOWN neighbours), pairs
+carrying two relationship kinds at once and customer/provider cycles
+are rejected.  The generator produces none of them; a CAIDA file can
+encode a cycle, which has no pull order.
 """
 
 from __future__ import annotations
@@ -49,7 +65,25 @@ CLASS_PEER = 1
 CLASS_PROVIDER = 2
 CLASS_NONE = 3
 
+#: A route key packs ``(class << 61) | (length << 32) | next_hop_row``,
+#: so the smallest key is the Gao-Rexford choice: class, then length,
+#: then lowest next-hop ASN (rows are sorted by ASN).  "No route" is
+#: _BIG: every bit is set, so its class reads CLASS_NONE and OR-ing a
+#: tag or a row into it leaves it _BIG.
 _BIG = np.iinfo(np.int64).max
+_CLASS_SHIFT = 61
+_LENGTH = (1 << 29) - 1
+_LOW = 0xFFFFFFFF
+_HOP = 1 << 32
+_UNTAGGED = ~(3 << _CLASS_SHIFT)
+
+#: Destination columns per block: bounds each pull's gathered
+#: (columns x in-edges) array at about 5 MiB on a 10^3-AS internet.
+_BLOCK = 128
+
+#: One pull step: ``targets[i]`` takes the best offer of
+#: ``sources[starts[i]:starts[i + 1]]``, tagged with ``tag``.
+_Step = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
 class ASIndex:
@@ -119,13 +153,22 @@ class RibArrays:
 
     ``cls``/``plen``/``nhop`` hold the selected route's class code, AS
     hops, and next-hop *row* (-1 = unreachable).  ``levels`` is the
-    number of propagation levels run — the fast-path analogue of the
-    scalar protocol's iteration count.
+    fast-path analogue of the scalar protocol's iteration count: the
+    longest customer route + 1 (``customer_levels``; 0 without
+    customer/provider edges or destinations), plus 1 if any peer edge
+    exists, plus the number of distinct provider-route lengths, and at
+    least 1.
+
+    ``edges`` are the ``(customer, provider, peer_src, peer_dst)`` row
+    arrays the RIB was converged over, and ``recomputed`` the number of
+    destination columns that convergence computed; both let the next
+    convergence reuse this one (see :func:`converge_valley_free`).
     """
 
     def __init__(self, index: ASIndex, dest_asns: Sequence[int],
                  cls: np.ndarray, plen: np.ndarray, nhop: np.ndarray,
-                 levels: int):
+                 levels: int, edges: Tuple[np.ndarray, ...],
+                 customer_levels: int, recomputed: int):
         self.index = index
         self.dest_asns = [int(d) for d in dest_asns]
         self._col: Dict[int, int] = {d: j for j, d in enumerate(self.dest_asns)}
@@ -133,6 +176,9 @@ class RibArrays:
         self.plen = plen
         self.nhop = nhop
         self.levels = levels
+        self.edges = edges
+        self.customer_levels = customer_levels
+        self.recomputed = recomputed
         self._transit: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -210,13 +256,110 @@ class RibArrays:
         return load
 
 
+def _depths(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Longest-path depth of every row over the edges ``src -> dst``.
+
+    Rows on a cycle, or reachable from one, keep depth -1.
+    """
+    depth = np.full(n, -1, dtype=np.int64)
+    waiting = np.bincount(dst, minlength=n)
+    ready = np.flatnonzero(waiting == 0)
+    level = 0
+    while ready.size:
+        depth[ready] = level
+        waiting -= np.bincount(dst[depth[src] == level], minlength=n)
+        ready = np.flatnonzero((waiting == 0) & (depth < 0))
+        level += 1
+    return depth
+
+
+def _on_cycle(src: np.ndarray, dst: np.ndarray, stuck: np.ndarray) -> int:
+    """A row on a cycle of ``src -> dst`` edges among the ``stuck`` rows.
+
+    Every stuck row has an in-edge from another stuck row, so walking
+    those edges backwards must come back to a row it has visited.
+    """
+    row = int(np.flatnonzero(stuck)[0])
+    visited = np.zeros(stuck.size, dtype=bool)
+    while not visited[row]:
+        visited[row] = True
+        row = int(src[(dst == row) & stuck[src]].min())
+    return row
+
+
+def _step(src: np.ndarray, dst: np.ndarray, route_class: int) -> _Step:
+    """The edges ``src -> dst`` as one pull step, targets ascending."""
+    order = np.lexsort((src, dst))
+    src, dst = src[order], dst[order]
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    return dst[starts], src, starts, route_class << _CLASS_SHIFT
+
+
+def _phase(src: np.ndarray, dst: np.ndarray, depth: np.ndarray,
+           route_class: int) -> List[_Step]:
+    """One pull step per depth of ``dst``, so every source is final first."""
+    at = depth[dst]
+    return [_step(src[at == level], dst[at == level], route_class)
+            for level in range(1, int(depth.max()) + 1)]
+
+
+def _announce(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """What ``rows`` offer a neighbour: their route one hop longer, untagged."""
+    return np.where(keys == _BIG, _BIG,
+                    (((keys | _LOW) + 1) & _UNTAGGED) | rows)
+
+
+def _pull(keys: np.ndarray, offers: np.ndarray, steps: List[_Step]) -> None:
+    """Run ``steps`` over one block of ``(column, row)`` keys, in place.
+
+    Each target keeps the smaller of its own key and its in-edges' best
+    offer tagged with the step's class, then offers its selection on.
+    """
+    for targets, sources, starts, tag in steps:
+        best = np.minimum.reduceat(np.take(offers, sources, axis=1), starts,
+                                   axis=1)
+        selected = np.minimum(np.take(keys, targets, axis=1), best | tag)
+        keys[:, targets] = selected
+        offers[:, targets] = _announce(selected, targets)
+
+
+def _unpack(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block's keys as ``(row, column)`` class, length and next hop."""
+    keys = keys.T
+    none = keys == _BIG
+    return (keys >> _CLASS_SHIFT, np.where(none, -1, (keys >> 32) & _LENGTH),
+            np.where(none, -1, keys & _LOW))
+
+
+def _same_hierarchy(previous: RibArrays, index: ASIndex,
+                    dest_asns: List[int], edges: Tuple[np.ndarray, ...]) -> bool:
+    """True when only peer edges can differ from ``previous``'s graph."""
+    return (np.array_equal(previous.index.asns, index.asns)
+            and previous.dest_asns == dest_asns
+            and np.array_equal(previous.edges[0], edges[0])
+            and np.array_equal(previous.edges[1], edges[1]))
+
+
 def converge_valley_free(network: Network,
-                         destinations: Optional[Sequence[int]] = None) -> RibArrays:
+                         destinations: Optional[Sequence[int]] = None,
+                         previous: Optional[RibArrays] = None) -> RibArrays:
     """Compute the Gao-Rexford stable selection for every (AS, dest).
 
     ``destinations`` restricts the RIB to a subset of destination ASes
     (the 10^4-AS mode: full columns would be 10^8 cells); default is
     every AS.  Returns :class:`RibArrays`.
+
+    ``previous`` is a RIB this function returned earlier.  When the
+    ASes, the destination list and the customer/provider edges are all
+    unchanged, only the columns where an endpoint of a changed directed
+    peer edge holds a customer route are recomputed, and an unchanged
+    graph returns ``previous`` itself.  Otherwise ``previous`` is
+    ignored and every column is converged.  Either way the result, and
+    its ``levels``, equal a fresh convergence's.
+
+    Raises :class:`ScaleError` on sibling edges, doubly-related pairs
+    and customer/provider cycles, which only the scalar ``converge()``
+    handles.
     """
     index = ASIndex.from_network(network)
     n = len(index)
@@ -230,100 +373,55 @@ def converge_valley_free(network: Network,
             raise ScaleError("destination ASes must be distinct")
     dest_rows = np.array([index.of(d) for d in dest_asns], dtype=np.int64)
     d = len(dest_asns)
-    cust_u, prov_p, peer_src, peer_dst = _edge_arrays(network, index)
-    columns = np.arange(d)
+    edges = _edge_arrays(network, index)
+    cust_u, prov_p, peer_src, peer_dst = edges
 
-    asn_of = index.asns
-    levels = 0
-
-    # ------------------------------------------------------------------
-    # Phase 1: customer routes climb the provider DAG.
-    # ------------------------------------------------------------------
-    cust_len = np.full((n, d), -1, dtype=np.int64)
-    cust_nh = np.full((n, d), -1, dtype=np.int64)
-    cust_len[dest_rows, columns] = 0
-    cust_nh[dest_rows, columns] = dest_rows
-    frontier = np.zeros((n, d), dtype=bool)
-    frontier[dest_rows, columns] = True
-    level = 0
-    while frontier.any() and cust_u.size:
-        level += 1
-        edge_active, col_active = np.nonzero(frontier[cust_u])
-        if edge_active.size == 0:
-            break
-        candidate = np.full((n, d), _BIG, dtype=np.int64)
-        np.minimum.at(candidate, (prov_p[edge_active], col_active),
-                      asn_of[cust_u[edge_active]])
-        newly = (candidate != _BIG) & (cust_len < 0)
-        cust_len[newly] = level
-        cust_nh[newly] = index.rows_of(candidate[newly])
-        frontier = newly
-    levels += level
-
-    # ------------------------------------------------------------------
-    # Phase 2: one lateral peer hop from customer-routed peers.
-    # ------------------------------------------------------------------
-    has_peer = np.zeros((n, d), dtype=bool)
-    peer_len = np.full((n, d), -1, dtype=np.int64)
-    peer_nh = np.full((n, d), -1, dtype=np.int64)
+    base = previous if previous is not None and _same_hierarchy(
+        previous, index, dest_asns, edges) else None
+    if base is not None:
+        changed = np.setxor1d(base.edges[2] * n + base.edges[3],
+                              peer_src * n + peer_dst)
+        if changed.size == 0:
+            return base
+        announcers = np.unique(changed // n)
+        columns = np.flatnonzero(
+            (base.cls[announcers] == CLASS_CUSTOMER).any(axis=0))
+        cls, plen, nhop = base.cls.copy(), base.plen.copy(), base.nhop.copy()
+        customer_levels = base.customer_levels
+        steps: List[_Step] = []
+    else:
+        height = _depths(n, cust_u, prov_p)
+        if (height < 0).any():
+            asn = int(index.asns[_on_cycle(cust_u, prov_p, height < 0)])
+            raise ScaleError(
+                f"customer/provider edges form a cycle through AS {asn}; "
+                f"the valley-free fast path needs an acyclic provider "
+                f"hierarchy (use the scalar converge())")
+        columns = np.arange(d)
+        cls, plen, nhop = (np.empty((n, d), dtype=np.int64) for _ in range(3))
+        steps = _phase(cust_u, prov_p, height, CLASS_CUSTOMER)
     if peer_src.size:
-        edge_active, col_active = np.nonzero(cust_len[peer_src] >= 0)
-        if edge_active.size:
-            announcer = peer_src[edge_active]
-            key = ((cust_len[announcer, col_active] + 1) << 32) \
-                | asn_of[announcer]
-            best = np.full((n, d), _BIG, dtype=np.int64)
-            np.minimum.at(best, (peer_dst[edge_active], col_active), key)
-            has_peer = (best != _BIG) & (cust_len < 0)
-            peer_len[has_peer] = best[has_peer] >> 32
-            peer_nh[has_peer] = index.rows_of(best[has_peer] & 0xFFFFFFFF)
-        levels += 1
+        steps.append(_step(peer_src, peer_dst, CLASS_PEER))
+    steps += _phase(prov_p, cust_u, _depths(n, prov_p, cust_u), CLASS_PROVIDER)
 
-    # ------------------------------------------------------------------
-    # Phase 3: provider routes descend the customer DAG in length order.
-    # Each AS announces its *selected* route downward; selection class
-    # priority means customer/peer holders are seeds and never adopt a
-    # provider route themselves.
-    # ------------------------------------------------------------------
-    announce = np.where(cust_len >= 0, cust_len,
-                        np.where(has_peer, peer_len, -1))
-    settled = announce >= 0
-    prov_len = np.full((n, d), -1, dtype=np.int64)
-    prov_nh = np.full((n, d), -1, dtype=np.int64)
-    k = 1
-    # announce is zero-size when the destination set is empty (a
-    # stub-less internet still converges — to an empty RIB).
-    while prov_p.size and announce.size \
-            and k <= int(announce.max()) + 1 and k <= n:
-        edge_active, col_active = np.nonzero(
-            (announce[prov_p] == k - 1) & ~settled[cust_u]
-            & (prov_len[cust_u] < 0))
-        if edge_active.size:
-            candidate = np.full((n, d), _BIG, dtype=np.int64)
-            np.minimum.at(candidate, (cust_u[edge_active], col_active),
-                          asn_of[prov_p[edge_active]])
-            newly = candidate != _BIG
-            prov_len[newly] = k
-            prov_nh[newly] = index.rows_of(candidate[newly])
-            announce[newly] = k
-            levels += 1
-        k += 1
+    rows = np.arange(n)
+    for start in range(0, columns.size, _BLOCK):
+        cols = columns[start:start + _BLOCK]
+        if base is None:
+            keys = np.full((cols.size, n), _BIG, dtype=np.int64)
+            keys[np.arange(cols.size), dest_rows[cols]] = dest_rows[cols]
+        else:
+            # Same customer/provider DAG: the customer routes carry over.
+            keys = np.ascontiguousarray(np.where(
+                base.cls[:, cols] == CLASS_CUSTOMER,
+                (base.plen[:, cols] << 32) | base.nhop[:, cols], _BIG).T)
+        _pull(keys, _announce(keys, rows), steps)
+        cls[:, cols], plen[:, cols], nhop[:, cols] = _unpack(keys)
 
-    # ------------------------------------------------------------------
-    # Merge phases by class preference.
-    # ------------------------------------------------------------------
-    cls = np.full((n, d), CLASS_NONE, dtype=np.int64)
-    plen = np.full((n, d), -1, dtype=np.int64)
-    nhop = np.full((n, d), -1, dtype=np.int64)
-    has_prov = prov_len >= 0
-    cls[has_prov] = CLASS_PROVIDER
-    plen[has_prov] = prov_len[has_prov]
-    nhop[has_prov] = prov_nh[has_prov]
-    cls[has_peer] = CLASS_PEER
-    plen[has_peer] = peer_len[has_peer]
-    nhop[has_peer] = peer_nh[has_peer]
-    has_cust = cust_len >= 0
-    cls[has_cust] = CLASS_CUSTOMER
-    plen[has_cust] = cust_len[has_cust]
-    nhop[has_cust] = cust_nh[has_cust]
-    return RibArrays(index, dest_asns, cls, plen, nhop, max(levels, 1))
+    if base is None:
+        customer_levels = (int(plen[cls == CLASS_CUSTOMER].max()) + 1
+                           if cust_u.size and d else 0)
+    levels = (customer_levels + int(peer_src.size > 0)
+              + int(np.count_nonzero(np.bincount(plen[cls == CLASS_PROVIDER]))))
+    return RibArrays(index, dest_asns, cls, plen, nhop, max(levels, 1),
+                     edges, customer_levels, int(columns.size))

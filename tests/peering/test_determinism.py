@@ -16,6 +16,8 @@ This suite asserts the contract at full strength:
   stream sharing (F202) with zero suppressions.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,18 @@ from tussle.peering import PeeringDynamics
 from tussle.resil.workerchaos import digest63
 from tussle.scale.tmatrix import stub_content, stub_populations
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "tussle"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "tussle"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _perfbench_pin(size: str, seed: int) -> str:
+    """The P02 digest ``perfbench/pins.json`` pins (read, never written)."""
+    pins = json.loads((ROOT / "perfbench" / "pins.json").read_text())
+    return pins[size]["peering-war"][str(seed)]["P02"]
 
 
 def _mesh_network(order: str) -> Network:
@@ -60,15 +73,20 @@ class TestDoubleRunByteIdentity:
 
     @pytest.mark.slow
     def test_p02_is_byte_identical_across_runs(self):
-        """The ISSUE 10 acceptance bar: the full 10^3-AS war, twice."""
+        """The full 10^3-AS war, twice, and the benchmark's pinned bytes."""
         first = run_p02(seed=0)
         second = run_p02(seed=0)
         assert first.to_json() == second.to_json()
         assert all(c["holds"] for c in first.to_dict()["checks"])
+        assert _sha256(first.to_json()) == _perfbench_pin("full", 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_smoke_p02_matches_the_benchmark_pin(self, seed):
+        """A float summation-order change shows here, not only in perfbench."""
+        assert _sha256(run_p02(n_ases=60, seed=seed).to_json()) \
+            == _perfbench_pin("smoke", seed)
 
     def test_fixed_point_result_is_byte_identical(self):
-        import json
-
         results = []
         for _ in range(2):
             dyn = PeeringDynamics(_mesh_network("forward"), seed=5)

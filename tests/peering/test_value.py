@@ -21,6 +21,7 @@ from tussle.peering import (
     route_volumes,
 )
 from tussle.routing import PathVectorRouting
+from tussle.scale.vrouting import CLASS_NONE
 from tussle.topogen import TopogenConfig, generate_internet
 
 
@@ -83,6 +84,39 @@ class TestRouteVolumes:
         # Nothing climbs to the tier-1: the peer edge short-circuits it.
         assert float(volumes[rib.index.of(10), rib.index.of(100)]) == 0.0
         assert float(volumes[rib.index.of(20), rib.index.of(100)]) == 0.0
+
+
+def scatter_add_volumes(rib, traffic):
+    """The per-level ``np.add.at`` volume pass, as the order reference."""
+    n, d = len(rib.index), len(rib.dest_asns)
+    stub_rows = rib.index.rows_of(np.array(traffic.stub_asns))
+    weight = np.zeros((n, d))
+    weight[np.ix_(stub_rows, np.arange(d))] = traffic.demand
+    weight[rib.cls == CLASS_NONE] = 0.0
+    at_target = np.zeros((n, d), dtype=bool)
+    at_target[stub_rows, np.arange(d)] = True
+    vol = np.zeros(n * n)
+    for _ in range(int(rib.plen.max())):
+        rows, cols = np.nonzero((weight > 0) & ~at_target)
+        moving, hops = weight[rows, cols], rib.nhop[rows, cols]
+        np.add.at(vol, rows * n + hops, moving)
+        advanced = np.zeros((n, d))
+        np.add.at(advanced, (hops, cols), moving)
+        weight = np.where(at_target, weight, 0.0) + advanced
+    return vol.reshape(n, n)
+
+
+class TestSummationOrder:
+    @pytest.mark.parametrize("n_ases, seed", [(120, 0), (300, 4)])
+    def test_volumes_are_byte_identical_to_the_scatter_add_reference(
+            self, n_ases, seed):
+        """Every float is accumulated in the per-level scatter-add order."""
+        network = generate_internet(
+            TopogenConfig(n_ases=n_ases, router_detail="none"), seed=seed)
+        dyn = PeeringDynamics(network, seed=seed)
+        dyn.reconverge()
+        reference = scatter_add_volumes(dyn.routing.fast_rib, dyn.traffic)
+        assert dyn.volumes.tobytes() == reference.tobytes()
 
 
 class TestCones:

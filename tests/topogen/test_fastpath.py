@@ -19,6 +19,7 @@ from tussle.netsim.topology import Network, Relationship, random_as_graph
 from tussle.routing import GaoRexfordPolicy, OpenPolicy, PathVectorRouting
 from tussle.scale.parity import ROUTING, verify
 from tussle.scale.vrouting import converge_valley_free
+from tussle.topogen import parse_caida
 
 
 def routing_case(label):
@@ -108,6 +109,23 @@ class TestGuards:
         net.add_as_relationship(1, 2, Relationship.SIBLING)
         with pytest.raises(ScaleError):
             converge_valley_free(net)
+
+    @staticmethod
+    def provider_cycle():
+        """1 -> 2 -> 3 -> 1 up the provider edges, with AS 4 above 3.
+
+        The CAIDA loader accepts it: its checks are per pair.
+        """
+        return parse_caida(["2|1|-1", "3|2|-1", "1|3|-1", "4|3|-1"])
+
+    def test_provider_cycle_rejected(self):
+        with pytest.raises(ScaleError, match=r"cycle through AS [123];.*"
+                                             r"scalar converge\(\)"):
+            converge_valley_free(self.provider_cycle())
+
+    def test_provider_cycle_rejected_by_converge_fast(self):
+        with pytest.raises(ScaleError, match=r"cycle through AS [123];"):
+            PathVectorRouting(self.provider_cycle()).converge_fast()
 
     def test_empty_network_rejected(self):
         with pytest.raises(ScaleError):
