@@ -7,6 +7,11 @@ library builds the closest executable equivalent: a stakeholder/policy
 simulation framework in which every tussle scenario, principle and
 post-mortem in the paper becomes a runnable experiment.
 
+``import tussle`` loads only the error taxonomy (:mod:`tussle.errors`,
+re-exported here). Each subpackage loads when it is itself imported
+(``import tussle.core``, ``from tussle import obs``), so a run pays only
+for the machinery it uses.
+
 Subpackages
 -----------
 ``tussle.core``
@@ -27,22 +32,36 @@ Subpackages
     paper's canonical tussle games.
 ``tussle.actornet``
     Actor-network theory: actors, commitments, alignment, durability,
-    churn, disruption.
+    churn, disruption, collision.
 ``tussle.trust``
     Identity framework, trust graphs, trust-aware firewalls, third-party
     mediators, threat campaigns.
 ``tussle.policy``
     A small policy language with parser, evaluator, bounded ontology and
     two-party negotiation.
+``tussle.topogen``
+    Deterministic tiered internet generation and CAIDA loading.
+``tussle.peering``
+    Interconnection economics coupled to live routing: traffic value,
+    peering bargains, depeering dynamics.
+``tussle.scale``
+    Vectorized backends for markets, forwarding and routing, parity-gated
+    against their scalar references.
+``tussle.resil``
+    Seeded fault processes, retry/timeout/backoff, worker chaos.
 ``tussle.experiments``
-    One module per experiment E01-E12 (see DESIGN.md), each regenerating
-    one of the paper's qualitative claims as a table.
+    One module per experiment (E01-E12, L01-L02, N01, P01-P02, R01-R02,
+    T01-T02, X01-X07; see DESIGN.md), each regenerating one of the
+    paper's qualitative claims as a table.
+``tussle.sweep``
+    Parallel multi-seed/parameter sweeps with a deterministic merge.
 ``tussle.obs``
     Deterministic-safe observability: tracer, metrics, profiler, trace
     report CLI and benchmark record emitter. Off by default.
+``tussle.lint``
+    Determinism, invariant and whole-program flow lint over the package.
 """
 
-from . import actornet, core, econ, gametheory, netsim, obs, policy, routing, trust
 from .errors import (
     ActorNetworkError,
     AddressingError,
@@ -64,8 +83,6 @@ from .errors import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "actornet", "core", "econ", "gametheory", "netsim", "obs", "policy",
-    "routing", "trust",
     "ActorNetworkError", "AddressingError", "DesignError", "ExperimentError",
     "GameError", "MarketError", "ObservabilityError", "OntologyError",
     "PolicyError", "PolicyParseError", "RoutingError", "SimulationError",

@@ -13,11 +13,14 @@ Latour's claim — technology is "a central anchor in this network"
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Optional
 
 from .network import ActorNetwork
+
+# networkx is imported inside the functions that call it: no experiment
+# reaches this module, so importing ``tussle.actornet`` does not pay for it.
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "to_networkx",
@@ -34,6 +37,8 @@ def to_networkx(network: ActorNetwork) -> "nx.Graph":
     Nodes carry ``kind`` and ``human`` attributes; edges carry the
     commitment ``weight``.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     for actor in network.actors:
         graph.add_node(actor.name, kind=actor.kind.value, human=actor.human)
@@ -49,6 +54,8 @@ def anchor_scores(network: ActorNetwork) -> Dict[str, float]:
     back to weighted degree centrality when the iteration cannot converge
     (tiny or degenerate graphs).
     """
+    import networkx as nx
+
     graph = to_networkx(network)
     if graph.number_of_edges() == 0:
         return {actor.name: 0.0 for actor in network.actors}
@@ -75,6 +82,8 @@ def fragmentation_if_removed(network: ActorNetwork, actor_name: str) -> int:
     A true anchor's removal fragments the network into many pieces; a
     peripheral actor's removal leaves it whole (1 component).
     """
+    import networkx as nx
+
     network.actor(actor_name)
     graph = to_networkx(network)
     graph.remove_node(actor_name)

@@ -4,7 +4,8 @@
 of von Neumann and Morgernstern" (§II-B). Solves two-player zero-sum
 games exactly with ``scipy.optimize.linprog``: the row player's optimal
 mixed strategy maximizes the game value v subject to every column giving
-at least v.
+at least v.  scipy is imported on the first solve, not with the package:
+only E11/E12 solve zero-sum games.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..errors import GameError
 from .games import NormalFormGame
@@ -43,11 +43,24 @@ def _solve_lp(matrix: np.ndarray) -> Tuple[np.ndarray, float]:
     LP formulation: maximize v s.t. x^T A >= v (componentwise),
     sum(x) = 1, x >= 0. Variables are (x_1..x_m, v); linprog minimizes,
     so we minimize -v.
+
+    Raises :class:`GameError` for an empty matrix, a NaN or infinite
+    payoff, or a payoff range too wide to shift positive in floating
+    point; none of those reaches the LP.
     """
     m, n = matrix.shape
-    # Shift payoffs positive (doesn't change optimal strategies).
+    if m == 0 or n == 0:
+        raise GameError(f"payoff matrix is empty (shape {matrix.shape})")
+    # Shift payoffs positive (doesn't change optimal strategies).  The
+    # largest shifted payoff bounds every other, and it is NaN or infinite
+    # whenever any payoff is, so one finite check covers every entry.
     shift = float(matrix.min())
+    if not np.isfinite(float(matrix.max()) - shift + 1.0):
+        raise GameError("payoff matrix holds a non-finite payoff or a "
+                        "range too wide to shift")
     shifted = matrix - shift + 1.0
+
+    from scipy.optimize import linprog
 
     c = np.zeros(m + 1)
     c[-1] = -1.0  # maximize v
@@ -78,13 +91,13 @@ def solve_zero_sum(game: NormalFormGame) -> ZeroSumSolution:
         raise GameError("zero-sum solver handles 2-player games")
     if not game.is_zero_sum():
         raise GameError("game is not zero-sum; use the Nash solver instead")
-    total = float((game.payoffs[0] + game.payoffs[1]).flat[0])
-    # Normalize constant-sum to zero-sum from the row player's view.
+    # A constant-sum game is solved as the zero-sum game of the row
+    # player's payoffs: the constant does not change optimal strategies.
     matrix = np.asarray(game.payoffs[0], dtype=float)
 
     row_strategy, value = _solve_lp(matrix)
     # The column player solves the transposed game with negated payoffs.
-    col_strategy, col_value = _solve_lp(-matrix.T)
+    col_strategy, _ = _solve_lp(-matrix.T)
     return ZeroSumSolution(
         row_strategy=row_strategy,
         col_strategy=col_strategy,

@@ -78,3 +78,17 @@ class TestMinimaxValue:
         matrix = np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert minimax_value(matrix + 10.0) == pytest.approx(
             minimax_value(matrix) + 10.0, abs=1e-6)
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(GameError, match="empty"):
+            minimax_value(np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_payoff(self, bad):
+        with pytest.raises(GameError, match="non-finite payoff or a range"):
+            minimax_value(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    def test_rejects_range_that_overflows_the_shift(self):
+        matrix = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        with pytest.raises(GameError, match="non-finite payoff or a range"):
+            minimax_value(matrix)

@@ -1,10 +1,12 @@
-"""Entry modules import cleanly in a fresh interpreter.
+"""Entry modules import cleanly, and cheaply, in a fresh interpreter.
 
 An import cycle only shows when its first module is the first one
 loaded, and a test run loads modules in whatever order its tests
 happen to import them.  So each entry point is imported here in its
 own interpreter, the way ``python -m`` and the benchmark workloads
-load it.
+load it.  The same fresh interpreters check what an import costs:
+``import tussle`` loads only the error taxonomy, and no benchmark
+entry module loads scipy or networkx.
 """
 
 import os
@@ -18,10 +20,14 @@ import tussle
 
 SRC = str(Path(tussle.__file__).resolve().parents[1])
 
-ENTRY_MODULES = (
+#: The modules the benchmark workloads import before their first pass.
+BENCHMARK_ENTRY_MODULES = (
     "tussle.scale.large",
     "tussle.experiments.p02_depeering_war",
     "tussle.__main__",
+)
+
+ENTRY_MODULES = BENCHMARK_ENTRY_MODULES + (
     "tussle.scale.__main__",
     "tussle.peering.value",
 )
@@ -46,3 +52,20 @@ def test_scale_package_does_not_load_the_parity_harness():
                        "assert 'tussle.scale.parity' not in sys.modules; "
                        "assert 'tussle.experiments' not in sys.modules")
     assert result.returncode == 0, result.stderr
+
+
+def test_package_import_loads_only_the_error_taxonomy():
+    result = run_fresh("import sys, tussle; "
+                       "print(sorted(m for m in sys.modules "
+                       "if m.startswith('tussle.')))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['tussle.errors']"
+
+
+@pytest.mark.parametrize("module", BENCHMARK_ENTRY_MODULES)
+def test_benchmark_entry_module_loads_no_scipy_or_networkx(module):
+    result = run_fresh(f"import sys, {module}; "
+                       "print(sorted(m for m in ('scipy', 'networkx') "
+                       "if m in sys.modules))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
