@@ -22,8 +22,10 @@ from tussle.sweep import SweepSpec, run_sweep
 #: drift (thermal, cache) hits both arms equally.
 ROUNDS = 5
 #: Workload repetitions per round — lengthens the measured region so
-#: fixed per-round jitter shrinks relative to it.
-REPS_PER_ROUND = 3
+#: fixed per-round jitter shrinks relative to it.  E01 runs on the
+#: vector market (~0.03 s a run), so it takes 12 to keep the region as
+#: long as three scalar-market runs were, and the 5 ms floor under 2%.
+REPS_PER_ROUND = 12
 #: Relative overhead budget for the disabled path.
 MAX_OVERHEAD = 0.02
 #: Absolute jitter floor: deltas below this are measurement noise.

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ActorNetworkError
 
-__all__ = ["ActorKind", "Actor", "value_distance"]
+__all__ = ["ActorKind", "Actor", "value_distance", "row_norms"]
 
 #: Dimensionality of the default value space.
 DEFAULT_VALUE_DIMS = 4
@@ -130,3 +130,16 @@ def value_distance(a: Actor, b: Actor) -> float:
             f"actors {a.name!r} and {b.name!r} live in different value spaces"
         )
     return float(np.linalg.norm(a.values - b.values))
+
+
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-d float array, in one call.
+
+    ``np.linalg.norm`` of a float vector is ``sqrt(x.dot(x))``, and a
+    stacked ``(1, k) @ (k, 1)`` matmul hands each row to that same dot
+    routine, so every entry equals ``np.linalg.norm(row)`` bit for bit.
+    A plain sum of squares does not: the BLAS dot fuses multiply and
+    add.  ``tests/actornet/test_alignment_oracle.py`` pins the identity
+    on the installed numpy.
+    """
+    return np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None])[:, 0, 0])

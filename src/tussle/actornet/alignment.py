@@ -10,16 +10,21 @@ proportional to commitment strength, damped by each actor's inertia
 that stay aligned strengthen; commitments under sustained value tension
 weaken and may dissolve, which is how "tussles... have not been driven
 out" keeps a network changeable.
+
+A step runs as one array pass over the stacked actor values, with the
+float operations of a per-commitment loop in the same order, so its
+results equal that loop's bit for bit (the reference copy lives in
+``tests/actornet/test_alignment_oracle.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .actors import value_distance
+from .actors import row_norms
 from .network import ActorNetwork
 
 __all__ = ["AlignmentConfig", "AlignmentDynamics"]
@@ -66,35 +71,40 @@ class AlignmentDynamics:
         """
         config = self.config
         actors = self.network.actors
-        deltas: Dict[str, np.ndarray] = {
-            a.name: np.zeros_like(a.values) for a in actors
-        }
-        weights: Dict[str, float] = {a.name: 0.0 for a in actors}
-        for commitment in self.network.commitments:
-            actor_a = self.network.actor(commitment.a)
-            actor_b = self.network.actor(commitment.b)
-            gap = actor_b.values - actor_a.values
-            deltas[actor_a.name] += commitment.strength * gap
-            deltas[actor_b.name] -= commitment.strength * gap
-            weights[actor_a.name] += commitment.strength
-            weights[actor_b.name] += commitment.strength
+        commitments = self.network.commitments
+        self.steps_run += 1
+        if not actors:
+            return 0.0
+        row = {actor.name: i for i, actor in enumerate(actors)}
+        values = np.stack([actor.values for actor in actors])
+        # Rows a0, b0, a1, b1, ...: ``np.add.at`` applies them in this
+        # order, so each actor accumulates its pulls in commitment order.
+        ends = np.array([(row[c.a], row[c.b]) for c in commitments],
+                        dtype=np.intp).reshape(-1)
+        a, b = ends[0::2], ends[1::2]
+        strength = np.array([c.strength for c in commitments], dtype=float)
+        pull = strength[:, None] * (values[b] - values[a])
+        deltas = np.zeros_like(values)
+        np.add.at(deltas, ends, np.stack([pull, -pull], axis=1).reshape(
+            ends.size, values.shape[1]))
+        weights = np.zeros(len(actors))
+        np.add.at(weights, ends, np.repeat(strength, 2))
 
+        moving = np.flatnonzero(~(weights <= 0))
+        rate = np.array([config.pull_rate * (1.0 - actors[i].inertia)
+                         for i in moving.tolist()], dtype=float)
+        steps = rate[:, None] * deltas[moving] / weights[moving, None]
+        moved = values[moving] + steps
+        values[moving] = moved
+        for i, vector in zip(moving.tolist(), moved):
+            actors[i].values = vector
         movement = 0.0
-        for actor in actors:
-            weight = weights[actor.name]
-            if weight <= 0:
-                continue
-            step_vector = (
-                config.pull_rate * (1.0 - actor.inertia) * deltas[actor.name] / weight
-            )
-            actor.values = actor.values + step_vector
-            movement += float(np.linalg.norm(step_vector))
+        for norm in row_norms(steps).tolist():
+            movement += norm
 
         # Strength adaptation and dissolution.
-        for commitment in list(self.network.commitments):
-            distance = value_distance(
-                self.network.actor(commitment.a), self.network.actor(commitment.b)
-            )
+        distances = row_norms(values[a] - values[b])
+        for commitment, distance in zip(commitments, distances.tolist()):
             if distance <= config.tension_distance:
                 commitment.strength = min(1.0, commitment.strength + config.strengthen_rate)
             else:
@@ -102,8 +112,6 @@ class AlignmentDynamics:
                 if commitment.strength < config.dissolve_threshold:
                     self.dissolved.append((commitment.a, commitment.b))
                     self.network.remove_commitment(commitment.a, commitment.b)
-
-        self.steps_run += 1
         return movement
 
     def run(self, steps: int, settle_tolerance: Optional[float] = None) -> int:

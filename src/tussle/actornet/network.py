@@ -15,7 +15,7 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 
 from ..errors import ActorNetworkError
-from .actors import Actor, ActorKind, value_distance
+from .actors import Actor, ActorKind, row_norms
 
 __all__ = ["Commitment", "ActorNetwork"]
 
@@ -44,8 +44,14 @@ class ActorNetwork:
     # Actors
     # ------------------------------------------------------------------
     def add_actor(self, actor: Actor) -> Actor:
+        """Add an actor; every actor of a network shares one value space."""
         if actor.name in self._actors:
             raise ActorNetworkError(f"duplicate actor {actor.name!r}")
+        member = next(iter(self._actors.values()), None)
+        if member is not None and actor.values.shape != member.values.shape:
+            raise ActorNetworkError(
+                f"actor {actor.name!r} has {actor.values.size} value "
+                f"dimensions; this network's actors have {member.values.size}")
         self._actors[actor.name] = actor
         self._adjacency[actor.name] = set()
         return actor
@@ -144,9 +150,14 @@ class ActorNetwork:
         """Mean value distance across committed pairs (alignment gauge)."""
         if not self._commitments:
             return 0.0
+        row = {name: i for i, name in enumerate(self._actors)}
+        values = np.stack([a.values for a in self._actors.values()])
+        pairs = self._commitments.values()
+        distances = row_norms(values[[row[c.a] for c in pairs]]
+                              - values[[row[c.b] for c in pairs]])
         total = 0.0
-        for commitment in self._commitments.values():
-            total += value_distance(self.actor(commitment.a), self.actor(commitment.b))
+        for distance in distances.tolist():
+            total += distance
         return total / len(self._commitments)
 
     def value_variance(self) -> float:

@@ -15,9 +15,11 @@ This module models a two-layer market:
 * **service layer** — ISPs that retail Internet service over a facility,
   paying the facility a wholesale fee.
 
-:func:`build_access_market` assembles a :class:`~tussle.econ.market.Market`
-from a facility configuration, so E03 can sweep facility count x regime
-and read prices/welfare from the standard market machinery.
+:func:`access_market_spec` turns a facility configuration into market
+constructor kwargs, so E03 can sweep facility count x regime and read
+prices/welfare from the standard market machinery;
+:func:`build_access_market` assembles the scalar
+:class:`~tussle.econ.market.Market` from the same spec.
 """
 
 from __future__ import annotations

@@ -9,9 +9,12 @@ Each round of :class:`Market`:
    beats their switching cost;
 3. revenue, profit, surplus and churn are recorded.
 
-This is the substrate for E01 (switching cost sweep), E02 (value pricing
+This is the model behind E01 (switching cost sweep), E02 (value pricing
 vs tunnelling) and E03 (facility competition), each of which configures
-consumers/providers differently and reads the recorded series.
+consumers/providers differently and reads the recorded series.  Those
+experiments run it on :class:`~tussle.scale.vmarket.VectorMarket`, the
+NumPy backend; :class:`Market` is the readable reference that the
+``market`` parity pair holds it to, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .agents import Consumer, Provider
 from .decision import TIE_EPSILON, amount_paid, effective_offer
 from .pricing import PricingStrategy
 
-__all__ = ["MarketRound", "Market"]
+__all__ = ["MarketRound", "MarketObserver", "Market"]
 
 
 @dataclass
@@ -40,6 +43,46 @@ class MarketRound:
     provider_profit: float
     tunnelling_consumers: int
     shares: Dict[str, float] = field(default_factory=dict)
+
+
+class MarketObserver:
+    """The ``econ.market`` round span and counters of one market.
+
+    :class:`Market` and the vectorized
+    :class:`~tussle.scale.vmarket.VectorMarket` both report every round
+    through this, so a trace or metrics snapshot reads the same
+    whichever backend ran.  The hooks are bound once, from the ambient
+    obs context at construction, and are ``None`` when it is disabled.
+    """
+
+    def __init__(self) -> None:
+        ctx = _obs_current()
+        self._trace = ctx.tracer if ctx.tracer.enabled else None
+        if ctx.metrics.enabled:
+            scope = ctx.metrics.scope("econ.market")
+            self._c_rounds = scope.counter("clearing_rounds")
+            self._c_switches = scope.counter("switches")
+            self._c_pricing = scope.counter("pricing_adjustments")
+            self._h_price = scope.histogram("mean_price")
+        else:
+            self._c_rounds = None
+            self._c_switches = None
+            self._c_pricing = None
+            self._h_price = None
+
+    def round(self, record: MarketRound, pricing_moves: int) -> None:
+        """Report one finished round spanning ``[index, index + 1)``."""
+        if self._c_rounds is not None:
+            self._c_rounds.inc()
+            self._c_switches.inc(record.switches)
+            self._c_pricing.inc(pricing_moves)
+            self._h_price.observe(record.mean_price)
+        if self._trace is not None:
+            self._trace.begin(
+                "econ.market", "round", float(record.index)).end(
+                float(record.index + 1), switches=record.switches,
+                tunnelling=record.tunnelling_consumers,
+                pricing_moves=pricing_moves, mean_price=record.mean_price)
 
 
 class Market:
@@ -99,19 +142,7 @@ class Market:
         # detection posture) actually change that round.
         self._offer_cache: Dict[str, List[Tuple[float, bool]]] = {}
         self._offer_signatures: Dict[str, Tuple] = {}
-        ctx = _obs_current()
-        self._trace = ctx.tracer if ctx.tracer.enabled else None
-        if ctx.metrics.enabled:
-            scope = ctx.metrics.scope("econ.market")
-            self._c_rounds = scope.counter("clearing_rounds")
-            self._c_switches = scope.counter("switches")
-            self._c_pricing = scope.counter("pricing_adjustments")
-            self._h_price = scope.histogram("mean_price")
-        else:
-            self._c_rounds = None
-            self._c_switches = None
-            self._c_pricing = None
-            self._h_price = None
+        self._obs = MarketObserver()
         self._initial_assignment()
 
     # ------------------------------------------------------------------
@@ -208,8 +239,6 @@ class Market:
     def step(self) -> MarketRound:
         """Run one market round and return its record."""
         index = len(self.history)
-        span = (self._trace.begin("econ.market", "round", float(index))
-                if self._trace is not None else None)
         # 1. Providers adjust prices.
         prices = {name: p.price for name, p in self.providers.items()}
         shares = {
@@ -275,15 +304,7 @@ class Market:
             },
         )
         self.history.append(record)
-        if self._c_rounds is not None:
-            self._c_rounds.inc()
-            self._c_switches.inc(switches)
-            self._c_pricing.inc(pricing_moves)
-            self._h_price.observe(record.mean_price)
-        if span is not None:
-            span.end(float(index + 1), switches=switches,
-                     tunnelling=tunnelling, pricing_moves=pricing_moves,
-                     mean_price=record.mean_price)
+        self._obs.round(record, pricing_moves)
         return record
 
     def run(self, rounds: int) -> List[MarketRound]:

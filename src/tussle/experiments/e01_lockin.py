@@ -9,16 +9,19 @@ Workload: an access market with one price-creeping incumbent and two
 undercutting rivals. Consumer switching cost is derived from the
 addressing substrate (:class:`~tussle.netsim.addressing.RenumberingModel`)
 per addressing mode. We sweep the mode and report switching, prices,
-surplus and core-table cost.
+surplus and core-table cost. Each cell runs on
+:class:`~tussle.scale.vmarket.VectorMarket`; the ``market`` parity pair
+holds it to the scalar :class:`~tussle.econ.market.Market` bit for bit.
 """
 
 from __future__ import annotations
 
 import random
 
-from ..econ import Consumer, Market, MonopolyPricing, Provider, UndercutPricing
+from ..econ import Consumer, MonopolyPricing, Provider, UndercutPricing
 from ..econ.demand import Segment, UniformWtp
 from ..netsim.addressing import AddressingMode, AddressRegistry, RenumberingModel
+from ..scale.vmarket import VectorMarket
 from .common import ExperimentResult, Table
 
 __all__ = ["run_e01", "LOCKIN_SCENARIOS", "lockin_market_spec"]
@@ -68,8 +71,9 @@ def lockin_market_spec(switching_cost: float, n_consumers: int,
 
 
 def _market_with_switching_cost(switching_cost: float, n_consumers: int,
-                                rounds: int, seed: int) -> Market:
-    market = Market(**lockin_market_spec(switching_cost, n_consumers, seed))
+                                rounds: int, seed: int) -> VectorMarket:
+    market = VectorMarket(**lockin_market_spec(switching_cost, n_consumers,
+                                               seed))
     market.run(rounds)
     return market
 

@@ -10,7 +10,10 @@ healthy."
 
 Workload: a market where all providers value-price. We sweep the cells
 (monopoly vs competitive) x (consumers can tunnel vs cannot) and report
-tier revenue extraction, tunnelling uptake, and consumer surplus.
+tier revenue extraction, tunnelling uptake, and consumer surplus. Each
+cell runs on :class:`~tussle.scale.vmarket.VectorMarket`, which the
+``market`` parity pair holds to the scalar
+:class:`~tussle.econ.market.Market` bit for bit.
 """
 
 from __future__ import annotations
@@ -18,15 +21,17 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from ..econ import (
     Consumer,
-    Market,
     MonopolyPricing,
     Provider,
     UndercutPricing,
     ValuePricingStrategy,
 )
 from ..econ.demand import Segment, UniformWtp
+from ..scale.vmarket import VectorMarket
 from .common import ExperimentResult, Table
 
 __all__ = ["run_e02", "value_pricing_market_spec"]
@@ -80,12 +85,6 @@ def value_pricing_market_spec(n_providers: int, can_tunnel: bool,
                 strategies=strategies, seed=seed)
 
 
-def _build_market(n_providers: int, can_tunnel: bool, detects_tunnels: bool,
-                  n_consumers: int, seed: int) -> Market:
-    return Market(**value_pricing_market_spec(
-        n_providers, can_tunnel, detects_tunnels, n_consumers, seed))
-
-
 def run_e02(n_consumers: int = 150, rounds: int = 25, seed: int = 11) -> ExperimentResult:
     table = Table(
         "E02: value pricing under competition x tunnelling",
@@ -101,12 +100,15 @@ def run_e02(n_consumers: int = 150, rounds: int = 25, seed: int = 11) -> Experim
     ]
     measurements: Dict[Tuple[str, bool, bool], Dict[str, float]] = {}
     for label, n_providers, can_tunnel, detects in cells:
-        market = _build_market(n_providers, can_tunnel, detects, n_consumers, seed)
+        spec = value_pricing_market_spec(
+            n_providers, can_tunnel, detects, n_consumers, seed)
+        business = np.array([c.segment is Segment.BUSINESS
+                             for c in spec["consumers"]], dtype=bool)
+        market = VectorMarket(**spec)
         market.run(rounds)
-        business = [c for c in market.consumers if c.segment is Segment.BUSINESS]
-        tunnel_uptake = (
-            sum(1 for c in business if c.tunnelling) / len(business) if business else 0.0
-        )
+        tunnels = market.arrays.tunnelling[business]
+        tunnel_uptake = (int(np.count_nonzero(tunnels)) / tunnels.size
+                         if tunnels.size else 0.0)
         row = {
             "tunnel_uptake": tunnel_uptake,
             "provider_profit": market.total_provider_profit(),

@@ -14,6 +14,9 @@ Paper claims:
 
 Workload: the two-layer facilities market of
 :mod:`tussle.econ.accesstech`, swept over market structures and regimes.
+Each cell runs on :class:`~tussle.scale.vmarket.VectorMarket`, which the
+``market`` parity pair holds to the scalar
+:class:`~tussle.econ.market.Market` bit for bit.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..econ import herfindahl_index
-from ..econ.accesstech import AccessRegime, Facility, build_access_market
+from ..econ.accesstech import AccessRegime, Facility, access_market_spec
 from ..errors import ExperimentError
+from ..scale.vmarket import VectorMarket
 from .common import ExperimentResult, Table
 
 __all__ = ["run_e03", "scenario_facilities"]
@@ -62,16 +66,12 @@ def run_e03(n_consumers: int = 200, rounds: int = 30, seed: int = 3) -> Experime
     ]
     rows: Dict[Tuple[str, AccessRegime], Dict[str, float]] = {}
     for scenario, regime in cells:
-        market = build_access_market(
+        market = VectorMarket(**access_market_spec(
             scenario_facilities(scenario), regime,
             n_consumers=n_consumers, seed=seed,
-        )
+        ))
         market.run(rounds)
-        shares = [
-            len(p.subscribers) / max(1, n_consumers)
-            for p in market.providers.values()
-            if p.subscribers
-        ]
+        shares = [share for share in market.shares().values() if share > 0]
         row = {
             "n_retailers": len(market.providers),
             "hhi": herfindahl_index(shares) if shares else 1.0,

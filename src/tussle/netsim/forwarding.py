@@ -169,16 +169,7 @@ class ForwardingEngine:
 
         Convenience for experiments that do not exercise routing policy.
         """
-        names = self.network.node_names()
-        for src in names:
-            table: Dict[str, str] = {}
-            for dst in names:
-                if dst == src:
-                    continue
-                path = self.network.shortest_path(src, dst)
-                if path and len(path) > 1:
-                    table[dst] = path[1]
-            self.tables[src] = table
+        self.tables.update(self.network.next_hop_tables())
 
     # ------------------------------------------------------------------
     # Delivery

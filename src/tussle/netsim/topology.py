@@ -429,6 +429,35 @@ class Network:
             frontier = nxt_frontier
         return None
 
+    def next_hop_tables(self) -> Dict[str, Dict[str, str]]:
+        """Minimum-hop next hops from every node to every node it reaches.
+
+        ``tables[src][dst] == shortest_path(src, dst)[1]``: one BFS per
+        source visits levels and neighbours in ``shortest_path``'s order,
+        so it builds the same search tree and reads the first hop off
+        it.  ``dst == src`` and unreachable nodes have no entry; both
+        levels of keys follow :meth:`node_names`.
+        """
+        names = self.node_names()
+        up = {name: self.neighbors(name) for name in names}
+        tables: Dict[str, Dict[str, str]] = {}
+        for src in names:
+            first_hop = {src: src}
+            frontier = [src]
+            while frontier:
+                nxt_frontier: List[str] = []
+                for current in frontier:
+                    hop = first_hop[current]
+                    for nbr in up[current]:
+                        if nbr in first_hop:
+                            continue
+                        first_hop[nbr] = nbr if current == src else hop
+                        nxt_frontier.append(nbr)
+                frontier = nxt_frontier
+            tables[src] = {dst: first_hop[dst] for dst in names
+                           if dst != src and dst in first_hop}
+        return tables
+
     def path_latency(self, path: Iterable[str]) -> float:
         """Sum of link latencies along a node path."""
         total = 0.0

@@ -128,25 +128,11 @@ class FlowSim:
         self.network = network
         self.index = NetIndex.from_network(network)
         if tables is None:
-            tables = self._shortest_path_tables()
+            tables = network.next_hop_tables()
         self._fib = FibArrays.from_tables(tables, self.index)
         self._links = LinkArrays.from_network(network, self.index)
         (self._path_status, self._path_latency,
          self._path_hops) = self._probe_all_pairs()
-
-    def _shortest_path_tables(self) -> Dict[str, Dict[str, str]]:
-        names = self.network.node_names()
-        tables: Dict[str, Dict[str, str]] = {}
-        for src in names:
-            table: Dict[str, str] = {}
-            for dst in names:
-                if dst == src:
-                    continue
-                path = self.network.shortest_path(src, dst)
-                if path and len(path) > 1:
-                    table[dst] = path[1]
-            tables[src] = table
-        return tables
 
     def _probe_all_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Forward one probe per (src, dst) pair through the kernels."""

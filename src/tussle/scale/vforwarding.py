@@ -135,19 +135,10 @@ class VectorForwardingEngine:
     def install_shortest_path_tables(self) -> None:
         """Populate every node's table with minimum-hop next hops (BFS).
 
-        Same construction as the scalar engine — construction is not the
-        hot path, so the readable BFS is shared by both backends.
+        Same construction as the scalar engine: both read
+        :meth:`~tussle.netsim.topology.Network.next_hop_tables`.
         """
-        names = self.network.node_names()
-        for src in names:
-            table: Dict[str, str] = {}
-            for dst in names:
-                if dst == src:
-                    continue
-                path = self.network.shortest_path(src, dst)
-                if path and len(path) > 1:
-                    table[dst] = path[1]
-            self.tables[src] = table
+        self.tables.update(self.network.next_hop_tables())
         self._fib = None
 
     def attach_middlebox(self, node: str, box: object) -> None:

@@ -16,13 +16,16 @@ Division of labour per round:
   order, so price trajectories are shared with the scalar backend by
   construction, not by re-implementation.  (Provider ``subscribers``
   sets are *not* maintained — membership lives in the assignment
-  column; read shares from the round records.)
+  column; read shares from the round records or :meth:`shares`.)
 * **Consumers are columns.**  Choice, switching, tunnelling, surplus
   and revenue all run as whole-population kernels.
 
 Offer columns are cached per provider and recomputed only when that
 provider's pricing signature changes, mirroring the scalar market's
-offer cache.
+offer cache.  Each round reports the scalar market's ``econ.market``
+span and counters through the same
+:class:`~tussle.econ.market.MarketObserver`, plus its own
+``scale.kernel`` counters.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..econ.agents import Consumer, Provider
-from ..econ.market import MarketRound
+from ..econ.market import MarketObserver, MarketRound
 from ..econ.pricing import PricingStrategy
 from ..errors import MarketError, ScaleError
 from ..obs.runtime import current as _obs_current
@@ -85,6 +88,7 @@ class VectorMarket:
         self.history: List[MarketRound] = []
         self._offer_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._offer_signatures: Dict[str, Tuple] = {}
+        self._obs = MarketObserver()
         ctx = _obs_current()
         if ctx.metrics.enabled:
             scope = ctx.metrics.scope("scale.kernel")
@@ -153,6 +157,16 @@ class VectorMarket:
             for name in self.providers
         }
 
+    def shares(self) -> Dict[str, float]:
+        """Each provider's current share of all consumers, in provider order.
+
+        The scalar market's ``Provider.market_share``, read from the
+        assignment column; after a round it equals that round's
+        ``MarketRound.shares``.
+        """
+        return self._shares(kernels.subscriber_counts(
+            self.arrays.assignment, self.arrays.n_providers))
+
     def step(self) -> MarketRound:
         """Run one market round and return its record."""
         arrays = self.arrays
@@ -161,13 +175,13 @@ class VectorMarket:
 
         # 1. Providers adjust prices (identical to the scalar phase).
         prices = {name: p.price for name, p in self.providers.items()}
-        counts_before = kernels.subscriber_counts(
-            arrays.assignment, arrays.n_providers)
-        shares = self._shares(counts_before)
+        shares = self.shares()
+        pricing_moves = 0
         for name, provider in sorted(self.providers.items()):
             strategy = self.strategies.get(name)
             if strategy is not None:
                 strategy.adjust(provider, prices, shares[name])
+                pricing_moves += 1
 
         # 2. Whole-population choice, switching and settlement.
         best_column, best_raw, best_tunnels = self._choose()
@@ -234,6 +248,7 @@ class VectorMarket:
             shares=self._shares(counts_after),
         )
         self.history.append(record)
+        self._obs.round(record, pricing_moves)
         if self._c_rounds is not None:
             self._c_rounds.inc()
             self._c_switches.inc(switches)

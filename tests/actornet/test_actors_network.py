@@ -74,6 +74,16 @@ class TestNetwork:
         with pytest.raises(ActorNetworkError):
             net.add_actor(make_actor("a"))
 
+    def test_actor_from_another_value_space_rejected(self):
+        """Once added, a 3-d actor among 2-d ones broke alignment steps,
+        ``value_variance`` and ``durability`` with mismatched errors."""
+        net = ActorNetwork()
+        net.add_actor(make_actor("a", values=(0.0, 0.0)))
+        with pytest.raises(ActorNetworkError, match="value dimensions"):
+            net.add_actor(make_actor("b", values=(0.0, 0.0, 0.0)))
+        assert not net.has_actor("b")
+        assert [a.name for a in net.actors] == ["a"]
+
     def test_self_commitment_rejected(self):
         net = ActorNetwork()
         net.add_actor(make_actor("a"))

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from tussle import obs
+from tussle.econ.accesstech import AccessRegime, access_market_spec
 from tussle.econ.agents import Consumer, Provider
 from tussle.econ.market import Market, MarketRound
 from tussle.econ.pricing import UndercutPricing
 from tussle.errors import MarketError, ScaleError
+from tussle.experiments.e01_lockin import lockin_market_spec
+from tussle.experiments.e02_value_pricing import value_pricing_market_spec
+from tussle.experiments.e03_broadband import scenario_facilities
 from tussle.scale.large import lockin_batch, lockin_market_at_scale
 from tussle.scale.vmarket import VectorMarket
 
@@ -116,3 +120,26 @@ class TestObservability:
         market = two_provider_market()
         assert market._c_rounds is None
         market.run(1)
+
+    @pytest.mark.parametrize("rounds, spec", [
+        (30, lambda: lockin_market_spec(12.0, 120, seed=7)),
+        (25, lambda: value_pricing_market_spec(1, True, False, 150, seed=11)),
+        (30, lambda: access_market_spec(scenario_facilities("duopoly"),
+                                        AccessRegime.OPEN_WRONG_BOUNDARY,
+                                        seed=3)),
+    ], ids=["e01", "e02", "e03"])
+    def test_backends_report_the_same_econ_market_rounds(self, rounds, spec):
+        """E01-E03 run on VectorMarket; their round spans and counters
+        must read as they did on the scalar Market."""
+        reports = []
+        for backend in (Market, VectorMarket):
+            tracer, metrics = obs.Tracer(), obs.Metrics()
+            with obs.observe(tracer=tracer, metrics=metrics):
+                backend(**spec()).run(rounds)
+            reports.append((
+                [r for r in tracer.records() if r["scope"] == "econ.market"],
+                metrics.snapshot()["econ.market"]))
+        scalar, vector = reports
+        assert len(scalar[0]) == rounds
+        assert scalar[1]["counters"]["clearing_rounds"] == rounds
+        assert vector == scalar
