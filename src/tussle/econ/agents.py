@@ -10,6 +10,7 @@ Providers carry a price schedule, unit cost and profit ledger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
@@ -49,6 +50,15 @@ class Consumer:
     tunnelling: bool = False
     switches: int = 0
     surplus: float = 0.0
+
+    def __post_init__(self) -> None:
+        # A non-finite amount makes offers NaN or infinite, and on those
+        # the scalar and vector market backends choose differently.
+        for attr in ("wtp", "switching_cost", "server_value", "tunnel_cost"):
+            if not math.isfinite(getattr(self, attr)):
+                raise MarketError(
+                    f"consumer {self.name!r}: {attr} must be finite, "
+                    f"got {getattr(self, attr)!r}")
 
     def values_server(self) -> bool:
         return self.segment is Segment.BUSINESS and self.server_value > 0

@@ -114,11 +114,13 @@ def run_e01(
             else:
                 registry.assign_customer_block(f"site{i}", provider_asn=1)
 
+        consumer_rounds = n_consumers * rounds
         table.add_row(
             mode=label,
             switch_cost=cost,
             lockin_index=lockin,
-            switch_rate=market.total_switches() / (n_consumers * rounds),
+            switch_rate=(market.total_switches() / consumer_rounds
+                         if consumer_rounds else 0.0),
             final_price=market.mean_price(),
             consumer_surplus=market.total_consumer_surplus(),
             core_table=registry.core_table_size(),

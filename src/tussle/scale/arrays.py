@@ -71,6 +71,9 @@ class ConsumerBatch:
             if column.shape != (n,):
                 raise ScaleError(
                     f"batch columns must share shape ({n},), got {column.shape}")
+        for name in ("wtp", "switching_cost", "server_value", "tunnel_cost"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ScaleError(f"batch column {name} must be finite")
 
     def __len__(self) -> int:
         return int(self.wtp.shape[0])

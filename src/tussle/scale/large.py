@@ -71,6 +71,21 @@ DEFAULT_TIERS: Tuple[int, ...] = (10_000,)
 # ----------------------------------------------------------------------
 # Scenario builders
 # ----------------------------------------------------------------------
+def _uniform_column(model: UniformWtp, u: np.ndarray) -> np.ndarray:
+    """``model.sample`` applied to pre-drawn ``rng.random()`` values.
+
+    ``random.uniform(a, b)`` evaluates ``a + (b - a) * random()``; the
+    same two IEEE operations over an array give the same floats.
+    """
+    return model.low + (model.high - model.low) * u
+
+
+def _random_draws(rng: random.Random, n: int) -> np.ndarray:
+    """``n`` successive ``rng.random()`` values, in draw order."""
+    draw = rng.random
+    return np.array([draw() for _ in range(n)], dtype=np.float64)
+
+
 def lockin_batch(switching_cost: float, n_consumers: int,
                  seed: int) -> ConsumerBatch:
     """E01's consumer population as columns (same draw stream).
@@ -79,13 +94,10 @@ def lockin_batch(switching_cost: float, n_consumers: int,
     ``random.Random(seed)`` in consumer order, everyone basic-segment
     and locked to the incumbent.
     """
-    rng = random.Random(seed)
-    wtp_model = UniformWtp(35.0, 110.0)
-    wtp = np.array([wtp_model.sample(rng) for _ in range(n_consumers)],
-                   dtype=np.float64)
+    u = _random_draws(random.Random(seed), n_consumers)
     zeros = np.zeros(n_consumers, dtype=np.float64)
     return ConsumerBatch(
-        wtp=wtp,
+        wtp=_uniform_column(UniformWtp(35.0, 110.0), u),
         server_value=zeros,
         values_server=np.zeros(n_consumers, dtype=bool),
         switching_cost=np.full(n_consumers, switching_cost, dtype=np.float64),
@@ -127,21 +139,13 @@ def value_pricing_batch(n_consumers: int, can_tunnel: bool,
     One shared ``random.Random(seed)`` stream, sampled in consumer
     order, keeps the draws identical to the scalar builder's.
     """
-    rng = random.Random(seed)
-    basic_wtp = UniformWtp(25.0, 60.0)
-    business_wtp = UniformWtp(35.0, 70.0)
-    wtp = np.empty(n_consumers, dtype=np.float64)
-    server_value = np.zeros(n_consumers, dtype=np.float64)
-    values_server = np.zeros(n_consumers, dtype=bool)
-    tunnel_cost = np.full(n_consumers, 2.0, dtype=np.float64)
-    for i in range(n_consumers):
-        if i % 3 == 0:
-            wtp[i] = business_wtp.sample(rng)
-            server_value[i] = 30.0
-            values_server[i] = True
-            tunnel_cost[i] = 3.0
-        else:
-            wtp[i] = basic_wtp.sample(rng)
+    u = _random_draws(random.Random(seed), n_consumers)
+    values_server = np.arange(n_consumers) % 3 == 0
+    wtp = np.where(values_server,
+                   _uniform_column(UniformWtp(35.0, 70.0), u),
+                   _uniform_column(UniformWtp(25.0, 60.0), u))
+    server_value = np.where(values_server, 30.0, 0.0)
+    tunnel_cost = np.where(values_server, 3.0, 2.0)
     return ConsumerBatch(
         wtp=wtp,
         server_value=server_value,
@@ -243,7 +247,9 @@ def run_l01(
             )
             market = lockin_market_at_scale(cost, n_consumers, seed)
             market.run(rounds)
-            rate = market.total_switches() / (n_consumers * rounds)
+            consumer_rounds = n_consumers * rounds
+            rate = (market.total_switches() / consumer_rounds
+                    if consumer_rounds else 0.0)
             rates.append(rate)
             prices.append(market.mean_price())
             surpluses.append(market.total_consumer_surplus())

@@ -18,12 +18,17 @@ Division of labour per round:
   sets are *not* maintained — membership lives in the assignment
   column; read shares from the round records or :meth:`shares`.)
 * **Consumers are columns.**  Choice, switching, tunnelling, surplus
-  and revenue all run as whole-population kernels.
+  and revenue all run as whole-population kernels.  Payments are one
+  kernel call over per-consumer price columns gathered by each
+  consumer's chosen provider, and revenue is one ordered scatter.
 
 Offer columns are cached per provider and recomputed only when that
 provider's pricing signature changes, mirroring the scalar market's
-offer cache.  Each round reports the scalar market's ``econ.market``
-span and counters through the same
+offer cache.  Pricing reads round-start shares from the previous
+round's :class:`~tussle.econ.market.MarketRound` (the assignment does
+not move between rounds), so the subscriber count runs once per round;
+only round 0 counts the initial assignment.  Each round reports the
+scalar market's ``econ.market`` span and counters through the same
 :class:`~tussle.econ.market.MarketObserver`, plus its own
 ``scale.kernel`` counters.
 """
@@ -173,9 +178,10 @@ class VectorMarket:
         index = len(self.history)
         n = len(arrays)
 
-        # 1. Providers adjust prices (identical to the scalar phase).
+        # 1. Providers adjust prices (identical to the scalar phase).  The
+        # assignment has not moved since the last round's record.
         prices = {name: p.price for name, p in self.providers.items()}
-        shares = self.shares()
+        shares = self.history[-1].shares if self.history else self.shares()
         pricing_moves = 0
         for name, provider in sorted(self.providers.items()):
             strategy = self.strategies.get(name)
@@ -188,10 +194,10 @@ class VectorMarket:
         _, switched = kernels.switching_masks(arrays.assignment, best_column)
         stays = best_raw >= 0.0
 
-        arrays.surplus = kernels.apply_surplus_updates(
+        kernels.apply_surplus_updates(
             arrays.surplus, best_raw, switched, stays, arrays.switching_cost)
-        arrays.switches = arrays.switches + switched
-        arrays.tunnelling = best_tunnels.copy()
+        arrays.switches += switched
+        arrays.tunnelling = best_tunnels
         arrays.assignment = np.where(stays, best_column, -1)
 
         switches = int(np.count_nonzero(switched))
@@ -200,25 +206,26 @@ class VectorMarket:
         # The scalar loop interleaves, per consumer, the switching-cost
         # debit and the surplus credit; two columns flattened row-major
         # replay that exact accumulation order.
-        deltas = np.empty((n, 2), dtype=np.float64)
-        deltas[:, 0] = np.where(switched, -arrays.switching_cost, 0.0)
-        deltas[:, 1] = np.where(stays, best_raw, 0.0)
+        deltas = np.zeros((n, 2), dtype=np.float64)
+        np.negative(arrays.switching_cost, out=deltas[:, 0], where=switched)
+        np.copyto(deltas[:, 1], best_raw, where=stays)
         total_surplus = kernels.ordered_total(deltas)
 
-        paid = np.zeros(n, dtype=np.float64)
-        for j, name in enumerate(self._sorted_names):
-            provider = self.providers[name]
-            chose = stays & (best_column == j)
-            if not chose.any():
-                continue
-            paid[chose] = kernels.amount_paid_values(
-                arrays.wtp[chose], arrays.server_value[chose],
-                arrays.values_server[chose], best_tunnels[chose],
-                price=provider.price,
-                business_price=provider.business_price,
-                server_prohibited_without_tier=(
-                    self.server_prohibited_without_tier),
-            )
+        # Each consumer's rates, gathered from their chosen provider's
+        # column; an untiered provider's business rate is NaN.
+        providers = [self.providers[name] for name in self._sorted_names]
+        price_of = np.array([p.price for p in providers], dtype=np.float64)
+        business_of = np.array(
+            [np.nan if p.business_price is None else p.business_price
+             for p in providers], dtype=np.float64)
+        paid = kernels.amount_paid_values(
+            arrays.wtp, arrays.server_value, arrays.values_server,
+            best_tunnels,
+            price=price_of[best_column],
+            business_price=business_of[best_column],
+            server_prohibited_without_tier=(
+                self.server_prohibited_without_tier),
+        )
         revenue_columns = kernels.per_provider_revenue(
             paid, best_column, stays, arrays.n_providers)
         revenue = {

@@ -8,6 +8,15 @@ from tussle.econ.demand import Segment
 
 
 class TestConsumer:
+    @pytest.mark.parametrize("field", ["wtp", "switching_cost",
+                                       "server_value", "tunnel_cost"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_amounts_rejected(self, field, value):
+        kwargs = {"name": "c", "wtp": 30.0, field: value}
+        with pytest.raises(MarketError, match=field):
+            Consumer(**kwargs)
+
     def test_basic_consumer_does_not_value_server(self):
         consumer = Consumer(name="c", wtp=30.0)
         assert not consumer.values_server()

@@ -70,6 +70,16 @@ def test_experiments_deterministic():
     assert first.tables[0].rows == second.tables[0].rows
 
 
+def test_e01_zero_rounds_fails_the_shape_instead_of_raising():
+    """No consumer-rounds means a switch rate of 0.0, not a division by
+    zero; the lock-in shape then does not hold."""
+    from tussle.experiments import run_e01
+
+    result = run_e01(rounds=0)
+    assert not result.shape_holds
+    assert result.tables[0].column("switch_rate") == [0.0] * 4
+
+
 @pytest.mark.parametrize("experiment_id", sorted(ALL_EXPERIMENTS))
 def test_double_run_bit_identical(results, experiment_id):
     """Determinism contract: same seed, bit-identical result (all tables,

@@ -54,6 +54,22 @@ class TestConsumerBatch:
                 tunnel_cost=[2.0, 2.0],
             )
 
+    @pytest.mark.parametrize("field", ["wtp", "switching_cost",
+                                       "server_value", "tunnel_cost"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amounts_rejected(self, field, value):
+        columns = dict(
+            wtp=[10.0, 20.0],
+            server_value=[0.0, 5.0],
+            values_server=[False, True],
+            switching_cost=[1.0, 1.0],
+            can_tunnel=[False, True],
+            tunnel_cost=[2.0, 2.0],
+        )
+        columns[field] = [columns[field][0], value]
+        with pytest.raises(ScaleError, match=field):
+            ConsumerBatch(**columns)
+
     def test_to_consumers_round_trips_attributes(self):
         batch = ConsumerBatch(
             wtp=[10.0, 20.0],

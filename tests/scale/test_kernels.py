@@ -7,6 +7,10 @@ import numpy as np
 from tussle.econ.decision import TIE_EPSILON, amount_paid, effective_offer
 from tussle.scale import kernels
 from tussle.scale.arrays import ConsumerBatch, MarketArrays
+from tussle.scale.large import (
+    lockin_market_at_scale,
+    value_pricing_market_at_scale,
+)
 
 
 def random_population(n=64, seed=5):
@@ -76,6 +80,38 @@ class TestAmountPaidValues:
                 )
 
 
+    def test_per_consumer_rates_over_mixed_providers(self):
+        """One call over gathered price columns, some providers tiered
+        and some not (NaN business rate), equals the scalar rule."""
+        arrays = random_population(n=90, seed=4)
+        rates = [(30.0, None), (28.0, 41.0), (33.0, 45.0), (25.0, None)]
+        rng = random.Random(6)
+        column = np.array([rng.randrange(len(rates)) for _ in range(90)])
+        tunnels = arrays.can_tunnel & np.array(
+            [rng.random() < 0.5 for _ in range(90)])
+        price_of = np.array([price for price, _ in rates])
+        business_of = np.array(
+            [np.nan if tier is None else tier for _, tier in rates])
+        for prohibited in (True, False):
+            paid = kernels.amount_paid_values(
+                arrays.wtp, arrays.server_value, arrays.values_server,
+                tunnels, price=price_of[column],
+                business_price=business_of[column],
+                server_prohibited_without_tier=prohibited)
+            for i in range(90):
+                price, tier = rates[column[i]]
+                assert paid[i] == amount_paid(
+                    wtp=float(arrays.wtp[i]),
+                    values_server=bool(arrays.values_server[i]),
+                    server_value=float(arrays.server_value[i]),
+                    tunnels=bool(tunnels[i]),
+                    price=price,
+                    business_price=tier,
+                    tiered=tier is not None,
+                    server_prohibited_without_tier=prohibited,
+                )
+
+
 class TestBestProvider:
     def test_equal_offers_pick_first_column(self):
         """The tie-breaking contract: equal surplus goes to the first
@@ -115,6 +151,51 @@ class TestBestProvider:
             np.zeros(1, dtype=np.int64), free_switch=True)
         assert list(column) == [1]
 
+    def test_inputs_are_left_unchanged(self):
+        arrays = random_population(n=50, seed=12)
+        offers, tunnels = [], []
+        for price in (30.0, 29.0, 31.0):
+            surplus, tunnel = kernels.effective_offer_column(
+                arrays, price=price, business_price=42.0,
+                detects_tunnels=False, server_prohibited_without_tier=True)
+            offers.append(surplus)
+            tunnels.append(tunnel)
+        taste = np.array([[0.5 * ((i + j) % 3) - 0.5 for j in range(3)]
+                          for i in range(50)])
+        assignment = np.array([(i % 4) - 1 for i in range(50)],
+                              dtype=np.int64)
+        inputs = (offers, tunnels, taste, arrays.switching_cost, assignment)
+        before = [np.copy(x) for x in (*offers, *tunnels, taste,
+                                        arrays.switching_cost, assignment)]
+        for free_switch in (False, True):
+            column, raw, tun = kernels.best_provider(
+                *inputs, free_switch=free_switch)
+            after = [*offers, *tunnels, taste, arrays.switching_cost,
+                     assignment]
+            for old, new in zip(before, after):
+                assert old.tobytes() == new.tobytes()
+            for out in (column, raw, tun):
+                assert not any(np.shares_memory(out, x) for x in after)
+
+    def test_cached_offer_columns_stay_fresh_after_rounds(self):
+        """The in-place round updates never write into the offer cache:
+        after k rounds every cached column equals a fresh one."""
+        for market in (lockin_market_at_scale(3.0, 300, seed=2),
+                       value_pricing_market_at_scale(
+                           3, True, False, n_consumers=300, seed=2)):
+            market.run(6)
+            for name in market._sorted_names:
+                provider = market.providers[name]
+                cached = market._offer_cache[name]
+                fresh = kernels.effective_offer_column(
+                    market.arrays, price=provider.price,
+                    business_price=provider.business_price,
+                    detects_tunnels=provider.detects_tunnels,
+                    server_prohibited_without_tier=(
+                        market.server_prohibited_without_tier))
+                assert cached[0].tobytes() == fresh[0].tobytes()
+                assert cached[1].tobytes() == fresh[1].tobytes()
+
     def test_taste_breaks_symmetry(self):
         offers = [np.full(2, 7.0), np.full(2, 7.0)]
         tunnels = [np.zeros(2, bool), np.zeros(2, bool)]
@@ -146,17 +227,21 @@ class TestMasksAndReductions:
         assert kernels.ordered_total(np.empty((0, 2))) == 0.0
 
     def test_per_provider_revenue_matches_sequential_walk(self):
+        """Leaving consumers and column -1 (no provider) pay nobody; the
+        rest accumulate in consumer order, as in the scalar walk."""
         rng = random.Random(8)
-        n, p = 101, 3
-        paid = np.array([rng.uniform(1.0, 60.0) for _ in range(n)])
-        best = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
-        stays = np.array([rng.random() < 0.8 for _ in range(n)])
-        expected = [0.0] * p
-        for i in range(n):
-            if stays[i]:
-                expected[best[i]] += paid[i]
-        revenue = kernels.per_provider_revenue(paid, best, stays, p)
-        assert list(revenue) == expected
+        for n, p, lowest in ((101, 3, 0), (211, 4, -1), (0, 3, -1)):
+            paid = np.array([rng.uniform(1.0, 60.0) for _ in range(n)])
+            best = np.array([rng.randrange(lowest, p) for _ in range(n)],
+                            dtype=np.int64)
+            stays = np.array([rng.random() < 0.8 for _ in range(n)],
+                             dtype=bool)
+            expected = [0.0] * p
+            for i in range(n):
+                if stays[i] and best[i] >= 0:
+                    expected[best[i]] += paid[i]
+            revenue = kernels.per_provider_revenue(paid, best, stays, p)
+            assert list(revenue) == expected
 
     def test_subscriber_counts_ignore_unsubscribed(self):
         assignment = np.array([0, 0, 1, -1, -1, 2], dtype=np.int64)
