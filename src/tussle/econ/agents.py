@@ -100,6 +100,14 @@ class Provider:
     revenue_history: List[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        # NaN compares False against everything, so ``price < 0`` lets it
+        # through; on NaN or infinite prices the market backends disagree.
+        for attr in ("price", "business_price", "unit_cost"):
+            value = getattr(self, attr)
+            if value is not None and not math.isfinite(value):
+                raise MarketError(
+                    f"provider {self.name!r}: {attr} must be finite, "
+                    f"got {value!r}")
         if self.price < 0:
             raise MarketError(f"negative price {self.price}")
         if self.business_price is not None and self.business_price < self.price:

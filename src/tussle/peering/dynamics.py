@@ -169,6 +169,9 @@ class PeeringDynamics:
         self._cones = customer_cones(network)
         self.routing: Optional[PathVectorRouting] = None
         self.volumes: Optional[np.ndarray] = None
+        # pair -> (bargain inputs, agreement) of its last evaluate_existing.
+        self._bargained: Dict[
+            Pair, Tuple[tuple, Optional[PeeringAgreement]]] = {}
 
     # ------------------------------------------------------------------
     # Routing / measurement
@@ -207,11 +210,10 @@ class PeeringDynamics:
     # Bargaining
     # ------------------------------------------------------------------
     def _peer_pairs(self) -> List[Pair]:
-        pairs: Set[Pair] = set()
-        for autonomous in self.network.ases:
-            for peer in self.network.peers_of(autonomous.asn):
-                pairs.add(_pair(autonomous.asn, peer))
-        return sorted(pairs)
+        return sorted((autonomous.asn, peer)
+                      for autonomous in self.network.ases
+                      for peer in self.network.peers_of(autonomous.asn)
+                      if autonomous.asn < peer)
 
     def _mutable(self, pair: Pair) -> bool:
         # The tier-1 clique is the substrate's reachability backbone;
@@ -240,16 +242,32 @@ class PeeringDynamics:
         return sorted(candidates)
 
     def evaluate_existing(self, pair: Pair) -> Optional[PeeringAgreement]:
-        """Re-bargain a live peering at the volumes its edge carried."""
+        """Re-bargain a live peering at the volumes its edge carried.
+
+        A bargain is a pure function of the economics, the edge's two
+        directed volumes and whether each side pays transit.  When those
+        are bit-equal to the pair's last evaluation (a peering whose
+        edge volumes did not move has not changed), that evaluation's
+        agreement is returned without bargaining again.
+        """
         if self.routing is None or self.volumes is None:
             raise PeeringError("call reconverge() before bargaining")
-        traffic = edge_traffic(self.network, self.routing.fast_rib,
-                               self.volumes, pair[0], pair[1])
-        return evaluate_pair(
-            traffic, self.econ,
-            a_pays_transit=bool(self.network.providers_of(pair[0])),
-            b_pays_transit=bool(self.network.providers_of(pair[1])),
-        )
+        rib = self.routing.fast_rib
+        ra, rb = rib.index.of(pair[0]), rib.index.of(pair[1])
+        bits = self.volumes.view(np.int64)
+        inputs = (self.econ, bits.item(ra, rb), bits.item(rb, ra),
+                  bool(self.network.providers_of(pair[0])),
+                  bool(self.network.providers_of(pair[1])))
+        last = self._bargained.get(pair)
+        if last is not None and last[0] == inputs:
+            return last[1]
+        traffic = edge_traffic(self.network, rib, self.volumes,
+                               pair[0], pair[1])
+        agreement = evaluate_pair(traffic, self.econ,
+                                  a_pays_transit=inputs[3],
+                                  b_pays_transit=inputs[4])
+        self._bargained[pair] = (inputs, agreement)
+        return agreement
 
     def evaluate_candidate(self, pair: Pair) -> Optional[PeeringAgreement]:
         """Bargain a prospective peering over exclusive-cone demand."""
@@ -291,14 +309,16 @@ class PeeringDynamics:
             self.network.add_as_relationship(pair[0], pair[1],
                                              Relationship.PEER_PEER)
             self.agreements[pair] = to_add[pair]
-        total_transit = sum(
-            self.econ.transit_price * float(self.volumes[
-                proto.fast_rib.index.of(a.asn),
-                proto.fast_rib.index.of(p)])
-            for a in self.network.ases
-            for p in sorted(self.network.providers_of(a.asn)))
-        total_transfers = sum(abs(self.agreements[p].transfer)
-                              for p in sorted(self.agreements))
+        # Bargaining changes peer edges only, so the RIB's
+        # customer/provider rows are the network's, sorted by customer,
+        # then provider: the sequential sum adds them in ASN order.
+        customer, provider = proto.fast_rib.edges[0], proto.fast_rib.edges[1]
+        metered = np.cumsum(self.econ.transit_price
+                            * self.volumes[customer, provider])
+        total_transit = metered[-1] if metered.size else 0.0
+        total_transfers = 0.0
+        for pair in sorted(self.agreements):
+            total_transfers += abs(self.agreements[pair].transfer)
         return IterationRecord(
             iteration=iteration,
             agreements=len(self.agreements),

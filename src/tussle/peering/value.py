@@ -33,7 +33,8 @@ byte-identical across runs and independent of dict insertion order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,6 +85,13 @@ class PeeringEconomics:
     content_tail: float = 1.2
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below, and an infinite knob
+        # turns surpluses into NaN deep inside the bargain.
+        for knob in fields(self):
+            value = getattr(self, knob.name)
+            if not math.isfinite(value):
+                raise PeeringError(
+                    f"{knob.name} must be finite, got {value!r}")
         if self.transit_price <= 0:
             raise PeeringError("transit_price must be positive")
         if self.peering_cost < 0:
@@ -188,6 +196,12 @@ def customer_cones(network: Network) -> Dict[int, np.ndarray]:
     return cones
 
 
+def _check_columns(rib: RibArrays, traffic: TrafficMatrix) -> None:
+    if rib.dest_asns != traffic.stub_asns:
+        raise PeeringError("RIB destination columns must be the traffic "
+                           "matrix's stubs, in ascending-ASN order")
+
+
 def route_volumes(rib: RibArrays, traffic: TrafficMatrix) -> np.ndarray:
     """Directed per-AS-edge traffic volumes under the converged routes.
 
@@ -199,46 +213,64 @@ def route_volumes(rib: RibArrays, traffic: TrafficMatrix) -> np.ndarray:
     Vectorized the same way the fast path itself is: every destination
     column advances simultaneously, each level moving the in-flight
     weight onto its next-hop edge, for at most ``max path length``
-    levels.  Every sum is one ``np.bincount``, which adds its weights
-    in input order starting from zero: the per-edge volumes are one
-    bincount over all levels' moves in level order, so each float is
-    accumulated in exactly the order a per-level scatter-add would.
+    levels.  Cells are taken column by column, in ascending row order
+    within a column (the RIB's destination-major order).  Every sum
+    adds in input order: each level's weights are one ``np.bincount``
+    (which starts from zero), the first level's moves start the edge
+    volumes with one more, and every later level's moves continue them
+    with an unbuffered ``np.add.at``.  So each float is accumulated in
+    exactly the order a per-level scatter-add would.  Within a level,
+    the moves into one edge ``u -> v`` all start at row ``u`` and the
+    moves into one cell all share its column, so either cell order,
+    column- or row-major, adds them in the same sequence.
+
+    The first level passes every (column, sender stub) cell, and a cell
+    that sends nothing moves ``0.0``: adding ``+0.0`` leaves every
+    (non-negative) sum unchanged.  Later levels keep weight only where
+    it can travel on: every next hop other than a column's destination
+    has a customer (it forwards down a customer route or up from a
+    customer), so in-flight weight is held over (column, AS with
+    customers) cells, plus one slot per column for weight that reached
+    a destination without customers.  Weight at its destination has
+    arrived and is zeroed, so it never travels on.
     """
     n = len(rib.index)
     d = len(rib.dest_asns)
-    if d == 0 or len(traffic) < 2:
+    if len(traffic) < 2:
         return np.zeros((n, n), dtype=np.float64)
-    if [int(a) for a in rib.dest_asns] != traffic.stub_asns:
-        raise PeeringError("RIB destination columns must be the traffic "
-                           "matrix's stubs, in ascending-ASN order")
+    _check_columns(rib, traffic)
+    max_levels = int(rib.plen.max())
     stub_rows = rib.index.rows_of(np.array(traffic.stub_asns, dtype=np.int64))
-    # In-flight weight, flat over (AS row, destination column): demand
-    # currently at that AS heading for that column's destination.
-    weight = np.zeros((n, d), dtype=np.float64)
-    weight[np.ix_(stub_rows, np.arange(d))] = traffic.demand
-    weight[rib.cls == CLASS_NONE] = 0.0
-    weight = weight.ravel()
-    travelling = np.ones((n, d), dtype=bool)
-    travelling[stub_rows, np.arange(d)] = False  # column c's destination row
-    travelling = travelling.ravel()
-    nhop = rib.nhop.ravel()
-    edges: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-    moved: List[np.ndarray] = [np.zeros(0, dtype=np.float64)]
-    max_levels = int(rib.plen.max()) if rib.plen.size else 0
-    for _ in range(max(max_levels, 0)):
-        cells = np.flatnonzero((weight > 0) & travelling)
+    carriers = np.flatnonzero(np.bincount(rib.edges[1], minlength=n))
+    width = carriers.size + 1
+    slot = np.full(n, carriers.size, dtype=np.int64)
+    slot[carriers] = np.arange(carriers.size)
+    arrived = np.arange(d) * width + slot[stub_rows]
+    # The first level leaves the senders: stub i's demand for column c,
+    # wherever i holds a route and is not c itself.
+    sending = (traffic.demand.T > 0) & (rib.cls.T[:, stub_rows] != CLASS_NONE)
+    np.fill_diagonal(sending, False)
+    moving = np.where(sending, traffic.demand.T, 0.0).ravel()
+    # An unreachable cell's next hop is -1; any row serves, it moves 0.0.
+    hops = np.maximum(rib.nhop.T[:, stub_rows], 0)
+    vol = np.bincount((stub_rows * n + hops).ravel(), weights=moving,
+                      minlength=n * n)
+    weight = np.bincount((np.arange(d)[:, None] * width + slot[hops]).ravel(),
+                         weights=moving, minlength=d * width)
+    nhop = rib.nhop.T.ravel()
+    for _ in range(max_levels - 1):
+        weight[arrived] = 0.0
+        cells = np.flatnonzero(weight > 0)
         if cells.size == 0:
             break
         moving = weight[cells]
-        rows, cols = np.divmod(cells, d)
-        hops = nhop[cells]
-        edges.append(rows * n + hops)
-        moved.append(moving)
-        # Weight that reached its destination row is not travelling, so
-        # the next level leaves it where it is.
-        weight = np.bincount(hops * d + cols, weights=moving, minlength=n * d)
-    return np.bincount(np.concatenate(edges), weights=np.concatenate(moved),
-                       minlength=n * n).reshape(n, n)
+        columns, at = np.divmod(cells, width)
+        rows = carriers[at]
+        hops = nhop[columns * n + rows]
+        np.add.at(vol, rows * n + hops, moving)
+        weight = np.bincount(columns * width + slot[hops], weights=moving,
+                             minlength=d * width)
+    return vol.reshape(n, n)
 
 
 def edge_traffic(network: Network, rib: RibArrays, vol: np.ndarray,
@@ -319,40 +351,48 @@ def as_accounts(network: Network, rib: RibArrays, vol: np.ndarray,
     """Per-AS interconnection accounts under the measured volumes.
 
     ``transfers`` maps ASN -> net paid-peering payment received (from
-    the bargaining layer); omitted ASes default to zero.  Iteration is
-    in ascending-ASN order throughout, so the float accumulation order
-    — and therefore every byte of downstream canonical JSON — is a pure
-    function of the inputs.
+    the bargaining layer); omitted ASes default to zero.  Transit is
+    metered on the customer/provider edges ``rib`` was converged over
+    (``rib.edges``, sorted by customer row, then provider row), in two
+    ordered passes: each bill adds its providers' edges, and each
+    revenue its customers' edges, in ascending-ASN order starting from
+    zero, which is the order a loop over ASes adds them.  Peering fees
+    count ``network``'s live peerings.  So every byte of downstream
+    canonical JSON is a pure function of the inputs.
+
+    Raises :class:`PeeringError` when the RIB's destination columns are
+    not the traffic matrix's stubs in ascending-ASN order: delivered
+    value reads column ``j`` as stub ``j``.
     """
     transfers = transfers or {}
-    # Delivered demand per stub column: weight that reached its target.
-    delivered_by_stub: Dict[int, float] = {}
-    if len(traffic) >= 2 and len(rib.dest_asns) == len(traffic):
+    n = len(rib.index)
+    # Delivered demand per AS row: weight that reached its target stub.
+    arrived = np.zeros(n, dtype=np.float64)
+    if len(traffic) >= 2:
+        _check_columns(rib, traffic)
         stub_rows = rib.index.rows_of(
             np.array(traffic.stub_asns, dtype=np.int64))
-        reach = rib.cls[np.ix_(stub_rows, np.arange(len(traffic)))] \
-            != CLASS_NONE
-        arrived = np.where(reach, traffic.demand, 0.0).sum(axis=0)
-        for i, asn in enumerate(traffic.stub_asns):
-            delivered_by_stub[asn] = float(arrived[i])
+        # (sender, destination) in C order: the axis-0 sum adds senders
+        # in ascending order.
+        reach = np.ascontiguousarray(rib.cls[stub_rows] != CLASS_NONE)
+        arrived[stub_rows] = np.where(reach, traffic.demand, 0.0).sum(axis=0)
+    customer, provider = rib.edges[0], rib.edges[1]
+    metered = econ.transit_price * vol[customer, provider]
+    bills = np.bincount(customer, weights=metered, minlength=n)
+    by_provider = np.lexsort((customer, provider))
+    revenues = np.bincount(provider[by_provider],
+                           weights=metered[by_provider], minlength=n)
+    delivered = econ.delivery_value * arrived
     accounts: Dict[int, AsAccount] = {}
     for autonomous in network.ases:  # ascending ASN
         asn = autonomous.asn
         row = rib.index.of(asn)
-        bill = 0.0
-        for provider in sorted(network.providers_of(asn)):
-            bill += econ.transit_price * float(vol[row, rib.index.of(provider)])
-        revenue = 0.0
-        for customer in sorted(network.customers_of(asn)):
-            revenue += econ.transit_price * float(vol[rib.index.of(customer), row])
-        fees = econ.peering_cost * len(network.peers_of(asn))
         accounts[asn] = AsAccount(
             asn=asn,
-            transit_bill=bill,
-            transit_revenue=revenue,
-            peering_fees=fees,
+            transit_bill=float(bills[row]),
+            transit_revenue=float(revenues[row]),
+            peering_fees=econ.peering_cost * len(network.peers_of(asn)),
             transfers=float(transfers.get(asn, 0.0)),
-            delivered_value=econ.delivery_value
-            * delivered_by_stub.get(asn, 0.0),
+            delivered_value=float(delivered[row]),
         )
     return accounts

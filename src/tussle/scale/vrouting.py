@@ -9,22 +9,30 @@ ASN — to compute the unique stable route selection directly, batched
 over NumPy arrays.
 
 Every selected route is one hop longer than a route a neighbour
-announced, so an AS can *pull* its route from its in-edges once those
-neighbours are final.  Rows are sorted by ASN, so the composite key
+announced.  Rows are sorted by ASN, so the composite key
 ``(class << 61) | (length << 32) | next_hop_row`` orders routes exactly
-as the policy does: one ``np.minimum.reduceat`` over an AS's in-edges
-finds its best offer, and the minimum of that and the route it already
-holds applies class preference.  Convergence is one pass per
-Gao-Rexford phase over the customer/provider DAG, in depth order:
+as the policy does, and the smallest key an AS is offered, against the
+route it already holds, is its selection.  Convergence is one pass per
+Gao-Rexford phase:
 
-1. **customer routes** climb bottom-up: ASes grouped by height above
-   the DAG's leaves, each pulling from its customers;
-2. **peer routes** take exactly one lateral hop: an AS without a
-   customer route pulls the customer routes its peers announce;
+1. **customer routes** climb from each destination, one path length at
+   a time: every AS that took a customer route at the last length
+   offers it to its providers, and an AS first offered one at this
+   length keeps the smallest offer;
+2. **peer routes** take exactly one lateral hop: every customer-route
+   holder offers its route to its peers, and an AS without a customer
+   route keeps the smallest offer;
 3. **provider routes** descend top-down: ASes grouped by depth below
-   the DAG's roots, each one without a customer or peer route pulling
-   the route its providers *selected*.
+   the customer/provider DAG's roots, each one without a customer or
+   peer route *pulling* the route its providers selected, with one
+   ``np.minimum.reduceat`` over its in-edges (or one ``np.minimum``
+   when it has at most two).
 
+Customer routes exist only at the ASes above a destination, and peer
+routes only at those ASes' peers: a few cells per column.  So those
+phases push offers from the cells that hold routes
+(``np.minimum.at``), while provider routes reach nearly every cell and
+that phase pulls over dense blocks.
 Destination columns never interact, so the passes run over fixed-width
 column blocks, which bounds the gathered (columns x in-edges) working
 set.  The result is bit-identical to the scalar protocol's fixed point
@@ -45,6 +53,9 @@ Scope: customer/provider and peer relationships only.  Sibling edges
 carrying two relationship kinds at once and customer/provider cycles
 are rejected.  The generator produces none of them; a CAIDA file can
 encode a cycle, which has no pull order.
+
+The RIB is stored destination-major and narrow (see
+:class:`RibArrays`): a block's keys unpack into whole contiguous rows.
 """
 
 from __future__ import annotations
@@ -81,9 +92,10 @@ _UNTAGGED = ~(3 << _CLASS_SHIFT)
 #: (columns x in-edges) array at about 5 MiB on a 10^3-AS internet.
 _BLOCK = 128
 
-#: One pull step: ``targets[i]`` takes the best offer of
-#: ``sources[starts[i]:starts[i + 1]]``, tagged with ``tag``.
-_Step = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
+#: One pull step, ``(targets, first, last, sources, starts, tag)``: see
+#: :func:`_step`.
+_Step = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+              int]
 
 
 class ASIndex:
@@ -115,12 +127,15 @@ class ASIndex:
 
 
 def _edge_arrays(network: Network, index: ASIndex) -> Tuple[np.ndarray, ...]:
-    """Relationship edges as row arrays; rejects siblings and overlaps."""
-    cust_rows: List[int] = []
-    prov_rows: List[int] = []
+    """Relationship edges as row arrays; rejects siblings and overlaps.
+
+    Customer/provider rows are sorted by customer, then provider, and
+    directed peer rows by target, then source.
+    """
+    cust_asns: List[int] = []
+    prov_asns: List[int] = []
     peer_src: List[int] = []
     peer_dst: List[int] = []
-    seen: Dict[Tuple[int, int], str] = {}
     for autonomous in network.ases:
         asn = autonomous.asn
         if network.siblings_of(asn):
@@ -128,31 +143,31 @@ def _edge_arrays(network: Network, index: ASIndex) -> Tuple[np.ndarray, ...]:
                 f"AS {asn} has sibling relationships; the valley-free "
                 f"fast path supports customer/provider and peer edges only "
                 f"(use the scalar converge())")
-        row = index.of(asn)
-        for provider in sorted(network.providers_of(asn)):
-            pair = (min(asn, provider), max(asn, provider))
-            if seen.setdefault(pair, "p2c") != "p2c":
-                raise ScaleError(f"ASes {pair} carry two relationship kinds")
-            cust_rows.append(row)
-            prov_rows.append(index.of(provider))
-        for peer in sorted(network.peers_of(asn)):
-            pair = (min(asn, peer), max(asn, peer))
-            if seen.setdefault(pair, "p2p") != "p2p":
-                raise ScaleError(f"ASes {pair} carry two relationship kinds")
-            # Directed: peer announces to asn.
-            peer_src.append(index.of(peer))
-            peer_dst.append(row)
-    return (np.array(cust_rows, dtype=np.int64),
-            np.array(prov_rows, dtype=np.int64),
-            np.array(peer_src, dtype=np.int64),
-            np.array(peer_dst, dtype=np.int64))
+        providers, peers = network.providers_of(asn), network.peers_of(asn)
+        if providers & peers:
+            other = min(providers & peers)
+            pair = (min(asn, other), max(asn, other))
+            raise ScaleError(f"ASes {pair} carry two relationship kinds")
+        cust_asns += [asn] * len(providers)
+        prov_asns += sorted(providers)
+        # Directed: each peer announces to asn.
+        peer_src += sorted(peers)
+        peer_dst += [asn] * len(peers)
+    return tuple(index.rows_of(np.array(asns, dtype=np.int64))
+                 for asns in (cust_asns, prov_asns, peer_src, peer_dst))
 
 
 class RibArrays:
     """Selected-route arrays over ``(as_row, dest_column)``.
 
     ``cls``/``plen``/``nhop`` hold the selected route's class code, AS
-    hops, and next-hop *row* (-1 = unreachable).  ``levels`` is the
+    hops, and next-hop *row* (-1 = unreachable).  They are transposed
+    views of destination-major planes: ``cls.T`` is a C-contiguous
+    ``(dest_column, as_row)`` ``int8`` array and ``plen.T``/``nhop.T``
+    are ``int32``, so one destination column is one contiguous row (7.6
+    MB at 10^3 ASes x 840 stubs, against 20 MB as three ``int64``
+    planes).  The constructor takes the destination-major planes.
+    ``levels`` is the
     fast-path analogue of the scalar protocol's iteration count: the
     longest customer route + 1 (``customer_levels``; 0 without
     customer/provider edges or destinations), plus 1 if any peer edge
@@ -172,9 +187,9 @@ class RibArrays:
         self.index = index
         self.dest_asns = [int(d) for d in dest_asns]
         self._col: Dict[int, int] = {d: j for j, d in enumerate(self.dest_asns)}
-        self.cls = cls
-        self.plen = plen
-        self.nhop = nhop
+        self.cls = cls.T
+        self.plen = plen.T
+        self.nhop = nhop.T
         self.levels = levels
         self.edges = edges
         self.customer_levels = customer_levels
@@ -288,11 +303,23 @@ def _on_cycle(src: np.ndarray, dst: np.ndarray, stuck: np.ndarray) -> int:
 
 
 def _step(src: np.ndarray, dst: np.ndarray, route_class: int) -> _Step:
-    """The edges ``src -> dst`` as one pull step, targets ascending."""
+    """The edges ``src -> dst`` as one pull step.
+
+    Targets with one or two in-edges come first and take the smaller
+    offer of their first and last source, which needs no segmented
+    reduction.  The rest follow, each reducing its in-edges
+    ``sources[starts[i]:starts[i + 1]]``.
+    """
     order = np.lexsort((src, dst))
     src, dst = src[order], dst[order]
     starts = np.flatnonzero(np.diff(dst, prepend=-1))
-    return dst[starts], src, starts, route_class << _CLASS_SHIFT
+    ends = np.append(starts[1:], src.size)
+    few = ends - starts <= 2
+    many = np.repeat(~few, ends - starts)
+    targets = np.concatenate([dst[starts][few], dst[starts][~few]])
+    return (targets, src[starts][few], src[ends - 1][few], src[many],
+            np.flatnonzero(np.diff(dst[many], prepend=-1)),
+            route_class << _CLASS_SHIFT)
 
 
 def _phase(src: np.ndarray, dst: np.ndarray, depth: np.ndarray,
@@ -303,29 +330,63 @@ def _phase(src: np.ndarray, dst: np.ndarray, depth: np.ndarray,
             for level in range(1, int(depth.max()) + 1)]
 
 
+def _adjacency(src: np.ndarray, dst: np.ndarray,
+               n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The edges ``src -> dst`` by source row: ``(offsets, targets)``."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, dst[np.lexsort((dst, src))]
+
+
 def _announce(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """What ``rows`` offer a neighbour: their route one hop longer, untagged."""
     return np.where(keys == _BIG, _BIG,
                     (((keys | _LOW) + 1) & _UNTAGGED) | rows)
 
 
+def _push(flat: np.ndarray, holders: np.ndarray, n: int,
+          adjacency: Tuple[np.ndarray, np.ndarray], tag: int) -> np.ndarray:
+    """Offer the routes at ``holders`` one hop along ``adjacency``, in place.
+
+    ``flat`` is a block of ``(column, row)`` keys flattened, and
+    ``holders`` are cells in it that hold a route.  Every offered cell
+    keeps the smaller of its key and each offer tagged with ``tag``.
+    Returns the offered cells that held no route before.
+    """
+    offsets, targets = adjacency
+    rows = holders % n
+    counts = offsets[rows + 1] - offsets[rows]
+    which = np.repeat(np.arange(holders.size), counts)
+    edges = np.repeat(offsets[rows] - np.cumsum(counts) + counts, counts) \
+        + np.arange(which.size)
+    cells = holders[which] - rows[which] + targets[edges]
+    fresh = cells[flat[cells] == _BIG]
+    np.minimum.at(flat, cells, _announce(flat[holders], rows)[which] | tag)
+    return fresh
+
+
 def _pull(keys: np.ndarray, offers: np.ndarray, steps: List[_Step]) -> None:
     """Run ``steps`` over one block of ``(column, row)`` keys, in place.
 
     Each target keeps the smaller of its own key and its in-edges' best
-    offer tagged with the step's class, then offers its selection on.
+    offer tagged with the step's class, then offers its selection on
+    (except after the last step, which nobody pulls from).
     """
-    for targets, sources, starts, tag in steps:
-        best = np.minimum.reduceat(np.take(offers, sources, axis=1), starts,
-                                   axis=1)
+    for i, (targets, first, last, sources, starts, tag) in enumerate(steps):
+        best = np.empty((keys.shape[0], targets.size), dtype=np.int64)
+        np.minimum(np.take(offers, first, axis=1),
+                   np.take(offers, last, axis=1), out=best[:, :first.size])
+        if starts.size:
+            best[:, first.size:] = np.minimum.reduceat(
+                np.take(offers, sources, axis=1), starts, axis=1)
         selected = np.minimum(np.take(keys, targets, axis=1), best | tag)
         keys[:, targets] = selected
-        offers[:, targets] = _announce(selected, targets)
+        if i + 1 < len(steps):
+            offers[:, targets] = _announce(selected, targets)
 
 
 def _unpack(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A block's keys as ``(row, column)`` class, length and next hop."""
-    keys = keys.T
+    """A block's ``(column, row)`` keys as class, length and next hop."""
     none = keys == _BIG
     return (keys >> _CLASS_SHIFT, np.where(none, -1, (keys >> 32) & _LENGTH),
             np.where(none, -1, keys & _LOW))
@@ -385,10 +446,12 @@ def converge_valley_free(network: Network,
             return base
         announcers = np.unique(changed // n)
         columns = np.flatnonzero(
-            (base.cls[announcers] == CLASS_CUSTOMER).any(axis=0))
-        cls, plen, nhop = base.cls.copy(), base.plen.copy(), base.nhop.copy()
+            (base.cls.T[:, announcers] == CLASS_CUSTOMER).any(axis=1))
+        # Copies of the destination-major planes: ``previous`` keeps its
+        # bytes.
+        cls, plen, nhop = (plane.T.copy()
+                           for plane in (base.cls, base.plen, base.nhop))
         customer_levels = base.customer_levels
-        steps: List[_Step] = []
     else:
         height = _depths(n, cust_u, prov_p)
         if (height < 0).any():
@@ -398,25 +461,35 @@ def converge_valley_free(network: Network,
                 f"the valley-free fast path needs an acyclic provider "
                 f"hierarchy (use the scalar converge())")
         columns = np.arange(d)
-        cls, plen, nhop = (np.empty((n, d), dtype=np.int64) for _ in range(3))
-        steps = _phase(cust_u, prov_p, height, CLASS_CUSTOMER)
-    if peer_src.size:
-        steps.append(_step(peer_src, peer_dst, CLASS_PEER))
-    steps += _phase(prov_p, cust_u, _depths(n, prov_p, cust_u), CLASS_PROVIDER)
+        cls = np.empty((d, n), dtype=np.int8)
+        plen, nhop = (np.empty((d, n), dtype=np.int32) for _ in range(2))
+    up = _adjacency(cust_u, prov_p, n)
+    across = _adjacency(peer_src, peer_dst, n)
+    steps = _phase(prov_p, cust_u, _depths(n, prov_p, cust_u), CLASS_PROVIDER)
 
     rows = np.arange(n)
     for start in range(0, columns.size, _BLOCK):
         cols = columns[start:start + _BLOCK]
         if base is None:
             keys = np.full((cols.size, n), _BIG, dtype=np.int64)
-            keys[np.arange(cols.size), dest_rows[cols]] = dest_rows[cols]
+            flat = keys.reshape(-1)
+            reached = np.arange(cols.size) * n + dest_rows[cols]
+            flat[reached] = dest_rows[cols]
+            # Customer routes, one length at a time: a cell first
+            # reached at this length is final.
+            while reached.size:
+                reached = np.unique(_push(flat, reached, n, up,
+                                          CLASS_CUSTOMER << _CLASS_SHIFT))
         else:
             # Same customer/provider DAG: the customer routes carry over.
-            keys = np.ascontiguousarray(np.where(
-                base.cls[:, cols] == CLASS_CUSTOMER,
-                (base.plen[:, cols] << 32) | base.nhop[:, cols], _BIG).T)
+            keys = np.where(cls[cols] == CLASS_CUSTOMER,
+                            (plen[cols].astype(np.int64) << 32) | nhop[cols],
+                            _BIG)
+            flat = keys.reshape(-1)
+        _push(flat, np.flatnonzero(flat != _BIG), n, across,
+              CLASS_PEER << _CLASS_SHIFT)
         _pull(keys, _announce(keys, rows), steps)
-        cls[:, cols], plen[:, cols], nhop[:, cols] = _unpack(keys)
+        cls[cols], plen[cols], nhop[cols] = _unpack(keys)
 
     if base is None:
         customer_levels = (int(plen[cls == CLASS_CUSTOMER].max()) + 1

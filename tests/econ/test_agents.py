@@ -31,6 +31,15 @@ class TestConsumer:
 
 
 class TestProvider:
+    @pytest.mark.parametrize("field", ["price", "business_price",
+                                       "unit_cost"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_amounts_rejected(self, field, value):
+        kwargs = {"name": "p", "price": 30.0, field: value}
+        with pytest.raises(MarketError, match=field):
+            Provider(**kwargs)
+
     def test_negative_price_rejected(self):
         with pytest.raises(MarketError):
             Provider(name="p", price=-1.0)

@@ -13,6 +13,7 @@ to them with Hypothesis rather than hand-picked examples:
 """
 
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import assume, example, given
@@ -208,3 +209,9 @@ class TestEvaluatePair:
             PeeringEconomics(ratio_cap=0.5)
         with pytest.raises(PeeringError):
             PeeringEconomics(discount=1.0)
+
+    @pytest.mark.parametrize("knob", [f.name for f in fields(PeeringEconomics)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_knobs_rejected(self, knob, value):
+        with pytest.raises(PeeringError, match=knob):
+            PeeringEconomics(**{knob: value})

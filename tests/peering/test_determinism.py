@@ -80,6 +80,12 @@ class TestDoubleRunByteIdentity:
         assert all(c["holds"] for c in first.to_dict()["checks"])
         assert _sha256(first.to_json()) == _perfbench_pin("full", 0)
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_full_size_p02_matches_the_benchmark_pin(self, seed):
+        """10^3-AS bytes, which the smoke-size benchmark tests never reach."""
+        assert _sha256(run_p02(n_ases=1000, seed=seed).to_json()) \
+            == _perfbench_pin("full", seed)
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_smoke_p02_matches_the_benchmark_pin(self, seed):
         """A float summation-order change shows here, not only in perfbench."""
