@@ -19,7 +19,6 @@ from tussle.core import (
     StakeholderKind,
     TussleSimulator,
     TussleSpace,
-    compare_outcomes,
     rigidity,
 )
 
@@ -70,8 +69,14 @@ def main():
     flexible = run("flexible", knob_range=(0.0, 1.0))
     rigid = run("rigid", knob_range=(0.5, 0.5))
 
-    comparison = compare_outcomes("rigid", rigid, "flexible", flexible)
-    print(f"Winner under the paper's principles: {comparison.winner()}")
+    # Survival decides first, then how much of the design is left intact.
+    scores = {label: (outcome.survived, outcome.final_integrity)
+              for label, outcome in (("rigid", rigid), ("flexible", flexible))}
+    if scores["rigid"] == scores["flexible"]:
+        winner = "tie"
+    else:
+        winner = max(scores, key=scores.get)
+    print(f"Winner under the paper's principles: {winner}")
     print("(Flexible designs absorb the fight as harmless in-design "
           "adjustment; rigid ones are broken by workarounds.)")
 

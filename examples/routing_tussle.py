@@ -4,8 +4,8 @@
 Builds a hierarchical AS topology, converges BGP under Gao-Rexford
 policy, then gives the user source routing — first without payment (it
 fails, as in today's Internet), then with payment (it works, and the
-transit providers earn revenue). Finally scores each interface against
-the paper's tussle-interface properties.
+transit providers earn revenue). Finally routes around both with an
+overlay.
 
 Run:  python examples/routing_tussle.py
 """
@@ -14,7 +14,6 @@ import random
 
 from tussle.netsim.topology import random_as_graph
 from tussle.routing import (
-    ChoiceVisibilityReport,
     OverlayNetwork,
     PathVectorRouting,
     SourceRoutingSystem,
@@ -69,13 +68,6 @@ def main():
     print(f"\n[overlay] distinct underlay paths available: {choices}")
     print(f"[overlay] uncompensated transit hops created: "
           f"{sum(distortion.values())} across {len(distortion)} ASes")
-
-    # --- Interface scorecards (§IV-C).
-    print("\nTussle-interface scorecards (0-1, higher = designed for tussle):")
-    for report in (ChoiceVisibilityReport.for_linkstate(),
-                   ChoiceVisibilityReport.for_pathvector(),
-                   ChoiceVisibilityReport.for_source_routing_with_payment()):
-        print(f"  {report.mechanism:26s} overall={report.overall():.2f}")
 
 
 if __name__ == "__main__":

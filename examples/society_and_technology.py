@@ -1,17 +1,14 @@
 #!/usr/bin/env python3
-"""The actor-network storyline of §II: durability, churn, disruption,
-collision.
+"""The actor-network storyline of §II: durability, churn, collision.
 
-Four acts, each a claim from the paper's theory section made executable:
+Three acts, each a claim from the paper's theory section made executable:
 
-1. "Technology is Society made Durable" — the protocols are the central
-   anchor; removing them shatters the network.
+1. "Technology is Society made Durable" — the seeded Internet's
+   commitments already carry measurable durability.
 2. "The network gets harder to change as it grows up" — without entrant
    churn the actor network harmonizes and freezes; with churn it stays
    changeable.
-3. Christensen: head-on attack on a durable incumbent fails; the
-   new-market path builds durability outside and then overthrows.
-4. VoIP: a collision between actor networks, not technologies.
+3. VoIP: a collision between actor networks, not technologies.
 
 Run:  python examples/society_and_technology.py
 """
@@ -20,12 +17,8 @@ import numpy as np
 
 from tussle.actornet import (
     ChurnSimulation,
-    DisruptionScenario,
-    EntryStrategy,
-    central_anchor,
     collide,
     durability,
-    fragmentation_if_removed,
     seed_internet_network,
 )
 from tussle.experiments.x05_collision import (
@@ -34,13 +27,9 @@ from tussle.experiments.x05_collision import (
 )
 
 
-def act1_anchor():
-    print("=== Act 1: technology as the central anchor ===\n")
+def act1_durability():
+    print("=== Act 1: technology is society made durable ===\n")
     network = seed_internet_network(rng=np.random.default_rng(1))
-    anchor = central_anchor(network)
-    pieces = fragmentation_if_removed(network, anchor)
-    print(f"  central anchor: {anchor!r} (a nonhuman actor)")
-    print(f"  removing it fragments the network into {pieces} pieces")
     print(f"  current durability: {durability(network):.2f}\n")
 
 
@@ -60,23 +49,8 @@ def act2_churn():
           "a durably formed\n  and unchangeable Internet.'\n")
 
 
-def act3_disruption():
-    print("=== Act 3: the innovator's dilemma ===\n")
-    for strategy in (EntryStrategy.HEAD_ON, EntryStrategy.NEW_MARKET):
-        outcome = DisruptionScenario(improvement_rate=0.15, seed=3).run(
-            strategy, rounds=60)
-        verdict = ("OVERTHREW the incumbent" if outcome.overthrow
-                   else ("survived on the margin" if outcome.entrant_survived
-                         else "DIED"))
-        print(f"  {strategy.value:10s}: {verdict} "
-              f"(customers taken: {outcome.incumbent_customers_lost})")
-    print("\n  'Innovators step outside the existing value chain... only "
-          "when they have enough\n  durability do they have the potential "
-          "to overthrow the existing producers.'\n")
-
-
-def act4_collision():
-    print("=== Act 4: VoIP — a collision of actor networks ===\n")
+def act3_collision():
+    print("=== Act 3: VoIP — a collision of actor networks ===\n")
     internet = build_internet_side()
     telephone = build_telephone_side()
     print(f"  internet durability before:  {durability(internet):.2f} (young, loose)")
@@ -98,7 +72,6 @@ def act4_collision():
 
 
 if __name__ == "__main__":
-    act1_anchor()
+    act1_durability()
     act2_churn()
-    act3_disruption()
-    act4_collision()
+    act3_collision()

@@ -1,13 +1,8 @@
 #!/usr/bin/env python3
-"""The trust tussle of §V-B: bad guys, firewalls and third parties.
+"""The trust tussle of §V-B: bad guys and firewalls.
 
-Part 1 runs a threat campaign against three gateway configurations and
-shows the innovation cost of blanket filtering versus trust mediation.
-
-Part 2 shows third-party mediation: a risky online purchase becomes
-rational once the user *chooses* a liability shield and consults a
-reputation service — "there should be explicit ability to select what
-third parties are used to mediate an interaction."
+Runs a threat campaign against three gateway configurations and shows
+the innovation cost of blanket filtering versus trust mediation.
 
 Run:  python examples/trust_and_firewalls.py
 """
@@ -21,9 +16,6 @@ from tussle.netsim import (
 from tussle.trust import (
     AttackKind,
     Attacker,
-    LiabilityShield,
-    MediatedInteraction,
-    ReputationService,
     ThreatCampaign,
     TrustAwareFirewall,
     TrustGraph,
@@ -55,8 +47,8 @@ def campaign(engine):
     )
 
 
-def part1_firewalls():
-    print("=== Part 1: firewall designs under attack ===\n")
+def firewalls_under_attack():
+    print("=== Firewall designs under attack ===\n")
     print(f"{'deployment':14s} {'attacks in':>10s} {'http in':>8s} "
           f"{'new app in':>10s}")
 
@@ -84,31 +76,8 @@ def part1_firewalls():
 
     print("\nThe blanket firewall protects but forbids the unforeseen; the "
           "trust-aware firewall\nconstrains 'based on who is communicating' "
-          "and lets trusted innovation through.\n")
-
-
-def part2_third_parties():
-    print("=== Part 2: third parties mediate the merchant tussle ===\n")
-    reputation = ReputationService()
-    for outcome in (True, True, False, True):  # the shop mostly delivers
-        reputation.report("web-shop", outcome)
-
-    bare = MediatedInteraction("web-shop", value=8.0,
-                               success_probability=0.5,  # the user's prior
-                               loss_if_failure=40.0)
-    mediated = MediatedInteraction(
-        "web-shop", value=8.0, success_probability=0.5, loss_if_failure=40.0,
-        mediators=[reputation, LiabilityShield(fee=0.3, cap=0.5)],
-    )
-    print(f"unmediated expected utility: {bare.expected_utility():+.2f} "
-          f"-> worth doing: {bare.worth_doing()}")
-    print(f"mediated expected utility:   {mediated.expected_utility():+.2f} "
-          f"-> worth doing: {mediated.worth_doing()}")
-    print("\n'Credit card companies limit our liability to $50... These "
-          "third parties contrast\nwith our simple model of two-party "
-          "end-to-end communication.'")
+          "and lets trusted innovation through.")
 
 
 if __name__ == "__main__":
-    part1_firewalls()
-    part2_third_parties()
+    firewalls_under_attack()

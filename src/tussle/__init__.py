@@ -3,7 +3,7 @@ al., SIGCOMM 2002 / IEEE-ACM ToN 2005).
 
 The paper is a position paper — it proposes design principles for networks
 whose stakeholders have conflicting interests, but ships no system. This
-library builds the closest executable equivalent: a stakeholder/policy
+library builds the closest executable equivalent: a stakeholder
 simulation framework in which every tussle scenario, principle and
 post-mortem in the paper becomes a runnable experiment.
 
@@ -21,24 +21,21 @@ Subpackages
     Discrete-event network substrate: topology, packets (with encryption
     and tunnels), middleboxes, forwarding, transport, DNS, faults.
 ``tussle.routing``
-    Link-state, path-vector (Gao-Rexford), user source routing with
-    payment, overlays, and visibility analysis.
+    Path-vector (Gao-Rexford), user source routing with payment, and
+    overlays.
 ``tussle.econ``
     Markets, pricing strategies, competition metrics, the fear-and-greed
-    investment model, broadband facilities, payments.
+    investment model, broadband facilities.
 ``tussle.gametheory``
     Normal-form games, zero-sum and Nash solvers, learning dynamics,
-    repeated games, Vickrey/VCG mechanisms, bounded rationality, and the
-    paper's canonical tussle games.
+    repeated games, Vickrey/VCG mechanisms, and the paper's canonical
+    tussle games.
 ``tussle.actornet``
     Actor-network theory: actors, commitments, alignment, durability,
-    churn, disruption, collision.
+    churn, collision.
 ``tussle.trust``
-    Identity framework, trust graphs, trust-aware firewalls, third-party
-    mediators, threat campaigns.
-``tussle.policy``
-    A small policy language with parser, evaluator, bounded ontology and
-    two-party negotiation.
+    Identity framework, trust graphs, trust-aware firewalls, threat
+    campaigns.
 ``tussle.topogen``
     Deterministic tiered internet generation and CAIDA loading.
 ``tussle.peering``
@@ -70,9 +67,6 @@ from .errors import (
     GameError,
     MarketError,
     ObservabilityError,
-    OntologyError,
-    PolicyError,
-    PolicyParseError,
     RoutingError,
     SimulationError,
     TopologyError,
@@ -84,8 +78,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ActorNetworkError", "AddressingError", "DesignError", "ExperimentError",
-    "GameError", "MarketError", "ObservabilityError", "OntologyError",
-    "PolicyError", "PolicyParseError", "RoutingError", "SimulationError",
-    "TopologyError", "TrustError", "TussleError",
+    "GameError", "MarketError", "ObservabilityError", "RoutingError",
+    "SimulationError", "TopologyError", "TrustError", "TussleError",
     "__version__",
 ]

@@ -2,7 +2,7 @@
 
 Actors (human and nonhuman) with value vectors, commitments that align
 them, durability/changeability/freezing metrics, entrant churn, and the
-Christensen disruptive-entry scenario.
+collision of two networks.
 """
 
 from .actors import DEFAULT_VALUE_DIMS, Actor, ActorKind, value_distance
@@ -10,14 +10,6 @@ from .network import ActorNetwork, Commitment
 from .alignment import AlignmentConfig, AlignmentDynamics
 from .durability import changeability, cost_to_change, durability, is_frozen
 from .churn import ChurnRecord, ChurnSimulation, seed_internet_network
-from .disruption import DisruptionOutcome, DisruptionScenario, EntryStrategy
-from .analysis import (
-    anchor_scores,
-    central_anchor,
-    fragmentation_if_removed,
-    technology_is_central_anchor,
-    to_networkx,
-)
 from .collision import CollisionResult, collide, merge_networks
 
 __all__ = [
@@ -26,8 +18,5 @@ __all__ = [
     "AlignmentConfig", "AlignmentDynamics",
     "changeability", "cost_to_change", "durability", "is_frozen",
     "ChurnRecord", "ChurnSimulation", "seed_internet_network",
-    "DisruptionOutcome", "DisruptionScenario", "EntryStrategy",
-    "anchor_scores", "central_anchor", "fragmentation_if_removed",
-    "technology_is_central_anchor", "to_networkx",
     "CollisionResult", "collide", "merge_networks",
 ]

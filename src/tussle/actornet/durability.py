@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..canon import ordered_sum
 from ..errors import ActorNetworkError
 from .actors import Actor
 from .network import ActorNetwork
@@ -36,7 +37,8 @@ def durability(network: ActorNetwork) -> float:
     commitments = network.commitments
     if not commitments:
         return 0.0
-    mean_strength = sum(c.strength for c in commitments) / len(commitments)
+    mean_strength = (ordered_sum(c.strength for c in commitments)
+                     / len(commitments))
     # Harmony: 1 when committed pairs coincide in value space.
     mean_distance = network.mean_pairwise_distance()
     harmony = 1.0 / (1.0 + mean_distance)

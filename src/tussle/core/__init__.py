@@ -3,7 +3,7 @@
 Stakeholders with conflicting interests, mechanisms as control points,
 tussle spaces, the round-based adaptation simulator, the design principles
 (tussle isolation, design for choice, rigidity, openness) as metrics,
-spillover measurement, and welfare accounting.
+spillover measurement, coupled spaces and the design guidelines.
 """
 
 from .stakeholders import Interest, Stakeholder, StakeholderKind
@@ -25,14 +25,6 @@ from .spillover import (
     spillover_from_event,
 )
 from .simulator import RoundRecord, TussleOutcome, TussleSimulator
-from .outcomes import (
-    OutcomeComparison,
-    WelfareLedger,
-    compare_outcomes,
-    outcome_diversity,
-    pareto_dominates,
-)
-from .catalog import economics_space, openness_space, trust_space
 from .coupling import MultiSpaceResult, MultiSpaceSimulator, SpaceRecord
 from .guidelines import (
     GUIDELINES,
@@ -54,10 +46,7 @@ __all__ = [
     "DnsScenarioResult", "SpilloverReport", "dns_spillover",
     "spillover_from_event",
     "RoundRecord", "TussleOutcome", "TussleSimulator",
-    "OutcomeComparison", "WelfareLedger", "compare_outcomes",
-    "outcome_diversity", "pareto_dominates",
     "GUIDELINES", "ApplicationDesign", "Finding", "Guideline", "Severity",
     "audit", "tussle_readiness_grade",
     "MultiSpaceResult", "MultiSpaceSimulator", "SpaceRecord",
-    "economics_space", "openness_space", "trust_space",
 ]

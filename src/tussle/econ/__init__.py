@@ -1,10 +1,10 @@
-"""Economics substrate: markets, pricing, competition, investment, payments.
+"""Economics substrate: markets, pricing, competition, investment.
 
 Implements the agents and mechanisms behind the paper's economics tussle
 space (§V-A): consumers and providers with conflicting interests, pricing
 strategies (flat, undercutting, monopoly, value pricing), a round-based
-access market, competition metrics, the fear-and-greed investment model,
-the two-layer broadband facilities market and the value-flow machinery.
+access market, competition metrics, the fear-and-greed investment model
+and the two-layer broadband facilities market.
 """
 
 from .agents import Consumer, Provider
@@ -42,16 +42,6 @@ from .accesstech import (
     build_access_market,
     build_service_providers,
 )
-from .payments import (
-    AGGREGATOR,
-    CREDIT_CARD,
-    MICROPAYMENT,
-    MUTUAL_AID,
-    PaymentMechanism,
-    ValueFlowLedger,
-    cheapest_mechanism,
-    viable_mechanisms,
-)
 
 __all__ = [
     "Consumer", "Provider",
@@ -63,6 +53,4 @@ __all__ = [
     "herfindahl_index", "lerner_index",
     "DeploymentChoice", "InvestmentModel", "QosFactorial", "qos_deployment_game",
     "AccessRegime", "Facility", "build_access_market", "build_service_providers",
-    "AGGREGATOR", "CREDIT_CARD", "MICROPAYMENT", "MUTUAL_AID",
-    "PaymentMechanism", "ValueFlowLedger", "cheapest_mechanism", "viable_mechanisms",
 ]

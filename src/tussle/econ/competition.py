@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ..canon import ordered_sum
 from ..errors import MarketError
 
 __all__ = [
@@ -32,11 +33,11 @@ def herfindahl_index(shares: Sequence[float]) -> float:
     active = [s for s in shares if s > 0]
     if not active:
         raise MarketError("no active market shares")
-    total = sum(active)
+    total = ordered_sum(active)
     if total <= 0:
         raise MarketError("shares must sum to a positive value")
     normalized = [s / total for s in active]
-    return sum(s * s for s in normalized)
+    return ordered_sum(s * s for s in normalized)
 
 
 def effective_competitors(shares: Sequence[float]) -> float:

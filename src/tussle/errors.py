@@ -36,18 +36,6 @@ class GameError(TussleError):
     """A game-theory object was malformed or a solver failed to converge."""
 
 
-class PolicyError(TussleError):
-    """A policy expression failed to parse or evaluate."""
-
-
-class PolicyParseError(PolicyError):
-    """The policy source text is not valid in the policy language."""
-
-
-class OntologyError(PolicyError):
-    """A policy referenced terms outside the bounded ontology."""
-
-
 class TrustError(TussleError):
     """A trust / identity operation failed."""
 
@@ -62,22 +50,6 @@ class DesignError(TussleError):
 
 class ExperimentError(TussleError):
     """An experiment harness was configured inconsistently."""
-
-
-class MetricsError(SimulationError, ValueError):
-    """A metrics counter or time series was used inconsistently.
-
-    Also a :class:`ValueError` so callers that predate the taxonomy keep
-    working.
-    """
-
-
-class VisibilityError(RoutingError, ValueError):
-    """A tussle-visibility score was out of range or unknown.
-
-    Also a :class:`ValueError` so callers that predate the taxonomy keep
-    working.
-    """
 
 
 class LintError(TussleError):

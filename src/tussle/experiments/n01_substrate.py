@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..canon import ordered_sum
 from ..errors import ScaleError
 from ..netsim.forwarding import ForwardingEngine
 from ..netsim.qos import PRIORITY_TOS, TosQosClassifier
@@ -139,7 +140,7 @@ def run_n01(seed: int = 0, fidelity: str = "packet-vector",
             backend=label,
             delivered=delivered,
             delivery_rate=delivered / len(outcomes),
-            total_latency=sum(latency for _, latency, _ in outcomes),
+            total_latency=ordered_sum(latency for _, latency, _ in outcomes),
             revenue=revenue,
         )
 

@@ -3,8 +3,8 @@
 Normal-form games with a tussle taxonomy, an exact zero-sum solver, Nash
 support enumeration, learning dynamics (fictitious play, replicator,
 best-response), repeated-game strategies and tournaments, Vickrey/VCG
-mechanism design with truthfulness verification, bounded-rational agents,
-and constructors for the paper's own canonical tussle games.
+mechanism design with truthfulness verification, and constructors for the
+paper's own canonical tussle games.
 """
 
 from .games import NormalFormGame, TussleClass, classify_game
@@ -39,13 +39,6 @@ from .mechanism import (
     is_truthful_dominant,
     vickrey_auction,
 )
-from .bounded import (
-    BoundedAgent,
-    BoundedPlaySession,
-    Imitator,
-    MyopicBestResponder,
-    Satisficer,
-)
 from .tussle_games import (
     anonymity_game,
     congestion_dilemma,
@@ -65,8 +58,6 @@ __all__ = [
     "cooperation_sustainable", "play_match", "prisoners_dilemma", "round_robin",
     "AuctionResult", "VCGMechanism", "first_price_auction",
     "is_truthful_dominant", "vickrey_auction",
-    "BoundedAgent", "BoundedPlaySession", "Imitator", "MyopicBestResponder",
-    "Satisficer",
     "anonymity_game", "congestion_dilemma", "encryption_escalation_game",
     "peering_game", "wiretap_hide_seek",
 ]

@@ -15,9 +15,10 @@ by one run (:func:`run_lint`) over one parse of each file:
     ExperimentResult``, is registered in ``ALL_EXPERIMENTS``, and has a
     benchmark and test counterpart.
 ``X3xx`` — API surface
-    Raised exceptions derive from the :mod:`tussle.errors` taxonomy and
-    ``__all__`` matches what modules actually define; X303/X304 keep the
-    analyzer itself honest (stale suppressions, unparseable files).
+    Raised exceptions derive from the :mod:`tussle.errors` taxonomy,
+    ``__all__`` matches what modules actually define and every module is
+    imported from some ``__main__`` entry point (X305); X303/X304 keep
+    the analyzer itself honest (stale suppressions, unparseable files).
 ``F2xx`` — whole-program flow (:mod:`tussle.lint.flow`)
     Interprocedural seed provenance (every generator traces to an
     explicit seed), purity inference for the bit-parity kernel

@@ -30,6 +30,7 @@ from .flow.purity import check_purity, infer_effects, kernel_candidates
 from .flow.rngflow import check_rng_flow
 from .flow.summaries import extract_summary
 from .flow.workersafety import check_worker_safety
+from .reach import check_reachability
 
 __all__ = ["LintReport", "collect_files", "find_repo_root", "run_lint",
            "check_stale_suppressions"]
@@ -201,6 +202,7 @@ def run_lint(
         findings.extend(check_module_determinism(info))
     findings.extend(check_experiment_conformance(context))
     findings.extend(check_api_invariants(context))
+    findings.extend(check_reachability(context))
 
     program = Program(extract_summary(info.path, info.tree)
                       for info in modules)

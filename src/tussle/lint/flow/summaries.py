@@ -54,6 +54,7 @@ __all__ = [
     "RNG_CTORS",
     "SEED_DERIVATION_FNS",
     "extract_summary",
+    "import_base",
     "module_dotted_name",
     "is_seedlike",
 ]
@@ -103,6 +104,22 @@ def module_dotted_name(path: Path) -> str:
     return ".".join(reversed(parts)) or path.stem
 
 
+def import_base(node: ast.ImportFrom, module: str, is_package: bool) -> str:
+    """The absolute dotted module a ``from ... import`` in ``module`` reads.
+
+    ``from ..errors import X`` in ``tussle.econ.market`` reads
+    ``tussle.errors``; in a package ``__init__`` one leading dot already
+    names the package itself.
+    """
+    if not node.level:
+        return node.module or ""
+    # Relative: strip (level - (1 if package else 0)) tails.
+    drop = node.level - (1 if is_package else 0)
+    own_parts = module.split(".")
+    base_parts = own_parts[:-drop] if drop else own_parts
+    return ".".join(base_parts + ([node.module] if node.module else []))
+
+
 def _resolve_import_table(tree: ast.Module, module: str,
                           is_package: bool) -> Dict[str, str]:
     """Local name -> canonical dotted path, resolving *relative* imports too.
@@ -112,7 +129,6 @@ def _resolve_import_table(tree: ast.Module, module: str,
     link project symbols across packages.
     """
     table: Dict[str, str] = {}
-    own_parts = module.split(".")
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -122,14 +138,7 @@ def _resolve_import_table(tree: ast.Module, module: str,
                     head = alias.name.split(".")[0]
                     table[head] = head
         elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                # Relative: strip (level - (1 if package else 0)) tails.
-                drop = node.level - (1 if is_package else 0)
-                base_parts = own_parts[:-drop] if drop else own_parts
-                base = ".".join(base_parts + ([node.module]
-                                              if node.module else []))
-            else:
-                base = node.module or ""
+            base = import_base(node, module, is_package)
             for alias in node.names:
                 if alias.name == "*":
                     continue

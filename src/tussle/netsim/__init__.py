@@ -3,8 +3,8 @@
 The netsim package provides everything the tussle experiments forward
 packets over: a deterministic event engine, topologies at node and AS
 granularity, a packet model with encryption/tunnelling semantics,
-middleboxes, a forwarding engine, transport flows, a name system, fault
-injection and metric collection.
+middleboxes, a forwarding engine, transport flows, a name system and
+fault injection.
 """
 
 from .engine import EventHandle, Process, Simulator
@@ -71,7 +71,6 @@ from .mail import (
     build_mail_topology,
     server_market_discipline,
 )
-from .metrics import Counter, MetricRegistry, Summary, TimeSeries, summarize
 
 __all__ = [
     # engine
@@ -102,6 +101,4 @@ __all__ = [
     # mail
     "MailOutcome", "MailServer", "MailSystem", "MailUser",
     "build_mail_topology", "server_market_discipline",
-    # metrics
-    "Counter", "MetricRegistry", "Summary", "TimeSeries", "summarize",
 ]

@@ -1,14 +1,12 @@
-"""Routing substrate: link-state, path-vector, source routing, overlays.
+"""Routing substrate: path-vector, source routing, overlays.
 
 The routing package reifies the control-point tussle of §V-A-4: the same
 AS-level topology can be routed under provider control (path-vector with
 Gao–Rexford policy), user control (payment-aware source routing), or the
-user's workaround (overlays) — and the visibility module measures what
-each design exposes.
+user's workaround (overlays).
 """
 
 from .base import ControlPoint, Route, RoutingProtocol
-from .linkstate import LinkStateDatabase, LinkStateRouting
 from .policies import (
     GaoRexfordPolicy,
     NeighborClass,
@@ -26,22 +24,13 @@ from .sourcerouting import (
 )
 from .overlay import OverlayNetwork, OverlayPath
 from .recovery import RouteRecovery
-from .visibility import (
-    TUSSLE_INTERFACE_PROPERTIES,
-    ChoiceVisibilityReport,
-    linkstate_visibility,
-    pathvector_visibility,
-)
 
 __all__ = [
     "ControlPoint", "Route", "RoutingProtocol",
-    "LinkStateDatabase", "LinkStateRouting",
     "GaoRexfordPolicy", "NeighborClass", "OpenPolicy", "RoutingPolicy",
     "classify_neighbor", "is_valley_free",
     "PathVectorRouting",
     "RouteAttempt", "SourceRoutingSystem", "TransitTerms", "valley_free_paths",
     "OverlayNetwork", "OverlayPath",
     "RouteRecovery",
-    "TUSSLE_INTERFACE_PROPERTIES", "ChoiceVisibilityReport",
-    "linkstate_visibility", "pathvector_visibility",
 ]

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..canon import ordered_sum
 from ..econ.agents import Consumer, Provider
 from ..econ.market import MarketObserver, MarketRound
 from ..econ.pricing import PricingStrategy
@@ -280,10 +281,10 @@ class VectorMarket:
         return self.history[-1].mean_price
 
     def total_consumer_surplus(self) -> float:
-        return sum(r.consumer_surplus for r in self.history)
+        return ordered_sum(r.consumer_surplus for r in self.history)
 
     def total_provider_profit(self) -> float:
-        return sum(r.provider_profit for r in self.history)
+        return ordered_sum(r.provider_profit for r in self.history)
 
     def subscribed_fraction(self) -> float:
         n = len(self.arrays)

@@ -1,4 +1,4 @@
-"""Trust substrate (§V-B): identity, trust graphs, firewalls, mediators, threats."""
+"""Trust substrate (§V-B): identity, trust graphs, firewalls, threats."""
 
 from .identity import IdentityFramework, IdentityScheme, Principal
 from .trustgraph import TrustGraph
@@ -8,20 +8,11 @@ from .firewall import (
     PolicyAuthority,
     TrustAwareFirewall,
 )
-from .thirdparty import (
-    CertificateAuthority,
-    LiabilityShield,
-    MediatedInteraction,
-    ReputationService,
-    TrustMediator,
-)
 from .threats import AttackKind, Attacker, ThreatCampaign, TrafficMix
 
 __all__ = [
     "IdentityFramework", "IdentityScheme", "Principal",
     "TrustGraph",
     "ControlChannel", "PinholeRequest", "PolicyAuthority", "TrustAwareFirewall",
-    "CertificateAuthority", "LiabilityShield", "MediatedInteraction",
-    "ReputationService", "TrustMediator",
     "AttackKind", "Attacker", "ThreatCampaign", "TrafficMix",
 ]

@@ -1,14 +1,9 @@
-"""Tests for spillover measurement and welfare accounting."""
+"""Tests for spillover measurement."""
 
 import pytest
 
-from tussle.errors import DesignError, TussleError
+from tussle.errors import DesignError
 from tussle.core.design import Design
-from tussle.core.outcomes import (
-    WelfareLedger,
-    outcome_diversity,
-    pareto_dominates,
-)
 from tussle.core.spillover import dns_spillover, spillover_from_event
 from tussle.netsim.dns import EntangledNameSystem, SeparatedNameSystem
 
@@ -62,81 +57,3 @@ class TestDnsSpillover:
         a = dns_spillover(EntangledNameSystem(), n_names=12, seed=5)
         b = dns_spillover(EntangledNameSystem(), n_names=12, seed=5)
         assert a.human_name_breakage == b.human_name_breakage
-
-
-class TestWelfareLedger:
-    def test_credit_debit(self):
-        ledger = WelfareLedger()
-        ledger.credit("users", 5.0)
-        ledger.debit("users", 2.0)
-        assert ledger.surplus("users") == 3.0
-        assert ledger.total() == 3.0
-
-    def test_as_row_includes_total(self):
-        ledger = WelfareLedger()
-        ledger.credit("a", 1.0)
-        row = ledger.as_row()
-        assert row["__total__"] == 1.0
-        assert ledger.parties() == ["a"]
-
-
-class TestPareto:
-    def test_dominance(self):
-        assert pareto_dominates({"a": 2.0, "b": 1.0}, {"a": 1.0, "b": 1.0})
-
-    def test_no_dominance_on_tradeoff(self):
-        assert not pareto_dominates({"a": 2.0, "b": 0.0}, {"a": 1.0, "b": 1.0})
-
-    def test_equal_profiles_do_not_dominate(self):
-        assert not pareto_dominates({"a": 1.0}, {"a": 1.0})
-
-    def test_mismatched_parties_rejected(self):
-        with pytest.raises(TussleError):
-            pareto_dominates({"a": 1.0}, {"b": 1.0})
-
-
-class TestOutcomeDiversity:
-    def test_identical_outcomes_zero(self):
-        states = [{"x": 0.5}, {"x": 0.5}, {"x": 0.5}]
-        assert outcome_diversity(states) == 0.0
-
-    def test_varied_outcomes_positive(self):
-        states = [{"x": 0.0}, {"x": 1.0}]
-        assert outcome_diversity(states) > 0.0
-
-    def test_single_state_zero(self):
-        assert outcome_diversity([{"x": 1.0}]) == 0.0
-
-    def test_diversity_grows_with_spread(self):
-        narrow = [{"x": 0.4}, {"x": 0.6}]
-        wide = [{"x": 0.0}, {"x": 1.0}]
-        assert outcome_diversity(wide) > outcome_diversity(narrow)
-
-
-class TestOutcomeComparison:
-    def test_tie_reported(self):
-        from tussle.core.outcomes import compare_outcomes
-        from tussle.core.simulator import TussleOutcome
-
-        outcome = TussleOutcome(rounds_run=1, broken=False, broken_at=None,
-                                settled=True, settled_at=0,
-                                final_integrity=1.0, final_welfare=0.0,
-                                total_moves=0, total_workarounds=0)
-        comparison = compare_outcomes("a", outcome, "b", outcome)
-        assert comparison.winner() == "tie"
-
-    def test_survival_dominates_welfare(self):
-        from tussle.core.outcomes import compare_outcomes
-        from tussle.core.simulator import TussleOutcome
-
-        survivor = TussleOutcome(rounds_run=1, broken=False, broken_at=None,
-                                 settled=False, settled_at=None,
-                                 final_integrity=0.8, final_welfare=-100.0,
-                                 total_moves=5, total_workarounds=0)
-        rich_wreck = TussleOutcome(rounds_run=1, broken=True, broken_at=0,
-                                   settled=False, settled_at=None,
-                                   final_integrity=0.2, final_welfare=50.0,
-                                   total_moves=5, total_workarounds=5)
-        comparison = compare_outcomes("survivor", survivor,
-                                      "wreck", rich_wreck)
-        assert comparison.winner() == "survivor"

@@ -7,7 +7,8 @@ over >= 5 base seeds, run through the sweep engine's in-process
 executor so the exact cell/seed-derivation path exercised here is the
 one ``python -m tussle sweep`` uses.  A single-seed demo can pass by
 luck; this tier is the evidence the headline claims are properties of
-the models, not of seed 0.
+the models, not of seed 0.  The sweep is the session's shared
+``registry_sweep`` (tests/conftest.py), built one seed at a time.
 
 Marked ``slow``: CI runs it (the ``sweep`` job), local quick runs can
 deselect with ``-m 'not slow'``.
@@ -16,16 +17,14 @@ deselect with ``-m 'not slow'``.
 import pytest
 
 from tussle.experiments import ALL_EXPERIMENTS
-from tussle.sweep import InProcessExecutor, SweepSpec, aggregate, run_sweep
+from tussle.sweep import aggregate
 
 N_SEEDS = 5
 
 
 @pytest.fixture(scope="module")
-def matrix_report():
-    spec = SweepSpec(experiment_ids=sorted(ALL_EXPERIMENTS),
-                     seeds=list(range(N_SEEDS)), grid={})
-    return run_sweep(spec, executor=InProcessExecutor())
+def matrix_report(registry_sweep):
+    return registry_sweep(range(N_SEEDS))
 
 
 @pytest.mark.slow

@@ -2,18 +2,13 @@
 
 import random
 
-import pytest
-
 from tussle.core import (
     Mechanism,
     Stakeholder,
     StakeholderKind,
     TussleSimulator,
     TussleSpace,
-    compare_outcomes,
-    outcome_diversity,
 )
-from tussle.econ import ValueFlowLedger, CREDIT_CARD
 from tussle.netsim import (
     ForwardingEngine,
     Network,
@@ -22,61 +17,8 @@ from tussle.netsim import (
     make_packet,
 )
 from tussle.netsim.topology import random_as_graph
-from tussle.policy import Negotiation, parse_policy
-from tussle.routing import (
-    LinkStateRouting,
-    PathVectorRouting,
-    SourceRoutingSystem,
-    TransitTerms,
-)
+from tussle.routing import PathVectorRouting, SourceRoutingSystem
 from tussle.trust import TrustAwareFirewall, TrustGraph
-
-
-class TestRoutingOverRealTopology:
-    def test_linkstate_tables_deliver_packets_end_to_end(self):
-        net = Network()
-        for name in ("a", "r1", "r2", "r3", "b"):
-            kind = NodeKind.HOST if name in "ab" else NodeKind.ROUTER
-            net.add_node(name, kind=kind)
-        net.add_link("a", "r1", cost=1)
-        net.add_link("r1", "r2", cost=1)
-        net.add_link("r2", "b", cost=1)
-        net.add_link("r1", "r3", cost=5)
-        net.add_link("r3", "b", cost=5)
-        routing = LinkStateRouting(net)
-        routing.converge()
-        engine = ForwardingEngine(net)
-        engine.install_tables(routing.all_tables())
-        receipt = engine.send(make_packet("a", "b"))
-        assert receipt.delivered
-        assert receipt.path == ["a", "r1", "r2", "b"]
-        # Fail the cheap path; reconverge; traffic takes the dear one.
-        net.fail_link("r1", "r2")
-        routing.converge()
-        engine.install_tables(routing.all_tables())
-        receipt = engine.send(make_packet("a", "b"))
-        assert receipt.delivered
-        assert "r3" in receipt.path
-
-
-class TestPaymentsUnlockUserRouting:
-    def test_source_routing_payment_settles_through_ledger(self):
-        """E04's story end to end: user choice + value flow + ledger."""
-        net = random_as_graph(n_tier1=2, n_tier2=4, n_tier3=6,
-                              rng=random.Random(1))
-        stubs = [a.asn for a in net.ases if a.tier == 3]
-        system = SourceRoutingSystem(net, payment_enabled=True)
-        for autonomous_system in net.ases:
-            system.set_terms(autonomous_system.asn,
-                             TransitTerms(accepts_source_routes=False, price=1.0))
-        attempt = system.best_affordable_route(stubs[0], stubs[1], budget=50.0)
-        assert attempt is not None and attempt.succeeded
-        # Settle what the routing layer charged through the value ledger.
-        ledger = ValueFlowLedger()
-        for asn, revenue in system.revenue.items():
-            ledger.transfer("user", f"AS{asn}", revenue, CREDIT_CARD)
-        assert ledger.total() == pytest.approx(0.0)
-        assert ledger.volume() == pytest.approx(attempt.total_price)
 
 
 class TestTrustFirewallOnPath:
@@ -113,27 +55,6 @@ class TestTrustFirewallOnPath:
         assert port_filtered.send(attack()).delivered
 
 
-class TestPolicyGatedInteraction:
-    def test_negotiated_terms_drive_packet_posture(self):
-        """Policies negotiate encryption; the packet honours the agreement."""
-        user_policy = parse_policy("""
-        permit if encrypted
-        default deny
-        """)
-        isp_policy = parse_policy("""
-        permit if payment >= 1
-        default deny
-        """)
-        negotiation = Negotiation(
-            user_policy, isp_policy,
-            negotiable={"encrypted": [False, True], "payment": [0.0, 1.0]},
-        )
-        outcome = negotiation.run()
-        assert outcome.succeeded
-        packet = make_packet("user", "site", encrypted=outcome.agreement["encrypted"])
-        assert packet.encrypted  # the mutually-acceptable posture
-
-
 class TestDesignComparisonEndToEnd:
     def _run(self, knob_range):
         space = TussleSpace("arena", initial_state={"x": 0.5})
@@ -150,28 +71,15 @@ class TestDesignComparisonEndToEnd:
         return TussleSimulator(space).run(40), space
 
     def test_flexible_design_wins_the_comparison(self):
+        """The paper's order: survival first, then integrity, then welfare."""
         rigid_outcome, _ = self._run((0.5, 0.5))
         flexible_outcome, _ = self._run((0.0, 1.0))
-        comparison = compare_outcomes("rigid", rigid_outcome,
-                                      "flexible", flexible_outcome)
-        assert comparison.winner() == "flexible"
 
-    def test_flexible_design_admits_outcome_diversity(self):
-        """Run the same flexible design in two 'places' with different
-        stakeholder balances: the outcomes differ (variation of outcome)."""
-        final_states = []
-        for user_weight in (0.5, 2.0):
-            space = TussleSpace("arena", initial_state={"x": 0.5})
-            space.add_mechanism(Mechanism(name="knob", variable="x"))
-            users = Stakeholder("users", StakeholderKind.USER)
-            users.add_interest("x", target=1.0, weight=user_weight)
-            space.add_stakeholder(users)
-            TussleSimulator(space).run(10)
-            final_states.append(dict(space.state))
-        # One place settles at the user target; different places may differ
-        # when their stakeholder mixes differ.
-        assert outcome_diversity(final_states) >= 0.0
-        assert all(s["x"] == pytest.approx(1.0) for s in final_states)
+        def score(outcome):
+            return (outcome.survived, outcome.final_integrity,
+                    outcome.final_welfare)
+
+        assert score(flexible_outcome) > score(rigid_outcome)
 
 
 class TestBgpAndSourceRoutingAgree:

@@ -11,9 +11,8 @@ from tussle.gametheory.games import NormalFormGame
 from tussle.gametheory.learning import fictitious_play
 from tussle.netsim.addressing import AddressRegistry
 from tussle.netsim.engine import Simulator
-from tussle.netsim.topology import Network, Relationship, line_topology
+from tussle.netsim.topology import Network, Relationship
 from tussle.obs import Metrics, Tracer, observe
-from tussle.routing.linkstate import LinkStateRouting
 from tussle.routing.pathvector import PathVectorRouting
 
 
@@ -109,13 +108,6 @@ class TestSubsystemCoverage:
         counters = metrics.snapshot()["routing.pathvector"]["counters"]
         assert counters["iterations"] == iterations
         assert counters["announcements"] > 0
-
-    def test_routing_linkstate_flood_and_spf(self):
-        metrics = Metrics()
-        with observe(metrics=metrics):
-            LinkStateRouting(line_topology(4)).converge()
-        counters = metrics.snapshot()["routing.linkstate"]["counters"]
-        assert counters == {"floods": 1, "spf_runs": 4, "lsas_announced": 3}
 
     def test_gametheory_learning_run_span(self):
         tracer, metrics = Tracer(), Metrics()

@@ -80,10 +80,10 @@ class TestChaosGate:
 class TestFullMatrixChaosGate:
     """Acceptance: all experiments x 3 seeds under 30% worker chaos."""
 
-    def test_full_registry_survives_chaos(self):
+    def test_full_registry_survives_chaos(self, registry_sweep):
         spec = SweepSpec(experiment_ids=sorted(ALL_EXPERIMENTS),
                          seeds=list(range(3)), grid={})
-        healthy = merged_lines(run_sweep(spec, executor=InProcessExecutor()))
+        healthy = merged_lines(registry_sweep(range(3)))
         # P02 bargains a 10^3-AS internet (~3-6s under 4-way load); 20s
         # clears it with margin, and hang-mode cells stay affordable
         # because chaos only sabotages first attempts (max_attempts=1).

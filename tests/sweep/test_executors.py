@@ -16,7 +16,10 @@ from tussle.sweep.executors import cell_task
 
 
 def merged_json(spec, executor):
-    report = run_sweep(spec, executor=executor)
+    return report_json(run_sweep(spec, executor=executor))
+
+
+def report_json(report):
     return canonical_json({"cells": report.cells,
                            "aggregate": aggregate(report.cells)})
 
@@ -83,9 +86,10 @@ class TestWorkerPayload:
 class TestFullMatrixDeterminism:
     """Acceptance: every experiment x 5 seeds, --jobs 1 vs --jobs 4."""
 
-    def test_full_matrix_byte_identical_across_job_counts(self):
+    def test_full_matrix_byte_identical_across_job_counts(
+            self, registry_sweep):
         spec = SweepSpec(experiment_ids=sorted(ALL_EXPERIMENTS),
                          seeds=list(range(5)), grid={})
-        serial = merged_json(spec, InProcessExecutor())
+        serial = report_json(registry_sweep(range(5)))
         pooled = merged_json(spec, ResilientExecutor(jobs=4))
         assert serial == pooled

@@ -8,19 +8,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tussle.core.outcomes import outcome_diversity, pareto_dominates
 from tussle.econ.competition import herfindahl_index
-from tussle.econ.payments import AGGREGATOR, CREDIT_CARD, MICROPAYMENT, ValueFlowLedger
 from tussle.errors import MarketError
 from tussle.gametheory.games import NormalFormGame
 from tussle.gametheory.zerosum import solve_zero_sum
 from tussle.netsim.engine import Simulator
-from tussle.netsim.metrics import summarize
 from tussle.netsim.transport import fairness_index
 from tussle.trust.trustgraph import TrustGraph
 
-finite_floats = st.floats(min_value=-1e6, max_value=1e6,
-                          allow_nan=False, allow_infinity=False)
 small_floats = st.floats(min_value=-10.0, max_value=10.0,
                          allow_nan=False, allow_infinity=False)
 
@@ -81,28 +76,6 @@ class TestHhiProperties:
         assert herfindahl_index([1.0 / n] * n) == pytest.approx(1.0 / n)
 
 
-class TestLedgerProperties:
-    @given(st.lists(
-        st.tuples(st.sampled_from(["a", "b", "c", "d"]),
-                  st.sampled_from(["a", "b", "c", "d"]),
-                  st.floats(min_value=1.0, max_value=1000.0,
-                            allow_nan=False)),
-        max_size=25))
-    def test_value_is_conserved(self, transfers):
-        ledger = ValueFlowLedger()
-        for payer, payee, amount in transfers:
-            if payer == payee:
-                continue
-            ledger.transfer(payer, payee, amount, CREDIT_CARD)
-        assert ledger.total() == pytest.approx(0.0, abs=1e-6)
-
-    @given(st.floats(min_value=0.001, max_value=1e5, allow_nan=False))
-    def test_fees_never_negative(self, amount):
-        for mechanism in (MICROPAYMENT, CREDIT_CARD, AGGREGATOR):
-            assert mechanism.fee(amount) >= 0.0
-            assert mechanism.net(amount) <= amount
-
-
 class TestTrustProperties:
     @given(st.lists(
         st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"),
@@ -153,31 +126,3 @@ class TestZeroSumProperties:
         for strategy in (solution.row_strategy, solution.col_strategy):
             assert strategy.sum() == pytest.approx(1.0, abs=1e-6)
             assert np.all(strategy >= -1e-12)
-
-
-class TestOutcomeProperties:
-    @given(st.dictionaries(st.sampled_from("abc"), finite_floats,
-                           min_size=1, max_size=3))
-    def test_pareto_dominance_irreflexive(self, profile):
-        assert not pareto_dominates(profile, profile)
-
-    @given(st.lists(st.dictionaries(st.sampled_from("xy"),
-                                    st.floats(min_value=0.0, max_value=1.0,
-                                              allow_nan=False),
-                                    min_size=1, max_size=2),
-                    min_size=2, max_size=8))
-    def test_diversity_nonnegative(self, states):
-        assert outcome_diversity(states) >= 0.0
-
-
-class TestSummaryProperties:
-    @given(st.lists(finite_floats, min_size=1, max_size=50))
-    def test_summary_invariants(self, values):
-        summary = summarize(values)
-        # The mean of n identical floats can land 1 ulp outside [min, max].
-        tolerance = 1e-9 * max(1.0, abs(summary.mean))
-        assert summary.count == len(values)
-        assert summary.minimum - tolerance <= summary.mean \
-            <= summary.maximum + tolerance
-        assert summary.minimum <= summary.median <= summary.maximum
-        assert summary.stdev >= 0.0
