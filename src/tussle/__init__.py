@@ -18,7 +18,7 @@ Subpackages
     The paper's contribution: stakeholders, mechanisms, tussle spaces, the
     adaptation simulator, and the design principles as metrics.
 ``tussle.netsim``
-    Discrete-event network substrate: topology, packets (with encryption
+    Network substrate: topology, packets (with encryption
     and tunnels), middleboxes, forwarding, transport, DNS, faults.
 ``tussle.routing``
     Path-vector (Gao-Rexford), user source routing with payment, and

@@ -13,7 +13,7 @@ class TussleError(Exception):
 
 
 class SimulationError(TussleError):
-    """An invariant of the discrete-event simulator was violated."""
+    """A network-substrate invariant or parameter was violated."""
 
 
 class TopologyError(TussleError):

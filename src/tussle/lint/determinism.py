@@ -35,7 +35,8 @@ D102 = register_rule(Rule(
 D104 = register_rule(Rule(
     "D104", "wall-clock-read",
     "wall-clock read (time.time, datetime.now, ...) inside the simulation",
-    "Simulated time must come from the event loop, not the host clock; "
+    "Simulated time must come from the simulation's own clock (a round, "
+    "an iteration), not the host clock; "
     "clock reads make results machine- and moment-dependent.",
 ))
 D105 = register_rule(Rule(
@@ -104,7 +105,7 @@ D112 = register_rule(Rule(
     "else it hides latency the profiler cannot attribute. The one "
     "sanctioned site is the resilient sweep executor's supervision loop, "
     "whose waits are quarantined from the deterministic merge. Simulated "
-    "waits belong on the event loop / Backoff schedule instead.",
+    "waits belong on a simulated clock / Backoff schedule instead.",
 ))
 
 DETERMINISM_RULES = (D101, D102, D104, D105, D106, D107, D108, D109, D110,
@@ -286,7 +287,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
                 return
             self._add(D104, node,
                       f"`{canonical}()` reads the host clock; simulated time "
-                      "must come from the event loop")
+                      "must come from the simulation's own clock")
             if canonical in _TIMING_FNS:
                 self._add(D109, node,
                           f"`{canonical}()` is ad-hoc profiling; use "
@@ -302,7 +303,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
             self._add(D112, node,
                       "`time.sleep()` stalls on the host clock; real waits "
                       "belong in the resilient sweep executor's sanctioned "
-                      "retry site, simulated waits on the event loop")
+                      "retry site, simulated waits on a simulated clock")
             return
         if canonical in _PARALLELISM_CTORS and not self._parallelism_exempt:
             self._add(D110, node,

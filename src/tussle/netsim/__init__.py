@@ -1,13 +1,11 @@
-"""Discrete-event network substrate.
+"""Network substrate.
 
 The netsim package provides everything the tussle experiments forward
-packets over: a deterministic event engine, topologies at node and AS
-granularity, a packet model with encryption/tunnelling semantics,
-middleboxes, a forwarding engine, transport flows, a name system and
-fault injection.
+packets over: topologies at node and AS granularity, a packet model
+with encryption/tunnelling semantics, middleboxes, a synchronous
+forwarding engine, transport flows, a name system and fault injection.
 """
 
-from .engine import EventHandle, Process, Simulator
 from .topology import (
     ASNode,
     Link,
@@ -73,8 +71,6 @@ from .mail import (
 )
 
 __all__ = [
-    # engine
-    "EventHandle", "Process", "Simulator",
     # topology
     "ASNode", "Link", "Network", "Node", "NodeKind", "Relationship",
     "dumbbell_topology", "line_topology", "multihomed_topology",

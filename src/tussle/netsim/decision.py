@@ -26,9 +26,6 @@ Contract notes (load-bearing for byte-parity):
 * Source routes take precedence over tables while the route has hops
   left; an engine configured not to honor them refuses rather than
   silently falling back to its table (:func:`next_hop_choice`).
-* The event calendar breaks ties by ``(time, priority, seq)`` — explicit
-  priority first, then insertion order (FIFO) — via :func:`event_key`,
-  so runs are deterministic under any heap implementation.
 * Longest-prefix FIB lookup is insertion-order independent: two distinct
   equal-length prefixes cannot both match one name, and duplicate
   prefixes are deduplicated (last insert wins) before lookup, so
@@ -42,7 +39,6 @@ from typing import Iterable, Optional, Tuple
 __all__ = [
     "MAX_TTL",
     "at_destination",
-    "event_key",
     "link_usable",
     "longest_prefix_match",
     "next_hop_choice",
@@ -143,8 +139,3 @@ def priority_charge(prioritized: bool, bill_per_packet: float) -> float:
     if prioritized and bill_per_packet > 0:
         return bill_per_packet
     return 0.0
-
-
-def event_key(time: float, priority: int, seq: int) -> Tuple[float, int, int]:
-    """Calendar-queue ordering: time, then priority, then FIFO seq."""
-    return (time, priority, seq)

@@ -1,9 +1,9 @@
 """Packet forwarding over a topology, with middleboxes and source routes.
 
 The :class:`ForwardingEngine` binds together a :class:`~tussle.netsim.topology.Network`,
-a :class:`~tussle.netsim.engine.Simulator`, per-node forwarding tables and
-any middleboxes attached to nodes. It delivers packets hop by hop as
-simulator events, so latency, interference and diagnosis are all observable.
+per-node forwarding tables and any middleboxes attached to nodes. It
+resolves each packet's journey hop by hop in one synchronous call, so
+latency, interference and diagnosis are all observable on the receipt.
 
 Design notes
 ------------
@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import RoutingError
 from . import decision
-from .engine import Simulator
 from .middlebox import Action, Middlebox, TransparencyLedger
 from .packets import Packet
 from .topology import Network
@@ -109,9 +108,6 @@ class ForwardingEngine:
     ----------
     network:
         The topology to forward over.
-    sim:
-        Optional simulator; if omitted, delivery is computed synchronously
-        (zero simulated time elapses, latency is still accounted).
     honor_source_routes:
         Whether routers follow packets' explicit source routes. Providers
         in E04 configure this off to model BGP-era provider control.
@@ -120,11 +116,9 @@ class ForwardingEngine:
     def __init__(
         self,
         network: Network,
-        sim: Optional[Simulator] = None,
         honor_source_routes: bool = True,
     ):
         self.network = network
-        self.sim = sim
         self.honor_source_routes = honor_source_routes
         self.tables: Dict[str, Dict[str, str]] = {}
         self.prefix_tables: Dict[str, PrefixFib] = {}
@@ -178,12 +172,9 @@ class ForwardingEngine:
         """Deliver ``packet`` from its source (or ``from_node``) to its dest.
 
         Synchronous: the full journey is resolved immediately; the receipt
-        carries accumulated path latency. When a simulator is attached the
-        packet's ``created_at`` is stamped with the current simulated time.
+        carries accumulated path latency.
         """
         start = from_node or packet.header.src
-        if self.sim is not None:
-            packet.created_at = self.sim.now
         receipt = self._forward(packet, start)
         self.receipts.append(receipt)
         return receipt

@@ -126,7 +126,6 @@ class Packet:
     size: int = 1000
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
     hops: List[str] = field(default_factory=list)
-    created_at: float = 0.0
 
     # ------------------------------------------------------------------
     # Observation semantics (what can a middlebox see?)

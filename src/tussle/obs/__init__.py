@@ -6,8 +6,8 @@ the simulation observable without compromising the determinism contract
 (DESIGN.md, "Determinism contract"):
 
 ``Tracer``
-    Span/event records stamped with *logical* time (the event-loop
-    clock, round indices, convergence iterations) — never the host
+    Span/event records stamped with *logical* time (round indices,
+    convergence iterations, registry op-sequences) — never the host
     clock — so a trace at a fixed seed is byte-for-byte reproducible.
 ``Metrics``
     Named counters/gauges/histograms per subsystem scope; snapshots are
@@ -44,14 +44,14 @@ from .metrics import (
 from .profiler import NullProfiler, Profiler
 from .runtime import ObsContext, current, observe
 from .telemetry import NullSweepTelemetry, SweepTelemetry, wall_path_for
-from .tracer import NullTracer, Span, Tracer, callback_name
+from .tracer import NullTracer, Span, Tracer
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "Metrics", "MetricsScope",
     "NullMetrics",
     "NullProfiler", "Profiler",
     "ObsContext", "current", "observe",
-    "NullTracer", "Span", "Tracer", "callback_name",
+    "NullTracer", "Span", "Tracer",
     "NullSweepTelemetry", "SweepTelemetry", "wall_path_for",
     "Divergence", "diff_files", "first_divergence", "format_divergence",
     "bench",

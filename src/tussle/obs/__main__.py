@@ -4,9 +4,9 @@ Subcommands
 -----------
 ``report <trace.jsonl>``
     Aggregate a JSONL trace (written by ``python -m tussle run --trace``
-    or ``Tracer.write_jsonl``) into a per-subsystem time breakdown, an
-    event-rate table, and the top-N hottest engine callbacks.
-    ``--format json`` emits the same aggregates machine-readably;
+    or ``Tracer.write_jsonl``) into a per-subsystem time breakdown and
+    an event-rate table.  ``--format json`` emits the same aggregates
+    machine-readably;
     ``--tolerant`` salvages damaged/truncated files into a partial
     report with problems listed instead of a hard error.
 ``sweep-report <telemetry.jsonl>``
@@ -50,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="summarize a JSONL trace file")
     report_parser.add_argument("trace", metavar="TRACE.JSONL",
                                help="trace file to analyze")
-    report_parser.add_argument("--top", type=int, default=10,
-                               help="callbacks to list (default 10)")
     report_parser.add_argument("--format", choices=("text", "json"),
                                default="text")
     report_parser.add_argument(
@@ -106,9 +104,9 @@ def _command_report(args: argparse.Namespace) -> int:
         print(f"tussle.obs: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps(report.to_dict(args.top), indent=2, sort_keys=True))
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
-        print(report.format(args.top))
+        print(report.format())
     return 0
 
 

@@ -3,8 +3,8 @@
 Every benchmark writes a ``benchmarks/results/bench_<id>.json`` next to
 its human-readable ``.txt`` table so future performance PRs have a
 measured baseline to beat: wall time (from the quarantined
-:class:`~tussle.obs.profiler.Profiler` channel), deterministic event and
-metric counts, and the peak event-queue depth.
+:class:`~tussle.obs.profiler.Profiler` channel) and deterministic event
+and metric counts.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class BenchRecord:
     wall_seconds_min: Optional[float] = None
     calls: int = 0
     event_counts: Dict[str, int] = field(default_factory=dict)
-    peak_queue_depth: Optional[float] = None
     metrics: Dict[str, Any] = field(default_factory=dict)
     profile: Dict[str, Any] = field(default_factory=dict)
     shape_holds: Optional[bool] = None
@@ -46,7 +45,6 @@ class BenchRecord:
             "wall_seconds_min": self.wall_seconds_min,
             "calls": self.calls,
             "event_counts": dict(sorted(self.event_counts.items())),
-            "peak_queue_depth": self.peak_queue_depth,
             "metrics": self.metrics,
             "profile": self.profile,
         }
@@ -54,10 +52,6 @@ class BenchRecord:
             data["shape_holds"] = self.shape_holds
         data.update(self.extra)
         return data
-
-
-def _engine_stats(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    return snapshot.get("netsim.engine", {})
 
 
 def bench_record(
@@ -71,9 +65,9 @@ def bench_record(
     """Assemble a :class:`BenchRecord` from the observability facilities.
 
     ``metrics`` supplies the deterministic channel (event counts per
-    scope, peak queue depth); ``profiler`` supplies the quarantined
-    wall-clock channel under ``timing_key``; ``result`` (an
-    ``ExperimentResult``-shaped object) contributes the shape verdict.
+    scope); ``profiler`` supplies the quarantined wall-clock channel
+    under ``timing_key``; ``result`` (an ``ExperimentResult``-shaped
+    object) contributes the shape verdict.
     """
     record = BenchRecord(bench_id=bench_id, extra=dict(extra))
 
@@ -85,9 +79,6 @@ def bench_record(
             for name, value in scope_data.get("counters", {}).items():
                 counts[f"{scope_name}/{name}"] = value
         record.event_counts = counts
-        engine_gauges = _engine_stats(snapshot).get("gauges", {})
-        if "peak_queue_depth" in engine_gauges:
-            record.peak_queue_depth = engine_gauges["peak_queue_depth"]
 
     if profiler is not None:
         profile = profiler.snapshot()

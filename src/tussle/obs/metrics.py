@@ -1,13 +1,13 @@
 """Metrics registry: named counters, gauges and histograms per subsystem.
 
 Instruments are deterministic by construction — they only aggregate
-values the simulation itself computed (event counts, queue depths,
+values the simulation itself computed (event counts, integrity levels,
 iteration totals), never wall-clock time — so a metrics snapshot taken
 at a fixed seed is reproducible and safe to embed in an
 :class:`~tussle.experiments.common.ExperimentResult`.
 
 Scopes name the subsystem that owns the instruments
-(``"netsim.engine"``, ``"econ.market"``, ...); the snapshot is a nested
+(``"core.simulator"``, ``"econ.market"``, ...); the snapshot is a nested
 dict keyed scope → instrument kind → name, with every level sorted so
 serializations are stable.
 """
@@ -34,7 +34,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value; ``set_max`` tracks a high-water mark."""
+    """A point-in-time value."""
 
     __slots__ = ("name", "value")
 
@@ -44,10 +44,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def set_max(self, value: float) -> None:
-        if value > self.value:
-            self.value = value
 
 
 class Histogram:

@@ -18,10 +18,10 @@ future performance PRs can diff, trend, and gate against:
 
 Quarantine rule: wall-clock numbers live under each entry's ``"wall"``
 key and are compared only ratio-wise against other wall numbers;
-deterministic facts (event counts, queue depths, shape verdicts) live
-under ``"det"`` and may be compared exactly.  This module never reads
-the host clock itself — every wall number arrives via the sanctioned
-Profiler channel inside the bench records.
+deterministic facts (event counts, shape verdicts) live under ``"det"``
+and may be compared exactly.  This module never reads the host clock
+itself — every wall number arrives via the sanctioned Profiler channel
+inside the bench records.
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ def _entry_from_record(record: Dict[str, Any], run: int) -> Dict[str, Any]:
     det: Dict[str, Any] = {
         "event_counts": dict(sorted(
             (record.get("event_counts") or {}).items())),
-        "peak_queue_depth": record.get("peak_queue_depth"),
     }
     if record.get("shape_holds") is not None:
         det["shape_holds"] = record["shape_holds"]

@@ -1,13 +1,12 @@
 """Trace analysis: turn a JSONL trace into per-subsystem breakdowns.
 
 Drives ``python -m tussle.obs report <trace.jsonl>``.  The report has
-three sections, all computed from logical (simulated) time:
+two sections, both computed from logical (simulated) time:
 
 * **subsystems** — per-scope span counts, total span time, and event
   counts: where sim time goes;
 * **event rates** — per (scope, name) record counts and rates over the
-  scope's observed time span;
-* **hottest callbacks** — the top-N most-fired engine callbacks.
+  scope's observed time span.
 
 This module deliberately avoids importing the experiment harness (the
 instrumented subsystems import :mod:`tussle.obs` at module load, so
@@ -26,6 +25,9 @@ from ..errors import ObservabilityError
 
 __all__ = ["load_trace", "load_trace_tolerant", "TraceReport",
            "build_report", "SweepTelemetryReport", "build_sweep_report"]
+
+#: Problem lines a text report prints before summarizing the rest.
+PROBLEMS_SHOWN = 10
 
 
 def _is_number(value: Any) -> bool:
@@ -218,21 +220,10 @@ class TraceReport:
         rows.sort(key=lambda r: (-r["count"], r["scope"], r["name"]))
         return rows
 
-    def hottest_callbacks(self, top: int = 10) -> List[Tuple[str, int]]:
-        """Most frequently fired callbacks (engine ``fire`` events)."""
-        tally: _TallyCounter = _TallyCounter()
-        for record in self.events:
-            if record.get("name") != "fire":
-                continue
-            callback = record.get("fields", {}).get("callback")
-            if callback is not None:
-                tally[callback] += 1
-        return tally.most_common(top)
-
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------
-    def format(self, top: int = 10) -> str:
+    def format(self) -> str:
         headline = (f"trace: {len(self.records)} records "
                     f"({len(self.spans)} spans, {len(self.events)} events)")
         if self.other:
@@ -258,23 +249,16 @@ class TraceReport:
                  for r in self.event_rates()],
             ),
         ]
-        callbacks = self.hottest_callbacks(top)
-        if callbacks:
-            sections += ["", _format_table(
-                f"Top-{min(top, len(callbacks))} hottest callbacks",
-                ["callback", "fires"],
-                [[name, count] for name, count in callbacks],
-            )]
         if self.problems:
-            shown = self.problems[:top]
+            shown = self.problems[:PROBLEMS_SHOWN]
             sections += ["", f"Problems ({len(self.problems)}):"]
             sections += [f"  {line}" for line in shown]
-            if len(self.problems) > top:
+            if len(self.problems) > PROBLEMS_SHOWN:
                 sections.append(
-                    f"  ... and {len(self.problems) - top} more")
+                    f"  ... and {len(self.problems) - PROBLEMS_SHOWN} more")
         return "\n".join(sections)
 
-    def to_dict(self, top: int = 10) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
         return {
             "records": len(self.records),
             "spans": len(self.spans),
@@ -284,10 +268,6 @@ class TraceReport:
             "problems": list(self.problems),
             "subsystems": self.subsystem_breakdown(),
             "event_rates": self.event_rates(),
-            "hottest_callbacks": [
-                {"callback": name, "fires": count}
-                for name, count in self.hottest_callbacks(top)
-            ],
         }
 
 
@@ -422,8 +402,7 @@ class SweepTelemetryReport:
                 f"wall: {self.wall_counters.get('attempts', 0)} attempts, "
                 f"{self.wall_counters.get('retries', 0)} retries, "
                 f"{self.wall_counters.get('worker_deaths', 0)} worker deaths, "
-                f"{self.wall_counters.get('timeouts', 0)} timeouts, "
-                f"{self.wall_counters.get('breaker_trips', 0)} breaker trips")
+                f"{self.wall_counters.get('timeouts', 0)} timeouts")
         utilization = self.worker_utilization()
         if utilization:
             lines += ["", _format_table(

@@ -18,11 +18,10 @@ splits into two channels, mirroring the worker protocol in
 
 **Quarantined wall-clock channel**
     Everything timing- or placement-dependent: per-attempt starts,
-    retries, worker deaths, timeouts, worker lifecycle, breaker trips,
-    and per-cell latencies.  Timestamps are host-clock offsets from
-    stream start; this file is a sibling of the deterministic one
-    (``<path>.wall.jsonl``) and must never feed a merge, a cache, or a
-    seedcheck fingerprint.
+    retries, worker deaths, timeouts, worker lifecycle, and per-cell
+    latencies.  Timestamps are host-clock offsets from stream start;
+    this file is a sibling of the deterministic one (``<path>.wall.jsonl``)
+    and must never feed a merge, a cache, or a seedcheck fingerprint.
 
 This module reads the host clock for the quarantined channel and is
 allowlisted in :data:`tussle.lint.determinism.WALL_CLOCK_ALLOWLIST`;
@@ -54,8 +53,7 @@ _DET_COUNTERS = ("cells_total", "cache_hits", "dispatched",
                  "completed_ok", "completed_error", "completed_failed")
 
 #: Counter keys maintained on the quarantined wall channel.
-_WALL_COUNTERS = ("attempts", "retries", "worker_deaths", "timeouts",
-                  "breaker_trips")
+_WALL_COUNTERS = ("attempts", "retries", "worker_deaths", "timeouts")
 
 
 def wall_path_for(path: Union[str, Path]) -> Path:
@@ -173,12 +171,6 @@ class SweepTelemetry:
     def worker_exited(self, worker: str, reason: str) -> None:
         self.wall_event("worker_exited", worker=worker, reason=reason)
 
-    def breaker_trip(self, site: str, consecutive_failures: int) -> None:
-        """A circuit breaker opened somewhere in the sweep fabric."""
-        self.wall_counters["breaker_trips"] += 1
-        self.wall_event("breaker_trip", site=site,
-                        consecutive_failures=consecutive_failures)
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
@@ -284,7 +276,4 @@ class NullSweepTelemetry(SweepTelemetry):
         pass
 
     def worker_exited(self, worker: str, reason: str) -> None:
-        pass
-
-    def breaker_trip(self, site: str, consecutive_failures: int) -> None:
         pass

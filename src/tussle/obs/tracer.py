@@ -1,11 +1,10 @@
 """Structured, deterministic tracing: spans and events on simulated time.
 
 Every record is stamped with a *logical* time supplied by the caller —
-the event-loop clock (:attr:`tussle.netsim.engine.Simulator.now`), a
-round index, or a convergence iteration — never the host clock, so a
-trace taken at a fixed seed is byte-for-byte reproducible across runs
-and machines.  Wall-clock timing lives in one quarantined place,
-:mod:`tussle.obs.profiler`, and never enters a trace.
+a round index, a convergence iteration or a registry op-sequence —
+never the host clock, so a trace taken at a fixed seed is byte-for-byte
+reproducible across runs and machines.  Wall-clock timing lives in one
+quarantined place, :mod:`tussle.obs.profiler`, and never enters a trace.
 
 Records are serialized as JSON Lines with sorted keys and compact
 separators, which makes the reproducibility contract checkable with a
@@ -19,20 +18,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Union
 
-__all__ = ["Span", "Tracer", "NullTracer", "callback_name"]
-
-
-def callback_name(callback: Any) -> str:
-    """Deterministic display name for a scheduled callable.
-
-    ``repr`` embeds memory addresses and would break trace
-    reproducibility; qualified names (falling back to the type name for
-    partials and other callable objects) do not.
-    """
-    name = getattr(callback, "__qualname__", None)
-    if name is None:
-        name = type(callback).__name__
-    return name
+__all__ = ["Span", "Tracer", "NullTracer"]
 
 
 class Span:

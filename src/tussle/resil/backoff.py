@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..errors import ResilienceError
 
@@ -122,7 +122,7 @@ class Backoff:
 class Deadline:
     """A point on a caller-supplied clock; never reads any clock itself.
 
-    Sim-time consumers pass the event-loop clock, the sweep executor
+    Sim-time consumers pass their simulated clock, the sweep executor
     passes its quarantined wall clock — the deadline is just arithmetic
     over whatever ``now`` the caller measures.
     """
@@ -169,8 +169,7 @@ class CircuitBreaker:
     executor's quarantined wall clock alike.
     """
 
-    def __init__(self, failure_threshold: int = 3, reset_timeout: float = 10.0,
-                 on_trip: Optional[Callable[["CircuitBreaker"], None]] = None):
+    def __init__(self, failure_threshold: int = 3, reset_timeout: float = 10.0):
         if failure_threshold < 1:
             raise ResilienceError(
                 f"failure_threshold must be >= 1, got {failure_threshold}")
@@ -185,9 +184,6 @@ class CircuitBreaker:
         #: attempts refused while open — the retry budget the breaker saved
         self.refusals = 0
         self.trips = 0
-        #: observation hook fired on every trip (e.g. sweep telemetry's
-        #: ``breaker_trip``); observation only, it must not change state
-        self.on_trip = on_trip
 
     def allow(self, now: float) -> bool:
         """May an attempt proceed at ``now``?"""
@@ -211,10 +207,7 @@ class CircuitBreaker:
         self.consecutive_failures += 1
         if self.state is BreakerState.HALF_OPEN or \
                 self.consecutive_failures >= self.failure_threshold:
-            tripped = self.state is not BreakerState.OPEN
-            if tripped:
+            if self.state is not BreakerState.OPEN:
                 self.trips += 1
             self.state = BreakerState.OPEN
             self.opened_at = now
-            if tripped and self.on_trip is not None:
-                self.on_trip(self)

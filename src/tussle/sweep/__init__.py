@@ -41,7 +41,7 @@ from .aggregate import aggregate, metric_scalars
 from .cache import ResultCache, code_fingerprint
 from .cells import Cell, SweepSpec, canonical_params, derive_seed, expand_grid
 from .executors import InProcessExecutor, ResilientExecutor, run_cell
-from .progress import MergingDigest, StreamingAggregator
+from .progress import StreamingAggregator
 from .scheduler import SweepReport, run_sweep
 
 __all__ = [
@@ -49,6 +49,6 @@ __all__ = [
     "ResultCache", "code_fingerprint",
     "Cell", "SweepSpec", "canonical_params", "derive_seed", "expand_grid",
     "InProcessExecutor", "ResilientExecutor", "run_cell",
-    "MergingDigest", "StreamingAggregator",
+    "StreamingAggregator",
     "SweepReport", "run_sweep",
 ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional
 
+from ..canon import ordered_sum
 from .progress import StreamingAggregator
 
 __all__ = ["aggregate", "metric_scalars"]
@@ -53,7 +54,7 @@ def metric_scalars(result: Dict[str, Any]) -> Dict[str, float]:
                                   for row in table["rows"]) if v is not None]
             if values:
                 scalars[f"{table['title']}/{column}"] = (
-                    sum(values) / len(values))
+                    ordered_sum(values) / len(values))
     return scalars
 
 

@@ -4,9 +4,10 @@ Since Python 3.12, builtin ``sum()`` compensates float rounding
 (Neumaier), so a float total can differ in the last bit from the
 left-to-right sum of 3.9-3.11 that every pin was made with.  Float
 totals that reach an output therefore go through
-:func:`tussle.canon.ordered_sum`.  This test runs the whole registry
-under a Python copy of each ``sum()`` and requires equal fingerprints,
-so a float ``sum()`` that reaches an output fails on every Python.
+:func:`tussle.canon.ordered_sum`.  These tests run the whole registry,
+and aggregate a sweep over it, under a Python copy of each ``sum()`` and
+require equal bytes, so a float ``sum()`` that reaches an output fails
+on every Python.
 """
 
 import builtins
@@ -14,9 +15,10 @@ import inspect
 import math
 import sys
 
-from tussle.canon import ordered_sum
+from tussle.canon import canonical_json, ordered_sum
 from tussle.experiments import ALL_EXPERIMENTS
 from tussle.lint.seedcheck import fingerprint
+from tussle.sweep import aggregate
 
 
 C_LONG_MIN, C_LONG_MAX = -2 ** 63, 2 ** 63 - 1
@@ -116,3 +118,13 @@ def test_registry_bytes_do_not_depend_on_sum(monkeypatch):
     compensated = _fingerprints(monkeypatch, neumaier_sum)
     differing = [case for case in plain if plain[case] != compensated[case]]
     assert differing == []
+
+
+def test_sweep_aggregate_does_not_depend_on_sum(monkeypatch, registry_sweep):
+    cells = registry_sweep(range(3)).cells
+    documents = []
+    for summer in (left_to_right_sum, neumaier_sum):
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "sum", summer)
+            documents.append(canonical_json(aggregate(cells)))
+    assert documents[0] == documents[1]

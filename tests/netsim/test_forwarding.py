@@ -4,7 +4,7 @@ import pytest
 
 from tussle.errors import RoutingError
 from tussle.netsim.forwarding import DeliveryStatus, ForwardingEngine
-from tussle.netsim.middlebox import PortFilterFirewall, Redirector
+from tussle.netsim.middlebox import NAT, Cache, PortFilterFirewall, Redirector
 from tussle.netsim.packets import make_packet
 from tussle.netsim.topology import Network, line_topology, star_topology
 
@@ -109,6 +109,31 @@ class TestMiddleboxesOnPath:
         receipt = line_engine.send(make_packet("n0", "n3", application="http"))
         assert receipt.delivered
 
+    def test_cache_hit_served_as_redirected(self):
+        engine = ForwardingEngine(line_topology(4))
+        engine.install_shortest_path_tables()
+        engine.attach_middlebox("n1", Cache("n1"))
+        first = engine.send(make_packet("n0", "n3", application="http"))
+        second = engine.send(make_packet("n0", "n3", application="http"))
+        assert first.status is DeliveryStatus.DELIVERED
+        assert second.status is DeliveryStatus.REDIRECTED
+        assert second.delivered  # served, just not by the origin
+        assert second.delivered_to == "n1"
+
+    def test_nat_on_path_rewrites_source(self):
+        net = Network()
+        for name in ("lan-pc", "natbox", "site"):
+            net.add_node(name)
+        net.add_link("lan-pc", "natbox")
+        net.add_link("natbox", "site")
+        engine = ForwardingEngine(net)
+        engine.install_shortest_path_tables()
+        engine.attach_middlebox("natbox", NAT("natbox", public_name="pub",
+                                              internal_prefix="lan-"))
+        receipt = engine.send(make_packet("lan-pc", "site"))
+        assert receipt.delivered
+        assert receipt.packet.header.src == "pub"
+
 
 class TestSourceRoutes:
     def test_source_route_honoured(self):
@@ -140,45 +165,3 @@ class TestSourceRoutes:
         line_engine.reset_stats()
         assert line_engine.receipts == []
         assert line_engine.delivery_rate() == 0.0
-
-
-class TestSimulatorIntegration:
-    def test_created_at_stamped_from_simulator_clock(self):
-        from tussle.netsim.engine import Simulator
-
-        sim = Simulator()
-        engine = ForwardingEngine(line_topology(3), sim=sim)
-        engine.install_shortest_path_tables()
-        sim.schedule(5.0, lambda: engine.send(make_packet("n0", "n2")))
-        sim.run()
-        assert engine.receipts[0].packet.created_at == 5.0
-
-    def test_cache_hit_served_as_redirected(self):
-        from tussle.netsim.middlebox import Cache
-
-        engine = ForwardingEngine(line_topology(4))
-        engine.install_shortest_path_tables()
-        engine.attach_middlebox("n1", Cache("n1"))
-        first = engine.send(make_packet("n0", "n3", application="http"))
-        second = engine.send(make_packet("n0", "n3", application="http"))
-        assert first.status is DeliveryStatus.DELIVERED
-        assert second.status is DeliveryStatus.REDIRECTED
-        assert second.delivered  # served, just not by the origin
-        assert second.delivered_to == "n1"
-
-    def test_nat_on_path_rewrites_source(self):
-        from tussle.netsim.middlebox import NAT
-        from tussle.netsim.topology import Network
-
-        net = Network()
-        for name in ("lan-pc", "natbox", "site"):
-            net.add_node(name)
-        net.add_link("lan-pc", "natbox")
-        net.add_link("natbox", "site")
-        engine = ForwardingEngine(net)
-        engine.install_shortest_path_tables()
-        engine.attach_middlebox("natbox", NAT("natbox", public_name="pub",
-                                              internal_prefix="lan-"))
-        receipt = engine.send(make_packet("lan-pc", "site"))
-        assert receipt.delivered
-        assert receipt.packet.header.src == "pub"

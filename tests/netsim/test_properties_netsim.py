@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on netsim invariants.
 
-Four invariants the forwarding substrate must hold for *any* input, not
+Three invariants the forwarding substrate must hold for *any* input, not
 just the fixtures the unit tests pin:
 
 * **Conservation** — every packet a batch offers is accounted for at
@@ -12,9 +12,6 @@ just the fixtures the unit tests pin:
 * **Work conservation** — the shared bottleneck serves exactly what is
   offered when uncongested and exactly its capacity when congested; it
   neither creates nor destroys rate.
-* **Event-order invariance** — the discrete-event engine fires events in
-  ``(time, priority, insertion)`` order no matter how scheduling calls
-  are interleaved.
 """
 
 import math
@@ -22,7 +19,6 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tussle.netsim.engine import Simulator
 from tussle.netsim.forwarding import PrefixFib
 from tussle.netsim.topology import (
     dumbbell_topology,
@@ -121,24 +117,3 @@ class TestBottleneckWorkConservation:
         else:
             assert math.isclose(total, offered, rel_tol=1e-9)
         assert all(share >= 0.0 for share in served.values())
-
-
-class TestEngineOrderInvariance:
-    @given(events=st.lists(
-        st.tuples(st.floats(min_value=0.0, max_value=5.0,
-                            allow_nan=False),
-                  st.integers(min_value=-2, max_value=2)),
-        min_size=1, max_size=25))
-    @settings(max_examples=60, deadline=None)
-    def test_firing_order_is_time_priority_insertion(self, events):
-        sim = Simulator()
-        fired = []
-        for i, (delay, priority) in enumerate(events):
-            sim.schedule(delay, (lambda j: lambda: fired.append(j))(i),
-                         priority=priority)
-        sim.run()
-
-        expected = [i for i, _ in sorted(
-            enumerate(events),
-            key=lambda item: (item[1][0], item[1][1], item[0]))]
-        assert fired == expected

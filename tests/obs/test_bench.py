@@ -10,7 +10,7 @@ def populated_metrics():
     metrics = Metrics()
     engine = metrics.scope("netsim.engine")
     engine.counter("events_fired").inc(42)
-    engine.gauge("peak_queue_depth").set_max(9)
+    engine.gauge("queue_depth").set(9)
     metrics.scope("econ.market").counter("switches").inc(3)
     return metrics
 
@@ -20,10 +20,6 @@ class TestBenchRecord:
         record = bench_record("E01", metrics=populated_metrics())
         assert record.event_counts == {"netsim.engine/events_fired": 42,
                                        "econ.market/switches": 3}
-
-    def test_peak_queue_depth_pulled_from_engine_gauge(self):
-        record = bench_record("E01", metrics=populated_metrics())
-        assert record.peak_queue_depth == 9
 
     def test_timing_from_profiler_key(self):
         profiler = Profiler()

@@ -10,7 +10,6 @@ from tussle.experiments import run_e01
 from tussle.gametheory.games import NormalFormGame
 from tussle.gametheory.learning import fictitious_play
 from tussle.netsim.addressing import AddressRegistry
-from tussle.netsim.engine import Simulator
 from tussle.netsim.topology import Network, Relationship
 from tussle.obs import Metrics, Tracer, observe
 from tussle.routing.pathvector import PathVectorRouting
@@ -36,56 +35,6 @@ def as_chain():
     net.add_as_relationship(1, 2, Relationship.CUSTOMER_PROVIDER)
     net.add_as_relationship(2, 3, Relationship.CUSTOMER_PROVIDER)
     return net
-
-
-class TestEngineInstrumentation:
-    def test_schedule_fire_cancel_traced_and_counted(self):
-        tracer, metrics = Tracer(), Metrics()
-        with observe(tracer=tracer, metrics=metrics):
-            sim = Simulator()
-            sim.schedule(1.0, lambda: None)
-            doomed = sim.schedule(2.0, lambda: None)
-            doomed.cancel()
-            sim.run()
-        names = [r["name"] for r in tracer.records()
-                 if r["scope"] == "netsim.engine"]
-        assert names.count("schedule") == 2
-        assert names.count("fire") == 1
-        assert names.count("cancel") == 1
-        counters = metrics.snapshot()["netsim.engine"]["counters"]
-        assert counters == {"events_scheduled": 2, "events_fired": 1,
-                            "events_cancelled": 1}
-
-    def test_peak_queue_depth_gauge(self):
-        metrics = Metrics()
-        with observe(metrics=metrics):
-            sim = Simulator()
-            for delay in (1.0, 2.0, 3.0):
-                sim.schedule(delay, lambda: None)
-            sim.run()
-        gauges = metrics.snapshot()["netsim.engine"]["gauges"]
-        assert gauges["peak_queue_depth"] == 3
-
-    def test_cancelled_entry_noted_in_step_path(self):
-        metrics = Metrics()
-        with observe(metrics=metrics):
-            sim = Simulator()
-            handle = sim.schedule(1.0, lambda: None)
-            handle.cancel()
-            assert sim.step() is False
-        counters = metrics.snapshot()["netsim.engine"]["counters"]
-        assert counters["events_cancelled"] == 1
-
-    def test_trace_uses_sim_time_and_qualnames(self):
-        tracer = Tracer()
-        with observe(tracer=tracer):
-            sim = Simulator()
-            sim.schedule(2.5, max, 1, 2)
-            sim.run()
-        fire = [r for r in tracer.records() if r["name"] == "fire"][0]
-        assert fire["t"] == 2.5
-        assert fire["fields"]["callback"] == "max"
-        assert "0x" not in fire["fields"]["callback"]
 
 
 class TestSubsystemCoverage:

@@ -12,12 +12,10 @@ class TestInstruments:
         counter.inc(4)
         assert counter.value == 5
 
-    def test_gauge_set_and_high_water(self):
+    def test_gauge_set(self):
         gauge = Metrics().scope("s").gauge("depth")
         gauge.set(3.0)
-        gauge.set_max(7.0)
-        gauge.set_max(2.0)  # below the mark: ignored
-        assert gauge.value == 7.0
+        assert gauge.value == 3.0
 
     def test_histogram_summary(self):
         histogram = Metrics().scope("s").histogram("price")

@@ -15,7 +15,6 @@ def bench_record(bench_id, wall_min, wall=None, counts=None):
         "wall_seconds_min": wall_min,
         "calls": 3,
         "event_counts": counts or {"engine.fire": 10},
-        "peak_queue_depth": 4,
         "shape_holds": True,
     }
 

@@ -17,13 +17,12 @@ from tussle.obs.report import (
 
 
 def synthetic_trace(tmp_path):
-    """Two scopes: an engine firing three callbacks and one market span."""
+    """Two scopes: four engine events (three fires) and one market span."""
     tracer = Tracer()
     span = tracer.begin("econ.market", "round", 0.0)
-    for t, callback in ((0.0, "Process._tick"), (1.0, "Process._tick"),
-                        (2.0, "Market.step")):
-        tracer.event("netsim.engine", "fire", t, callback=callback)
-    tracer.event("netsim.engine", "schedule", 0.0, callback="Market.step")
+    for t in (0.0, 1.0, 2.0):
+        tracer.event("netsim.engine", "fire", t)
+    tracer.event("netsim.engine", "schedule", 0.0)
     span.end(2.0, switches=1)
     return tracer.write_jsonl(tmp_path / "trace.jsonl")
 
@@ -76,17 +75,10 @@ class TestTraceReport:
         assert fire["count"] == 3
         assert fire["rate"] == pytest.approx(1.5)  # 3 events over t∈[0,2]
 
-    def test_hottest_callbacks(self, tmp_path):
-        report = build_report(synthetic_trace(tmp_path))
-        assert report.hottest_callbacks(top=1) == [("Process._tick", 2)]
-        # Schedule events don't count as fires.
-        assert dict(report.hottest_callbacks())["Market.step"] == 1
-
     def test_format_contains_all_sections(self, tmp_path):
         text = build_report(synthetic_trace(tmp_path)).format()
         assert "Per-subsystem breakdown" in text
         assert "Event rates" in text
-        assert "hottest callbacks" in text
 
     def test_to_dict_is_json_ready(self, tmp_path):
         payload = build_report(synthetic_trace(tmp_path)).to_dict()
@@ -96,7 +88,6 @@ class TestTraceReport:
     def test_empty_trace_report(self):
         report = TraceReport([])
         assert report.subsystem_breakdown() == []
-        assert report.hottest_callbacks() == []
         assert "0 records" in report.format()
 
 
@@ -287,7 +278,7 @@ class TestCli:
         results.mkdir()
         (results / "bench_e01.json").write_text(json.dumps({
             "id": "E01", "wall_seconds": 0.06, "wall_seconds_min": 0.05,
-            "calls": 3, "event_counts": {}, "peak_queue_depth": None}))
+            "calls": 3, "event_counts": {}}))
         history = tmp_path / "history.json"
         argv = ["perf", "--history", str(history), "--results",
                 str(results)]
@@ -298,7 +289,7 @@ class TestCli:
         # A 10x regression blocks.
         (results / "bench_e01.json").write_text(json.dumps({
             "id": "E01", "wall_seconds": 0.6, "wall_seconds_min": 0.5,
-            "calls": 3, "event_counts": {}, "peak_queue_depth": None}))
+            "calls": 3, "event_counts": {}}))
         assert obs_main(argv + ["--check"]) == 1
         out = capsys.readouterr().out
         assert "REGRESSION" in out and "REGRESSED" in out

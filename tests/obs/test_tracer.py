@@ -1,9 +1,8 @@
 """Tracer: spans, events, and the byte-reproducible JSONL contract."""
 
-import functools
 import json
 
-from tussle.obs import NullTracer, Tracer, callback_name
+from tussle.obs import NullTracer, Tracer
 
 
 def make_trace():
@@ -89,23 +88,3 @@ class TestNullTracer:
             pass
         assert len(tracer) == 0
         assert tracer.to_jsonl() == ""
-
-
-class TestCallbackName:
-    def test_function_qualname(self):
-        def local():
-            pass
-        assert "local" in callback_name(local)
-
-    def test_method_qualname(self):
-        class Thing:
-            def tick(self):
-                pass
-        assert callback_name(Thing().tick).endswith("Thing.tick")
-
-    def test_callable_object_falls_back_to_type_name(self):
-        name = callback_name(functools.partial(print, 1))
-        assert name == "partial"
-
-    def test_never_embeds_addresses(self):
-        assert "0x" not in callback_name(lambda: None)

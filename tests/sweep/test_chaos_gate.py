@@ -84,10 +84,12 @@ class TestFullMatrixChaosGate:
         spec = SweepSpec(experiment_ids=sorted(ALL_EXPERIMENTS),
                          seeds=list(range(3)), grid={})
         healthy = merged_lines(registry_sweep(range(3)))
-        # P02 bargains a 10^3-AS internet (~3-6s under 4-way load); 20s
-        # clears it with margin, and hang-mode cells stay affordable
-        # because chaos only sabotages first attempts (max_attempts=1).
-        executor = ResilientExecutor(jobs=4, timeout=20.0, retries=3,
+        # The slowest healthy cell of this sweep under jobs=4 on a 2-vCPU
+        # host took 1.47s (worst of nine runs: P02, or E11 when its
+        # worker's first cell imports scipy); 6s is ~4x that.  Each
+        # hang-mode cell costs one timeout, since chaos only sabotages
+        # first attempts (max_attempts=1).
+        executor = ResilientExecutor(jobs=4, timeout=6.0, retries=3,
                                      chaos=WorkerChaos(seed=0, fraction=0.3))
         report = run_sweep(spec, executor=executor)
         assert report.ok

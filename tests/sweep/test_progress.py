@@ -1,5 +1,6 @@
-"""Streaming aggregation: the digest and the running-verdict folder."""
+"""Streaming aggregation: the metric summary and the running-verdict folder."""
 
+import bisect
 import random
 import statistics
 
@@ -9,12 +10,12 @@ from tussle.canon import canonical_json
 from tussle.errors import SweepError
 from tussle.sweep import (
     InProcessExecutor,
-    MergingDigest,
     StreamingAggregator,
     SweepSpec,
     aggregate,
     run_sweep,
 )
+from tussle.sweep.progress import summary
 
 SPEC = SweepSpec(
     experiment_ids=["E01", "E10"],
@@ -23,61 +24,37 @@ SPEC = SweepSpec(
 )
 
 
-class TestMergingDigest:
-    def test_exact_below_cap(self):
+def folded(values):
+    """A group's per-metric list: each value insorted as its cell lands."""
+    ordered = []
+    for value in values:
+        bisect.insort(ordered, value)
+    return ordered
+
+
+class TestSummary:
+    def test_min_median_mean_max(self):
         values = [3.0, 1.0, 2.0, 2.0, 5.0]
-        digest = MergingDigest.from_values(values)
-        assert digest.exact
-        assert digest.minimum() == 1.0 and digest.maximum() == 5.0
-        assert digest.mean() == pytest.approx(statistics.mean(values))
-        assert digest.median() == statistics.median(values)
+        stats = summary(folded(values))
+        assert stats["min"] == 1.0 and stats["max"] == 5.0
+        assert stats["mean"] == pytest.approx(statistics.mean(values))
+        assert stats["median"] == statistics.median(values)
 
     def test_insertion_order_insensitive(self):
         rng = random.Random(7)
         values = [rng.uniform(-50, 50) for _ in range(101)]
         shuffled = list(values)
         rng.shuffle(shuffled)
-        a = MergingDigest.from_values(values)
-        b = MergingDigest.from_values(shuffled)
-        assert canonical_json(a.summary()) == canonical_json(b.summary())
-        assert a.to_dict() == b.to_dict()
+        assert folded(values) == folded(shuffled)
+        assert canonical_json(summary(folded(values))) == \
+            canonical_json(summary(folded(shuffled)))
 
     def test_median_matches_statistics_exactly(self):
         rng = random.Random(3)
         for n in (1, 2, 5, 100, 101):
             values = [rng.uniform(0, 10) for _ in range(n)]
-            digest = MergingDigest.from_values(values)
-            assert digest.median() == statistics.median(values), n
-
-    def test_merge_equals_bulk_build(self):
-        left = MergingDigest.from_values([1.0, 4.0, 2.0])
-        right = MergingDigest.from_values([3.0, 0.5])
-        left.merge(right)
-        bulk = MergingDigest.from_values([1.0, 4.0, 2.0, 3.0, 0.5])
-        assert left.to_dict() == bulk.to_dict()
-
-    def test_serialization_round_trip(self):
-        digest = MergingDigest.from_values([2.0, 1.0, 3.0])
-        clone = MergingDigest.from_dict(digest.to_dict())
-        assert clone.summary() == digest.summary()
-        assert clone.count == 3
-
-    def test_compression_preserves_extremes_and_count(self):
-        digest = MergingDigest(cap=8)
-        for value in range(100):
-            digest.add(float(value))
-        assert not digest.exact
-        assert digest.count == 100
-        assert digest.minimum() == 0.0 and digest.maximum() == 99.0
-        assert digest.mean() == pytest.approx(49.5)
-
-    def test_empty_digest_raises(self):
-        with pytest.raises(SweepError, match="empty"):
-            MergingDigest().minimum()
-
-    def test_cap_must_hold_two(self):
-        with pytest.raises(SweepError, match="cap"):
-            MergingDigest(cap=1)
+            assert summary(folded(values))["median"] == \
+                statistics.median(values), n
 
 
 class TestStreamingAggregator:

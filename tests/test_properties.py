@@ -12,35 +12,11 @@ from tussle.econ.competition import herfindahl_index
 from tussle.errors import MarketError
 from tussle.gametheory.games import NormalFormGame
 from tussle.gametheory.zerosum import solve_zero_sum
-from tussle.netsim.engine import Simulator
 from tussle.netsim.transport import fairness_index
 from tussle.trust.trustgraph import TrustGraph
 
 small_floats = st.floats(min_value=-10.0, max_value=10.0,
                          allow_nan=False, allow_infinity=False)
-
-
-class TestEngineProperties:
-    @given(st.lists(st.floats(min_value=0.0, max_value=100.0,
-                              allow_nan=False), min_size=1, max_size=30))
-    def test_events_always_fire_in_nondecreasing_time_order(self, delays):
-        sim = Simulator()
-        fired_times = []
-        for delay in delays:
-            sim.schedule(delay, lambda: fired_times.append(sim.now))
-        sim.run()
-        assert fired_times == sorted(fired_times)
-        assert len(fired_times) == len(delays)
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=100.0,
-                              allow_nan=False), min_size=1, max_size=20),
-           st.integers(min_value=0, max_value=19))
-    def test_cancellation_removes_exactly_one_event(self, delays, cancel_index):
-        sim = Simulator()
-        handles = [sim.schedule(d, lambda: None) for d in delays]
-        victim = handles[cancel_index % len(handles)]
-        victim.cancel()
-        assert sim.run() == len(delays) - 1
 
 
 class TestFairnessProperties:
