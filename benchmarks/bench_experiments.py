@@ -15,5 +15,5 @@ from conftest import run_and_record
 
 
 @pytest.mark.parametrize("experiment_id", sorted(ALL_EXPERIMENTS))
-def test_experiment(benchmark, results_dir, experiment_id):
-    run_and_record(benchmark, results_dir, ALL_EXPERIMENTS[experiment_id])
+def test_experiment(results_dir, experiment_id):
+    run_and_record(results_dir, ALL_EXPERIMENTS[experiment_id])

@@ -49,7 +49,7 @@ def _persist(bench_id, profiler, speedups):
     write_bench_record(RESULTS_DIR, record)
 
 
-def test_vector_backend_speedup(benchmark):
+def test_vector_backend_speedup():
     """Blocking gate: >= 10x over the scalar loop at N=10^4."""
     profiler = Profiler()
     speedups = {}
@@ -60,7 +60,7 @@ def test_vector_backend_speedup(benchmark):
             speedups[str(n)] = scalar_s / vector_s
         return speedups
 
-    benchmark.pedantic(measure, rounds=1, iterations=1)
+    measure()
     _persist("scale_market", profiler, speedups)
     assert speedups["10000"] >= SPEEDUP_FLOOR_AT_1E4, (
         f"vector backend only {speedups['10000']:.1f}x at N=10^4 "
@@ -70,21 +70,21 @@ def test_vector_backend_speedup(benchmark):
 
 
 @pytest.mark.slow
-def test_vector_backend_speedup_at_1e5(benchmark):
+def test_vector_backend_speedup_at_1e5():
     profiler = Profiler()
 
     def measure():
         scalar_s, vector_s = _time_backends(100_000, profiler, repeats=1)
         return scalar_s / vector_s
 
-    speedup = benchmark.pedantic(measure, rounds=1, iterations=1)
+    speedup = measure()
     _persist("scale_market_1e5", profiler, {"100000": speedup})
     assert speedup >= 20.0
 
 
 @pytest.mark.slow
 @pytest.mark.large
-def test_million_agent_round_within_budget(benchmark):
+def test_million_agent_round_within_budget():
     """A warm N=10^6 vector round stays under a second."""
     market = lockin_market_at_scale(SWITCHING_COST, 1_000_000, seed=SEED)
     market.step()  # pay first-touch allocation outside the timed region
@@ -94,6 +94,7 @@ def test_million_agent_round_within_budget(benchmark):
         with profiler.time("vector-round/1000000"):
             market.step()
 
-    benchmark.pedantic(one_round, rounds=3, iterations=1)
+    for _ in range(3):
+        one_round()
     _persist("scale_market_1e6", profiler, {})
     assert profiler.min_seconds("vector-round/1000000") < 1.0

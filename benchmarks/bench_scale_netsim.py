@@ -70,7 +70,7 @@ def _persist(bench_id, profiler, speedups):
     write_bench_record(RESULTS_DIR, record)
 
 
-def test_vector_backend_speedup(benchmark):
+def test_vector_backend_speedup():
     """Blocking gate: >= 10x over per-packet forwarding at 10^4 packets."""
     profiler = Profiler()
     speedups = {}
@@ -81,7 +81,7 @@ def test_vector_backend_speedup(benchmark):
             speedups[str(n)] = scalar_s / vector_s
         return speedups
 
-    benchmark.pedantic(measure, rounds=1, iterations=1)
+    measure()
     _persist("scale_netsim", profiler, speedups)
     assert speedups["10000"] >= SPEEDUP_FLOOR_AT_1E4, (
         f"vector backend only {speedups['10000']:.1f}x at 10^4 packets "
@@ -90,7 +90,7 @@ def test_vector_backend_speedup(benchmark):
     assert speedups["1000"] > 1.0
 
 
-def test_flow_backend_routes_1e5_flows_fast(benchmark):
+def test_flow_backend_routes_1e5_flows_fast():
     """Blocking: 10^5 flows route well inside a second."""
     sim = FlowSim(_topology())
     flows = random_flows(100_000, len(sim.index), seed=SEED)
@@ -101,28 +101,29 @@ def test_flow_backend_routes_1e5_flows_fast(benchmark):
             report = sim.route(flows)
         return report
 
-    report = benchmark.pedantic(route, rounds=3, iterations=1)
+    for _ in range(3):
+        report = route()
     _persist("scale_flowsim_1e5", profiler, {})
     assert report.n_flows == 100_000
     assert profiler.min_seconds("flow-route/100000") < 1.0
 
 
 @pytest.mark.slow
-def test_vector_backend_speedup_at_1e5(benchmark):
+def test_vector_backend_speedup_at_1e5():
     profiler = Profiler()
 
     def measure():
         scalar_s, vector_s = _time_backends(100_000, profiler, repeats=1)
         return scalar_s / vector_s
 
-    speedup = benchmark.pedantic(measure, rounds=1, iterations=1)
+    speedup = measure()
     _persist("scale_netsim_1e5", profiler, {"100000": speedup})
     assert speedup >= SPEEDUP_FLOOR_AT_1E4
 
 
 @pytest.mark.slow
 @pytest.mark.large
-def test_million_flow_population_within_budget(benchmark):
+def test_million_flow_population_within_budget():
     """The headline: a 10^6-flow population routes in seconds."""
     sim = FlowSim(_topology())
     flows = random_flows(1_000_000, len(sim.index), seed=SEED)
@@ -132,7 +133,8 @@ def test_million_flow_population_within_budget(benchmark):
         with profiler.time("flow-route/1000000"):
             return sim.route(flows)
 
-    report = benchmark.pedantic(route, rounds=3, iterations=1)
+    for _ in range(3):
+        report = route()
     _persist("scale_flowsim_1e6", profiler, {})
     assert report.n_flows == 1_000_000
     assert report.delivered + report.no_route + report.link_down \

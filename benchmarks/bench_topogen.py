@@ -37,7 +37,7 @@ def _persist(bench_id, profiler, speedups=None):
     write_bench_record(RESULTS_DIR, record)
 
 
-def test_generate_1e3_deterministic_within_budget(benchmark):
+def test_generate_1e3_deterministic_within_budget():
     """Blocking: the 10^3-AS graph generates fast and reproducibly."""
     config = TopogenConfig(n_ases=1000)
     profiler = Profiler()
@@ -49,13 +49,13 @@ def test_generate_1e3_deterministic_within_budget(benchmark):
             second = graph_to_json(generate_internet(config, seed=SEED))
         return first, second
 
-    first, second = benchmark.pedantic(generate_twice, rounds=1, iterations=1)
+    first, second = generate_twice()
     _persist("topogen_generate_1e3", profiler)
     assert first == second, "same (config, seed) must be byte-identical"
     assert profiler.min_seconds("generate/1000") < GENERATION_BUDGET_S
 
 
-def test_convergence_1e3_full_rib_within_budget(benchmark):
+def test_convergence_1e3_full_rib_within_budget():
     """Blocking: full-matrix valley-free convergence at 10^3 ASes in
     seconds — the reason converge_fast() exists."""
     network = generate_internet(
@@ -68,14 +68,15 @@ def test_convergence_1e3_full_rib_within_budget(benchmark):
             proto.converge_fast()
         return proto
 
-    proto = benchmark.pedantic(converge, rounds=3, iterations=1)
+    for _ in range(3):
+        proto = converge()
     _persist("topogen_converge_1e3", profiler)
     asns = sorted(a.asn for a in network.ases)
     assert proto.reachable(asns[-1], asns[0])
     assert profiler.min_seconds("converge-fast/1000") < CONVERGENCE_BUDGET_S
 
 
-def test_fast_path_beats_scalar_at_toy_scale(benchmark):
+def test_fast_path_beats_scalar_at_toy_scale():
     """Sanity speedup gate at a size the scalar protocol can still run."""
     network = generate_internet(
         TopogenConfig(n_ases=60, router_detail="none"), seed=SEED)
@@ -90,7 +91,8 @@ def test_fast_path_beats_scalar_at_toy_scale(benchmark):
             fast.converge_fast()
         return scalar, fast
 
-    benchmark.pedantic(measure, rounds=3, iterations=1)
+    for _ in range(3):
+        measure()
     speedup = (profiler.min_seconds("scalar/60")
                / profiler.min_seconds("fast/60"))
     _persist("topogen_fastpath_60", profiler, {"60": speedup})
@@ -98,7 +100,7 @@ def test_fast_path_beats_scalar_at_toy_scale(benchmark):
 
 
 @pytest.mark.slow
-def test_generate_and_converge_1e4(benchmark):
+def test_generate_and_converge_1e4():
     """10^4 ASes: generation plus a 64-destination RIB, both in seconds."""
     config = TopogenConfig(n_ases=10_000, router_detail="none")
     profiler = Profiler()
@@ -111,7 +113,7 @@ def test_generate_and_converge_1e4(benchmark):
             rib = converge_valley_free(network, destinations=destinations)
         return rib
 
-    rib = benchmark.pedantic(run, rounds=1, iterations=1)
+    rib = run()
     _persist("topogen_1e4", profiler)
     assert (rib.reachability_counts() == 10_000).all()
     assert profiler.min_seconds("converge-fast/10000x64") \

@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark suite.
 
 ``bench_experiments.py`` runs each registered experiment through
-:func:`run_and_record`, which times it with pytest-benchmark, asserts
-that the paper's qualitative shape holds, and persists two artifacts
-under ``benchmarks/results/``:
+:func:`run_and_record`, which times it, asserts that the paper's
+qualitative shape holds, and persists two artifacts under
+``benchmarks/results/``:
 
 * ``<id>.txt`` — the regenerated table, so the rows survive pytest's
   output capture;
@@ -29,8 +29,8 @@ def results_dir():
     return RESULTS_DIR
 
 
-def run_and_record(benchmark, results_dir, run_experiment, rounds=1):
-    """Benchmark an experiment once, persist its artifacts, assert shape.
+def run_and_record(results_dir, run_experiment, rounds=1):
+    """Run an experiment ``rounds`` times, persist its artifacts, assert shape.
 
     The profiler is shared across rounds (so ``wall_seconds_min`` is the
     best of N); the metrics registry is rebuilt per round so counters
@@ -47,7 +47,8 @@ def run_and_record(benchmark, results_dir, run_experiment, rounds=1):
         state["metrics"] = metrics
         return result
 
-    result = benchmark.pedantic(timed_run, rounds=rounds, iterations=1)
+    for _ in range(rounds):
+        result = timed_run()
     path = results_dir / f"{result.experiment_id.lower()}.txt"
     path.write_text(result.format() + "\n")
     record = bench_record(result.experiment_id, metrics=state["metrics"],

@@ -40,7 +40,8 @@ class NormalFormGame:
     payoffs:
         A sequence of n numpy arrays, one per player, each with shape
         ``(m_1, ..., m_n)`` — ``payoffs[i][a_1, ..., a_n]`` is player i's
-        payoff under joint action ``(a_1, ..., a_n)``.
+        payoff under joint action ``(a_1, ..., a_n)``. Every payoff must
+        be finite; a NaN or infinite one raises :class:`GameError`.
     action_labels:
         Optional human-readable action names per player.
     name:
@@ -68,6 +69,8 @@ class NormalFormGame:
                 raise GameError(
                     f"player {i} payoff shape {arr.shape} != {shape}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise GameError(f"player {i} has a NaN or infinite payoff")
         self.payoffs: List[np.ndarray] = arrays
         self.name = name
         if action_labels is not None:

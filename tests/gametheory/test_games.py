@@ -41,6 +41,14 @@ class TestConstruction:
         assert game.action_labels[0] == ["a0", "a1"]
         assert game.action_labels[1] == ["a0", "a1", "a2"]
 
+    @pytest.mark.parametrize("player", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_payoff(self, bad, player):
+        payoffs = [np.eye(2), np.eye(2)]
+        payoffs[player][0, 0] = bad
+        with pytest.raises(GameError, match=f"player {player} has a NaN"):
+            NormalFormGame(payoffs)
+
     def test_three_player_game(self):
         shape = (2, 2, 2)
         payoffs = [np.zeros(shape) for _ in range(3)]

@@ -1,11 +1,15 @@
-"""Tests for the zero-sum LP solver."""
+"""Tests for the zero-sum support-enumeration solver."""
 
 import numpy as np
 import pytest
 
 from tussle.errors import GameError
 from tussle.gametheory.games import NormalFormGame
-from tussle.gametheory.zerosum import minimax_value, solve_zero_sum
+from tussle.gametheory.zerosum import (
+    MAX_SUPPORT_PAIRS,
+    minimax_value,
+    solve_zero_sum,
+)
 from tussle.gametheory.tussle_games import wiretap_hide_seek
 from tussle.gametheory.repeated import prisoners_dilemma
 
@@ -13,6 +17,17 @@ from tussle.gametheory.repeated import prisoners_dilemma
 def matching_pennies():
     a = np.array([[1.0, -1.0], [-1.0, 1.0]])
     return NormalFormGame([a, -a])
+
+
+def assert_minimax_certificate(matrix, solution, tolerance=1e-9):
+    """Optimality by the minimax theorem, with no second solver: the row
+    strategy guarantees ``value`` against every column and the column
+    strategy holds every row to it."""
+    for strategy in (solution.row_strategy, solution.col_strategy):
+        assert strategy.sum() == pytest.approx(1.0, abs=tolerance)
+        assert np.all(strategy >= 0.0)
+    assert np.all(solution.row_strategy @ matrix >= solution.value - tolerance)
+    assert np.all(matrix @ solution.col_strategy <= solution.value + tolerance)
 
 
 class TestSolver:
@@ -62,6 +77,51 @@ class TestSolver:
         matrix = np.asarray(game.payoffs[0])
         guarantees = solution.row_strategy @ matrix
         assert np.all(guarantees >= solution.value - 1e-6)
+
+
+class TestOneSidedGames:
+    def test_single_row_game(self):
+        a = np.array([[3.0, -1.0, 2.0]])
+        solution = solve_zero_sum(NormalFormGame([a, -a]))
+        assert solution.value == -1.0
+        assert solution.row_strategy.tolist() == [1.0]
+        assert solution.col_strategy.tolist() == [0.0, 1.0, 0.0]
+        assert_minimax_certificate(a, solution)
+
+    def test_single_column_game(self):
+        a = np.array([[3.0], [-1.0], [2.0]])
+        solution = solve_zero_sum(NormalFormGame([a, -a]))
+        assert solution.value == 3.0
+        assert solution.row_strategy.tolist() == [1.0, 0.0, 0.0]
+        assert solution.col_strategy.tolist() == [1.0]
+        assert_minimax_certificate(a, solution)
+
+
+class TestSupportPairCap:
+    """An m x n game has C(m + n, m) - 1 support pairs; 1 x n has n."""
+
+    @pytest.mark.parametrize("matrix, value", [
+        (np.arange(MAX_SUPPORT_PAIRS, dtype=float).reshape(1, -1), 0.0),
+        (np.arange(MAX_SUPPORT_PAIRS, dtype=float).reshape(-1, 1),
+         MAX_SUPPORT_PAIRS - 1.0),
+        (np.asarray(wiretap_hide_seek(5).payoffs[0]), -0.2),
+    ], ids=["1xcap", "capx1", "5x5"])
+    def test_game_at_the_cap_solves(self, matrix, value):
+        solution = solve_zero_sum(NormalFormGame([matrix, -matrix]))
+        assert solution.value == pytest.approx(value, abs=1e-12)
+        assert_minimax_certificate(matrix, solution)
+
+    @pytest.mark.parametrize("shape", [(1, MAX_SUPPORT_PAIRS + 1),
+                                       (MAX_SUPPORT_PAIRS + 1, 1)],
+                             ids=["1xcap+1", "cap+1x1"])
+    def test_one_pair_over_the_cap_raises(self, shape):
+        a = np.zeros(shape)
+        name = f"{shape[0]}x{shape[1]}"
+        with pytest.raises(GameError, match=f"a {name} game has "
+                           f"{MAX_SUPPORT_PAIRS + 1} support pairs"):
+            minimax_value(a)
+        with pytest.raises(GameError, match=name):
+            solve_zero_sum(NormalFormGame([a, -a]))
 
 
 class TestMinimaxValue:

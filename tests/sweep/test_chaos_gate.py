@@ -85,8 +85,8 @@ class TestFullMatrixChaosGate:
                          seeds=list(range(3)), grid={})
         healthy = merged_lines(registry_sweep(range(3)))
         # The slowest healthy cell of this sweep under jobs=4 on a 2-vCPU
-        # host took 1.47s (worst of nine runs: P02, or E11 when its
-        # worker's first cell imports scipy); 6s is ~4x that.  Each
+        # host took 1.47s (worst of nine runs: P02, or E11 while its
+        # solver still imported scipy); 6s is ~4x that.  Each
         # hang-mode cell costs one timeout, since chaos only sabotages
         # first attempts (max_attempts=1).
         executor = ResilientExecutor(jobs=4, timeout=6.0, retries=3,

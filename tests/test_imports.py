@@ -5,8 +5,9 @@ loaded, and a test run loads modules in whatever order its tests
 happen to import them.  So each entry point is imported here in its
 own interpreter, the way ``python -m`` and the benchmark workloads
 load it.  The same fresh interpreters check what an import costs:
-``import tussle`` loads only the error taxonomy, and no benchmark
-entry module loads scipy or networkx.
+``import tussle`` loads only the error taxonomy, no benchmark entry
+module loads scipy or networkx, and running every registry experiment
+loads no scipy.
 """
 
 import os
@@ -69,3 +70,13 @@ def test_benchmark_entry_module_loads_no_scipy_or_networkx(module):
                        "if m in sys.modules))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_registry_loads_no_scipy():
+    result = run_fresh("import sys\n"
+                       "from tussle.experiments import ALL_EXPERIMENTS\n"
+                       "for run in ALL_EXPERIMENTS.values():\n"
+                       "    run()\n"
+                       "print('scipy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tussle.econ.competition import herfindahl_index
@@ -76,11 +76,23 @@ class TestTrustProperties:
         assert graph.trust("a", "c") <= min(s1, s2) + 1e-9
 
 
+#: Degenerate games pinned as examples of both zero-sum properties.
+ALL_EQUAL = [[2.0, 2.0, 2.0], [2.0, 2.0, 2.0], [2.0, 2.0, 2.0]]
+DUPLICATED_ROW = [[3.0, -1.0, 2.0], [3.0, -1.0, 2.0], [0.0, 4.0, 1.0]]
+SADDLE_POINT = [[5.0, 1.0, 3.0], [3.0, 2.0, 4.0], [-3.0, 0.0, 1.0]]
+#: E11's user payoffs with steganography: three equilibria.
+STEGANOGRAPHY = [[10.0, 4.0, 10.0], [9.0, 9.0, 0.0], [8.0, 8.0, 8.0]]
+
+
 class TestZeroSumProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(small_floats, min_size=2, max_size=4),
                     min_size=2, max_size=4).filter(
                         lambda rows: len({len(r) for r in rows}) == 1))
+    @example(rows=ALL_EQUAL)
+    @example(rows=DUPLICATED_ROW)
+    @example(rows=SADDLE_POINT)
+    @example(rows=STEGANOGRAPHY)
     def test_minimax_strategies_guarantee_the_value(self, rows):
         matrix = np.array(rows)
         game = NormalFormGame([matrix, -matrix])
@@ -96,6 +108,10 @@ class TestZeroSumProperties:
     @given(st.lists(st.lists(small_floats, min_size=2, max_size=3),
                     min_size=2, max_size=3).filter(
                         lambda rows: len({len(r) for r in rows}) == 1))
+    @example(rows=ALL_EQUAL)
+    @example(rows=DUPLICATED_ROW)
+    @example(rows=SADDLE_POINT)
+    @example(rows=STEGANOGRAPHY)
     def test_strategies_are_distributions(self, rows):
         matrix = np.array(rows)
         solution = solve_zero_sum(NormalFormGame([matrix, -matrix]))
