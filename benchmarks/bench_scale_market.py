@@ -42,9 +42,9 @@ def _time_backends(n_consumers, profiler, repeats=3):
             profiler.min_seconds(f"vector/{n_consumers}"))
 
 
-def _persist(bench_id, profiler, speedups):
+def _persist(bench_id, profiler, timing_key, speedups):
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    record = bench_record(bench_id, profiler=profiler,
+    record = bench_record(bench_id, profiler=profiler, timing_key=timing_key,
                           rounds=ROUNDS, speedups=speedups)
     write_bench_record(RESULTS_DIR, record)
 
@@ -61,7 +61,7 @@ def test_vector_backend_speedup():
         return speedups
 
     measure()
-    _persist("scale_market", profiler, speedups)
+    _persist("scale_market", profiler, "vector/10000", speedups)
     assert speedups["10000"] >= SPEEDUP_FLOOR_AT_1E4, (
         f"vector backend only {speedups['10000']:.1f}x at N=10^4 "
         f"(floor {SPEEDUP_FLOOR_AT_1E4}x); timings "
@@ -78,7 +78,8 @@ def test_vector_backend_speedup_at_1e5():
         return scalar_s / vector_s
 
     speedup = measure()
-    _persist("scale_market_1e5", profiler, {"100000": speedup})
+    _persist("scale_market_1e5", profiler, "vector/100000",
+             {"100000": speedup})
     assert speedup >= 20.0
 
 
@@ -96,5 +97,5 @@ def test_million_agent_round_within_budget():
 
     for _ in range(3):
         one_round()
-    _persist("scale_market_1e6", profiler, {})
+    _persist("scale_market_1e6", profiler, "vector-round/1000000", {})
     assert profiler.min_seconds("vector-round/1000000") < 1.0

@@ -64,9 +64,10 @@ def _time_backends(n_packets, profiler, repeats=3):
             profiler.min_seconds(f"vector/{n_packets}"))
 
 
-def _persist(bench_id, profiler, speedups):
+def _persist(bench_id, profiler, timing_key, speedups):
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    record = bench_record(bench_id, profiler=profiler, speedups=speedups)
+    record = bench_record(bench_id, profiler=profiler, timing_key=timing_key,
+                          speedups=speedups)
     write_bench_record(RESULTS_DIR, record)
 
 
@@ -82,7 +83,7 @@ def test_vector_backend_speedup():
         return speedups
 
     measure()
-    _persist("scale_netsim", profiler, speedups)
+    _persist("scale_netsim", profiler, "vector/10000", speedups)
     assert speedups["10000"] >= SPEEDUP_FLOOR_AT_1E4, (
         f"vector backend only {speedups['10000']:.1f}x at 10^4 packets "
         f"(floor {SPEEDUP_FLOOR_AT_1E4}x); timings "
@@ -103,7 +104,7 @@ def test_flow_backend_routes_1e5_flows_fast():
 
     for _ in range(3):
         report = route()
-    _persist("scale_flowsim_1e5", profiler, {})
+    _persist("scale_flowsim_1e5", profiler, "flow-route/100000", {})
     assert report.n_flows == 100_000
     assert profiler.min_seconds("flow-route/100000") < 1.0
 
@@ -117,7 +118,8 @@ def test_vector_backend_speedup_at_1e5():
         return scalar_s / vector_s
 
     speedup = measure()
-    _persist("scale_netsim_1e5", profiler, {"100000": speedup})
+    _persist("scale_netsim_1e5", profiler, "vector/100000",
+             {"100000": speedup})
     assert speedup >= SPEEDUP_FLOOR_AT_1E4
 
 
@@ -135,7 +137,7 @@ def test_million_flow_population_within_budget():
 
     for _ in range(3):
         report = route()
-    _persist("scale_flowsim_1e6", profiler, {})
+    _persist("scale_flowsim_1e6", profiler, "flow-route/1000000", {})
     assert report.n_flows == 1_000_000
     assert report.delivered + report.no_route + report.link_down \
         + report.ttl_exceeded == 1_000_000

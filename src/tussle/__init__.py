@@ -16,20 +16,21 @@ Subpackages
 -----------
 ``tussle.core``
     The paper's contribution: stakeholders, mechanisms, tussle spaces, the
-    adaptation simulator, and the design principles as metrics.
+    adaptation simulator, and two design principles as metrics.
 ``tussle.netsim``
     Network substrate: topology, packets (with encryption
-    and tunnels), middleboxes, forwarding, transport, DNS, faults.
+    and tunnels), middleboxes, forwarding, a retrying sender, DNS, QoS,
+    mail, fault reports.
 ``tussle.routing``
     Path-vector (Gao-Rexford), user source routing with payment, and
     overlays.
 ``tussle.econ``
-    Markets, pricing strategies, competition metrics, the fear-and-greed
-    investment model, broadband facilities.
+    Markets, pricing strategies, market concentration, the
+    fear-and-greed investment model, broadband facilities.
 ``tussle.gametheory``
-    Normal-form games, zero-sum and Nash solvers, learning dynamics,
-    repeated games, Vickrey/VCG mechanisms, and the paper's canonical
-    tussle games.
+    Normal-form games, zero-sum and Nash solvers, best-response
+    dynamics, repeated games, Vickrey/VCG mechanisms, and the paper's
+    canonical tussle games.
 ``tussle.actornet``
     Actor-network theory: actors, commitments, alignment, durability,
     churn, collision.

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ActorNetworkError
 
-__all__ = ["ActorKind", "Actor", "value_distance", "row_norms"]
+__all__ = ["ActorKind", "Actor", "row_norms"]
 
 #: Dimensionality of the default value space.
 DEFAULT_VALUE_DIMS = 4
@@ -121,15 +121,6 @@ class Actor:
             inertia=inertia,
             expresses_intention_of=expresses_intention_of,
         )
-
-
-def value_distance(a: Actor, b: Actor) -> float:
-    """Euclidean distance between two actors' value vectors."""
-    if a.values.shape != b.values.shape:
-        raise ActorNetworkError(
-            f"actors {a.name!r} and {b.name!r} live in different value spaces"
-        )
-    return float(np.linalg.norm(a.values - b.values))
 
 
 def row_norms(vectors: np.ndarray) -> np.ndarray:

@@ -6,9 +6,8 @@ metrics:
 
 * :func:`durability` — how locked-in the network is: strong commitments
   and harmonized values mean high durability;
-* :func:`cost_to_change` — effort to replace a technology actor: every
-  committed neighbour must re-align (sum of incident commitment strengths,
-  weighted by how far the replacement's values sit from the neighbours');
+* :func:`changeability` — its complement: how open the network still is
+  to change;
 * :func:`is_frozen` — the paper's §II-C prediction operationalized: a
   network freezes when values have harmonized (low variance) AND no new
   actors are arriving.
@@ -16,16 +15,10 @@ metrics:
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from ..canon import ordered_sum
-from ..errors import ActorNetworkError
-from .actors import Actor
 from .network import ActorNetwork
 
-__all__ = ["durability", "changeability", "cost_to_change", "is_frozen"]
+__all__ = ["durability", "changeability", "is_frozen"]
 
 
 def durability(network: ActorNetwork) -> float:
@@ -53,32 +46,6 @@ def durability(network: ActorNetwork) -> float:
 def changeability(network: ActorNetwork) -> float:
     """1 - durability: how open the network still is to change."""
     return 1.0 - durability(network)
-
-
-def cost_to_change(network: ActorNetwork, technology_name: str,
-                   replacement: Optional[Actor] = None) -> float:
-    """Cost of replacing a technology actor.
-
-    Every neighbour committed to the technology must re-align. The cost is
-    the sum over neighbours of (commitment strength x re-alignment
-    distance), where the distance is to the replacement's values (or, when
-    no replacement is given, a unit re-alignment per unit strength).
-    """
-    technology = network.actor(technology_name)
-    if technology.human:
-        raise ActorNetworkError(
-            f"{technology_name!r} is a human actor; cost_to_change applies to technology"
-        )
-    total = 0.0
-    for neighbor_name in network.neighbors(technology_name):
-        strength = network.commitment(technology_name, neighbor_name).strength
-        if replacement is not None:
-            neighbor = network.actor(neighbor_name)
-            distance = float(np.linalg.norm(neighbor.values - replacement.values))
-        else:
-            distance = 1.0
-        total += strength * distance
-    return total
 
 
 def is_frozen(

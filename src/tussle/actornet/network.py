@@ -65,13 +65,6 @@ class ActorNetwork:
     def has_actor(self, name: str) -> bool:
         return name in self._actors
 
-    def remove_actor(self, name: str) -> None:
-        self.actor(name)
-        for other in list(self._adjacency[name]):
-            self.remove_commitment(name, other)
-        del self._adjacency[name]
-        del self._actors[name]
-
     @property
     def actors(self) -> List[Actor]:
         return [self._actors[k] for k in sorted(self._actors)]
@@ -135,14 +128,6 @@ class ActorNetwork:
     def degree(self, name: str) -> int:
         return len(self._adjacency[self.actor(name).name])
 
-    def commitment_weight(self, name: str) -> float:
-        """Total commitment strength incident to an actor."""
-        self.actor(name)
-        return sum(
-            c.strength for c in self._commitments.values()
-            if name in (c.a, c.b)
-        )
-
     # ------------------------------------------------------------------
     # Aggregate structure
     # ------------------------------------------------------------------
@@ -166,22 +151,3 @@ class ActorNetwork:
             return 0.0
         matrix = np.stack([a.values for a in self.actors])
         return float(matrix.var(axis=0).sum())
-
-    def components(self) -> List[Set[str]]:
-        """Connected components of the commitment graph."""
-        seen: Set[str] = set()
-        result: List[Set[str]] = []
-        for name in sorted(self._actors):
-            if name in seen:
-                continue
-            component = {name}
-            frontier = [name]
-            while frontier:
-                current = frontier.pop()
-                for neighbor in self._adjacency[current]:
-                    if neighbor not in component:
-                        component.add(neighbor)
-                        frontier.append(neighbor)
-            seen |= component
-            result.append(component)
-        return result

@@ -1,23 +1,16 @@
 """The paper's primary contribution, made executable.
 
 Stakeholders with conflicting interests, mechanisms as control points,
-tussle spaces, the round-based adaptation simulator, the design principles
-(tussle isolation, design for choice, rigidity, openness) as metrics,
-spillover measurement, coupled spaces and the design guidelines.
+tussle spaces, the round-based adaptation simulator, two design principles (tussle
+isolation and rigidity) as metrics, spillover measurement, coupled spaces
+and the design guidelines.
 """
 
 from .stakeholders import Interest, Stakeholder, StakeholderKind
 from .mechanisms import Mechanism, Move, MoveKind
 from .tussle import TussleSpace
 from .design import Design, Function, Interface, Module
-from .principles import (
-    PrincipleScorecard,
-    choice_index,
-    isolation_score,
-    openness_score,
-    rigidity,
-    scorecard,
-)
+from .principles import isolation_score, rigidity
 from .spillover import (
     DnsScenarioResult,
     SpilloverReport,
@@ -41,8 +34,7 @@ __all__ = [
     "Mechanism", "Move", "MoveKind",
     "TussleSpace",
     "Design", "Function", "Interface", "Module",
-    "PrincipleScorecard", "choice_index", "isolation_score",
-    "openness_score", "rigidity", "scorecard",
+    "isolation_score", "rigidity",
     "DnsScenarioResult", "SpilloverReport", "dns_spillover",
     "spillover_from_event",
     "RoundRecord", "TussleOutcome", "TussleSimulator",

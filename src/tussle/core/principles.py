@@ -2,31 +2,20 @@
 
 * :func:`isolation_score` — "modularize along tussle boundaries": 1 when
   every tussle space is confined to its own modules and no module mixes
-  contested and uncontested functions;
-* :func:`choice_index` — "design for choice": how many real alternatives
-  each party has at each decision point;
+  contested and uncontested functions (E08 measures it);
 * :func:`rigidity` — "design for variation in outcome": the fraction of
-  tussle-relevant variables the design fixes rather than exposes;
-* :func:`openness_score` — the open-interface fraction, split by
-  plain-open vs tussle-aware interfaces.
+  tussle-relevant variables the design fixes rather than exposes (E09
+  sweeps it).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Set
+from typing import Iterable, Sequence, Set
 
-from ..errors import DesignError
 from .design import Design
 from .mechanisms import Mechanism
 
-__all__ = [
-    "isolation_score",
-    "choice_index",
-    "rigidity",
-    "openness_score",
-    "PrincipleScorecard",
-    "scorecard",
-]
+__all__ = ["isolation_score", "rigidity"]
 
 
 def isolation_score(design: Design) -> float:
@@ -66,26 +55,6 @@ def isolation_score(design: Design) -> float:
     return 1.0 - (entanglement_penalty + colocation_penalty) / 2.0
 
 
-def choice_index(alternatives: Mapping[str, int]) -> float:
-    """Design-for-choice over decision points.
-
-    ``alternatives`` maps each decision a party faces (pick SMTP server,
-    pick route, pick mediator...) to the number of real alternatives. The
-    index is the mean of ``1 - 1/n`` per decision: 0 when every decision
-    has a single forced outcome, approaching 1 as alternatives abound.
-    """
-    if not alternatives:
-        return 0.0
-    total = 0.0
-    for decision, count in alternatives.items():
-        if count < 1:
-            raise DesignError(
-                f"decision {decision!r} must have at least 1 alternative"
-            )
-        total += 1.0 - 1.0 / count
-    return total / len(alternatives)
-
-
 def rigidity(mechanisms: Sequence[Mechanism],
              tussle_variables: Iterable[str]) -> float:
     """Fraction of tussle-relevant variables the design fails to expose.
@@ -106,66 +75,3 @@ def rigidity(mechanisms: Sequence[Mechanism],
     unexposed = [v for v in variables if v not in exposed]
     return len(unexposed) / len(variables)
 
-
-def openness_score(design: Design) -> Dict[str, float]:
-    """Open and tussle-aware interface fractions of a design."""
-    interfaces = design.interfaces
-    if not interfaces:
-        return {"open": 0.0, "tussle_aware": 0.0}
-    open_count = sum(1 for i in interfaces if i.open_)
-    aware_count = sum(1 for i in interfaces if i.tussle_aware)
-    return {
-        "open": open_count / len(interfaces),
-        "tussle_aware": aware_count / len(interfaces),
-    }
-
-
-class PrincipleScorecard:
-    """Bundled principle metrics for one design, printable as a table row."""
-
-    def __init__(self, design_name: str, isolation: float, choice: float,
-                 rigidity_value: float, open_fraction: float,
-                 tussle_aware_fraction: float):
-        self.design_name = design_name
-        self.isolation = isolation
-        self.choice = choice
-        self.rigidity = rigidity_value
-        self.open_fraction = open_fraction
-        self.tussle_aware_fraction = tussle_aware_fraction
-
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "isolation": self.isolation,
-            "choice": self.choice,
-            "rigidity": self.rigidity,
-            "open": self.open_fraction,
-            "tussle_aware": self.tussle_aware_fraction,
-        }
-
-    def tussle_readiness(self) -> float:
-        """A single headline number: mean of the pro-tussle metrics.
-
-        Rigidity counts against; the rest count for.
-        """
-        return (
-            self.isolation + self.choice + (1.0 - self.rigidity)
-            + self.open_fraction + self.tussle_aware_fraction
-        ) / 5.0
-
-
-def scorecard(
-    design: Design,
-    mechanisms: Sequence[Mechanism],
-    tussle_variables: Iterable[str],
-    alternatives: Mapping[str, int],
-) -> PrincipleScorecard:
-    """Compute the full scorecard for a design + mechanism set."""
-    openness = openness_score(design)
-    return PrincipleScorecard(
-        design_name=design.name,
-        isolation=isolation_score(design),
-        choice=choice_index(alternatives),
-        rigidity_value=rigidity(mechanisms, tussle_variables),
-        open_fraction=openness["open"],
-        tussle_aware_fraction=openness["tussle_aware"],
-    )

@@ -93,36 +93,6 @@ class TussleSpace:
             result.append(mechanism)
         return result
 
-    # ------------------------------------------------------------------
-    # Conflict structure
-    # ------------------------------------------------------------------
-    def contested_variables(self) -> List[str]:
-        """Variables at least two stakeholders pull in different directions."""
-        contested = []
-        for variable in self.variables():
-            targets = {
-                round(s.interests[variable].target, 9)
-                for s in self.stakeholders
-                if s.cares_about(variable)
-            }
-            if len(targets) >= 2:
-                contested.append(variable)
-        return contested
-
-    def conflict_intensity(self, variable: str) -> float:
-        """Spread of weighted targets for a variable (0 = no conflict)."""
-        entries = [
-            (s.interests[variable].target, s.interests[variable].weight)
-            for s in self.stakeholders
-            if s.cares_about(variable)
-        ]
-        if len(entries) < 2:
-            return 0.0
-        targets = [t for t, _ in entries]
-        weights = [w for _, w in entries]
-        spread = max(targets) - min(targets)
-        return spread * (sum(weights) / len(weights))
-
     def total_welfare(self) -> float:
         """Sum of stakeholder utilities at the current state."""
         return sum(s.utility(self.state) for s in self.stakeholders)

@@ -2,34 +2,21 @@
 
 Implements the agents and mechanisms behind the paper's economics tussle
 space (§V-A): consumers and providers with conflicting interests, pricing
-strategies (flat, undercutting, monopoly, value pricing), a round-based
-access market, competition metrics, the fear-and-greed investment model
-and the two-layer broadband facilities market.
+strategies (undercutting, monopoly, value pricing), a round-based access
+market, market concentration, the fear-and-greed investment model and the
+two-layer broadband facilities market.
 """
 
 from .agents import Consumer, Provider
-from .demand import (
-    DemandCurve,
-    LogNormalWtp,
-    Segment,
-    UniformWtp,
-    WtpDistribution,
-)
+from .demand import Segment, UniformWtp, WtpDistribution
 from .pricing import (
-    FlatPricing,
     MonopolyPricing,
     PricingStrategy,
     UndercutPricing,
     ValuePricingStrategy,
 )
 from .market import Market, MarketRound
-from .competition import (
-    CompetitionReport,
-    competition_report,
-    effective_competitors,
-    herfindahl_index,
-    lerner_index,
-)
+from .competition import herfindahl_index
 from .investment import (
     DeploymentChoice,
     InvestmentModel,
@@ -45,12 +32,11 @@ from .accesstech import (
 
 __all__ = [
     "Consumer", "Provider",
-    "DemandCurve", "LogNormalWtp", "Segment", "UniformWtp", "WtpDistribution",
-    "FlatPricing", "MonopolyPricing", "PricingStrategy", "UndercutPricing",
+    "Segment", "UniformWtp", "WtpDistribution",
+    "MonopolyPricing", "PricingStrategy", "UndercutPricing",
     "ValuePricingStrategy",
     "Market", "MarketRound",
-    "CompetitionReport", "competition_report", "effective_competitors",
-    "herfindahl_index", "lerner_index",
+    "herfindahl_index",
     "DeploymentChoice", "InvestmentModel", "QosFactorial", "qos_deployment_game",
     "AccessRegime", "Facility", "build_access_market", "build_service_providers",
 ]

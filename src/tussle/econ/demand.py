@@ -12,11 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..errors import MarketError
 
-__all__ = ["Segment", "WtpDistribution", "UniformWtp", "LogNormalWtp", "DemandCurve"]
+__all__ = ["Segment", "WtpDistribution", "UniformWtp"]
 
 
 class Segment(Enum):
@@ -53,73 +53,9 @@ class UniformWtp(WtpDistribution):
         return rng.uniform(self.low, self.high)
 
 
-@dataclass
-class LogNormalWtp(WtpDistribution):
-    """Log-normal willingness to pay (heavy right tail of rich customers)."""
-
-    mu: float = 3.0
-    sigma: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise MarketError(f"sigma must be positive, got {self.sigma}")
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.lognormvariate(self.mu, self.sigma)
-
-
 #: Default per-segment distributions: business WTP dominates basic WTP.
 DEFAULT_SEGMENT_WTP: Dict[Segment, WtpDistribution] = {
     Segment.BASIC: UniformWtp(10.0, 40.0),
     Segment.BUSINESS: UniformWtp(40.0, 120.0),
 }
 
-
-class DemandCurve:
-    """Aggregate demand from a sampled population.
-
-    Builds an empirical demand curve: ``quantity(price)`` is how many
-    sampled consumers have WTP >= price. Supports revenue-maximizing price
-    search, which monopoly pricing strategies use.
-    """
-
-    def __init__(
-        self,
-        n_consumers: int,
-        distribution: Optional[WtpDistribution] = None,
-        seed: int = 0,
-    ):
-        if n_consumers <= 0:
-            raise MarketError(f"need at least one consumer, got {n_consumers}")
-        rng = random.Random(seed)
-        dist = distribution or UniformWtp(10.0, 100.0)
-        self.wtps: List[float] = sorted(dist.sample(rng) for _ in range(n_consumers))
-
-    def quantity(self, price: float) -> int:
-        """Number of consumers willing to buy at ``price`` (binary search)."""
-        lo, hi = 0, len(self.wtps)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.wtps[mid] < price:
-                lo = mid + 1
-            else:
-                hi = mid
-        return len(self.wtps) - lo
-
-    def revenue(self, price: float) -> float:
-        return price * self.quantity(price)
-
-    def revenue_maximizing_price(self) -> float:
-        """The WTP value that maximizes price x quantity."""
-        best_price = 0.0
-        best_revenue = -1.0
-        for wtp in self.wtps:
-            r = self.revenue(wtp)
-            if r > best_revenue:
-                best_revenue = r
-                best_price = wtp
-        return best_price
-
-    def consumer_surplus(self, price: float) -> float:
-        """Sum of (WTP - price) over consumers who buy."""
-        return sum(w - price for w in self.wtps if w >= price)

@@ -18,7 +18,6 @@ from .agents import Provider
 
 __all__ = [
     "PricingStrategy",
-    "FlatPricing",
     "UndercutPricing",
     "MonopolyPricing",
     "ValuePricingStrategy",
@@ -40,15 +39,6 @@ class PricingStrategy:
         own_share: float,
     ) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-@dataclass
-class FlatPricing(PricingStrategy):
-    """Never change the price (the passive baseline)."""
-
-    def adjust(self, provider: Provider, market_prices: Dict[str, float],
-               own_share: float) -> None:
-        return None
 
 
 @dataclass

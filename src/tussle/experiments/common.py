@@ -9,7 +9,6 @@ table and the check verdict; tests assert the check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -74,29 +73,6 @@ class Table:
             "rows": [{col: row.get(col) for col in self.columns}
                      for row in self.rows],
         }
-
-    def to_json(self) -> str:
-        """Canonical JSON text (see :func:`canonical_json`)."""
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Table":
-        table = cls(data["title"], data["columns"])
-        for row in data["rows"]:
-            table.add_row(**row)
-        return table
-
-    @classmethod
-    def from_json(cls, text: str) -> "Table":
-        """Inverse of :meth:`to_json`.
-
-        Round-trip contract: ``from_json(t.to_json()).to_json() ==
-        t.to_json()``.  Cells omitted from a row come back as explicit
-        ``None`` (the form :meth:`to_dict` already emits), bools and
-        numbers keep their types, and float cells keep their exact
-        IEEE-754 value.
-        """
-        return cls.from_dict(json.loads(text))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -169,31 +145,11 @@ class ExperimentResult:
     def to_json(self) -> str:
         """Canonical JSON text (see :func:`canonical_json`).
 
-        This is the wire/cache form used by the sweep engine: it must be
-        byte-identical for two runs of the same experiment at the same
-        seed, and :meth:`from_json` must reproduce a result whose
-        fingerprint (``tussle.lint.seedcheck.fingerprint``) matches the
-        original.
+        It must be byte-identical for two runs of the same experiment at
+        the same seed: perfbench and the peering determinism tests pin
+        its sha256.
         """
         return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExperimentResult":
-        return cls(
-            experiment_id=data["experiment_id"],
-            title=data["title"],
-            paper_claim=data["paper_claim"],
-            tables=[Table.from_dict(t) for t in data["tables"]],
-            checks=[ShapeCheck(claim=c["claim"], holds=c["holds"],
-                               detail=c.get("detail", ""))
-                    for c in data["checks"]],
-            metrics=data.get("metrics"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentResult":
-        """Inverse of :meth:`to_json`; ``shape_holds`` is recomputed."""
-        return cls.from_dict(json.loads(text))
 
     def print(self) -> None:  # pragma: no cover - console convenience
         print(self.format())

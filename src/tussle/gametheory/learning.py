@@ -2,14 +2,14 @@
 
 "There is no 'final outcome' of these interactions, no stable point"
 (§I) — except when there is: learning dynamics show which tussle games
-settle and which churn. Provides fictitious play, (discrete-time)
-replicator dynamics and best-response dynamics for 2-player games.
+settle and which churn. Provides alternating best-response dynamics for
+2-player games.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -18,38 +18,22 @@ from ..obs.runtime import current as _obs_current
 from .games import NormalFormGame
 from .nash import best_response
 
-__all__ = [
-    "LearningResult",
-    "fictitious_play",
-    "replicator_dynamics",
-    "best_response_dynamics",
-]
+__all__ = ["LearningResult", "best_response_dynamics"]
 
 
 @dataclass
 class LearningResult:
     """Outcome of a learning run.
 
-    ``converged`` means the empirical strategies stopped moving within
-    tolerance before the iteration budget ran out; ``trajectory`` records
-    the (row, col) strategy pair each sampling interval.
+    ``converged`` means the pure profile reached a fixed point before the
+    iteration budget ran out or a cycle closed; ``trajectory`` records the
+    (row, col) strategy pair of each iteration.
     """
 
     strategies: Tuple[np.ndarray, np.ndarray]
     converged: bool
     iterations: int
     trajectory: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-
-    def cycle_detected(self) -> bool:
-        """Heuristic: did the trajectory revisit an earlier point?"""
-        if len(self.trajectory) < 4 or self.converged:
-            return False
-        last = self.trajectory[-1]
-        for earlier in self.trajectory[:-2]:
-            if (np.allclose(earlier[0], last[0], atol=1e-3)
-                    and np.allclose(earlier[1], last[1], atol=1e-3)):
-                return True
-        return False
 
 
 def _check_two_player(game: NormalFormGame) -> Tuple[np.ndarray, np.ndarray]:
@@ -71,115 +55,6 @@ def _observe_run(dynamics: str, result: LearningResult) -> LearningResult:
         scope.counter("iterations").inc(result.iterations)
         scope.counter("converged_runs").inc(1 if result.converged else 0)
     return result
-
-
-def fictitious_play(
-    game: NormalFormGame,
-    iterations: int = 2000,
-    tolerance: float = 1e-3,
-    sample_every: int = 50,
-) -> LearningResult:
-    """Classic fictitious play: best-respond to the opponent's empirical mix.
-
-    Converges for zero-sum and many coordination games; cycles in e.g.
-    matching pennies variants (Shapley), which the result reports.
-    """
-    a, b = _check_two_player(game)
-    m, n = a.shape
-    counts_row = np.zeros(m)
-    counts_col = np.zeros(n)
-    counts_row[0] = 1
-    counts_col[0] = 1
-    trajectory: List[Tuple[np.ndarray, np.ndarray]] = []
-    previous: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    converged = False
-    iterations_used = iterations
-
-    for t in range(1, iterations + 1):
-        x = counts_row / counts_row.sum()
-        y = counts_col / counts_col.sum()
-        row_action = best_response(game, 0, y)
-        col_action = best_response(game, 1, x)
-        counts_row[row_action] += 1
-        counts_col[col_action] += 1
-        if t % sample_every == 0:
-            trajectory.append((x.copy(), y.copy()))
-            if previous is not None:
-                if (np.max(np.abs(previous[0] - x)) < tolerance
-                        and np.max(np.abs(previous[1] - y)) < tolerance):
-                    converged = True
-                    iterations_used = t
-                    break
-            previous = (x.copy(), y.copy())
-
-    x = counts_row / counts_row.sum()
-    y = counts_col / counts_col.sum()
-    return _observe_run("fictitious_play", LearningResult(
-        strategies=(x, y),
-        converged=converged,
-        iterations=iterations_used,
-        trajectory=trajectory,
-    ))
-
-
-def replicator_dynamics(
-    game: NormalFormGame,
-    iterations: int = 2000,
-    step: float = 0.1,
-    tolerance: float = 1e-7,
-    initial: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    sample_every: int = 50,
-) -> LearningResult:
-    """Discrete-time two-population replicator dynamics.
-
-    Models evolutionary tussle: strategies that do better than the
-    population average grow. Used for the bounded-rationality view the
-    paper cites (Binmore's evolutionary game theory).
-    """
-    a, b = _check_two_player(game)
-    m, n = a.shape
-    if initial is not None:
-        x = np.asarray(initial[0], float).copy()
-        y = np.asarray(initial[1], float).copy()
-    else:
-        # Slightly perturbed uniform start to break symmetric stalemates.
-        x = np.full(m, 1.0 / m) + np.linspace(0, 1e-3, m)
-        y = np.full(n, 1.0 / n) + np.linspace(1e-3, 0, n)
-        x /= x.sum()
-        y /= y.sum()
-
-    trajectory: List[Tuple[np.ndarray, np.ndarray]] = []
-    converged = False
-    iterations_used = iterations
-
-    for t in range(1, iterations + 1):
-        fitness_row = a @ y
-        fitness_col = x @ b
-        avg_row = float(x @ fitness_row)
-        avg_col = float(fitness_col @ y)
-        new_x = x * (1.0 + step * (fitness_row - avg_row))
-        new_y = y * (1.0 + step * (fitness_col - avg_col))
-        new_x = np.maximum(new_x, 0.0)
-        new_y = np.maximum(new_y, 0.0)
-        if new_x.sum() <= 0 or new_y.sum() <= 0:
-            break
-        new_x /= new_x.sum()
-        new_y /= new_y.sum()
-        movement = max(np.max(np.abs(new_x - x)), np.max(np.abs(new_y - y)))
-        x, y = new_x, new_y
-        if t % sample_every == 0:
-            trajectory.append((x.copy(), y.copy()))
-        if movement < tolerance:
-            converged = True
-            iterations_used = t
-            break
-
-    return _observe_run("replicator_dynamics", LearningResult(
-        strategies=(x, y),
-        converged=converged,
-        iterations=iterations_used,
-        trajectory=trajectory,
-    ))
 
 
 def best_response_dynamics(

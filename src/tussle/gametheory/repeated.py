@@ -1,4 +1,4 @@
-"""Repeated games: strategies, tournaments and the shadow of the future.
+"""Repeated games: strategies, matches and the shadow of the future.
 
 The paper's TCP congestion-control story is a repeated social dilemma held
 together by "social pressure, standards pressure, and most individual
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -23,15 +23,11 @@ __all__ = [
     "DEFECT",
     "prisoners_dilemma",
     "RepeatedStrategy",
-    "AlwaysCooperate",
     "AlwaysDefect",
-    "TitForTat",
     "GrimTrigger",
-    "Pavlov",
     "RandomStrategy",
     "MatchResult",
     "play_match",
-    "round_robin",
     "cooperation_sustainable",
 ]
 
@@ -57,16 +53,6 @@ class RepeatedStrategy:
         raise NotImplementedError
 
 
-class AlwaysCooperate(RepeatedStrategy):
-    name = "always-cooperate"
-
-    def first_move(self) -> int:
-        return COOPERATE
-
-    def next_move(self, my_history, their_history) -> int:
-        return COOPERATE
-
-
 class AlwaysDefect(RepeatedStrategy):
     name = "always-defect"
 
@@ -75,18 +61,6 @@ class AlwaysDefect(RepeatedStrategy):
 
     def next_move(self, my_history, their_history) -> int:
         return DEFECT
-
-
-class TitForTat(RepeatedStrategy):
-    """Cooperate first, then mirror the opponent's last move."""
-
-    name = "tit-for-tat"
-
-    def first_move(self) -> int:
-        return COOPERATE
-
-    def next_move(self, my_history, their_history) -> int:
-        return their_history[-1]
 
 
 class GrimTrigger(RepeatedStrategy):
@@ -103,20 +77,6 @@ class GrimTrigger(RepeatedStrategy):
 
     def next_move(self, my_history, their_history) -> int:
         return DEFECT if DEFECT in their_history else COOPERATE
-
-
-class Pavlov(RepeatedStrategy):
-    """Win-stay, lose-shift."""
-
-    name = "pavlov"
-
-    def first_move(self) -> int:
-        return COOPERATE
-
-    def next_move(self, my_history, their_history) -> int:
-        if my_history[-1] == their_history[-1]:
-            return COOPERATE
-        return DEFECT
 
 
 class RandomStrategy(RepeatedStrategy):
@@ -196,21 +156,6 @@ def play_match(
         cooperation_rate=cooperations / (2 * rounds),
         rounds=rounds,
     )
-
-
-def round_robin(
-    strategies: Sequence[RepeatedStrategy],
-    game: Optional[NormalFormGame] = None,
-    rounds: int = 100,
-) -> Dict[str, float]:
-    """Axelrod-style tournament; returns total score per strategy name."""
-    scores: Dict[str, float] = {s.name: 0.0 for s in strategies}
-    for i, a in enumerate(strategies):
-        for b in strategies[i + 1:]:
-            result = play_match(a, b, game=game, rounds=rounds)
-            scores[a.name] += result.score_a
-            scores[b.name] += result.score_b
-    return scores
 
 
 def cooperation_sustainable(

@@ -34,9 +34,8 @@ See DESIGN.md ("Determinism contract & lint rule catalog") for the full
 rule list and the blessed idioms each rule steers toward.
 """
 
-from .baseline import Baseline, apply_baseline, load_baseline, update_baseline
 from .engine import LintReport, collect_files, find_repo_root, run_lint
-from .findings import RULE_REGISTRY, Finding, Rule, get_rule, rule_ids
+from .findings import RULE_REGISTRY, Finding, Rule, rule_ids
 
 # Importing the rule modules registers their rules.  The dynamic
 # seedcheck harness is intentionally NOT imported here: it pulls in the
@@ -46,17 +45,12 @@ from .findings import RULE_REGISTRY, Finding, Rule, get_rule, rule_ids
 from . import api, conformance, determinism  # noqa: F401  isort: skip
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintReport",
     "Rule",
     "RULE_REGISTRY",
-    "apply_baseline",
     "collect_files",
     "find_repo_root",
-    "get_rule",
-    "load_baseline",
     "rule_ids",
     "run_lint",
-    "update_baseline",
 ]

@@ -14,13 +14,10 @@ from typing import List, Optional, Sequence
 
 from ..errors import LintError
 from . import api, conformance, determinism  # noqa: F401  (register rules)
-from .baseline import load_baseline, update_baseline
-from .engine import LintReport, find_repo_root, run_lint
+from .engine import LintReport, run_lint
 from .findings import RULE_REGISTRY, rule_ids
 
 __all__ = ["main", "build_parser"]
-
-_DEFAULT_BASELINE_NAME = "lint-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,16 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--select", metavar="PREFIXES",
                         help="comma-separated rule-id prefixes to keep "
                              "(e.g. 'D' or 'D106,X')")
-    parser.add_argument("--baseline", metavar="FILE", type=Path, default=None,
-                        help="baseline file of grandfathered findings "
-                             f"(default: {_DEFAULT_BASELINE_NAME} at the "
-                             "repo root, when present)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from current findings, "
-                             "pruning entries for findings that no longer "
-                             "exist, and exit 0")
     parser.add_argument("--show-suppressed", action="store_true",
-                        help="also print suppressed/baselined findings")
+                        help="also print suppressed findings")
     parser.add_argument("--kernel-candidates", action="store_true",
                         help="also print the pure, vectorization-eligible "
                              "netsim/routing functions with their inferred "
@@ -61,17 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _default_paths() -> List[Path]:
     package_dir = Path(__file__).resolve().parent.parent
     return [package_dir]
-
-
-def _resolve_baseline_path(args: argparse.Namespace,
-                           scan_paths: Sequence[Path]) -> Optional[Path]:
-    if args.baseline is not None:
-        return args.baseline
-    repo_root = find_repo_root(Path(scan_paths[0]))
-    if repo_root is None:
-        return None
-    candidate = repo_root / _DEFAULT_BASELINE_NAME
-    return candidate if (candidate.is_file() or args.update_baseline) else None
 
 
 def _list_rules(fmt: str) -> int:
@@ -104,10 +82,6 @@ def _print_text_report(report: LintReport, show_suppressed: bool) -> None:
         for finding in report.suppressed:
             print(f"{finding.format()} (suppressed: "
                   f"{finding.suppression_source})")
-    for entry in report.stale_baseline:
-        print(f"stale baseline entry: {entry['rule']} x{entry['count']} "
-              f"in {entry['path']} no longer matches any finding "
-              "(run --update-baseline)")
     suppressed_note = (
         f", {len(report.suppressed)} suppressed" if report.suppressed else ""
     )
@@ -135,24 +109,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         [part.strip() for part in args.select.split(",") if part.strip()]
         if args.select else None
     )
-    baseline_path = _resolve_baseline_path(args, scan_paths)
 
     try:
-        baseline = None
-        if baseline_path is not None and baseline_path.is_file() \
-                and not args.update_baseline:
-            baseline = load_baseline(baseline_path)
-        report = run_lint(scan_paths, select=select, baseline=baseline)
-        if args.update_baseline:
-            if baseline_path is None:
-                raise LintError(
-                    "cannot locate a repo root for the baseline; pass "
-                    "--baseline FILE explicitly"
-                )
-            written = update_baseline(baseline_path, report.findings)
-            print(f"wrote {sum(written.budgets.values())} grandfathered "
-                  f"findings to {baseline_path}")
-            return 0
+        report = run_lint(scan_paths, select=select)
     except LintError as exc:
         print(f"tussle-lint: {exc}", file=sys.stderr)
         return 2

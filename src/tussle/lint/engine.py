@@ -4,8 +4,8 @@ One run parses each file into a :class:`~tussle.lint.context.ModuleInfo`,
 runs the single-file D rules and the project-level E/X rules over those
 parses, extracts the flow summaries from the same ASTs, links them into
 a :class:`~tussle.lint.flow.project.Program` and runs the F rules.  Only
-then are inline suppressions, the stale-suppression audit (X303) and the
-baseline applied, once, over every finding.
+then are inline suppressions and the stale-suppression audit (X303)
+applied, once, over every finding.
 
 The engine is deliberately import-free with respect to the code under
 analysis — everything is AST-level, so linting a module never executes
@@ -20,7 +20,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import LintError
 from .api import check_api_invariants
-from .baseline import Baseline, apply_baseline
 from .conformance import check_experiment_conformance
 from .context import ModuleInfo, ProjectContext, parse_module
 from .determinism import check_module_determinism
@@ -64,10 +63,6 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    #: Baseline entries whose budget exceeded the findings present:
-    #: [{"rule", "path", "count"}, ...].  Non-empty means the baseline
-    #: is stale and the gate fails until --update-baseline rewrites it.
-    stale_baseline: List[dict] = field(default_factory=list)
     #: Pure netsim/routing functions eligible for kernel extraction.
     kernel_candidates: List[Dict[str, Any]] = field(default_factory=list)
     #: The linked whole-program view the F rules ran over.
@@ -83,14 +78,13 @@ class LintReport:
 
     @property
     def clean(self) -> bool:
-        return not self.active and not self.stale_baseline
+        return not self.active
 
     def to_dict(self) -> dict:
         return {
             "files_scanned": self.files_scanned,
             "findings": [f.to_dict() for f in self.active],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "stale_baseline": list(self.stale_baseline),
             "kernel_candidates": list(self.kernel_candidates),
             "clean": self.clean,
         }
@@ -168,7 +162,6 @@ def check_stale_suppressions(info: ModuleInfo) -> List[Finding]:
 def run_lint(
     paths: Sequence[Path],
     select: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintReport:
     """Analyze ``paths`` with every rule family and return every finding.
 
@@ -179,9 +172,6 @@ def run_lint(
     select:
         Rule-id prefixes to keep (e.g. ``["D"]`` or ``["D106", "X"]``);
         None keeps everything.
-    baseline:
-        Grandfathered-finding budget; matching findings are marked
-        suppressed rather than dropped, so JSON output still shows them.
     """
     files = collect_files([Path(p) for p in paths])
     if not files:
@@ -229,11 +219,5 @@ def run_lint(
     report = LintReport(findings=findings, files_scanned=len(files),
                         kernel_candidates=kernel_candidates(program, effects),
                         program=program)
-    if baseline is not None:
-        stale = apply_baseline(report.findings, baseline)
-        report.stale_baseline = [
-            {"rule": rule, "path": path, "count": count}
-            for (rule, path), count in sorted(stale.items())
-        ]
     report.findings.sort(key=Finding.sort_key)
     return report

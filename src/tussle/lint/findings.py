@@ -20,7 +20,6 @@ __all__ = [
     "RULE_REGISTRY",
     "register_rule",
     "rule_ids",
-    "get_rule",
 ]
 
 
@@ -70,13 +69,6 @@ def register_rule(rule: Rule) -> Rule:
 def rule_ids() -> List[str]:
     """All registered rule ids, sorted."""
     return sorted(RULE_REGISTRY)
-
-
-def get_rule(rule_id: str) -> Rule:
-    try:
-        return RULE_REGISTRY[rule_id]
-    except KeyError:
-        raise LintError(f"unknown lint rule {rule_id!r}") from None
 
 
 @dataclass

@@ -14,9 +14,8 @@ the whole tree.  Inside the one lint run
    program, and the kernel-candidates report lists pure netsim/routing
    functions eligible for vectorization.
 
-Inline suppressions, the stale-suppression audit (X303) and the
-baseline are applied by the engine once, to F findings and D/E/X
-findings alike.
+Inline suppressions and the stale-suppression audit (X303) are applied
+by the engine once, to F findings and D/E/X findings alike.
 """
 
 from .rules import FLOW_RULES  # noqa: F401  (import registers F rules)

@@ -3,7 +3,8 @@
 The netsim package provides everything the tussle experiments forward
 packets over: topologies at node and AS granularity, a packet model
 with encryption/tunnelling semantics, middleboxes, a synchronous
-forwarding engine, transport flows, a name system and fault injection.
+forwarding engine, a name system, QoS classifiers, mail and fault
+reports.
 """
 
 from .topology import (
@@ -29,23 +30,14 @@ from .packets import Header, Packet, Protocol, WELL_KNOWN_PORTS, make_packet, po
 from .middlebox import (
     Action,
     BlanketFirewall,
-    Cache,
     Middlebox,
-    NAT,
     PortFilterFirewall,
     Redirector,
     TransparencyLedger,
     Verdict,
     Wiretap,
 )
-from .forwarding import DeliveryReceipt, DeliveryStatus, ForwardingEngine, PrefixFib
-from .transport import (
-    AIMDFlow,
-    CheaterFlow,
-    Flow,
-    SharedBottleneck,
-    fairness_index,
-)
+from .forwarding import DeliveryReceipt, DeliveryStatus, ForwardingEngine
 from .dns import (
     DisputeOutcome,
     EntangledNameSystem,
@@ -53,7 +45,7 @@ from .dns import (
     SeparatedNameSystem,
     TrademarkDispute,
 )
-from .faults import Audience, FaultInjector, FaultReport, FaultReporter, traceroute
+from .faults import Audience, FaultReport, FaultReporter
 from .qos import (
     PRIORITY_TOS,
     PortQosClassifier,
@@ -80,17 +72,15 @@ __all__ = [
     # packets
     "Header", "Packet", "Protocol", "WELL_KNOWN_PORTS", "make_packet", "port_for_app",
     # middleboxes
-    "Action", "BlanketFirewall", "Cache", "Middlebox", "NAT",
-    "PortFilterFirewall", "Redirector", "TransparencyLedger", "Verdict", "Wiretap",
+    "Action", "BlanketFirewall", "Middlebox", "PortFilterFirewall",
+    "Redirector", "TransparencyLedger", "Verdict", "Wiretap",
     # forwarding
-    "DeliveryReceipt", "DeliveryStatus", "ForwardingEngine", "PrefixFib",
-    # transport
-    "AIMDFlow", "CheaterFlow", "Flow", "SharedBottleneck", "fairness_index",
+    "DeliveryReceipt", "DeliveryStatus", "ForwardingEngine",
     # dns
     "DisputeOutcome", "EntangledNameSystem", "NameSystem",
     "SeparatedNameSystem", "TrademarkDispute",
     # faults
-    "Audience", "FaultInjector", "FaultReport", "FaultReporter", "traceroute",
+    "Audience", "FaultReport", "FaultReporter",
     # qos
     "PRIORITY_TOS", "PortQosClassifier", "QosClassifier",
     "QosScheduler", "TosQosClassifier",

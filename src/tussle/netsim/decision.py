@@ -26,10 +26,6 @@ Contract notes (load-bearing for byte-parity):
 * Source routes take precedence over tables while the route has hops
   left; an engine configured not to honor them refuses rather than
   silently falling back to its table (:func:`next_hop_choice`).
-* Longest-prefix FIB lookup is insertion-order independent: two distinct
-  equal-length prefixes cannot both match one name, and duplicate
-  prefixes are deduplicated (last insert wins) before lookup, so
-  :func:`longest_prefix_match` sees each prefix once.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ __all__ = [
     "MAX_TTL",
     "at_destination",
     "link_usable",
-    "longest_prefix_match",
     "next_hop_choice",
     "port_prioritized",
     "priority_charge",
@@ -97,27 +92,6 @@ def link_usable(exists: bool, up: bool, capacity: float) -> bool:
     any packet is concerned.
     """
     return exists and up and capacity > 0
-
-
-def longest_prefix_match(
-    entries: Iterable[Tuple[str, str]],
-    name: str,
-) -> Optional[str]:
-    """Longest-prefix winner over ``(prefix, next_hop)`` entries.
-
-    Strictly longer matches displace shorter ones; an equal-length match
-    replaces an earlier one (last wins), which only matters when the
-    caller feeds duplicate prefixes — deduplicated tables make the result
-    independent of entry order, since distinct equal-length prefixes
-    cannot both match the same name.
-    """
-    best_hop: Optional[str] = None
-    best_length = -1
-    for prefix, hop in entries:
-        if name.startswith(prefix) and len(prefix) >= best_length:
-            best_hop = hop
-            best_length = len(prefix)
-    return best_hop
 
 
 def tos_prioritized(tos: int, threshold: int) -> bool:

@@ -1,4 +1,4 @@
-"""Fault injection and user-facing diagnosis tools.
+"""User-facing fault reports.
 
 "Failures of transparency will occur — design what happens then. Today,
 when an IP address is unreachable, there is little in the way of helpful
@@ -6,34 +6,20 @@ information about why... Tools for fault isolation and error reporting
 would help — the hard challenge is not so much to find the fault but to
 report the problem to the right person in the right language" (§VI-A).
 
-This module provides:
-
-* :class:`FaultInjector` — scripted link failures / middlebox insertions
-  against a :class:`~tussle.netsim.forwarding.ForwardingEngine`;
-* :func:`traceroute` — the sophisticated user's probe: walks the path one
-  hop at a time and reports where forwarding stops;
-* :class:`FaultReporter` — translates a delivery receipt into a report
-  aimed at one of the paper's audiences (the user who can choose a
-  different provider, or the operator who can fix the fault).
+:class:`FaultReporter` translates a delivery receipt into a report aimed
+at one of the paper's audiences (the user who can choose a different
+provider, or the operator who can fix the fault).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional
 
-from .forwarding import DeliveryReceipt, DeliveryStatus, ForwardingEngine
-from .packets import make_packet
+from .forwarding import DeliveryReceipt, DeliveryStatus
 
-__all__ = [
-    "Audience",
-    "FaultReport",
-    "FaultReporter",
-    "FaultInjector",
-    "traceroute",
-]
+__all__ = ["Audience", "FaultReport", "FaultReporter"]
 
 
 class Audience(Enum):
@@ -122,62 +108,3 @@ class FaultReporter:
                    f"(path so far: {' > '.join(receipt.path)})")
         return FaultReport(Audience.OPERATOR, summary, location, actionable, receipt)
 
-
-def traceroute(engine: ForwardingEngine, src: str, dst: str,
-               application: str = "generic") -> List[Tuple[str, bool]]:
-    """Hop-by-hop probe: which nodes along the path answer?
-
-    Returns a list of ``(node, reached)`` pairs. A silent middlebox shows
-    up as the first unreached hop — the most a "sophisticated user" can
-    learn (§VI-A).
-    """
-    probe = make_packet(src, dst, application=application)
-    receipt = engine.send(probe)
-    result: List[Tuple[str, bool]] = [(hop, True) for hop in receipt.path]
-    if not receipt.delivered and receipt.path:
-        # The hop after the last reached node never answered.
-        result.append(("?", False))
-    return result
-
-
-class FaultInjector:
-    """Scripted failures against a forwarding engine's network.
-
-    Useful both in tests (failure injection) and in the E05/E09 stress
-    experiments. All randomness is seeded: pass either an explicit
-    ``seed`` or an already-seeded ``rng`` (an injected stream lets a
-    caller share one master ``random.Random`` across several injectors
-    without seed collisions).
-    """
-
-    def __init__(self, engine: ForwardingEngine, seed: int = 0,
-                 rng: Optional[random.Random] = None):
-        self.engine = engine
-        self.rng = rng if rng is not None else random.Random(seed)
-        self.failed_links: List[Tuple[str, str]] = []
-
-    def fail_random_link(self) -> Optional[Tuple[str, str]]:
-        """Fail one random operational link; returns its endpoints."""
-        candidates = [l for l in self.engine.network.links if l.up]
-        if not candidates:
-            return None
-        link = self.rng.choice(sorted(candidates, key=lambda l: l.key()))
-        self.engine.network.fail_link(link.a, link.b)
-        self.failed_links.append((link.a, link.b))
-        return (link.a, link.b)
-
-    def fail_fraction(self, fraction: float) -> List[Tuple[str, str]]:
-        """Fail a fraction of all links (rounded down)."""
-        links = sorted((l for l in self.engine.network.links if l.up),
-                       key=lambda l: l.key())
-        count = int(len(links) * fraction)
-        chosen = self.rng.sample(links, count) if count else []
-        for link in chosen:
-            self.engine.network.fail_link(link.a, link.b)
-            self.failed_links.append((link.a, link.b))
-        return [(l.a, l.b) for l in chosen]
-
-    def restore_all(self) -> None:
-        for a, b in self.failed_links:
-            self.engine.network.restore_link(a, b)
-        self.failed_links.clear()

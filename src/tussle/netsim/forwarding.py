@@ -30,7 +30,7 @@ from .middlebox import Action, Middlebox, TransparencyLedger
 from .packets import Packet
 from .topology import Network
 
-__all__ = ["DeliveryStatus", "DeliveryReceipt", "ForwardingEngine", "PrefixFib"]
+__all__ = ["DeliveryStatus", "DeliveryReceipt", "ForwardingEngine"]
 
 #: Safety bound on path length to catch routing loops (the canonical
 #: definition lives with the other shared rules in ``netsim.decision``).
@@ -72,35 +72,6 @@ class DeliveryReceipt:
         return self.status in (DeliveryStatus.DELIVERED, DeliveryStatus.REDIRECTED)
 
 
-class PrefixFib:
-    """A longest-prefix forwarding table over node-name prefixes.
-
-    Deterministic under permuted insertion order: duplicate prefixes are
-    deduplicated at insert time (last insert wins, like a routing update
-    replacing an earlier advertisement), distinct equal-length prefixes
-    cannot both match one name, and lookups scan entries in sorted order
-    through :func:`tussle.netsim.decision.longest_prefix_match`.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, str] = {}
-
-    def insert(self, prefix: str, next_hop: str) -> None:
-        """Add (or replace) the entry for ``prefix``."""
-        self._entries[prefix] = next_hop
-
-    def entries(self) -> List[Tuple[str, str]]:
-        """The deduplicated ``(prefix, next_hop)`` entries, sorted."""
-        return sorted(self._entries.items())
-
-    def lookup(self, name: str) -> Optional[str]:
-        """The next hop for the longest prefix of ``name``, or ``None``."""
-        return decision.longest_prefix_match(self.entries(), name)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 class ForwardingEngine:
     """Hop-by-hop packet delivery with middlebox processing.
 
@@ -121,7 +92,6 @@ class ForwardingEngine:
         self.network = network
         self.honor_source_routes = honor_source_routes
         self.tables: Dict[str, Dict[str, str]] = {}
-        self.prefix_tables: Dict[str, PrefixFib] = {}
         self.middleboxes: Dict[str, List[Middlebox]] = {}
         self.ledger = TransparencyLedger()
         self.receipts: List[DeliveryReceipt] = []
@@ -140,15 +110,6 @@ class ForwardingEngine:
     def install_tables(self, tables: Dict[str, Dict[str, str]]) -> None:
         for node, table in tables.items():
             self.install_table(node, table)
-
-    def install_prefix_table(self, node: str, fib: PrefixFib) -> None:
-        """Install a longest-prefix FIB consulted on exact-table misses."""
-        self.network.node(node)
-        for prefix, nxt in fib.entries():
-            if not self.network.has_node(nxt):
-                raise RoutingError(
-                    f"prefix FIB at {node!r} names unknown next hop {nxt!r}")
-        self.prefix_tables[node] = fib
 
     def attach_middlebox(self, node: str, box: Middlebox) -> None:
         """Attach a middlebox to process every packet transiting ``node``."""
@@ -319,10 +280,6 @@ class ForwardingEngine:
         if route is not None and route_index < len(route):
             route_hop = route[route_index]
         table_hop = self.tables.get(current, {}).get(packet.header.dst)
-        if table_hop is None:
-            fib = self.prefix_tables.get(current)
-            if fib is not None:
-                table_hop = fib.lookup(packet.header.dst)
         hop, refused = decision.next_hop_choice(
             table_hop, route_hop, self.honor_source_routes)
         if refused:

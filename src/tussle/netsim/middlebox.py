@@ -1,4 +1,4 @@
-"""Middleboxes: firewalls, NATs, redirectors, caches and wiretaps.
+"""Middleboxes: firewalls, redirectors and wiretaps.
 
 Middleboxes are the concrete mechanisms through which several of the
 paper's tussles play out:
@@ -7,7 +7,6 @@ paper's tussles play out:
   permitted" into "that which is not permitted is forbidden" (§V-B);
 * ISPs redirect connections to control which SMTP server a customer uses
   (§IV-B footnote);
-* NATs are the user's counter-move to single-address provisioning (§I);
 * wiretaps are the third-party observation the paper lists among the
   transparency-eroding mechanisms (§VI-A);
 * each middlebox can *disclose* its interference or stay silent — the
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
-from .packets import Header, Packet
+from .packets import Packet
 
 __all__ = [
     "Action",
@@ -33,9 +32,7 @@ __all__ = [
     "PortFilterFirewall",
     "BlanketFirewall",
     "Redirector",
-    "NAT",
     "Wiretap",
-    "Cache",
     "TransparencyLedger",
 ]
 
@@ -198,76 +195,6 @@ class Redirector(Middlebox):
         return self._record(packet, Verdict(Action.FORWARD, packet=packet))
 
 
-class NAT(Middlebox):
-    """Network address translation — the user's one-address counter-move.
-
-    "ISPs give their users a single IP address, and users attach a network
-    of computers using address translation" (§I). Internal sources are
-    rewritten to the NAT's public name; return traffic is translated back.
-    """
-
-    def __init__(self, name: str, public_name: str, internal_prefix: str):
-        super().__init__(name, discloses=False)
-        self.public_name = public_name
-        self.internal_prefix = internal_prefix
-        self._mappings: Dict[int, str] = {}
-        self._next_port = 50000
-
-    def process(self, packet: Packet) -> Verdict:
-        header = packet.header
-        if header.src.startswith(self.internal_prefix):
-            mapped_port = self._next_port
-            self._next_port += 1
-            self._mappings[mapped_port] = header.src
-            new_header = Header(
-                src=self.public_name,
-                dst=header.dst,
-                src_port=mapped_port,
-                dst_port=header.dst_port,
-                protocol=header.protocol,
-                tos=header.tos,
-            )
-            new_packet = Packet(
-                header=new_header,
-                application=packet.application,
-                payload=packet.payload,
-                encrypted=packet.encrypted,
-                source_route=packet.source_route,
-                encapsulation=list(packet.encapsulation),
-                size=packet.size,
-                hops=list(packet.hops),
-            )
-            return self._record(packet, Verdict(Action.MODIFY, packet=new_packet,
-                                                reason="SNAT"))
-        if header.dst == self.public_name and header.dst_port in self._mappings:
-            internal = self._mappings[header.dst_port]
-            new_header = Header(
-                src=header.src,
-                dst=internal,
-                src_port=header.src_port,
-                dst_port=header.dst_port,
-                protocol=header.protocol,
-                tos=header.tos,
-            )
-            new_packet = Packet(
-                header=new_header,
-                application=packet.application,
-                payload=packet.payload,
-                encrypted=packet.encrypted,
-                size=packet.size,
-                hops=list(packet.hops),
-            )
-            return self._record(
-                packet,
-                Verdict(Action.REDIRECT, packet=new_packet, new_destination=internal,
-                        reason="DNAT"),
-            )
-        return self._record(packet, Verdict(Action.FORWARD, packet=packet))
-
-    def translation_count(self) -> int:
-        return len(self._mappings)
-
-
 class Wiretap(Middlebox):
     """Passively records what it can observe of passing traffic.
 
@@ -301,42 +228,6 @@ class Wiretap(Middlebox):
             return 0.0
         visible = sum(1 for o in self.observations if o["content_visible"])
         return visible / len(self.observations)
-
-
-class Cache(Middlebox):
-    """A content cache that short-circuits requests it has seen before.
-
-    Models "the desire to improve important applications (e.g., the Web)
-    leads to the deployment of caches" (§VI-A). Hits are REDIRECTed to the
-    cache node itself.
-    """
-
-    def __init__(self, name: str, cacheable_applications: Optional[Set[str]] = None):
-        super().__init__(name, discloses=True)
-        self.cacheable_applications = set(cacheable_applications or {"http"})
-        self._seen: Set[Tuple[str, int]] = set()
-        self.hits = 0
-        self.misses = 0
-
-    def process(self, packet: Packet) -> Verdict:
-        observed = packet.observable_application()
-        if observed not in self.cacheable_applications or packet.encrypted:
-            return self._record(packet, Verdict(Action.FORWARD, packet=packet))
-        key = (packet.header.dst, packet.header.dst_port)
-        if key in self._seen:
-            self.hits += 1
-            return self._record(
-                packet,
-                Verdict(Action.REDIRECT, packet=packet, new_destination=self.name,
-                        reason="cache hit"),
-            )
-        self._seen.add(key)
-        self.misses += 1
-        return self._record(packet, Verdict(Action.FORWARD, packet=packet))
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class TransparencyLedger:

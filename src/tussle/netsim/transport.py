@@ -1,169 +1,19 @@
-"""Transport flows and the congestion-control tussle.
+"""Transport: reliable delivery over a faulty network on simulated time.
 
-Section II-B of the paper uses TCP congestion control as the canonical
-example of a tussle "resolved" *outside* the technical system: "TCP
-congestion control 'works' when and only when the majority of end-systems
-both participate and follow a common set of rules... Should this balance
-change, the technical design of the system will do nothing to bound or
-guide the resulting shift."
-
-This module makes that claim executable. :class:`SharedBottleneck` runs a
-fluid-model round-based simulation of AIMD flows sharing one link.
-Compliant flows follow additive-increase/multiplicative-decrease;
-:class:`CheaterFlow` never backs off (the "misbehaving receiver" of
-Savage's work cited by the paper). Experiments measure how the compliant
-majority's share collapses as the cheater fraction grows.
+:class:`ReliableSender` retries a send under a jittered backoff, a
+deadline and an optional circuit breaker, and reports what it spent as a
+:class:`SendOutcome`. R02 measures with it how far "try again" carries
+before the remedy has to become "tell the operator" (§VI-A).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional
 
-from ..errors import SimulationError
 from ..resil.backoff import Backoff, CircuitBreaker, Deadline
 
-__all__ = [
-    "Flow",
-    "AIMDFlow",
-    "CheaterFlow",
-    "SharedBottleneck",
-    "ReliableSender",
-    "SendOutcome",
-    "fairness_index",
-]
-
-
-@dataclass
-class Flow:
-    """Base flow: a sender with a current rate (abstract units/sec).
-
-    Subclasses implement :meth:`on_round` to adapt the rate given whether
-    the bottleneck was congested in the last round.
-    """
-
-    name: str
-    rate: float = 1.0
-    #: cumulative goodput actually delivered across rounds
-    delivered: float = 0.0
-
-    def on_round(self, congested: bool) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @property
-    def compliant(self) -> bool:
-        return True
-
-
-@dataclass
-class AIMDFlow(Flow):
-    """Additive-increase, multiplicative-decrease (TCP-like) flow."""
-
-    increase: float = 1.0
-    decrease_factor: float = 0.5
-    min_rate: float = 0.1
-
-    def on_round(self, congested: bool) -> None:
-        if congested:
-            self.rate = max(self.min_rate, self.rate * self.decrease_factor)
-        else:
-            self.rate += self.increase
-
-
-@dataclass
-class CheaterFlow(Flow):
-    """A flow that ignores congestion signals entirely.
-
-    It increases aggressively every round regardless of congestion,
-    modelling the player "willing to benefit at others' expense" once
-    social pressure fails (§II-B).
-    """
-
-    increase: float = 2.0
-    max_rate: float = float("inf")
-
-    def on_round(self, congested: bool) -> None:
-        self.rate = min(self.max_rate, self.rate + self.increase)
-
-    @property
-    def compliant(self) -> bool:
-        return False
-
-
-class SharedBottleneck:
-    """Round-based fluid model of flows sharing one capacity-C link.
-
-    Each round: flows offer their current rates; if the total offered load
-    exceeds capacity, the link is *congested* and every flow receives a
-    proportional share of capacity; otherwise each flow's full rate is
-    served. Flows then adapt via :meth:`Flow.on_round`.
-
-    This intentionally favours the cheater exactly as the real network
-    does: proportional sharing means whoever offers more load gets more.
-    """
-
-    def __init__(self, capacity: float, flows: Optional[Sequence[Flow]] = None):
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity}")
-        self.capacity = float(capacity)
-        self.flows: List[Flow] = list(flows or [])
-        self.rounds_run = 0
-        self.congested_rounds = 0
-
-    def add_flow(self, flow: Flow) -> None:
-        self.flows.append(flow)
-
-    def step(self) -> Dict[str, float]:
-        """Run one round; return each flow's served rate this round."""
-        offered = sum(f.rate for f in self.flows)
-        congested = offered > self.capacity
-        served: Dict[str, float] = {}
-        for flow in self.flows:
-            if congested and offered > 0:
-                share = flow.rate / offered * self.capacity
-            else:
-                share = flow.rate
-            flow.delivered += share
-            served[flow.name] = share
-        for flow in self.flows:
-            flow.on_round(congested)
-        self.rounds_run += 1
-        if congested:
-            self.congested_rounds += 1
-        return served
-
-    def run(self, rounds: int) -> None:
-        for _ in range(rounds):
-            self.step()
-
-    # ------------------------------------------------------------------
-    # Measurements
-    # ------------------------------------------------------------------
-    def goodput_by_compliance(self) -> Dict[str, float]:
-        """Average delivered goodput per flow, split compliant vs cheater."""
-        compliant = [f for f in self.flows if f.compliant]
-        cheaters = [f for f in self.flows if not f.compliant]
-        result = {}
-        result["compliant"] = (
-            sum(f.delivered for f in compliant) / len(compliant) if compliant else 0.0
-        )
-        result["cheater"] = (
-            sum(f.delivered for f in cheaters) / len(cheaters) if cheaters else 0.0
-        )
-        return result
-
-    def cheater_advantage(self) -> float:
-        """Ratio of mean cheater goodput to mean compliant goodput.
-
-        > 1 means cheating pays — the incentive problem the paper notes
-        the technical design does nothing to bound.
-        """
-        if not any(not f.compliant for f in self.flows):
-            return 1.0  # no cheaters: no advantage by definition
-        split = self.goodput_by_compliance()
-        if split["compliant"] <= 0:
-            return float("inf") if split["cheater"] > 0 else 1.0
-        return split["cheater"] / split["compliant"]
+__all__ = ["ReliableSender", "SendOutcome"]
 
 
 @dataclass
@@ -269,15 +119,3 @@ class ReliableSender:
         outcome.elapsed = clock - start
         return outcome
 
-
-def fairness_index(allocations: Sequence[float]) -> float:
-    """Jain's fairness index: 1 = perfectly fair, 1/n = maximally unfair."""
-    values = [max(0.0, float(v)) for v in allocations]
-    if not values or all(v == 0 for v in values):
-        return 1.0
-    numerator = sum(values) ** 2
-    denominator = len(values) * sum(v * v for v in values)
-    if denominator == 0.0:
-        # All values underflowed to (effectively) zero: treat as fair.
-        return 1.0
-    return numerator / denominator

@@ -22,7 +22,8 @@ Subcommands
     (``benchmarks/history.json``).  ``--ingest`` folds fresh
     ``benchmarks/results/bench_*.json`` records into the ledger;
     ``--check`` compares fresh results against ledger history and exits
-    non-zero on a blocking wall-clock regression.
+    non-zero on a wall-clock regression or on a fresh record it cannot
+    compare (no ledger history, or no wall time).
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf_parser.add_argument(
         "--check", action="store_true",
         help="compare fresh results against history; exit non-zero on "
-             "a blocking wall-clock regression")
+             "a wall-clock regression or an uncomparable record")
     perf_parser.add_argument(
         "--threshold", type=float, default=None, metavar="FACTOR",
         help="regression factor over the historical best (default 3.0)")
@@ -159,7 +160,7 @@ def _command_perf(args: argparse.Namespace) -> int:
             findings, ok = perfdb.check(history, results,
                                         threshold=threshold)
             for finding in findings:
-                tag = "REGRESSION" if finding.blocking else "note"
+                tag = finding.kind.upper() if finding.blocking else "note"
                 print(f"{tag}: {finding.bench_id}: {finding.message}")
             verdict = "ok" if ok else "REGRESSED"
             print(f"perf check vs {args.history}: {verdict} "

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from ..errors import ObservabilityError
 from .metrics import Metrics
 from .profiler import Profiler
 
@@ -66,8 +67,10 @@ def bench_record(
 
     ``metrics`` supplies the deterministic channel (event counts per
     scope); ``profiler`` supplies the quarantined wall-clock channel
-    under ``timing_key``; ``result`` (an ``ExperimentResult``-shaped
-    object) contributes the shape verdict.
+    under ``timing_key``, which it must have timed (a record with a
+    profiler but no wall time would slip past the ledger gate);
+    ``result`` (an ``ExperimentResult``-shaped object) contributes the
+    shape verdict.
     """
     record = BenchRecord(bench_id=bench_id, extra=dict(extra))
 
@@ -84,10 +87,14 @@ def bench_record(
         profile = profiler.snapshot()
         record.profile = profile
         timing = profile.get(timing_key)
-        if timing is not None:
-            record.calls = timing["calls"]
-            record.wall_seconds = timing["mean_seconds"]
-            record.wall_seconds_min = timing["min_seconds"]
+        if timing is None:
+            raise ObservabilityError(
+                f"bench {bench_id!r}: the profiler timed no "
+                f"{timing_key!r} (it timed {sorted(profile)}); pass the "
+                "timing_key the bench measures")
+        record.calls = timing["calls"]
+        record.wall_seconds = timing["mean_seconds"]
+        record.wall_seconds_min = timing["min_seconds"]
 
     if result is not None:
         record.shape_holds = getattr(result, "shape_holds", None)

@@ -12,9 +12,10 @@ future performance PRs can diff, trend, and gate against:
 * :func:`trend` extracts a benchmark's wall-time trajectory across
   runs;
 * :func:`check` is the regression gate behind
-  ``python -m tussle.obs perf --check``: current wall time must stay
-  within ``threshold`` × the best recorded wall time, with an absolute
-  jitter floor so microbenchmarks don't flap.
+  ``python -m tussle.obs perf --check``: every fresh record must have a
+  measured ledger history, and its wall time must stay within
+  ``threshold`` × the best recorded wall time, with an absolute jitter
+  floor so microbenchmarks don't flap.
 
 Quarantine rule: wall-clock numbers live under each entry's ``"wall"``
 key and are compared only ratio-wise against other wall numbers;
@@ -198,14 +199,15 @@ def check(history: Dict[str, Any], results: Dict[str, Dict[str, Any]],
     """Compare current results against the ledger baseline.
 
     Returns ``(findings, ok)``.  Blocking findings are wall-time
-    regressions: current best-of-N above ``threshold`` × the ledger's
-    best *and* above the absolute floor.  Counter drift (deterministic
-    event counts changed vs. the latest ledger entry), benchmarks with
-    no baseline, and benchmarks whose wall comparison had to be skipped
-    (``unmeasured``: no wall time in the fresh record or in any ledger
-    entry) are reported but do not block — counts legitimately move
-    when instrumentation or workloads change, and a benchmark without
-    walls has nothing to regress against.
+    regressions (current best-of-N above ``threshold`` × the ledger's
+    best *and* above the absolute floor) and every fresh record the
+    gate cannot compare: one with no ledger history
+    (``new-benchmark``) or with no wall time in the fresh record or in
+    any ledger entry (``unmeasured``) — a gate that skips a benchmark
+    quietly is a hole.  Counter drift (deterministic event counts
+    changed vs. the latest ledger entry) is reported but does not
+    block: counts legitimately move when instrumentation or workloads
+    change.
     """
     if threshold <= 1.0:
         raise ObservabilityError(
@@ -219,7 +221,7 @@ def check(history: Dict[str, Any], results: Dict[str, Dict[str, Any]],
             findings.append(PerfFinding(
                 bench_id, "new-benchmark",
                 "no ledger baseline yet; ingest to start its history",
-                blocking=False))
+                blocking=True))
             continue
         current = record.get("wall_seconds_min")
         if current is None:
@@ -229,10 +231,10 @@ def check(history: Dict[str, Any], results: Dict[str, Dict[str, Any]],
         if current is None or not baselines:
             findings.append(PerfFinding(
                 bench_id, "unmeasured",
-                "regression check skipped: no wall time in the "
-                + ("fresh record" if current is None
+                "regression check skipped: no wall time in "
+                + ("the fresh record" if current is None
                    else "any ledger entry"),
-                blocking=False))
+                blocking=True))
         else:
             best = min(baselines)
             limit = best * threshold

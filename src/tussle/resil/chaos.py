@@ -1,20 +1,18 @@
 """Seeded chaos: deterministic fault processes over a simulated network.
 
-:mod:`tussle.netsim.faults` injects *hand-scripted* failures; this module
-generalizes them into **fault processes**: a :class:`ChaosSchedule` turns
-a seed plus per-kind rates into a :class:`FaultPlan` — an explicit,
-canonically serialisable list of :class:`FaultEvent` records (link
-down/up, node crash/recover, loss and delay spikes, middlebox insertion)
-— and a :class:`ChaosInjector` replays the plan against a
+A :class:`ChaosSchedule` turns a seed plus per-kind rates into a
+:class:`FaultPlan` — an explicit, canonically ordered list of
+:class:`FaultEvent` records (link down/up, node crash/recover, loss and
+delay spikes, middlebox insertion) — and a :class:`ChaosInjector`
+replays the plan against a
 :class:`~tussle.netsim.forwarding.ForwardingEngine` as simulated time
 advances.
 
 Determinism contract: a plan is a pure function of the schedule's config
 and the network's (sorted) link/node inventory.  All randomness flows
 from the explicit ``seed`` (lint rule F201), targets are drawn from
-sorted candidate lists (D106), and the plan round-trips bit-exactly
-through :func:`~tussle.experiments.common.canonical_json` — so a chaos
-experiment can be cached, swept and seed-checked exactly like a healthy
+sorted candidate lists (D106), and events sort by a canonical key — so
+a chaos experiment can be swept and seed-checked exactly like a healthy
 one.  Failure is an *input*, not an accident.
 """
 
@@ -23,16 +21,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..errors import ResilienceError
 from ..canon import canonical_json
 
 __all__ = ["FaultKind", "FaultEvent", "FaultPlan", "ChaosSchedule",
            "ChaosInjector", "link_target", "parse_link_target"]
-
-#: Schema version for serialized plans/schedules.
-CHAOS_SCHEMA = 1
 
 
 class FaultKind(Enum):
@@ -82,32 +77,13 @@ class FaultEvent:
         return (self.time, self.kind.value, self.target,
                 canonical_json(self.param_dict))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "time": self.time,
-            "kind": self.kind.value,
-            "target": self.target,
-            "params": self.param_dict,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultEvent":
-        return cls(
-            time=float(data["time"]),
-            kind=FaultKind(data["kind"]),
-            target=data["target"],
-            params=tuple(sorted(data.get("params", {}).items())),
-        )
-
 
 @dataclass
 class FaultPlan:
     """An ordered, replayable list of fault events.
 
     The canonical order is :attr:`FaultEvent.sort_key`; two plans with
-    the same events are equal however they were assembled, and
-    ``FaultPlan.from_json(plan.to_json())`` reproduces the plan
-    bit-exactly.
+    the same events are equal however they were assembled.
     """
 
     events: List[FaultEvent] = field(default_factory=list)
@@ -119,47 +95,14 @@ class FaultPlan:
         self.events.append(event)
         self.events.sort(key=lambda e: e.sort_key)
 
-    def until(self, time: float) -> List[FaultEvent]:
-        """Events at or before ``time``, in canonical order."""
-        return [e for e in self.events if e.time <= time]
-
-    def of_kind(self, kind: FaultKind) -> List[FaultEvent]:
-        return [e for e in self.events if e.kind is kind]
-
-    @property
-    def horizon(self) -> float:
-        return self.events[-1].time if self.events else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": CHAOS_SCHEMA,
-            "events": [event.to_dict() for event in self.events],
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
-        if data.get("schema") != CHAOS_SCHEMA:
-            raise ResilienceError(
-                f"unsupported fault-plan schema {data.get('schema')!r}")
-        return cls(events=[FaultEvent.from_dict(e)
-                           for e in data.get("events", [])])
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        import json
-
-        return cls.from_dict(json.loads(text))
-
     def __len__(self) -> int:
         return len(self.events)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FaultPlan):
             return NotImplemented
-        return self.to_json() == other.to_json()
+        return ([e.sort_key for e in self.events]
+                == [e.sort_key for e in other.events])
 
 
 @dataclass
@@ -205,63 +148,6 @@ class ChaosSchedule:
                 raise ResilienceError(
                     f"{name} window must satisfy 0 <= lo <= hi, "
                     f"got ({lo}, {hi})")
-
-    # ------------------------------------------------------------------
-    # Canonical serialisation (config round-trips, not just plans)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": CHAOS_SCHEMA,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "link_failure_rate": self.link_failure_rate,
-            "link_repair": list(self.link_repair),
-            "node_crash_rate": self.node_crash_rate,
-            "node_repair": list(self.node_repair),
-            "loss_spike_rate": self.loss_spike_rate,
-            "loss_probability": list(self.loss_probability),
-            "loss_duration": list(self.loss_duration),
-            "delay_spike_rate": self.delay_spike_rate,
-            "delay_factor": list(self.delay_factor),
-            "delay_duration": list(self.delay_duration),
-            "middlebox_rate": self.middlebox_rate,
-            "middlebox_application": self.middlebox_application,
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ChaosSchedule":
-        if data.get("schema") != CHAOS_SCHEMA:
-            raise ResilienceError(
-                f"unsupported chaos schema {data.get('schema')!r}")
-        def pair(key: str) -> Tuple[float, float]:
-            lo, hi = data[key]
-            return (float(lo), float(hi))
-
-        return cls(
-            seed=int(data["seed"]),
-            horizon=float(data["horizon"]),
-            link_failure_rate=float(data["link_failure_rate"]),
-            link_repair=pair("link_repair"),
-            node_crash_rate=float(data["node_crash_rate"]),
-            node_repair=pair("node_repair"),
-            loss_spike_rate=float(data["loss_spike_rate"]),
-            loss_probability=pair("loss_probability"),
-            loss_duration=pair("loss_duration"),
-            delay_spike_rate=float(data["delay_spike_rate"]),
-            delay_factor=pair("delay_factor"),
-            delay_duration=pair("delay_duration"),
-            middlebox_rate=float(data["middlebox_rate"]),
-            middlebox_application=data["middlebox_application"],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosSchedule":
-        import json
-
-        return cls.from_dict(json.loads(text))
 
     # ------------------------------------------------------------------
     # Plan generation
@@ -356,10 +242,10 @@ class ChaosInjector:
     whose time has arrived is applied exactly once, in canonical order.
     Node crashes take all the node's operational links down and
     recoveries bring exactly those back; delay spikes scale a link's
-    latency for their duration; loss spikes expose an
-    :meth:`active_loss` probability that retry layers consult; and
-    middlebox insertions attach a blocking
-    :class:`~tussle.netsim.middlebox.PortFilterFirewall`.
+    latency for their duration; middlebox insertions attach a blocking
+    :class:`~tussle.netsim.middlebox.PortFilterFirewall`; and loss
+    spikes are only recorded in :attr:`applied`, since no layer models
+    random packet loss.
     """
 
     def __init__(self, engine: Any, plan: FaultPlan):
@@ -370,15 +256,6 @@ class ChaosInjector:
         self._cursor = 0
         self._crashed_links: Dict[str, List[Tuple[str, str]]] = {}
         self._delay_restores: List[Tuple[float, str, float]] = []
-        self._loss_spikes: List[Tuple[float, float, float]] = []
-
-    # -- state queries --------------------------------------------------
-    def active_loss(self, now: Optional[float] = None) -> float:
-        """Highest loss probability among spikes active at ``now``."""
-        at = self.now if now is None else now
-        active = [p for (start, end, p) in self._loss_spikes
-                  if start <= at < end]
-        return max(active) if active else 0.0
 
     # -- replay ---------------------------------------------------------
     def advance(self, until: float) -> List[FaultEvent]:
@@ -435,10 +312,7 @@ class ChaosInjector:
                 if network.has_link(a, b):
                     network.restore_link(a, b)
         elif kind is FaultKind.LOSS_SPIKE:
-            params = event.param_dict
-            self._loss_spikes.append((
-                event.time, event.time + float(params["duration"]),
-                float(params["probability"])))
+            pass  # recorded in ``applied`` only
         elif kind is FaultKind.DELAY_SPIKE:
             a, b = parse_link_target(event.target)
             if network.has_link(a, b):

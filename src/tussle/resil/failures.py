@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..canon import canonical_json
-
 __all__ = ["FailedCell"]
 
 
@@ -45,15 +43,3 @@ class FailedCell:
             "attempts": self.attempts,
             "reasons": list(self.reasons),
         }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "FailedCell":
-        """Rebuild the record from a ``status: "failed"`` cell payload."""
-        error = payload.get("error") or {}
-        return cls(
-            experiment_id=str(payload["experiment_id"]),
-            params_json=canonical_json(payload["params"]),
-            base_seed=int(payload["base_seed"]),  # type: ignore[arg-type]
-            attempts=int(error.get("attempts", 0)),  # type: ignore[arg-type]
-            reasons=[str(r) for r in error.get("reasons", [])],  # type: ignore[union-attr]
-        )

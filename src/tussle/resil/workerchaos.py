@@ -95,15 +95,3 @@ class WorkerChaos:
         d = digest63(self.seed, "mode", experiment_id, params_json,
                      str(int(base_seed)), str(int(attempt)))
         return self.modes[d % len(self.modes)]
-
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "fraction": self.fraction,
-                "modes": list(self.modes),
-                "max_attempts": self.max_attempts}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkerChaos":
-        return cls(seed=int(data["seed"]),
-                   fraction=float(data.get("fraction", 0.3)),
-                   modes=tuple(data.get("modes", CHAOS_MODES)),
-                   max_attempts=int(data.get("max_attempts", 1)))

@@ -10,7 +10,6 @@ from .base import ControlPoint, Route, RoutingProtocol
 from .policies import (
     GaoRexfordPolicy,
     NeighborClass,
-    OpenPolicy,
     RoutingPolicy,
     classify_neighbor,
     is_valley_free,
@@ -27,7 +26,7 @@ from .recovery import RouteRecovery
 
 __all__ = [
     "ControlPoint", "Route", "RoutingProtocol",
-    "GaoRexfordPolicy", "NeighborClass", "OpenPolicy", "RoutingPolicy",
+    "GaoRexfordPolicy", "NeighborClass", "RoutingPolicy",
     "classify_neighbor", "is_valley_free",
     "PathVectorRouting",
     "RouteAttempt", "SourceRoutingSystem", "TransitTerms", "valley_free_paths",

@@ -8,9 +8,7 @@ rules).
 
 :class:`GaoRexfordPolicy` implements the canonical economically-stable
 policy: prefer customer routes over peer routes over provider routes, and
-only export customer routes to peers/providers. :class:`OpenPolicy` is the
-tussle-free counterfactual (announce everything, prefer shortest), used as
-a baseline in E04.
+only export customer routes to peers/providers.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from typing import Tuple
 from ..netsim.topology import Network
 from .base import Route
 
-__all__ = ["NeighborClass", "RoutingPolicy", "GaoRexfordPolicy", "OpenPolicy",
+__all__ = ["NeighborClass", "RoutingPolicy", "GaoRexfordPolicy",
            "is_valley_free"]
 
 
@@ -98,24 +96,6 @@ class GaoRexfordPolicy(RoutingPolicy):
             return True  # always announce your own prefix
         learned_from = classify_neighbor(network, me, route.next_hop)
         return learned_from is NeighborClass.CUSTOMER
-
-
-@dataclass
-class OpenPolicy(RoutingPolicy):
-    """Announce-everything, prefer-shortest: no business interests.
-
-    Used as the tussle-free baseline; with it, path-vector routing reduces
-    to shortest-AS-path routing and every feasible path is announced.
-    Tie-breaking follows the same documented total order as
-    :class:`GaoRexfordPolicy` minus the class term: shorter AS path, then
-    lower next-hop ASN, then lexicographically smaller AS path.
-    """
-
-    def prefer(self, network: Network, me: int, a: Route, b: Route) -> Route:
-        return min((a, b), key=lambda r: (r.length, r.next_hop, r.path))
-
-    def may_export(self, network: Network, me: int, route: Route, to_neighbor: int) -> bool:
-        return True
 
 
 def is_valley_free(network: Network, path: Tuple[int, ...]) -> bool:

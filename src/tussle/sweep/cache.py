@@ -78,7 +78,7 @@ class ResultCache:
 
     Layout: ``<root>/<experiment_id>/<key>.json`` where ``key`` is the
     cell's cache key under the current code fingerprint.  Entries for
-    stale fingerprints simply never match again; ``prune`` removes them.
+    stale fingerprints simply never match again.
     """
 
     def __init__(self, root: Union[str, Path],
@@ -127,18 +127,3 @@ class ResultCache:
         }
         path.write_text(canonical_json(entry) + "\n", encoding="utf-8")
         return path
-
-    def prune(self) -> int:
-        """Delete entries written under other code fingerprints."""
-        removed = 0
-        if not self.root.is_dir():
-            return removed
-        for path in sorted(self.root.rglob("*.json")):
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-            if entry.get("fingerprint") != self.fingerprint:
-                path.unlink()
-                removed += 1
-        return removed

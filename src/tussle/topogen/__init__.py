@@ -17,7 +17,7 @@ Quickstart::
     python -m tussle.topogen gen --ases 1000 --seed 0
 """
 
-from .caida import dump_caida, infer_tiers, load_caida, parse_caida
+from .caida import infer_tiers, load_caida, parse_caida
 from .canonical import (GRAPH_SCHEMA, graph_from_dict, graph_from_json,
                         graph_to_dict, graph_to_json)
 from .config import ROUTER_DETAIL_LEVELS, TopogenConfig
@@ -38,6 +38,5 @@ __all__ = [
     "graph_from_json",
     "parse_caida",
     "load_caida",
-    "dump_caida",
     "infer_tiers",
 ]

@@ -15,12 +15,12 @@ and relationship-less islands — is tier 3.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, Union
 
 from ..errors import TopogenError
 from ..netsim.topology import Network, Relationship
 
-__all__ = ["parse_caida", "load_caida", "dump_caida", "infer_tiers"]
+__all__ = ["parse_caida", "load_caida", "infer_tiers"]
 
 #: CAIDA relationship codes.
 _PROVIDER_CUSTOMER = -1
@@ -89,29 +89,6 @@ def load_caida(path: Union[str, Path]) -> Network:
     except OSError as exc:
         raise TopogenError(f"cannot read {source}: {exc}") from exc
     return parse_caida(text.splitlines())
-
-
-def dump_caida(network: Network) -> str:
-    """Serialise a network's business graph back to as-rel lines.
-
-    Round-trip contract: ``dump_caida(parse_caida(dump_caida(n).splitlines()))
-    == dump_caida(n)``.  Sibling relationships have no CAIDA encoding and
-    raise.
-    """
-    triples: List[Tuple[int, int, int]] = []
-    for autonomous in network.ases:
-        asn = autonomous.asn
-        if network.siblings_of(asn):
-            raise TopogenError(
-                f"AS {asn} has sibling relationships; the CAIDA as-rel "
-                f"format cannot express them")
-        for customer in sorted(network.customers_of(asn)):
-            triples.append((asn, customer, _PROVIDER_CUSTOMER))
-        for peer in sorted(network.peers_of(asn)):
-            if asn < peer:
-                triples.append((asn, peer, _PEER_PEER))
-    triples.sort()
-    return "\n".join(f"{a}|{b}|{rel}" for a, b, rel in triples) + "\n"
 
 
 def infer_tiers(network: Network) -> None:

@@ -55,10 +55,6 @@ class TrustGraph:
     def direct_trust(self, truster: str, trustee: str) -> Optional[float]:
         return self._edges.get(truster, {}).get(trustee)
 
-    def revoke(self, truster: str, trustee: str) -> None:
-        edges = self._edges.get(truster, {})
-        edges.pop(trustee, None)
-
     @property
     def parties(self) -> List[str]:
         return sorted(self._parties)
@@ -102,15 +98,3 @@ class TrustGraph:
     def trusts(self, truster: str, trustee: str, threshold: float = 0.5) -> bool:
         """Binary decision at a threshold."""
         return self.trust(truster, trustee) >= threshold
-
-    def mutual_trust(self, a: str, b: str) -> float:
-        """Minimum of the two directions — interaction needs both."""
-        return min(self.trust(a, b), self.trust(b, a))
-
-    def erode(self, factor: float = 0.9) -> None:
-        """Scale every edge down — the paper's eroding-trust environment."""
-        if not 0.0 <= factor <= 1.0:
-            raise TrustError("erosion factor must be in [0, 1]")
-        for truster in self._edges:
-            for trustee in self._edges[truster]:
-                self._edges[truster][trustee] *= factor

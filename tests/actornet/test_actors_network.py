@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tussle.errors import ActorNetworkError
-from tussle.actornet.actors import Actor, ActorKind, value_distance
+from tussle.actornet.actors import Actor, ActorKind
 from tussle.actornet.network import ActorNetwork
 
 
@@ -39,17 +39,6 @@ class TestActors:
     def test_values_must_be_vector(self):
         with pytest.raises(ActorNetworkError):
             Actor(name="x", kind=ActorKind.USER, values=np.zeros((2, 2)))
-
-    def test_value_distance(self):
-        a = make_actor("a", values=(0.0, 0.0))
-        b = make_actor("b", values=(3.0, 4.0))
-        assert value_distance(a, b) == pytest.approx(5.0)
-
-    def test_value_distance_requires_same_space(self):
-        a = Actor.make("a", ActorKind.USER, values=(0.0,))
-        b = Actor.make("b", ActorKind.USER, values=(0.0, 0.0))
-        with pytest.raises(ActorNetworkError):
-            value_distance(a, b)
 
     def test_random_values_seeded(self):
         rng = np.random.default_rng(5)
@@ -109,40 +98,12 @@ class TestNetwork:
         net.commit("a", "b", 0.9)
         assert net.commitment("a", "b").strength == 0.9
 
-    def test_remove_actor_removes_commitments(self):
-        net = ActorNetwork()
-        for name in "abc":
-            net.add_actor(make_actor(name))
-        net.commit("a", "b")
-        net.commit("b", "c")
-        net.remove_actor("b")
-        assert not net.has_commitment("a", "b")
-        assert net.degree("a") == 0
-
-    def test_commitment_weight(self):
-        net = ActorNetwork()
-        for name in "abc":
-            net.add_actor(make_actor(name))
-        net.commit("a", "b", 0.5)
-        net.commit("a", "c", 0.3)
-        assert net.commitment_weight("a") == pytest.approx(0.8)
-
     def test_kind_queries(self):
         net = ActorNetwork()
         net.add_actor(make_actor("u", ActorKind.USER))
         net.add_actor(Actor.make("t", ActorKind.TECHNOLOGY, values=(0.0, 0.0)))
         assert [a.name for a in net.human_actors()] == ["u"]
         assert [a.name for a in net.technology_actors()] == ["t"]
-
-    def test_components(self):
-        net = ActorNetwork()
-        for name in "abcd":
-            net.add_actor(make_actor(name))
-        net.commit("a", "b")
-        net.commit("c", "d")
-        components = net.components()
-        assert {"a", "b"} in components
-        assert {"c", "d"} in components
 
     def test_value_variance_zero_when_harmonized(self):
         net = ActorNetwork()

@@ -4,7 +4,8 @@
 the readable form it replaced, kept here (not in ``src/``) as the
 oracle: from identical networks both must leave every actor's values,
 every commitment's strength, the ``dissolved`` list and each step's
-return value equal bit for bit.
+return value equal bit for bit.  ``value_distance`` is the loop's
+per-pair distance.
 
 The array step's norms come from ``row_norms``, which relies on a
 stacked matmul reaching the same BLAS dot as ``np.linalg.norm``.  That
@@ -21,7 +22,6 @@ from tussle.actornet.actors import (
     Actor,
     ActorKind,
     row_norms,
-    value_distance,
 )
 from tussle.actornet.alignment import AlignmentDynamics
 from tussle.actornet.churn import ChurnSimulation, seed_internet_network
@@ -32,6 +32,29 @@ from tussle.experiments.x05_collision import (
     build_internet_side,
     build_telephone_side,
 )
+from tussle.errors import ActorNetworkError
+
+
+def value_distance(a, b):
+    """Euclidean distance between two actors' value vectors."""
+    if a.values.shape != b.values.shape:
+        raise ActorNetworkError(
+            f"actors {a.name!r} and {b.name!r} live in different value spaces"
+        )
+    return float(np.linalg.norm(a.values - b.values))
+
+
+class TestValueDistance:
+    def test_value_distance(self):
+        a = Actor.make("a", ActorKind.USER, values=(0.0, 0.0))
+        b = Actor.make("b", ActorKind.USER, values=(3.0, 4.0))
+        assert value_distance(a, b) == pytest.approx(5.0)
+
+    def test_value_distance_requires_same_space(self):
+        a = Actor.make("a", ActorKind.USER, values=(0.0,))
+        b = Actor.make("b", ActorKind.USER, values=(0.0, 0.0))
+        with pytest.raises(ActorNetworkError):
+            value_distance(a, b)
 
 
 def reference_step(dynamics):

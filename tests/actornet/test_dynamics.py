@@ -7,12 +7,7 @@ from tussle.errors import ActorNetworkError
 from tussle.actornet.actors import Actor, ActorKind
 from tussle.actornet.alignment import AlignmentConfig, AlignmentDynamics
 from tussle.actornet.churn import ChurnSimulation, seed_internet_network
-from tussle.actornet.durability import (
-    changeability,
-    cost_to_change,
-    durability,
-    is_frozen,
-)
+from tussle.actornet.durability import changeability, durability, is_frozen
 from tussle.actornet.network import ActorNetwork
 
 
@@ -85,29 +80,6 @@ class TestDurability:
     def test_changeability_complements(self):
         net = pair_network()
         assert changeability(net) == pytest.approx(1.0 - durability(net))
-
-    def test_cost_to_change_sums_commitments(self):
-        net = ActorNetwork()
-        net.add_actor(Actor.make("tech", ActorKind.TECHNOLOGY, values=(0.0, 0.0)))
-        for i, strength in enumerate((0.5, 0.9)):
-            name = f"u{i}"
-            net.add_actor(Actor.make(name, ActorKind.USER, values=(0.0, 0.0)))
-            net.commit("tech", name, strength)
-        assert cost_to_change(net, "tech") == pytest.approx(1.4)
-
-    def test_cost_to_change_with_replacement_distance(self):
-        net = ActorNetwork()
-        net.add_actor(Actor.make("tech", ActorKind.TECHNOLOGY, values=(0.0, 0.0)))
-        net.add_actor(Actor.make("u", ActorKind.USER, values=(0.0, 0.0)))
-        net.commit("tech", "u", 1.0)
-        near = Actor.make("new", ActorKind.TECHNOLOGY, values=(0.0, 0.0))
-        far = Actor.make("new2", ActorKind.TECHNOLOGY, values=(10.0, 0.0))
-        assert cost_to_change(net, "tech", near) < cost_to_change(net, "tech", far)
-
-    def test_cost_to_change_rejects_humans(self):
-        net = pair_network()
-        with pytest.raises(ActorNetworkError):
-            cost_to_change(net, "a")
 
     def test_frozen_requires_no_arrivals(self):
         net = pair_network(distance=0.0, strength=0.9)

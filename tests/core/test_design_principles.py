@@ -5,13 +5,7 @@ import pytest
 from tussle.errors import DesignError
 from tussle.core.design import Design
 from tussle.core.mechanisms import Mechanism
-from tussle.core.principles import (
-    choice_index,
-    isolation_score,
-    openness_score,
-    rigidity,
-    scorecard,
-)
+from tussle.core.principles import isolation_score, rigidity
 
 
 def entangled_design():
@@ -97,24 +91,6 @@ class TestIsolationScore:
         assert isolation_score(design) < 1.0
 
 
-class TestChoiceIndex:
-    def test_no_alternatives_scores_zero(self):
-        assert choice_index({"isp": 1}) == 0.0
-
-    def test_more_alternatives_score_higher(self):
-        assert choice_index({"isp": 4}) > choice_index({"isp": 2})
-
-    def test_mean_over_decisions(self):
-        assert choice_index({"a": 2, "b": 1}) == pytest.approx(0.25)
-
-    def test_empty_is_zero(self):
-        assert choice_index({}) == 0.0
-
-    def test_zero_alternatives_rejected(self):
-        with pytest.raises(DesignError):
-            choice_index({"isp": 0})
-
-
 class TestRigidity:
     def test_all_exposed_is_zero(self):
         mechanisms = [Mechanism(name="m", variable="x")]
@@ -132,22 +108,3 @@ class TestRigidity:
     def test_no_variables_zero(self):
         assert rigidity([], []) == 0.0
 
-
-class TestOpennessAndScorecard:
-    def test_openness_fractions(self):
-        design = separated_design()
-        scores = openness_score(design)
-        assert scores["open"] == 1.0
-        assert scores["tussle_aware"] == 1.0
-
-    def test_no_interfaces_scores_zero(self):
-        assert openness_score(entangled_design()) == {"open": 0.0,
-                                                      "tussle_aware": 0.0}
-
-    def test_scorecard_readiness_ranks_designs(self):
-        mechanisms = [Mechanism(name="m", variable="x")]
-        good = scorecard(separated_design(), mechanisms, ["x"], {"pick": 3})
-        bad = scorecard(entangled_design(), [], ["x"], {"pick": 1})
-        assert good.tussle_readiness() > bad.tussle_readiness()
-        assert set(good.as_row()) == {"isolation", "choice", "rigidity",
-                                      "open", "tussle_aware"}

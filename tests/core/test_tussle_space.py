@@ -43,13 +43,6 @@ class TestConstruction:
 
 
 class TestConflictStructure:
-    def test_contested_variables(self, space):
-        assert space.contested_variables() == ["x"]  # y has one target only
-
-    def test_conflict_intensity_scales_with_spread(self, space):
-        assert space.conflict_intensity("x") == pytest.approx(1.0)
-        assert space.conflict_intensity("y") == 0.0
-
     def test_mechanisms_for_respects_controllers(self, space):
         space.add_mechanism(Mechanism(
             name="user-knob", variable="x",

@@ -1,14 +1,9 @@
-"""Tests for competition metrics."""
+"""Tests for market concentration."""
 
 import pytest
 
 from tussle.errors import MarketError
-from tussle.econ.competition import (
-    competition_report,
-    effective_competitors,
-    herfindahl_index,
-    lerner_index,
-)
+from tussle.econ.competition import herfindahl_index
 
 
 class TestHhi:
@@ -32,54 +27,3 @@ class TestHhi:
             herfindahl_index([])
         with pytest.raises(MarketError):
             herfindahl_index([0.0, 0.0])
-
-    def test_effective_competitors_inverse(self):
-        assert effective_competitors([0.25] * 4) == pytest.approx(4.0)
-
-
-class TestLerner:
-    def test_competitive_pricing_zero(self):
-        assert lerner_index(10.0, 10.0) == 0.0
-
-    def test_monopoly_margin(self):
-        assert lerner_index(20.0, 10.0) == pytest.approx(0.5)
-
-    def test_clamped(self):
-        assert lerner_index(5.0, 10.0) == 0.0  # below cost clamps to 0
-
-    def test_price_must_be_positive(self):
-        with pytest.raises(MarketError):
-            lerner_index(0.0, 1.0)
-
-
-class TestReport:
-    def test_healthy_market(self):
-        report = competition_report(
-            shares={"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25},
-            prices={k: 11.0 for k in "abcd"},
-            marginal_costs={k: 10.0 for k in "abcd"},
-        )
-        assert report.healthy
-        assert report.effective_competitors == pytest.approx(4.0)
-
-    def test_unhealthy_duopoly(self):
-        report = competition_report(
-            shares={"a": 0.5, "b": 0.5},
-            prices={"a": 40.0, "b": 40.0},
-            marginal_costs={"a": 10.0, "b": 10.0},
-        )
-        assert not report.healthy
-        assert report.mean_lerner == pytest.approx(0.75)
-
-    def test_inactive_providers_excluded(self):
-        report = competition_report(
-            shares={"a": 1.0, "dead": 0.0},
-            prices={"a": 10.0, "dead": 99.0},
-            marginal_costs={"a": 10.0, "dead": 1.0},
-        )
-        assert report.hhi == 1.0
-        assert report.mean_lerner == 0.0
-
-    def test_no_active_share_rejected(self):
-        with pytest.raises(MarketError):
-            competition_report(shares={"a": 0.0}, prices={}, marginal_costs={})

@@ -1,11 +1,11 @@
-"""Tests for demand curves and willingness-to-pay distributions."""
+"""Tests for willingness-to-pay distributions and segments."""
 
 import random
 
 import pytest
 
 from tussle.errors import MarketError
-from tussle.econ.demand import DemandCurve, LogNormalWtp, Segment, UniformWtp
+from tussle.econ.demand import Segment, UniformWtp
 
 
 class TestDistributions:
@@ -21,46 +21,6 @@ class TestDistributions:
         with pytest.raises(MarketError):
             UniformWtp(10.0, 5.0)
 
-    def test_lognormal_positive(self):
-        dist = LogNormalWtp(mu=3.0, sigma=0.5)
-        rng = random.Random(0)
-        assert all(dist.sample(rng) > 0 for _ in range(100))
-
-    def test_lognormal_sigma_validation(self):
-        with pytest.raises(MarketError):
-            LogNormalWtp(sigma=0.0)
-
     def test_segments_exist(self):
         assert Segment.BASIC is not Segment.BUSINESS
 
-
-class TestDemandCurve:
-    def test_quantity_decreasing_in_price(self):
-        curve = DemandCurve(100, UniformWtp(10.0, 100.0), seed=1)
-        quantities = [curve.quantity(p) for p in (0, 20, 50, 90, 200)]
-        assert quantities[0] == 100
-        assert quantities == sorted(quantities, reverse=True)
-        assert quantities[-1] == 0
-
-    def test_quantity_at_zero_price_is_everyone(self):
-        curve = DemandCurve(50, seed=0)
-        assert curve.quantity(0.0) == 50
-
-    def test_revenue_maximizing_price_beats_neighbours(self):
-        curve = DemandCurve(200, UniformWtp(10.0, 100.0), seed=2)
-        best = curve.revenue_maximizing_price()
-        assert curve.revenue(best) >= curve.revenue(best * 0.8)
-        assert curve.revenue(best) >= curve.revenue(best * 1.2)
-
-    def test_consumer_surplus_falls_with_price(self):
-        curve = DemandCurve(100, seed=3)
-        assert curve.consumer_surplus(10.0) > curve.consumer_surplus(50.0)
-
-    def test_deterministic_under_seed(self):
-        a = DemandCurve(50, seed=9).wtps
-        b = DemandCurve(50, seed=9).wtps
-        assert a == b
-
-    def test_needs_consumers(self):
-        with pytest.raises(MarketError):
-            DemandCurve(0)

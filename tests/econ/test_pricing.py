@@ -5,7 +5,6 @@ import pytest
 from tussle.errors import MarketError
 from tussle.econ.agents import Provider
 from tussle.econ.pricing import (
-    FlatPricing,
     MonopolyPricing,
     UndercutPricing,
     ValuePricingStrategy,
@@ -15,13 +14,6 @@ from tussle.econ.pricing import (
 def make_provider(price=40.0, unit_cost=5.0, business=None):
     return Provider(name="p", price=price, unit_cost=unit_cost,
                     business_price=business)
-
-
-class TestFlat:
-    def test_never_moves(self):
-        provider = make_provider()
-        FlatPricing().adjust(provider, {"p": 40.0, "rival": 10.0}, 0.5)
-        assert provider.price == 40.0
 
 
 class TestUndercut:

@@ -5,11 +5,7 @@ import pytest
 
 from tussle.errors import GameError
 from tussle.gametheory.games import NormalFormGame
-from tussle.gametheory.learning import (
-    best_response_dynamics,
-    fictitious_play,
-    replicator_dynamics,
-)
+from tussle.gametheory.learning import best_response_dynamics
 from tussle.gametheory.repeated import prisoners_dilemma
 
 
@@ -21,57 +17,6 @@ def matching_pennies():
 def coordination_game():
     a = np.array([[2.0, 0.0], [0.0, 1.0]])
     return NormalFormGame([a, a.copy()])
-
-
-class TestFictitiousPlay:
-    def test_converges_to_mixed_equilibrium_in_pennies(self):
-        result = fictitious_play(matching_pennies(), iterations=5000)
-        x, y = result.strategies
-        assert x == pytest.approx([0.5, 0.5], abs=0.05)
-        assert y == pytest.approx([0.5, 0.5], abs=0.05)
-
-    def test_converges_to_defect_in_pd(self):
-        result = fictitious_play(prisoners_dilemma(), iterations=2000)
-        x, y = result.strategies
-        assert x[1] > 0.95
-        assert y[1] > 0.95
-
-    def test_trajectory_sampled(self):
-        result = fictitious_play(matching_pennies(), iterations=500,
-                                 sample_every=100)
-        assert len(result.trajectory) >= 4
-
-    def test_two_player_only(self):
-        payoffs = [np.zeros((2, 2, 2)) for _ in range(3)]
-        with pytest.raises(GameError):
-            fictitious_play(NormalFormGame(payoffs))
-
-
-class TestReplicator:
-    def test_selects_payoff_dominant_equilibrium_from_uniform(self):
-        result = replicator_dynamics(coordination_game(), iterations=3000)
-        x, y = result.strategies
-        assert x[0] > 0.9
-        assert y[0] > 0.9
-
-    def test_defect_takes_over_in_pd(self):
-        result = replicator_dynamics(prisoners_dilemma(), iterations=5000,
-                                     step=0.2)
-        x, y = result.strategies
-        assert x[1] > 0.9
-        assert y[1] > 0.9
-
-    def test_strategies_remain_distributions(self):
-        result = replicator_dynamics(matching_pennies(), iterations=500)
-        for strategy in result.strategies:
-            assert strategy.sum() == pytest.approx(1.0)
-            assert np.all(strategy >= 0)
-
-    def test_custom_initial_condition(self):
-        initial = (np.array([0.9, 0.1]), np.array([0.9, 0.1]))
-        result = replicator_dynamics(coordination_game(), initial=initial,
-                                     iterations=1000)
-        assert result.strategies[0][0] > 0.95
 
 
 class TestBestResponseDynamics:
@@ -92,6 +37,11 @@ class TestBestResponseDynamics:
     def test_initial_profile_validated(self):
         with pytest.raises(GameError):
             best_response_dynamics(prisoners_dilemma(), initial=(5, 0))
+
+    def test_two_player_only(self):
+        payoffs = [np.zeros((2, 2, 2)) for _ in range(3)]
+        with pytest.raises(GameError):
+            best_response_dynamics(NormalFormGame(payoffs))
 
     def test_cycle_detected_reports(self):
         result = best_response_dynamics(matching_pennies(), iterations=50)

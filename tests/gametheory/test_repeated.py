@@ -1,4 +1,4 @@
-"""Tests for repeated games, strategies and tournaments."""
+"""Tests for repeated games, strategies and matches."""
 
 import pytest
 
@@ -6,16 +6,12 @@ from tussle.errors import GameError
 from tussle.gametheory.repeated import (
     COOPERATE,
     DEFECT,
-    AlwaysCooperate,
     AlwaysDefect,
     GrimTrigger,
-    Pavlov,
     RandomStrategy,
-    TitForTat,
     cooperation_sustainable,
     play_match,
     prisoners_dilemma,
-    round_robin,
 )
 
 
@@ -31,20 +27,9 @@ class TestStageGame:
 
 
 class TestStrategies:
-    def test_tit_for_tat_mirrors(self):
-        tft = TitForTat()
-        assert tft.first_move() == COOPERATE
-        assert tft.next_move([COOPERATE], [DEFECT]) == DEFECT
-        assert tft.next_move([COOPERATE, DEFECT], [DEFECT, COOPERATE]) == COOPERATE
-
     def test_grim_never_forgives(self):
         grim = GrimTrigger()
         assert grim.next_move([0, 0, 0], [0, 1, 0]) == DEFECT
-
-    def test_pavlov_win_stay_lose_shift(self):
-        pavlov = Pavlov()
-        assert pavlov.next_move([COOPERATE], [COOPERATE]) == COOPERATE
-        assert pavlov.next_move([COOPERATE], [DEFECT]) == DEFECT
 
     def test_random_strategy_seeded(self):
         a_strategy = RandomStrategy(0.5, seed=3)
@@ -60,50 +45,25 @@ class TestStrategies:
 
 class TestMatches:
     def test_mutual_cooperation_score(self):
-        result = play_match(AlwaysCooperate(), AlwaysCooperate(), rounds=10)
+        result = play_match(GrimTrigger(), GrimTrigger(), rounds=10)
         assert result.score_a == 30.0
         assert result.cooperation_rate == 1.0
 
     def test_defector_exploits_cooperator(self):
-        result = play_match(AlwaysDefect(), AlwaysCooperate(), rounds=10)
+        cooperator = RandomStrategy(p_cooperate=1.0)
+        result = play_match(AlwaysDefect(), cooperator, rounds=10)
         assert result.score_a == 50.0
         assert result.score_b == 0.0
 
-    def test_tft_holds_its_own_against_defector(self):
-        result = play_match(TitForTat(), AlwaysDefect(), rounds=100)
-        # TFT loses only the first round.
-        assert result.score_b - result.score_a <= 5.0
-
-    def test_tft_cooperates_with_itself(self):
-        result = play_match(TitForTat(), TitForTat(), rounds=50)
-        assert result.cooperation_rate == 1.0
-
-    def test_grim_vs_pavlov_stays_cooperative(self):
-        result = play_match(GrimTrigger(), Pavlov(), rounds=50)
-        assert result.cooperation_rate == 1.0
+    def test_grim_holds_its_own_against_defector(self):
+        result = play_match(GrimTrigger(), AlwaysDefect(), rounds=100)
+        # Grim trigger loses only the first round.
+        assert result.score_b - result.score_a == 5.0
 
     def test_match_requires_2x2_game(self):
         from tussle.gametheory.tussle_games import wiretap_hide_seek
         with pytest.raises(GameError):
-            play_match(TitForTat(), TitForTat(), game=wiretap_hide_seek(3))
-
-
-class TestTournament:
-    def test_round_robin_scores_all_strategies(self):
-        strategies = [TitForTat(), AlwaysDefect(), AlwaysCooperate(), Pavlov()]
-        scores = round_robin(strategies, rounds=100)
-        assert set(scores) == {"tit-for-tat", "always-defect",
-                               "always-cooperate", "pavlov"}
-
-    def test_nice_reciprocators_beat_always_defect_in_mixed_field(self):
-        """The Axelrod result: among reciprocators, pure defection loses.
-
-        (With an exploitable AlwaysCooperate in the field a lone defector
-        can still win a round robin — so the field here is reciprocators.)
-        """
-        strategies = [TitForTat(), GrimTrigger(), Pavlov(), AlwaysDefect()]
-        scores = round_robin(strategies, rounds=200)
-        assert scores["tit-for-tat"] > scores["always-defect"]
+            play_match(GrimTrigger(), GrimTrigger(), game=wiretap_hide_seek(3))
 
 
 class TestFolkTheorem:

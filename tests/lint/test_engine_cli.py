@@ -1,19 +1,9 @@
-"""Engine plumbing: suppressions, baselines, CLI exit codes and formats."""
+"""Engine plumbing: suppressions, CLI exit codes and formats."""
 
 import json
 import textwrap
 
-import pytest
-
-from tussle.errors import LintError
-from tussle.lint import (
-    Baseline,
-    apply_baseline,
-    load_baseline,
-    rule_ids,
-    run_lint,
-    update_baseline,
-)
+from tussle.lint import rule_ids, run_lint
 from tussle.lint.cli import main
 
 
@@ -65,42 +55,6 @@ class TestInlineSuppressions:
         assert not report.clean
 
 
-class TestBaseline:
-    def test_roundtrip_suppresses_grandfathered(self, tmp_path):
-        path = write_module(tmp_path, DIRTY)
-        first = run_lint([path])
-        assert len(first.active) == 1
-
-        baseline_path = tmp_path / "baseline.json"
-        update_baseline(baseline_path, first.findings)
-        baseline = load_baseline(baseline_path)
-        second = run_lint([path], baseline=baseline)
-        assert second.clean
-        assert second.suppressed[0].suppression_source == "baseline"
-
-    def test_budget_is_per_rule_and_path(self, tmp_path):
-        path = write_module(tmp_path, """
-            import random
-            a = random.random()
-            b = random.random()
-        """)
-        report = run_lint([path])
-        assert len(report.active) == 2
-        baseline = Baseline({("D101", str(path)): 1})
-        apply_baseline(report.findings, baseline)
-        active = [f for f in report.findings if not f.suppressed]
-        assert len(active) == 1
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{\"version\": 99}")
-        with pytest.raises(LintError):
-            load_baseline(bad)
-        bad.write_text("not json")
-        with pytest.raises(LintError):
-            load_baseline(bad)
-
-
 class TestSelect:
     def test_select_filters_families(self, tmp_path):
         path = write_module(tmp_path, """
@@ -145,23 +99,6 @@ class TestCli:
         ids = {entry["id"] for entry in payload}
         assert len(ids) >= 10
         assert {"D101", "D107", "E201", "X301", "X302"} <= ids
-
-    def test_write_then_read_baseline_gates_only_new(self, tmp_path, capsys):
-        path = write_module(tmp_path, DIRTY)
-        baseline_path = tmp_path / "lint-baseline.json"
-        assert main([str(path), "--baseline", str(baseline_path),
-                     "--update-baseline"]) == 0
-        capsys.readouterr()
-        # Old finding is grandfathered...
-        assert main([str(path), "--baseline", str(baseline_path)]) == 0
-        capsys.readouterr()
-        # ...but a new finding in the same file still gates.
-        path.write_text(path.read_text()
-                        + "import os\nhome = os.environ['HOME']\n")
-        assert main([str(path), "--baseline", str(baseline_path)]) == 1
-        out = capsys.readouterr().out
-        assert "D105" in out
-        assert "suppressed" in out
 
     def test_kernel_candidates_in_text_and_json(self, tmp_path, capsys):
         pkg = tmp_path / "tussle" / "routing"

@@ -1,17 +1,16 @@
-"""Engine robustness: broken sources, stale suppressions, stale baselines.
+"""Engine robustness: broken sources and stale suppressions.
 
 The analyzer is a gate; a gate that crashes on weird input fails open.
 Every degenerate file shape must come back as a structured finding
 (X304) or a clean pass — never a traceback.
 """
 
-import json
 import textwrap
 
 import pytest
 
 from tussle.errors import LintError
-from tussle.lint import load_baseline, run_lint, update_baseline
+from tussle.lint import run_lint
 from tussle.lint.cli import main
 from tussle.lint.context import parse_module
 
@@ -147,84 +146,3 @@ class TestStaleSuppressions:
         report = run_lint([path])
         assert [f for f in report.active if f.rule_id == "X303"]
 
-
-class TestStaleBaseline:
-    def _baseline(self, tmp_path, entries):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 1, "entries": entries}))
-        return path
-
-    def test_stale_entry_reported_and_fails_the_gate(self, tmp_path, capsys):
-        mod = write_module(tmp_path, "value = 1\n")
-        baseline = self._baseline(tmp_path, [
-            {"rule": "D101", "path": str(mod), "count": 2},
-        ])
-        assert main([str(mod), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "stale baseline entry" in out
-        assert "--update-baseline" in out
-
-    def test_partially_consumed_budget_reports_the_leftover(self, tmp_path):
-        mod = write_module(tmp_path, """
-            import random
-            value = random.random()
-        """)
-        baseline = self._baseline(tmp_path, [
-            {"rule": "D101", "path": str(mod), "count": 3},
-        ])
-        report = run_lint([mod], baseline=load_baseline(baseline))
-        assert report.stale_baseline == [
-            {"rule": "D101", "path": str(mod), "count": 2},
-        ]
-        assert not report.clean
-
-    def test_exact_budget_is_clean(self, tmp_path):
-        mod = write_module(tmp_path, """
-            import random
-            value = random.random()
-        """)
-        baseline = self._baseline(tmp_path, [
-            {"rule": "D101", "path": str(mod), "count": 1},
-        ])
-        report = run_lint([mod], baseline=load_baseline(baseline))
-        assert report.stale_baseline == []
-        assert report.clean
-
-    def test_update_baseline_prunes_stale_entries(self, tmp_path, capsys):
-        mod = write_module(tmp_path, """
-            import random
-            value = random.random()
-        """)
-        baseline = self._baseline(tmp_path, [
-            {"rule": "D101", "path": str(mod), "count": 1},
-            {"rule": "D104", "path": str(mod), "count": 4},  # long fixed
-        ])
-        assert main([str(mod), "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        rewritten = json.loads(baseline.read_text())
-        rules = {e["rule"]: e["count"] for e in rewritten["entries"]}
-        assert rules == {"D101": 1}
-        # And the gate now passes against the pruned baseline.
-        assert main([str(mod), "--baseline", str(baseline)]) == 0
-
-    def test_update_baseline_keeps_grandfathered_findings(self, tmp_path):
-        mod = write_module(tmp_path, """
-            import random
-            value = random.random()
-        """)
-        baseline = self._baseline(tmp_path, [
-            {"rule": "D101", "path": str(mod), "count": 1},
-        ])
-        report = run_lint([mod], baseline=load_baseline(baseline))
-        rewritten = update_baseline(baseline, report.findings)
-        assert rewritten.budgets == {("D101", str(mod)): 1}
-
-    def test_update_baseline_drops_inline_suppressed_findings(self, tmp_path):
-        mod = write_module(tmp_path, """
-            import random
-            value = random.random()  # lint: disable=D101
-        """)
-        report = run_lint([mod])
-        baseline_path = tmp_path / "baseline.json"
-        rewritten = update_baseline(baseline_path, report.findings)
-        assert ("D101", str(mod)) not in rewritten.budgets

@@ -1,10 +1,21 @@
 """X305 unreachable-module: every module must be importable from an
-entry point (a module with an ``if __name__ == "__main__":`` guard)."""
+entry point (a module with an ``if __name__ == "__main__":`` guard).
 
+One level down, every top-level function and class of the package must
+be used by code that is not a test.
+"""
+
+import ast
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 from tussle.lint import run_lint
+
+REPO = Path(__file__).resolve().parents[2]
+
+#: Where non-test uses can live; ``tests/`` is deliberately not scanned.
+NON_TEST_CODE = ("src/tussle", "benchmarks", "examples", "perfbench")
 
 LIVE = {
     "pkg/live.py": """
@@ -105,3 +116,46 @@ def test_scan_without_an_entry_point_reports_nothing(tmp_path):
         "pkg/__main__.py": "from pkg.live import run\n",
         "pkg/dead.py": "thing = 1\n",
     }) == []
+
+
+def used_names(tree, count_imports=True):
+    """Every name ``tree`` uses as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif count_imports and isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unused_definitions():
+    """Top-level functions and classes of non-``__init__`` modules under
+    ``src/tussle`` that no code outside their own body names.
+
+    ``__all__`` entries are strings, so they never count; a package
+    ``__init__``'s imports (its re-exports) do not count either.
+    """
+    uses = Counter()
+    definitions = []
+    for top in NON_TEST_CODE:
+        for path in sorted((REPO / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            is_init = path.name == "__init__.py"
+            uses.update(used_names(tree, count_imports=not is_init))
+            if top == "src/tussle" and not is_init:
+                definitions += [
+                    (path, node) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unused = [f"{path.relative_to(REPO / 'src').as_posix()}:{node.name}"
+              for path, node in definitions
+              if uses[node.name] == Counter(used_names(node))[node.name]]
+    return unused, len(definitions)
+
+
+def test_every_definition_is_used_outside_tests():
+    unused, checked = unused_definitions()
+    assert checked, "found no definitions under src/tussle"
+    assert not unused, (
+        "only tests use these definitions; delete them or move them into "
+        "the tests that need them:\n  " + "\n  ".join(unused))

@@ -1,9 +1,9 @@
-"""Tests for fault injection and audience-targeted reporting."""
+"""Tests for audience-targeted fault reporting."""
 
 import pytest
 
-from tussle.netsim.faults import Audience, FaultInjector, FaultReporter, traceroute
-from tussle.netsim.forwarding import DeliveryStatus, ForwardingEngine
+from tussle.netsim.faults import Audience, FaultReporter
+from tussle.netsim.forwarding import ForwardingEngine
 from tussle.netsim.middlebox import PortFilterFirewall
 from tussle.netsim.packets import make_packet
 from tussle.netsim.topology import line_topology
@@ -97,82 +97,3 @@ class TestBlameRouting:
         assert report.audience is Audience.OPERATOR
         assert report.actionable
 
-
-class TestTraceroute:
-    def test_full_path_on_success(self, engine):
-        hops = traceroute(engine, "n0", "n3")
-        assert hops == [("n0", True), ("n1", True), ("n2", True), ("n3", True)]
-
-    def test_trace_stops_at_downed_link(self, engine):
-        engine.network.fail_link("n2", "n3")
-        hops = traceroute(engine, "n0", "n3")
-        assert hops == [("n0", True), ("n1", True), ("n2", True),
-                        ("?", False)]
-
-    def test_trace_stops_at_silent_interferer(self, engine):
-        engine.attach_middlebox(
-            "n2", PortFilterFirewall("fw", blocked_applications={"generic"},
-                                     discloses=False))
-        hops = traceroute(engine, "n0", "n3")
-        assert ("n2", True) in hops  # reached the box itself
-        assert hops[-1] == ("?", False)
-
-
-class TestFaultInjector:
-    def test_fail_random_link_is_seeded(self):
-        def failed(seed):
-            engine = ForwardingEngine(line_topology(5))
-            injector = FaultInjector(engine, seed=seed)
-            return injector.fail_random_link()
-
-        assert failed(3) == failed(3)
-
-    def test_fail_fraction(self):
-        engine = ForwardingEngine(line_topology(11))  # 10 links
-        injector = FaultInjector(engine, seed=0)
-        failed = injector.fail_fraction(0.5)
-        assert len(failed) == 5
-        assert sum(1 for l in engine.network.links if not l.up) == 5
-
-    def test_restore_all(self):
-        engine = ForwardingEngine(line_topology(5))
-        injector = FaultInjector(engine, seed=0)
-        injector.fail_fraction(1.0)
-        injector.restore_all()
-        assert all(l.up for l in engine.network.links)
-        assert injector.failed_links == []
-
-    def test_no_links_left_returns_none(self):
-        engine = ForwardingEngine(line_topology(2))
-        injector = FaultInjector(engine, seed=0)
-        injector.fail_fraction(1.0)
-        assert injector.fail_random_link() is None
-
-    def test_injected_rng_equals_explicit_seed(self):
-        import random
-
-        def failures(**kwargs):
-            engine = ForwardingEngine(line_topology(8))
-            injector = FaultInjector(engine, **kwargs)
-            return injector.fail_fraction(0.5)
-
-        assert failures(seed=11) == failures(rng=random.Random(11))
-
-    def test_shared_rng_stream_spans_injectors(self):
-        import random
-
-        # Two injectors drawing from one master stream behave like one
-        # injector making the same draws in sequence.
-        rng = random.Random(5)
-        engine_a = ForwardingEngine(line_topology(8))
-        engine_b = ForwardingEngine(line_topology(8))
-        first = FaultInjector(engine_a, rng=rng).fail_random_link()
-        second = FaultInjector(engine_b, rng=rng).fail_random_link()
-
-        serial_rng = random.Random(5)
-        engine_c = ForwardingEngine(line_topology(8))
-        serial = FaultInjector(engine_c, rng=serial_rng)
-        assert serial.fail_random_link() == first
-        engine_d = ForwardingEngine(line_topology(8))
-        assert FaultInjector(engine_d, rng=serial_rng) \
-            .fail_random_link() == second

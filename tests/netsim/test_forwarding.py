@@ -1,12 +1,33 @@
 """Tests for the forwarding engine: delivery, middleboxes, source routes."""
 
+from dataclasses import replace
+
 import pytest
 
 from tussle.errors import RoutingError
 from tussle.netsim.forwarding import DeliveryStatus, ForwardingEngine
-from tussle.netsim.middlebox import NAT, Cache, PortFilterFirewall, Redirector
-from tussle.netsim.packets import make_packet
+from tussle.netsim.middlebox import (
+    Action,
+    Middlebox,
+    PortFilterFirewall,
+    Redirector,
+    Verdict,
+)
+from tussle.netsim.packets import make_packet, port_for_app
 from tussle.netsim.topology import Network, line_topology, star_topology
+
+
+class SourceNat(Middlebox):
+    """Outbound address translation: every source becomes one public name."""
+
+    def __init__(self, name, public_name):
+        super().__init__(name, discloses=False)
+        self.public_name = public_name
+
+    def process(self, packet):
+        header = replace(packet.header, src=self.public_name)
+        return self._record(
+            packet, Verdict(Action.MODIFY, packet=replace(packet, header=header)))
 
 
 @pytest.fixture
@@ -109,16 +130,15 @@ class TestMiddleboxesOnPath:
         receipt = line_engine.send(make_packet("n0", "n3", application="http"))
         assert receipt.delivered
 
-    def test_cache_hit_served_as_redirected(self):
+    def test_redirect_to_own_node_is_served_there(self):
         engine = ForwardingEngine(line_topology(4))
         engine.install_shortest_path_tables()
-        engine.attach_middlebox("n1", Cache("n1"))
-        first = engine.send(make_packet("n0", "n3", application="http"))
-        second = engine.send(make_packet("n0", "n3", application="http"))
-        assert first.status is DeliveryStatus.DELIVERED
-        assert second.status is DeliveryStatus.REDIRECTED
-        assert second.delivered  # served, just not by the origin
-        assert second.delivered_to == "n1"
+        engine.attach_middlebox("n1", Redirector(
+            "n1", port=port_for_app("http"), new_destination="n1"))
+        receipt = engine.send(make_packet("n0", "n3", application="http"))
+        assert receipt.status is DeliveryStatus.REDIRECTED
+        assert receipt.delivered  # served, just not by the origin
+        assert receipt.delivered_to == "n1"
 
     def test_nat_on_path_rewrites_source(self):
         net = Network()
@@ -128,8 +148,7 @@ class TestMiddleboxesOnPath:
         net.add_link("natbox", "site")
         engine = ForwardingEngine(net)
         engine.install_shortest_path_tables()
-        engine.attach_middlebox("natbox", NAT("natbox", public_name="pub",
-                                              internal_prefix="lan-"))
+        engine.attach_middlebox("natbox", SourceNat("natbox", public_name="pub"))
         receipt = engine.send(make_packet("lan-pc", "site"))
         assert receipt.delivered
         assert receipt.packet.header.src == "pub"

@@ -2,7 +2,7 @@
 
 The shapes parity sweeps statistically are nailed down here one by one:
 zero-capacity links, self-loop routes, empty/degenerate topologies,
-links failing between batches, and duplicate FIB entries.  Where a case
+links failing between batches, and reinstalled or invalid tables.  Where a case
 touches both backends, both are asserted — the scalar engine is the
 reference and the vector engine must not quietly disagree on corners.
 """
@@ -10,11 +10,7 @@ reference and the vector engine must not quietly disagree on corners.
 import pytest
 
 from tussle.errors import RoutingError, ScaleError
-from tussle.netsim.forwarding import (
-    DeliveryStatus,
-    ForwardingEngine,
-    PrefixFib,
-)
+from tussle.netsim.forwarding import DeliveryStatus, ForwardingEngine
 from tussle.netsim.packets import make_packet
 from tussle.netsim.topology import Network, dumbbell_topology, line_topology
 from tussle.scale.narrays import NetIndex, PacketArrays, traffic_stream
@@ -166,46 +162,14 @@ class TestDuplicateFibEntries:
         engine.install_table("n0", {"n2": "n1", "n1": "n1"})
         assert engine.tables["n0"] == {"n2": "n1", "n1": "n1"}
 
-    def test_prefix_fib_duplicate_insert_replaces(self):
-        net = Network()
-        for name in ("leaf-a", "leaf-b", "hub"):
-            net.add_node(name)
-        net.add_link("hub", "leaf-a", latency=0.01)
-        net.add_link("hub", "leaf-b", latency=0.01)
-        fib = PrefixFib()
-        fib.insert("leaf-", "leaf-a")
-        fib.insert("leaf-", "leaf-b")  # routing update replaces the first
-        engine = ForwardingEngine(net)
-        engine.install_prefix_table("hub", fib)
-        assert fib.lookup("leaf-b") == "leaf-b"
-        assert len(fib) == 1
-
-    def test_prefix_fib_longest_prefix_beats_shorter(self):
-        net = Network()
-        for name in ("core", "edge-1", "edge-2"):
-            net.add_node(name)
-        net.add_link("core", "edge-1", latency=0.01)
-        net.add_link("core", "edge-2", latency=0.01)
-        fib = PrefixFib()
-        fib.insert("edge", "edge-1")
-        fib.insert("edge-2", "edge-2")
-        engine = ForwardingEngine(net)
-        engine.install_prefix_table("core", fib)
-        packet = make_packet("core", "edge-2")
-        receipt = engine.send(packet)
-        assert receipt.status is DeliveryStatus.DELIVERED
-        assert receipt.path == ["core", "edge-2"]
-
     def test_vector_rejects_unknown_next_hop(self):
         net = two_nodes()
         engine = VectorForwardingEngine(net)
         with pytest.raises(ScaleError):
             engine.install_table("a", {"b": "ghost"})
 
-    def test_scalar_rejects_unknown_prefix_next_hop(self):
+    def test_scalar_rejects_unknown_next_hop(self):
         net = two_nodes()
         engine = ForwardingEngine(net)
-        fib = PrefixFib()
-        fib.insert("b", "ghost")
         with pytest.raises(RoutingError):
-            engine.install_prefix_table("a", fib)
+            engine.install_table("a", {"b": "ghost"})

@@ -1,12 +1,10 @@
-"""Tests for middleboxes: firewalls, NAT, redirectors, wiretap, cache."""
+"""Tests for middleboxes: firewalls, redirectors and wiretaps."""
 
 import pytest
 
 from tussle.netsim.middlebox import (
     Action,
     BlanketFirewall,
-    Cache,
-    NAT,
     PortFilterFirewall,
     Redirector,
     TransparencyLedger,
@@ -86,36 +84,6 @@ class TestRedirector:
         assert verdict.action is Action.FORWARD
 
 
-class TestNAT:
-    def test_outbound_rewritten_to_public_name(self):
-        nat = NAT("nat", public_name="pub", internal_prefix="lan-")
-        verdict = nat.process(make_packet("lan-pc", "site"))
-        assert verdict.action is Action.MODIFY
-        assert verdict.packet.header.src == "pub"
-
-    def test_return_traffic_translated_back(self):
-        nat = NAT("nat", public_name="pub", internal_prefix="lan-")
-        out = nat.process(make_packet("lan-pc", "site")).packet
-        reply = make_packet("site", "pub")
-        # Reply must target the mapped port to be translated.
-        from dataclasses import replace
-        reply.header = replace(reply.header, dst_port=out.header.src_port)
-        verdict = nat.process(reply)
-        assert verdict.action is Action.REDIRECT
-        assert verdict.packet.header.dst == "lan-pc"
-
-    def test_external_traffic_forwarded(self):
-        nat = NAT("nat", public_name="pub", internal_prefix="lan-")
-        verdict = nat.process(make_packet("elsewhere", "site"))
-        assert verdict.action is Action.FORWARD
-
-    def test_translation_count(self):
-        nat = NAT("nat", public_name="pub", internal_prefix="lan-")
-        nat.process(make_packet("lan-a", "site"))
-        nat.process(make_packet("lan-b", "site"))
-        assert nat.translation_count() == 2
-
-
 class TestWiretap:
     def test_sees_plaintext_content(self):
         tap = Wiretap("tap")
@@ -134,30 +102,6 @@ class TestWiretap:
 
     def test_empty_tap_rate(self):
         assert Wiretap("tap").content_visibility_rate() == 0.0
-
-
-class TestCache:
-    def test_second_request_hits(self):
-        cache = Cache("cache")
-        first = cache.process(make_packet("a", "site", application="http"))
-        second = cache.process(make_packet("b", "site", application="http"))
-        assert first.action is Action.FORWARD
-        assert second.action is Action.REDIRECT
-        assert second.new_destination == "cache"
-        assert cache.hit_rate() == pytest.approx(0.5)
-
-    def test_encrypted_traffic_not_cached(self):
-        cache = Cache("cache")
-        cache.process(make_packet("a", "site", application="http", encrypted=True))
-        verdict = cache.process(make_packet("b", "site", application="http",
-                                            encrypted=True))
-        assert verdict.action is Action.FORWARD
-
-    def test_non_cacheable_application_forwarded(self):
-        cache = Cache("cache")
-        cache.process(make_packet("a", "site", application="smtp"))
-        assert cache.process(make_packet("b", "site", application="smtp")).action \
-            is Action.FORWARD
 
 
 class TestTransparencyLedger:

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from tussle.errors import ObservabilityError
 from tussle.obs import Metrics, Profiler
 from tussle.obs.bench import SCHEMA_VERSION, bench_record, write_bench_record
 
@@ -29,6 +32,15 @@ class TestBenchRecord:
         assert record.calls == 2
         assert record.wall_seconds_min == 0.3
         assert record.wall_seconds == 0.4  # mean
+
+    def test_profiler_without_the_timing_key_raises(self):
+        profiler = Profiler()
+        profiler.record("vector/10000", 0.5)
+        with pytest.raises(ObservabilityError, match="vector/10000"):
+            bench_record("S01", profiler=profiler)
+        record = bench_record("S01", profiler=profiler,
+                              timing_key="vector/10000")
+        assert record.wall_seconds_min == 0.5
 
     def test_shape_verdict_from_result(self):
         class FakeResult:

@@ -8,7 +8,7 @@ from tussle.core.stakeholders import Stakeholder, StakeholderKind
 from tussle.core.tussle import TussleSpace
 from tussle.experiments import run_e01
 from tussle.gametheory.games import NormalFormGame
-from tussle.gametheory.learning import fictitious_play
+from tussle.gametheory.learning import best_response_dynamics
 from tussle.netsim.addressing import AddressRegistry
 from tussle.netsim.topology import Network, Relationship
 from tussle.obs import Metrics, Tracer, observe
@@ -62,11 +62,11 @@ class TestSubsystemCoverage:
         tracer, metrics = Tracer(), Metrics()
         payoffs = np.array([[1.0, -1.0], [-1.0, 1.0]])
         with observe(tracer=tracer, metrics=metrics):
-            result = fictitious_play(NormalFormGame([payoffs, -payoffs]),
-                                     iterations=300)
+            result = best_response_dynamics(
+                NormalFormGame([payoffs, -payoffs]), iterations=300)
         (span,) = [r for r in tracer.records()
                    if r["scope"] == "gametheory.learning"]
-        assert span["name"] == "fictitious_play"
+        assert span["name"] == "best_response_dynamics"
         assert span["t1"] == float(result.iterations)
         counters = metrics.snapshot()["gametheory.learning"]["counters"]
         assert counters["runs"] == 1

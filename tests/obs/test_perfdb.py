@@ -123,11 +123,12 @@ class TestCheck:
             history, {"E07": bench_record("E07", 0.001)})
         assert ok
 
-    def test_new_benchmark_does_not_block(self):
+    def test_new_benchmark_blocks(self):
         findings, ok = perfdb.check(
             self.history, {"NEW": bench_record("NEW", 1.0)})
-        assert ok
-        assert findings[0].kind == "new-benchmark"
+        assert not ok
+        [finding] = findings
+        assert finding.kind == "new-benchmark" and finding.blocking
 
     def test_counter_drift_reported_non_blocking(self):
         findings, ok = perfdb.check(
@@ -142,9 +143,9 @@ class TestCheck:
         record = bench_record("E01", 0.05)
         record["wall_seconds"] = record["wall_seconds_min"] = None
         findings, ok = perfdb.check(self.history, {"E01": record})
-        assert ok
+        assert not ok
         [finding] = findings
-        assert finding.kind == "unmeasured" and not finding.blocking
+        assert finding.kind == "unmeasured" and finding.blocking
         assert "fresh record" in finding.message
 
     def test_ledger_without_walls_is_reported_unmeasured(self):
@@ -154,9 +155,9 @@ class TestCheck:
         perfdb.ingest(history, {"S01": unmeasured})
         findings, ok = perfdb.check(history,
                                     {"S01": bench_record("S01", 50.0)})
-        assert ok
+        assert not ok
         [finding] = findings
-        assert finding.kind == "unmeasured" and not finding.blocking
+        assert finding.kind == "unmeasured" and finding.blocking
         assert "ledger" in finding.message
 
     def test_threshold_must_exceed_one(self):

@@ -1,4 +1,6 @@
-"""ChaosSchedule / FaultPlan / ChaosInjector tests, incl. JSON round-trips."""
+"""ChaosSchedule / FaultPlan / ChaosInjector tests: determinism, order, replay."""
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -66,19 +68,11 @@ class TestLinkTargets:
             parse_link_target("no-separator")
 
 
-class TestFaultPlanRoundTrip:
+class TestFaultPlanDeterminism:
     @given(schedule=schedules_strategy())
     @settings(max_examples=40, deadline=None)
-    def test_plan_roundtrips_through_canonical_json(self, schedule):
-        plan = schedule.plan(ring_network())
-        assert FaultPlan.from_json(plan.to_json()) == plan
-        assert FaultPlan.from_json(plan.to_json()).to_json() == plan.to_json()
-
-    @given(schedule=schedules_strategy())
-    @settings(max_examples=40, deadline=None)
-    def test_schedule_roundtrips_and_replans_identically(self, schedule):
-        clone = ChaosSchedule.from_json(schedule.to_json())
-        assert clone.to_json() == schedule.to_json()
+    def test_same_schedule_replans_identically(self, schedule):
+        clone = replace(schedule)
         net = ring_network()
         assert clone.plan(net) == schedule.plan(net)
 
@@ -93,12 +87,6 @@ class TestFaultPlanRoundTrip:
         net = ring_network()
         assert a.plan(net) != b.plan(net)
 
-    def test_schema_checked(self):
-        with pytest.raises(ResilienceError):
-            FaultPlan.from_dict({"schema": 99, "events": []})
-        with pytest.raises(ResilienceError):
-            ChaosSchedule.from_dict({"schema": 99})
-
 
 class TestFaultPlanOrdering:
     def test_events_sorted_and_queryable(self):
@@ -106,9 +94,22 @@ class TestFaultPlanOrdering:
         plan.add(FaultEvent(2.0, FaultKind.LINK_UP, "a|b"))
         plan.add(FaultEvent(1.0, FaultKind.LINK_DOWN, "a|b"))
         assert [e.time for e in plan.events] == [1.0, 2.0]
-        assert len(plan.until(1.5)) == 1
-        assert plan.of_kind(FaultKind.LINK_DOWN)[0].time == 1.0
-        assert plan.horizon == 2.0
+        assert len(plan) == 2
+
+    def test_insertion_order_does_not_change_equality(self):
+        events = [
+            FaultEvent(1.0, FaultKind.LINK_DOWN, "a|b"),
+            FaultEvent(1.0, FaultKind.DELAY_SPIKE, "a|b",
+                       params=(("duration", 1.0), ("factor", 2.0))),
+            FaultEvent(2.0, FaultKind.LINK_UP, "a|b"),
+        ]
+        forward, backward = FaultPlan(), FaultPlan()
+        for event in events:
+            forward.add(event)
+        for event in reversed(events):
+            backward.add(event)
+        assert forward == backward == FaultPlan(events=events[::-1])
+        assert forward != FaultPlan(events=events[:2])
 
 
 class TestChaosInjector:
@@ -152,18 +153,6 @@ class TestChaosInjector:
             original * 10.0)
         injector.advance(2.5)
         assert engine.network.link("a", "b").latency == pytest.approx(original)
-
-    def test_loss_spike_visible_while_active(self):
-        engine = line_engine()
-        plan = FaultPlan(events=[
-            FaultEvent(1.0, FaultKind.LOSS_SPIKE, "*",
-                       params=(("duration", 1.0), ("probability", 0.7))),
-        ])
-        injector = ChaosInjector(engine, plan)
-        injector.advance(1.5)
-        assert injector.active_loss() == pytest.approx(0.7)
-        injector.advance(3.0)
-        assert injector.active_loss() == 0.0
 
     def test_middlebox_insertion_blocks_application(self):
         engine = line_engine()

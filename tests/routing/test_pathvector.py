@@ -8,7 +8,9 @@ from tussle.errors import RoutingError
 from tussle.netsim.topology import Network, Relationship, random_as_graph
 from tussle.routing.base import Route
 from tussle.routing.pathvector import PathVectorRouting
-from tussle.routing.policies import GaoRexfordPolicy, OpenPolicy
+from tussle.routing.policies import GaoRexfordPolicy
+
+from tests.routing.fakes import OpenPolicy
 
 
 def chain_network():

@@ -7,9 +7,10 @@ from tussle.routing.base import ControlPoint, Route
 from tussle.routing.policies import (
     GaoRexfordPolicy,
     NeighborClass,
-    OpenPolicy,
     classify_neighbor,
 )
+
+from tests.routing.fakes import OpenPolicy
 
 
 @pytest.fixture

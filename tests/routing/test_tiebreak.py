@@ -9,7 +9,9 @@ candidate happened to be the incumbent.
 
 from tussle.netsim.topology import Network, Relationship
 from tussle.routing.base import Route
-from tussle.routing.policies import GaoRexfordPolicy, OpenPolicy
+from tussle.routing.policies import GaoRexfordPolicy
+
+from tests.routing.fakes import OpenPolicy
 
 
 def two_provider_net():

@@ -115,18 +115,18 @@ class TestGracefulDegradation:
         assert executor.recovery["recovered_cells"] == 0
         canonical_json(cell)  # failed payloads stay JSON-safe
 
-    def test_failed_cell_roundtrips_from_payload(self):
+    def test_failed_cell_payload_without_retries(self):
         spec = small_spec(seeds=(0,))
         executor = ResilientExecutor(
             jobs=1, timeout=10.0, retries=0,
             chaos=sabotage_all("exit", max_attempts=10))
         report = run_sweep(spec, executor=executor)
         [cell] = report.cells
-        record = FailedCell.from_payload(cell)
-        assert record.experiment_id == "E01"
-        assert record.base_seed == 0
-        assert record.attempts == 1
-        assert record.to_error_dict() == cell["error"]
+        assert cell["experiment_id"] == "E01"
+        assert cell["base_seed"] == 0
+        assert cell["error"] == FailedCell(
+            "E01", "{}", 0, 1, cell["error"]["reasons"]).to_error_dict()
+        assert len(cell["error"]["reasons"]) == 1
 
     def test_deterministic_error_payload_is_not_retried(self):
         # A cell that raises inside the experiment is a verdict, not an

@@ -70,16 +70,11 @@ class TestWorkerPayload:
         assert output["profile"]["worker"]
 
     def test_result_survives_ipc_roundtrip(self):
-        from tussle.experiments.common import ExperimentResult
-        from tussle.lint.seedcheck import fingerprint
-
         spec = SweepSpec(experiment_ids=["E04"], seeds=[0], grid={})
         [cell] = spec.cells()
         output = run_cell(cell_task(cell))
-        revived = ExperimentResult.from_json(
-            canonical_json(output["payload"]["result"]))
         direct = ALL_EXPERIMENTS["E04"](seed=cell.seed)
-        assert fingerprint(revived) == fingerprint(direct)
+        assert canonical_json(output["payload"]["result"]) == direct.to_json()
 
 
 @pytest.mark.slow

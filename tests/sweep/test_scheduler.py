@@ -127,13 +127,6 @@ class TestCache:
         rerun = run_sweep(spec, cache=ResultCache(tmp_path, fingerprint="fp-a"))
         assert rerun.stats["cells_dispatched"] == 1
 
-    def test_prune_removes_stale_fingerprints(self, tmp_path):
-        spec = small_spec(seeds=(0,))
-        run_sweep(spec, cache=ResultCache(tmp_path, fingerprint="fp-a"))
-        fresh = ResultCache(tmp_path, fingerprint="fp-b")
-        assert fresh.prune() == 1
-        assert fresh.prune() == 0
-
 
 class TestFailureIsolation:
     def test_one_raising_cell_marks_only_itself_failed(self, monkeypatch):

@@ -12,32 +12,10 @@ from tussle.econ.competition import herfindahl_index
 from tussle.errors import MarketError
 from tussle.gametheory.games import NormalFormGame
 from tussle.gametheory.zerosum import solve_zero_sum
-from tussle.netsim.transport import fairness_index
 from tussle.trust.trustgraph import TrustGraph
 
 small_floats = st.floats(min_value=-10.0, max_value=10.0,
                          allow_nan=False, allow_infinity=False)
-
-
-class TestFairnessProperties:
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e6,
-                              allow_nan=False), min_size=1, max_size=20))
-    def test_fairness_bounded(self, allocations):
-        index = fairness_index(allocations)
-        assert 0.0 <= index <= 1.0 + 1e-9
-
-    @given(st.floats(min_value=0.01, max_value=1e6, allow_nan=False),
-           st.integers(min_value=1, max_value=20))
-    def test_equal_allocations_perfectly_fair(self, value, count):
-        assert fairness_index([value] * count) == pytest.approx(1.0)
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e6,
-                              allow_nan=False), min_size=1, max_size=20),
-           st.floats(min_value=0.1, max_value=100.0))
-    def test_fairness_scale_invariant(self, allocations, scale):
-        original = fairness_index(allocations)
-        scaled = fairness_index([a * scale for a in allocations])
-        assert original == pytest.approx(scaled, abs=1e-9)
 
 
 class TestHhiProperties:

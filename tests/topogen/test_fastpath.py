@@ -16,10 +16,12 @@ import pytest
 
 from tussle.errors import RoutingError, ScaleError
 from tussle.netsim.topology import Network, Relationship, random_as_graph
-from tussle.routing import GaoRexfordPolicy, OpenPolicy, PathVectorRouting
+from tussle.routing import GaoRexfordPolicy, PathVectorRouting
 from tussle.scale.parity import ROUTING, verify
 from tussle.scale.vrouting import converge_valley_free
 from tussle.topogen import parse_caida
+
+from tests.routing.fakes import OpenPolicy
 
 
 def routing_case(label):

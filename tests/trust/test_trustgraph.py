@@ -24,12 +24,6 @@ class TestEdges:
         with pytest.raises(TrustError):
             TrustGraph().set_trust("a", "a", 1.0)
 
-    def test_revoke(self):
-        graph = TrustGraph()
-        graph.set_trust("a", "b", 0.8)
-        graph.revoke("a", "b")
-        assert graph.direct_trust("a", "b") is None
-
     def test_parties_tracked(self):
         graph = TrustGraph()
         graph.set_trust("a", "b", 0.5)
@@ -86,22 +80,6 @@ class TestPropagation:
         graph.set_trust("a", "b", 0.6)
         assert graph.trusts("a", "b", threshold=0.5)
         assert not graph.trusts("a", "b", threshold=0.7)
-
-    def test_mutual_trust_is_minimum(self):
-        graph = TrustGraph()
-        graph.set_trust("a", "b", 0.9)
-        graph.set_trust("b", "a", 0.3)
-        assert graph.mutual_trust("a", "b") == pytest.approx(0.3)
-
-    def test_erosion_scales_everything(self):
-        graph = TrustGraph()
-        graph.set_trust("a", "b", 0.8)
-        graph.erode(0.5)
-        assert graph.direct_trust("a", "b") == pytest.approx(0.4)
-
-    def test_erosion_factor_validated(self):
-        with pytest.raises(TrustError):
-            TrustGraph().erode(1.5)
 
     def test_constructor_validation(self):
         with pytest.raises(TrustError):
