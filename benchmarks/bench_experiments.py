@@ -2,9 +2,8 @@
 
 Parametrized over ``tussle.experiments.ALL_EXPERIMENTS``, so registering
 an experiment is what enrolls it here.  Each case regenerates the
-experiment's table under ``benchmarks/results/<id>.txt``, writes a
-``bench_<id>.json`` record keyed by the experiment id for the perf
-ledger, and asserts the paper's qualitative shape.
+experiment's table under ``benchmarks/results/<id>.txt`` and asserts
+the paper's qualitative shape.
 """
 
 import pytest

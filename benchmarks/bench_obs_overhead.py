@@ -15,7 +15,6 @@ absolutely significant.
 
 from tussle.experiments import run_e01
 from tussle.obs import NullSweepTelemetry, NullTracer, Profiler, observe
-from tussle.obs.bench import bench_record, write_bench_record
 from tussle.sweep import SweepSpec, run_sweep
 
 #: Measurement rounds (min-of-N) after one warmup, interleaved so slow
@@ -43,7 +42,7 @@ def _run_with_null_obs():
             run_e01()
 
 
-def test_nulltracer_overhead_within_budget(results_dir):
+def test_nulltracer_overhead_within_budget():
     profiler = Profiler()
     _run_baseline()  # warmup: caches, allocator, import side effects
     _run_with_null_obs()
@@ -56,14 +55,6 @@ def test_nulltracer_overhead_within_budget(results_dir):
     nulled = profiler.min_seconds("nulltracer")
     delta = nulled - baseline
     overhead = delta / baseline if baseline > 0 else 0.0
-
-    record = bench_record(
-        "OBS_OVERHEAD", profiler=profiler, timing_key="nulltracer",
-        baseline_seconds=baseline, nulltracer_seconds=nulled,
-        overhead_fraction=overhead, rounds=ROUNDS,
-        budget_fraction=MAX_OVERHEAD,
-    )
-    write_bench_record(results_dir, record)
 
     assert overhead <= MAX_OVERHEAD or delta <= ABS_EPSILON_SECONDS, (
         f"disabled-observability overhead {overhead:.1%} "
@@ -88,7 +79,7 @@ def _run_sweep_null_telemetry():
     run_sweep(_SWEEP_SPEC, telemetry=NullSweepTelemetry())
 
 
-def test_disabled_sweep_telemetry_overhead_within_budget(results_dir):
+def test_disabled_sweep_telemetry_overhead_within_budget():
     """A sweep with telemetry disabled must also stay within 2%.
 
     The scheduler nulls a disabled telemetry object out before the
@@ -107,15 +98,6 @@ def test_disabled_sweep_telemetry_overhead_within_budget(results_dir):
     nulled = profiler.min_seconds("sweep_null_telemetry")
     delta = nulled - baseline
     overhead = delta / baseline if baseline > 0 else 0.0
-
-    record = bench_record(
-        "SWEEP_TELEMETRY_OVERHEAD", profiler=profiler,
-        timing_key="sweep_null_telemetry",
-        baseline_seconds=baseline, null_telemetry_seconds=nulled,
-        overhead_fraction=overhead, rounds=ROUNDS,
-        budget_fraction=MAX_OVERHEAD,
-    )
-    write_bench_record(results_dir, record)
 
     assert overhead <= MAX_OVERHEAD or delta <= ABS_EPSILON_SECONDS, (
         f"telemetry-disabled sweep overhead {overhead:.1%} "

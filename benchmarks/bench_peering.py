@@ -9,26 +9,16 @@ Two blocking gates (the CI ``peering`` job runs them):
   peace) stays inside :data:`WAR_BUDGET_S`, which is what keeps the
   28-experiment seed matrix affordable.
 
-Timings land in ``benchmarks/results/`` via the sanctioned
-:mod:`tussle.obs` wall-clock channel and feed the ``obs perf`` ledger.
+Both time with the sanctioned :class:`tussle.obs.Profiler`.
 """
 
 from tussle.obs import Profiler
-from tussle.obs.bench import bench_record, write_bench_record
 from tussle.peering import PeeringDynamics
 from tussle.topogen import TopogenConfig, generate_internet
-
-from conftest import RESULTS_DIR
 
 SEED = 0
 ROUND_BUDGET_S = 5.0
 WAR_BUDGET_S = 20.0
-
-
-def _persist(bench_id, profiler, timing_key):
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    record = bench_record(bench_id, profiler=profiler, timing_key=timing_key)
-    write_bench_record(RESULTS_DIR, record)
 
 
 def test_bargain_round_1e3_within_budget():
@@ -44,7 +34,6 @@ def test_bargain_round_1e3_within_budget():
 
     for _ in range(3):
         record = one_round()
-    _persist("peering_round_1e3", profiler, "bargain-round/1000")
     assert record.agreements > 0
     assert profiler.min_seconds("bargain-round/1000") < ROUND_BUDGET_S
 
@@ -74,7 +63,6 @@ def test_depeering_war_arc_1e3_within_budget():
         return initial, war, peace
 
     initial, war, peace = arc()
-    _persist("peering_war_arc_1e3", profiler, "war-and-peace/1000")
     assert initial.converged and war.converged and peace.converged
     assert profiler.min_seconds("bargain-in/1000") \
         + profiler.min_seconds("war-and-peace/1000") < WAR_BUDGET_S

@@ -2,9 +2,8 @@
 
 Times one full market run (30 rounds) under both backends at growing
 population sizes and asserts the vectorized kernels deliver the speedup
-that justifies their existence: >= 10x at N=10^4.  The per-tier timings
-land in ``benchmarks/results/bench_scale_market.json`` via the
-sanctioned :mod:`tussle.obs` wall-clock channel.
+that justifies their existence: >= 10x at N=10^4, timed with the
+sanctioned :class:`tussle.obs.Profiler`.
 
 The 10^3/10^4 tiers are blocking (the CI ``scale`` job runs them); the
 10^5 scalar run takes ~90 s, so that tier and the 10^6 vector-only round
@@ -16,10 +15,7 @@ import pytest
 from tussle.econ.market import Market
 from tussle.experiments.e01_lockin import lockin_market_spec
 from tussle.obs import Profiler
-from tussle.obs.bench import bench_record, write_bench_record
 from tussle.scale.large import lockin_market_at_scale
-
-from conftest import RESULTS_DIR
 
 ROUNDS = 30
 SWITCHING_COST = 3.0
@@ -42,13 +38,6 @@ def _time_backends(n_consumers, profiler, repeats=3):
             profiler.min_seconds(f"vector/{n_consumers}"))
 
 
-def _persist(bench_id, profiler, timing_key, speedups):
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    record = bench_record(bench_id, profiler=profiler, timing_key=timing_key,
-                          rounds=ROUNDS, speedups=speedups)
-    write_bench_record(RESULTS_DIR, record)
-
-
 def test_vector_backend_speedup():
     """Blocking gate: >= 10x over the scalar loop at N=10^4."""
     profiler = Profiler()
@@ -61,7 +50,6 @@ def test_vector_backend_speedup():
         return speedups
 
     measure()
-    _persist("scale_market", profiler, "vector/10000", speedups)
     assert speedups["10000"] >= SPEEDUP_FLOOR_AT_1E4, (
         f"vector backend only {speedups['10000']:.1f}x at N=10^4 "
         f"(floor {SPEEDUP_FLOOR_AT_1E4}x); timings "
@@ -78,8 +66,6 @@ def test_vector_backend_speedup_at_1e5():
         return scalar_s / vector_s
 
     speedup = measure()
-    _persist("scale_market_1e5", profiler, "vector/100000",
-             {"100000": speedup})
     assert speedup >= 20.0
 
 
@@ -97,5 +83,4 @@ def test_million_agent_round_within_budget():
 
     for _ in range(3):
         one_round()
-    _persist("scale_market_1e6", profiler, "vector-round/1000000", {})
     assert profiler.min_seconds("vector-round/1000000") < 1.0

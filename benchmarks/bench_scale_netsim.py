@@ -4,9 +4,8 @@ Times whole-batch forwarding under the scalar and vectorized engines at
 growing packet counts and asserts the kernels deliver the speedup that
 justifies their existence: >= 10x at 10^4 packets on a ~30-node
 topology.  A second gate holds the flow-level backend to its headline:
-routing a 10^6-flow population in seconds.  Timings land in
-``benchmarks/results/bench_scale_netsim.json`` via the sanctioned
-:mod:`tussle.obs` wall-clock channel.
+routing a 10^6-flow population in seconds.  Both time with the
+sanctioned :class:`tussle.obs.Profiler`.
 
 The 10^3/10^4 tiers are blocking (the CI ``scale`` job runs them); the
 10^5-packet scalar run and the million-flow tier live behind the
@@ -18,7 +17,6 @@ import pytest
 from tussle.netsim.forwarding import ForwardingEngine
 from tussle.netsim.topology import dumbbell_topology
 from tussle.obs import Profiler
-from tussle.obs.bench import bench_record, write_bench_record
 from tussle.scale.flowsim import FlowSim, random_flows
 from tussle.scale.narrays import (
     NetIndex,
@@ -27,8 +25,6 @@ from tussle.scale.narrays import (
     traffic_stream,
 )
 from tussle.scale.vforwarding import VectorForwardingEngine
-
-from conftest import RESULTS_DIR
 
 SEED = 7
 SPEEDUP_FLOOR_AT_1E4 = 10.0
@@ -64,13 +60,6 @@ def _time_backends(n_packets, profiler, repeats=3):
             profiler.min_seconds(f"vector/{n_packets}"))
 
 
-def _persist(bench_id, profiler, timing_key, speedups):
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    record = bench_record(bench_id, profiler=profiler, timing_key=timing_key,
-                          speedups=speedups)
-    write_bench_record(RESULTS_DIR, record)
-
-
 def test_vector_backend_speedup():
     """Blocking gate: >= 10x over per-packet forwarding at 10^4 packets."""
     profiler = Profiler()
@@ -83,7 +72,6 @@ def test_vector_backend_speedup():
         return speedups
 
     measure()
-    _persist("scale_netsim", profiler, "vector/10000", speedups)
     assert speedups["10000"] >= SPEEDUP_FLOOR_AT_1E4, (
         f"vector backend only {speedups['10000']:.1f}x at 10^4 packets "
         f"(floor {SPEEDUP_FLOOR_AT_1E4}x); timings "
@@ -104,7 +92,6 @@ def test_flow_backend_routes_1e5_flows_fast():
 
     for _ in range(3):
         report = route()
-    _persist("scale_flowsim_1e5", profiler, "flow-route/100000", {})
     assert report.n_flows == 100_000
     assert profiler.min_seconds("flow-route/100000") < 1.0
 
@@ -118,8 +105,6 @@ def test_vector_backend_speedup_at_1e5():
         return scalar_s / vector_s
 
     speedup = measure()
-    _persist("scale_netsim_1e5", profiler, "vector/100000",
-             {"100000": speedup})
     assert speedup >= SPEEDUP_FLOOR_AT_1E4
 
 
@@ -137,7 +122,6 @@ def test_million_flow_population_within_budget():
 
     for _ in range(3):
         report = route()
-    _persist("scale_flowsim_1e6", profiler, "flow-route/1000000", {})
     assert report.n_flows == 1_000_000
     assert report.delivered + report.no_route + report.link_down \
         + report.ttl_exceeded == 1_000_000

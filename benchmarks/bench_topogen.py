@@ -10,31 +10,20 @@ Two blocking gates (the CI ``topogen`` job runs them):
   number (the scalar protocol takes minutes on the same graph).
 
 The 10^4-AS tier (generation plus a 64-destination RIB) rides behind
-the ``slow`` marker.  Timings land in ``benchmarks/results/`` via the
-sanctioned :mod:`tussle.obs` wall-clock channel and feed the
-``obs perf`` ledger.
+the ``slow`` marker.  All time with the sanctioned
+:class:`tussle.obs.Profiler`.
 """
 
 import pytest
 
 from tussle.obs import Profiler
-from tussle.obs.bench import bench_record, write_bench_record
 from tussle.routing import PathVectorRouting
 from tussle.scale.vrouting import converge_valley_free
 from tussle.topogen import TopogenConfig, generate_internet, graph_to_json
 
-from conftest import RESULTS_DIR
-
 SEED = 0
 GENERATION_BUDGET_S = 30.0
 CONVERGENCE_BUDGET_S = 10.0
-
-
-def _persist(bench_id, profiler, timing_key, speedups=None):
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    record = bench_record(bench_id, profiler=profiler, timing_key=timing_key,
-                          speedups=speedups or {})
-    write_bench_record(RESULTS_DIR, record)
 
 
 def test_generate_1e3_deterministic_within_budget():
@@ -50,7 +39,6 @@ def test_generate_1e3_deterministic_within_budget():
         return first, second
 
     first, second = generate_twice()
-    _persist("topogen_generate_1e3", profiler, "generate/1000")
     assert first == second, "same (config, seed) must be byte-identical"
     assert profiler.min_seconds("generate/1000") < GENERATION_BUDGET_S
 
@@ -70,7 +58,6 @@ def test_convergence_1e3_full_rib_within_budget():
 
     for _ in range(3):
         proto = converge()
-    _persist("topogen_converge_1e3", profiler, "converge-fast/1000")
     asns = sorted(a.asn for a in network.ases)
     assert proto.reachable(asns[-1], asns[0])
     assert profiler.min_seconds("converge-fast/1000") < CONVERGENCE_BUDGET_S
@@ -95,7 +82,6 @@ def test_fast_path_beats_scalar_at_toy_scale():
         measure()
     speedup = (profiler.min_seconds("scalar/60")
                / profiler.min_seconds("fast/60"))
-    _persist("topogen_fastpath_60", profiler, "fast/60", {"60": speedup})
     assert speedup > 1.0, f"fast path slower than scalar ({speedup:.2f}x)"
 
 
@@ -114,7 +100,6 @@ def test_generate_and_converge_1e4():
         return rib
 
     rib = run()
-    _persist("topogen_1e4", profiler, "converge-fast/10000x64")
     assert (rib.reachability_counts() == 10_000).all()
     assert profiler.min_seconds("converge-fast/10000x64") \
         < CONVERGENCE_BUDGET_S

@@ -1,4 +1,5 @@
-"""Bit-stable primitives: canonical JSON and an ordered float sum.
+"""Bit-stable primitives: canonical JSON, an ordered float sum and
+labelled seed derivation.
 
 Lives at the package root with no dependencies beyond :mod:`tussle.errors`
 so that leaf subsystems (``resil``, ``sweep``, ``experiments``) can all
@@ -9,12 +10,13 @@ backwards compatibility.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Any, Iterable
 
 from .errors import ExperimentError
 
-__all__ = ["canonical_json", "ordered_sum"]
+__all__ = ["canonical_json", "derive_seed", "ordered_sum"]
 
 
 def ordered_sum(values: Iterable[Any]) -> Any:
@@ -46,3 +48,18 @@ def canonical_json(payload: Any) -> str:
     except ValueError as exc:
         raise ExperimentError(
             f"payload is not canonically serialisable: {exc}") from exc
+
+
+def derive_seed(base_seed: int, *labels: Any) -> int:
+    """A 63-bit seed derived from ``base_seed`` and identity labels.
+
+    Deterministic across processes and platforms (SHA-256, no hash
+    randomization), and collision-resistant enough that no two sweep
+    cells, chaos plans or model substreams share RNG state.
+    """
+    digest = hashlib.sha256()
+    digest.update(str(int(base_seed)).encode("ascii"))
+    for label in labels:
+        digest.update(b"\x1f")
+        digest.update(str(label).encode("utf-8"))
+    return int.from_bytes(digest.digest()[:8], "big") % (2 ** 63)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..canon import derive_seed
 from ..netsim.faults import Audience, FaultReporter
 from ..netsim.forwarding import ForwardingEngine
 from ..netsim.transport import ReliableSender
@@ -40,7 +41,6 @@ from ..resil import (
     FaultPlan,
     link_target,
 )
-from ..resil.workerchaos import digest63
 from ..topogen.presets import (
     FLAKY_PROVIDER_NODES as _PROVIDER_NODES,
     flaky_provider_network as _build_network,
@@ -79,7 +79,7 @@ def _persistent_plan() -> FaultPlan:
 def _backoff(seed: int, regime: str, strategy: str, probe: int) -> Backoff:
     """Per-probe retry schedule; only the jitter stream varies with seed."""
     return Backoff(base=0.25, factor=2.0, cap=1.0, max_retries=6, jitter=0.5,
-                   seed=digest63(seed, "r02", regime, strategy, str(probe)))
+                   seed=derive_seed(seed, "r02", regime, strategy, str(probe)))
 
 
 def _run_strategy(regime: str, strategy: str, seed: int) -> Dict[str, object]:

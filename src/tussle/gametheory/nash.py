@@ -85,10 +85,8 @@ def _solve_support(
         matrix = np.array(rows, dtype=float)
         vector = np.array(rhs, dtype=float)
         try:
-            solution, residuals, rank, _ = np.linalg.lstsq(matrix, vector, rcond=None)
+            solution = np.linalg.solve(matrix, vector)
         except np.linalg.LinAlgError:
-            return None
-        if not np.allclose(matrix @ solution, vector, atol=1e-7):
             return None
         probabilities = solution[:size]
         if np.any(probabilities < -tolerance):

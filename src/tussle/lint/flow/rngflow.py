@@ -6,7 +6,7 @@ each trace against the whole program:
 
 * terminals — integer/string literals, seed-named parameters and
   attributes (``seed``, ``base_seed``, ``self.seed``), and registered
-  substream derivations (``derive_seed``/``digest63``/``getrandbits``)
+  substream derivations (``derive_seed``/``getrandbits``)
   — are traced by construction;
 * a *non*-seed-named parameter is traced only if **every** call site of
   the enclosing function (via the reverse call graph) passes a traced

@@ -21,7 +21,7 @@ F201 = register_rule(Rule(
     "RNG constructed from a value that never traces to an explicit seed",
     "Every Random/default_rng instance must trace back through the call "
     "graph to an explicit seed parameter, a literal, or a registered "
-    "substream derivation (derive_seed/digest63/rng.getrandbits). A "
+    "substream derivation (derive_seed/rng.getrandbits). A "
     "generator built with no seed, with None, or as random.SystemRandom "
     "draws from OS entropy, so two runs diverge; a seed laundered through "
     "an untraceable variable hides the same nondeterminism one call away.",

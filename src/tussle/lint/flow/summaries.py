@@ -68,7 +68,7 @@ RNG_CTORS = {
 
 #: Project functions sanctioned as substream derivations: their return
 #: value counts as a traced seed wherever it flows.
-SEED_DERIVATION_FNS = {"derive_seed", "digest63"}
+SEED_DERIVATION_FNS = {"derive_seed"}
 
 #: RNG methods that yield an independent-substream seed.
 _SUBSTREAM_METHODS = {"getrandbits", "randint", "randrange"}

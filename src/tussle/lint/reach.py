@@ -11,7 +11,7 @@ modules:
   ``__init__`` to the module that defines it;
 * reaching a module reaches its enclosing packages, and a reached
   package reaches the submodules its ``__init__`` imports *as modules*
-  (``from . import bench``);
+  (``from . import api, conformance, determinism``);
 * the other imports of an ``__init__`` count only once an importer uses
   a name the ``__init__`` defines itself (``ALL_EXPERIMENTS``).
 

@@ -27,11 +27,10 @@ instrumented hot paths cache ``None`` so a disabled run pays one
         result = run_e01()
     ctx.tracer.write_jsonl("trace.jsonl")
 
-Analyze a trace with ``python -m tussle.obs report trace.jsonl``; emit a
-perf baseline with :mod:`tussle.obs.bench`.
+Analyze a trace with ``python -m tussle.obs report trace.jsonl``; gate
+the perf ledger with ``python -m tussle.obs perf --check``.
 """
 
-from . import bench
 from .diff import Divergence, diff_files, first_divergence, format_divergence
 from .metrics import (
     Counter,
@@ -54,5 +53,4 @@ __all__ = [
     "NullTracer", "Span", "Tracer",
     "NullSweepTelemetry", "SweepTelemetry", "wall_path_for",
     "Divergence", "diff_files", "first_divergence", "format_divergence",
-    "bench",
 ]

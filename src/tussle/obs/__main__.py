@@ -17,13 +17,16 @@ Subcommands
     Compare two deterministic JSONL streams (traces or telemetry) and
     report the first divergent line with aligned context and per-field
     changes.  Exits 0 when identical, 1 on divergence.
-``perf [--check]``
-    Inspect the committed perf-history ledger
-    (``benchmarks/history.json``).  ``--ingest`` folds fresh
-    ``benchmarks/results/bench_*.json`` records into the ledger;
-    ``--check`` compares fresh results against ledger history and exits
-    non-zero on a wall-clock regression or on a fresh record it cannot
-    compare (no ledger history, or no wall time).
+``perf [--ingest WORKLOAD RESULT [RESULT ...]] [--check]``
+    Inspect the committed perf ledger (``benchmarks/history.json``)
+    against the benchmark contract (``BENCHMARK.json`` in the working
+    directory).  With no flag it prints every metric's previous value,
+    latest value and relative move per workload.  ``--ingest`` appends
+    one entry built from perfbench result files (the last stdout line of
+    ``perfbench/run.py`` at ``--trace 0`` and ``--trace 1``); ``--check``
+    exits 1 when a workload has no entry, its latest entry is incomplete
+    or failed an operation, or an end-to-end metric moved the wrong way
+    by more than its bound.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ from .diff import diff_files, format_divergence
 from .report import build_report, build_sweep_report
 
 __all__ = ["main", "build_parser"]
+
+#: The benchmark contract, read from the working directory (the repo
+#: root), as ``--history``'s default path is.
+BENCHMARK_PATH = "BENCHMARK.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,23 +85,17 @@ def build_parser() -> argparse.ArgumentParser:
                              default="text")
 
     perf_parser = subparsers.add_parser(
-        "perf", help="inspect the perf-history ledger")
+        "perf", help="inspect and gate the perf ledger")
     perf_parser.add_argument(
         "--history", default="benchmarks/history.json", metavar="PATH",
         help="ledger file (default benchmarks/history.json)")
     perf_parser.add_argument(
-        "--results", default="benchmarks/results", metavar="DIR",
-        help="fresh bench_*.json directory (default benchmarks/results)")
-    perf_parser.add_argument(
-        "--ingest", action="store_true",
-        help="fold fresh results into the ledger and rewrite it")
+        "--ingest", nargs="+", metavar=("WORKLOAD", "RESULT"),
+        help="append one entry built from perfbench result files")
     perf_parser.add_argument(
         "--check", action="store_true",
-        help="compare fresh results against history; exit non-zero on "
-             "a wall-clock regression or an uncomparable record")
-    perf_parser.add_argument(
-        "--threshold", type=float, default=None, metavar="FACTOR",
-        help="regression factor over the historical best (default 3.0)")
+        help="gate each workload's latest entry against the one before "
+             "it; exit 1 on a blocking finding")
     return parser
 
 
@@ -142,48 +143,50 @@ def _command_diff(args: argparse.Namespace) -> int:
 
 
 def _command_perf(args: argparse.Namespace) -> int:
-    from ..errors import TussleError
     from . import perfdb
 
-    threshold = (args.threshold if args.threshold is not None
-                 else perfdb.DEFAULT_THRESHOLD)
     try:
+        benchmark = perfdb.load_benchmark(BENCHMARK_PATH)
         history = perfdb.load_history(args.history)
-        if args.ingest or args.check:
-            results = perfdb.load_results(args.results)
         if args.ingest:
-            ingested = perfdb.ingest(history, results)
+            workload, paths = args.ingest[0], args.ingest[1:]
+            if not paths:
+                raise ObservabilityError(
+                    "--ingest needs a workload and at least one result file")
+            entry = perfdb.ingest(history, benchmark, workload,
+                                  [perfdb.read_result(p) for p in paths])
             perfdb.write_history(args.history, history)
-            print(f"ingested {len(ingested)} benchmark(s) into "
-                  f"{args.history}: {', '.join(ingested)}")
-        if args.check:
-            findings, ok = perfdb.check(history, results,
-                                        threshold=threshold)
-            for finding in findings:
-                tag = finding.kind.upper() if finding.blocking else "note"
-                print(f"{tag}: {finding.bench_id}: {finding.message}")
-            verdict = "ok" if ok else "REGRESSED"
-            print(f"perf check vs {args.history}: {verdict} "
-                  f"({len(results)} fresh result(s), "
-                  f"threshold x{threshold:g})")
-            return 0 if ok else 1
-    except TussleError as exc:
+            print(f"ingested {workload} run {entry['run']} into "
+                  f"{args.history}")
+    except ObservabilityError as exc:
         print(f"tussle.obs: {exc}", file=sys.stderr)
         return 2
-    if not args.ingest and not args.check:
-        benchmarks = history.get("benchmarks", {})
-        if not benchmarks:
-            print(f"{args.history}: empty ledger")
-            return 0
-        print(f"{args.history}: {len(benchmarks)} benchmark(s)")
-        for bench_id in sorted(benchmarks):
-            summary = perfdb.trend(history, bench_id)
-            latest, best = summary["latest"], summary["best"]
-            wall = ("no wall data" if latest is None
-                    else f"latest {latest:.4f}s, best {best:.4f}s, "
-                         f"{summary['direction']}")
-            print(f"  {bench_id}: {summary['runs']} run(s), {wall}")
+    if args.check:
+        findings = perfdb.check(history, benchmark)
+        for finding in findings:
+            print(f"{finding.kind.upper()}: {finding.workload}: "
+                  f"{finding.message}")
+        print(f"perf check vs {args.history}: "
+              f"{'REGRESSED' if findings else 'ok'} "
+              f"({len(benchmark['workloads'])} workload(s))")
+        return 1 if findings else 0
+    if not args.ingest:
+        for workload in benchmark["workloads"]:
+            entries = history["workloads"].get(workload["name"]) or []
+            runs = [entry["run"] for entry in entries[-2:]]
+            print(f"{workload['name']}: "
+                  + (" -> ".join(f"run {run}" for run in runs)
+                     if runs else "no entry"))
+            for name, unit, before, after, move in perfdb.moves(
+                    history, benchmark, workload["name"]):
+                change = "" if move is None else f"{move:+.1%}"
+                print(f"  {name:<36} {_number(before):>12} "
+                      f"{_number(after):>12} {change:>8} {unit}")
     return 0
+
+
+def _number(value) -> str:
+    return "-" if value is None else f"{value:.6g}"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

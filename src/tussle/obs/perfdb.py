@@ -1,28 +1,23 @@
-"""Perf-history ledger: a committed trend line for every benchmark.
+"""Perf ledger: one perfbench result per workload and run.
 
-Individual ``benchmarks/results/bench_<id>.json`` records are
-machine-dependent and gitignored, so until now the bench trajectory
-evaporated with every CI run.  This module consolidates them into one
-committed, canonical-JSON ledger — ``benchmarks/history.json`` — that
-future performance PRs can diff, trend, and gate against:
+``benchmarks/history.json`` keeps, for every workload that
+``BENCHMARK.json`` declares, a run-numbered list of entries.  One entry
+is what ``perfbench/run.py`` measured on one tree: the end-to-end
+metrics of a ``--trace 0`` run under ``"wall"``, the per-layer metrics
+of a ``--trace 1`` run under ``"layers"``, and the operations both runs
+attempted and failed under ``"det"``.  Units, directions and bounds
+stay in ``BENCHMARK.json``; the ledger holds only numbers, and no
+timestamps, so it is a deterministic function of the results fed to it.
 
-* :func:`ingest` appends the current results as one numbered run per
-  benchmark (no timestamps: the ledger stays a deterministic function
-  of the ingested records);
-* :func:`trend` extracts a benchmark's wall-time trajectory across
-  runs;
-* :func:`check` is the regression gate behind
-  ``python -m tussle.obs perf --check``: every fresh record must have a
-  measured ledger history, and its wall time must stay within
-  ``threshold`` × the best recorded wall time, with an absolute jitter
-  floor so microbenchmarks don't flap.
+* :func:`ingest` appends the entry built from perfbench result files;
+* :func:`check` gates each workload's latest entry against the one
+  before it at ``BENCHMARK.json``'s end-to-end bounds (the regression
+  gate behind ``python -m tussle.obs perf --check``);
+* :func:`moves` lists every metric's previous value, latest value and
+  relative move.
 
-Quarantine rule: wall-clock numbers live under each entry's ``"wall"``
-key and are compared only ratio-wise against other wall numbers;
-deterministic facts (event counts, shape verdicts) live under ``"det"``
-and may be compared exactly.  This module never reads the host clock
-itself — every wall number arrives via the sanctioned Profiler channel
-inside the bench records.
+This module never reads the host clock: every number arrives in a
+perfbench result.
 """
 
 from __future__ import annotations
@@ -30,233 +25,206 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ObservabilityError
 
-__all__ = ["HISTORY_SCHEMA", "load_history", "load_results", "ingest",
-           "write_history", "trend", "check", "PerfFinding"]
+__all__ = ["HISTORY_SCHEMA", "load_benchmark", "load_history",
+           "write_history", "read_result", "ingest", "check", "moves",
+           "PerfFinding"]
 
 #: Bumped when the ledger layout changes incompatibly.
-HISTORY_SCHEMA = 1
+HISTORY_SCHEMA = 2
 
-#: Default regression threshold: current best-of-N wall time may not
-#: exceed this multiple of the best wall time in the ledger.
-DEFAULT_THRESHOLD = 3.0
-
-#: Absolute jitter floor in seconds: wall deltas below this are noise
-#: regardless of ratio (sub-millisecond benchmarks flap on shared CI).
-DEFAULT_ABS_FLOOR = 0.005
+PathLike = Union[str, Path]
 
 
-def _empty_history() -> Dict[str, Any]:
-    return {"schema": HISTORY_SCHEMA, "benchmarks": {}}
-
-
-def load_history(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read the ledger; a missing file is an empty ledger."""
-    source = Path(path)
-    if not source.exists():
-        return _empty_history()
+def _read_json(path: PathLike, what: str) -> Any:
     try:
-        history = json.loads(source.read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
+        raise ObservabilityError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_benchmark(path: PathLike) -> Dict[str, Any]:
+    """Read the benchmark contract (``BENCHMARK.json``)."""
+    benchmark = _read_json(path, "benchmark contract")
+    if not isinstance(benchmark, dict) or not all(
+            key in benchmark for key in ("workloads", "end_to_end",
+                                         "per_layer")):
+        raise ObservabilityError(f"{path}: not a benchmark contract")
+    return benchmark
+
+
+def load_history(path: PathLike) -> Dict[str, Any]:
+    """Read the ledger; a missing file is an empty ledger."""
+    if not Path(path).exists():
+        return {"schema": HISTORY_SCHEMA, "workloads": {}}
+    history = _read_json(path, "perf history")
+    if not isinstance(history, dict) or "workloads" not in history:
         raise ObservabilityError(
-            f"cannot read perf history {source}: {exc}") from exc
-    if not isinstance(history, dict) or "benchmarks" not in history:
-        raise ObservabilityError(
-            f"{source}: not a perf history ledger (missing 'benchmarks')")
+            f"{path}: not a perf history ledger (missing 'workloads')")
     if history.get("schema") != HISTORY_SCHEMA:
         raise ObservabilityError(
-            f"{source}: ledger schema {history.get('schema')!r} "
+            f"{path}: ledger schema {history.get('schema')!r} "
             f"!= supported {HISTORY_SCHEMA}")
     return history
 
 
-def load_results(results_dir: Union[str, Path]) -> Dict[str, Dict[str, Any]]:
-    """Read every ``bench_*.json`` record under ``results_dir``.
-
-    Returns ``{bench_id: record}``; unreadable or non-record files
-    raise — a truncated result should fail the gate loudly, not
-    silently shrink coverage.
-    """
-    directory = Path(results_dir)
-    records: Dict[str, Dict[str, Any]] = {}
-    for path in sorted(directory.glob("bench_*.json")):
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ObservabilityError(
-                f"cannot read bench record {path}: {exc}") from exc
-        bench_id = record.get("id") if isinstance(record, dict) else None
-        if not bench_id:
-            raise ObservabilityError(
-                f"{path}: not a bench record (missing 'id')")
-        records[bench_id] = record
-    return records
-
-
-def _entry_from_record(record: Dict[str, Any], run: int) -> Dict[str, Any]:
-    """One ledger entry: deterministic facts + quarantined wall facts."""
-    det: Dict[str, Any] = {
-        "event_counts": dict(sorted(
-            (record.get("event_counts") or {}).items())),
-    }
-    if record.get("shape_holds") is not None:
-        det["shape_holds"] = record["shape_holds"]
-    wall = {
-        "seconds": record.get("wall_seconds"),
-        "seconds_min": record.get("wall_seconds_min"),
-        "calls": record.get("calls", 0),
-    }
-    return {"run": run, "det": det, "wall": wall}
-
-
-def ingest(history: Dict[str, Any],
-           results: Dict[str, Dict[str, Any]]) -> List[str]:
-    """Append every result as the next run of its benchmark (in place).
-
-    Returns the ingested benchmark ids, sorted.  Run numbers are the
-    per-benchmark ledger position — deliberately not timestamps, so the
-    ledger is a deterministic function of the records fed to it.
-    """
-    benchmarks = history.setdefault("benchmarks", {})
-    ingested = []
-    for bench_id in sorted(results):
-        entries = benchmarks.setdefault(bench_id, [])
-        entries.append(_entry_from_record(results[bench_id],
-                                          run=len(entries) + 1))
-        ingested.append(bench_id)
-    return ingested
-
-
-def write_history(path: Union[str, Path],
-                  history: Dict[str, Any]) -> Path:
+def write_history(path: PathLike, history: Dict[str, Any]) -> Path:
     """Write the ledger as reviewable canonical JSON (sorted, indented)."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(
         json.dumps(history, indent=2, sort_keys=True, allow_nan=False)
-        + "\n",
-        encoding="utf-8",
-    )
+        + "\n", encoding="utf-8")
     return target
 
 
-def _wall_min(entry: Dict[str, Any]) -> Optional[float]:
-    wall = entry.get("wall") or {}
-    value = wall.get("seconds_min")
-    if value is None:
-        value = wall.get("seconds")
-    return value
-
-
-def trend(history: Dict[str, Any], bench_id: str) -> Dict[str, Any]:
-    """A benchmark's wall-time trajectory across its recorded runs."""
-    entries = (history.get("benchmarks") or {}).get(bench_id)
-    if not entries:
+def read_result(path: PathLike) -> Dict[str, Any]:
+    """The perfbench result on the last line of ``path``."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        result = json.loads(lines[-1])
+    except (OSError, IndexError, json.JSONDecodeError) as exc:
         raise ObservabilityError(
-            f"no history for benchmark {bench_id!r}")
-    walls = [(entry["run"], _wall_min(entry)) for entry in entries]
-    measured = [seconds for _, seconds in walls if seconds is not None]
-    latest = measured[-1] if measured else None
-    best = min(measured) if measured else None
-    direction = "flat"
-    if len(measured) >= 2:
-        if measured[-1] > measured[0] * 1.05:
-            direction = "slower"
-        elif measured[-1] < measured[0] * 0.95:
-            direction = "faster"
-    return {
-        "id": bench_id,
-        "runs": len(entries),
-        "wall_seconds_min": walls,
-        "latest": latest,
-        "best": best,
-        "direction": direction,
+            f"{path}: last line is not a perfbench result ({exc})") from exc
+    metrics = result.get("metrics") if isinstance(result, dict) else None
+    if (not isinstance(metrics, dict)
+            or not all(isinstance(m, dict) and "value" in m
+                       for m in metrics.values())
+            or not all(isinstance(result.get(key), int)
+                       for key in ("attempted", "failed"))):
+        raise ObservabilityError(
+            f"{path}: last line is not a perfbench result")
+    return result
+
+
+def _names(benchmark: Dict[str, Any], section: str) -> List[str]:
+    return [metric["name"] for metric in benchmark[section]]
+
+
+def _missing(benchmark: Dict[str, Any], entry: Dict[str, Any]) -> List[str]:
+    return ([n for n in _names(benchmark, "end_to_end")
+             if n not in entry.get("wall", {})]
+            + [n for n in _names(benchmark, "per_layer")
+               if n not in entry.get("layers", {})])
+
+
+def ingest(history: Dict[str, Any], benchmark: Dict[str, Any],
+           workload: str, results: Sequence[Dict[str, Any]]
+           ) -> Dict[str, Any]:
+    """Merge perfbench ``results`` into the workload's next entry.
+
+    Appends the entry (in place) and returns it.  Raises without
+    touching ``history`` when the workload is not in ``benchmark``, the
+    merged metrics miss a name ``benchmark`` lists, or the entry repeats
+    the workload's previous one.
+    """
+    if workload not in [w["name"] for w in benchmark["workloads"]]:
+        raise ObservabilityError(
+            f"workload {workload!r} is not in the benchmark contract")
+    values = {name: metric["value"] for result in results
+              for name, metric in result["metrics"].items()}
+    entry: Dict[str, Any] = {
+        "wall": {n: values[n] for n in _names(benchmark, "end_to_end")
+                 if n in values},
+        "layers": {n: values[n] for n in _names(benchmark, "per_layer")
+                   if n in values},
+        "det": {key: sum(result[key] for result in results)
+                for key in ("attempted", "failed")},
     }
+    missing = _missing(benchmark, entry)
+    if missing:
+        raise ObservabilityError(
+            f"{workload}: the results miss {len(missing)} metric(s): "
+            + ", ".join(missing[:6]) + (", ..." if len(missing) > 6 else ""))
+    entries = history["workloads"].setdefault(workload, [])
+    if entries and {k: v for k, v in entries[-1].items() if k != "run"} \
+            == entry:
+        raise ObservabilityError(
+            f"{workload}: the entry repeats run {entries[-1]['run']}")
+    entry["run"] = len(entries) + 1
+    entries.append(entry)
+    return entry
 
 
 @dataclass
 class PerfFinding:
-    """One observation from the regression check."""
+    """One blocking finding of the regression gate."""
 
-    bench_id: str
-    #: "regression" | "counter-drift" | "new-benchmark" | "unmeasured"
+    workload: str
+    #: "missing" | "incomplete" | "failed" | "regression"
     kind: str
     message: str
-    blocking: bool
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"id": self.bench_id, "kind": self.kind,
-                "message": self.message, "blocking": self.blocking}
 
 
-def check(history: Dict[str, Any], results: Dict[str, Dict[str, Any]],
-          threshold: float = DEFAULT_THRESHOLD,
-          abs_floor: float = DEFAULT_ABS_FLOOR
-          ) -> Tuple[List[PerfFinding], bool]:
-    """Compare current results against the ledger baseline.
+def check(history: Dict[str, Any],
+          benchmark: Dict[str, Any]) -> List[PerfFinding]:
+    """Gate each workload's latest entry; returns the blocking findings.
 
-    Returns ``(findings, ok)``.  Blocking findings are wall-time
-    regressions (current best-of-N above ``threshold`` × the ledger's
-    best *and* above the absolute floor) and every fresh record the
-    gate cannot compare: one with no ledger history
-    (``new-benchmark``) or with no wall time in the fresh record or in
-    any ledger entry (``unmeasured``) — a gate that skips a benchmark
-    quietly is a hole.  Counter drift (deterministic event counts
-    changed vs. the latest ledger entry) is reported but does not
-    block: counts legitimately move when instrumentation or workloads
-    change.
+    A workload blocks when it has no entry, when its latest entry misses
+    a listed metric or failed an operation, or when an end-to-end metric
+    moved the wrong way by more than its bound since the previous entry:
+    a ``lower`` metric past ``previous * (1 + bound)``, a ``higher`` one
+    below ``previous * (1 - bound)``.  Per-layer moves never block.
     """
-    if threshold <= 1.0:
-        raise ObservabilityError(
-            f"threshold must be > 1.0, got {threshold}")
     findings: List[PerfFinding] = []
-    benchmarks = history.get("benchmarks") or {}
-    for bench_id in sorted(results):
-        record = results[bench_id]
-        entries = benchmarks.get(bench_id)
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        entries = history["workloads"].get(workload)
         if not entries:
-            findings.append(PerfFinding(
-                bench_id, "new-benchmark",
-                "no ledger baseline yet; ingest to start its history",
-                blocking=True))
+            findings.append(PerfFinding(workload, "missing",
+                                        "no ledger entry"))
             continue
-        current = record.get("wall_seconds_min")
-        if current is None:
-            current = record.get("wall_seconds")
-        baselines = [w for w in (_wall_min(e) for e in entries)
-                     if w is not None]
-        if current is None or not baselines:
+        latest = entries[-1]
+        missing = _missing(benchmark, latest)
+        if missing:
             findings.append(PerfFinding(
-                bench_id, "unmeasured",
-                "regression check skipped: no wall time in "
-                + ("the fresh record" if current is None
-                   else "any ledger entry"),
-                blocking=True))
-        else:
-            best = min(baselines)
-            limit = best * threshold
-            if current > limit and (current - best) > abs_floor:
+                workload, "incomplete",
+                f"run {latest['run']} misses {', '.join(missing)}"))
+        det = latest.get("det", {})
+        if det.get("failed", 0) > 0:
+            findings.append(PerfFinding(
+                workload, "failed",
+                f"run {latest['run']} failed {det['failed']} of "
+                f"{det.get('attempted')} operations"))
+        if len(entries) < 2:
+            continue
+        previous = entries[-2]
+        for metric in benchmark["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
+            before = previous.get("wall", {}).get(name)
+            after = latest.get("wall", {}).get(name)
+            if before is None or after is None:
+                continue
+            if (after > before * (1 + bound) if metric["better"] == "lower"
+                    else after < before * (1 - bound)):
                 findings.append(PerfFinding(
-                    bench_id, "regression",
-                    f"wall {current:.4f}s exceeds {threshold:g}x ledger "
-                    f"best {best:.4f}s",
-                    blocking=True))
-        latest_counts = (entries[-1].get("det") or {}).get(
-            "event_counts") or {}
-        current_counts = dict(sorted(
-            (record.get("event_counts") or {}).items()))
-        if latest_counts and current_counts != latest_counts:
-            changed = sorted(
-                key for key in set(latest_counts) | set(current_counts)
-                if latest_counts.get(key) != current_counts.get(key))
-            findings.append(PerfFinding(
-                bench_id, "counter-drift",
-                "deterministic event counts moved vs. latest ledger "
-                f"entry: {', '.join(changed[:6])}"
-                + ("..." if len(changed) > 6 else ""),
-                blocking=False))
-    ok = not any(finding.blocking for finding in findings)
-    return findings, ok
+                    workload, "regression",
+                    f"{name} {before!r} -> {after!r} {metric['unit']} "
+                    f"(run {previous['run']} -> {latest['run']}) is worse "
+                    f"than its {bound:.0%} bound"))
+    return findings
+
+
+def moves(history: Dict[str, Any], benchmark: Dict[str, Any],
+          workload: str
+          ) -> List[Tuple[str, str, Optional[float], float, Optional[float]]]:
+    """``(metric, unit, previous, latest, relative move)`` rows, end-to-end
+    metrics first, for the workload's last two entries."""
+    entries = history["workloads"].get(workload) or []
+    if not entries:
+        return []
+    latest = entries[-1]
+    previous = entries[-2] if len(entries) > 1 else {}
+    rows = []
+    for section, key in (("end_to_end", "wall"), ("per_layer", "layers")):
+        for metric in benchmark[section]:
+            name = metric["name"]
+            if name not in latest.get(key, {}):
+                continue
+            after = latest[key][name]
+            before = previous.get(key, {}).get(name)
+            move = (after - before) / before if before else None
+            rows.append((name, metric["unit"], before, after, move))
+    return rows

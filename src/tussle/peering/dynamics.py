@@ -50,9 +50,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..canon import derive_seed
 from ..errors import PeeringError
 from ..netsim.topology import Network, Relationship
-from ..resil.workerchaos import digest63
 from ..routing.pathvector import PathVectorRouting
 from .bargain import PeeringAgreement, evaluate_pair
 from .value import (
@@ -161,7 +161,7 @@ class PeeringDynamics:
         self.max_iterations = max_iterations
         self.refusal_memory = refusal_memory
         self.traffic = TrafficMatrix.from_network(network, seed, econ)
-        self.bargain_seed = digest63(seed, "peering", "bargain")
+        self.bargain_seed = derive_seed(seed, "peering", "bargain")
         self.agreements: Dict[Pair, PeeringAgreement] = {}
         self.embargo: Set[Pair] = set()
         self.refused: Set[Pair] = set()

@@ -2,8 +2,8 @@
 
 A :class:`ChaosSchedule` turns a seed plus per-kind rates into a
 :class:`FaultPlan` — an explicit, canonically ordered list of
-:class:`FaultEvent` records (link down/up, node crash/recover, loss and
-delay spikes, middlebox insertion) — and a :class:`ChaosInjector`
+:class:`FaultEvent` records (link down/up, node crash/recover, delay
+spikes, middlebox insertion) — and a :class:`ChaosInjector`
 replays the plan against a
 :class:`~tussle.netsim.forwarding.ForwardingEngine` as simulated time
 advances.
@@ -37,7 +37,6 @@ class FaultKind(Enum):
     LINK_UP = "link-up"
     NODE_CRASH = "node-crash"
     NODE_RECOVER = "node-recover"
-    LOSS_SPIKE = "loss-spike"
     DELAY_SPIKE = "delay-spike"
     MIDDLEBOX_INSERT = "middlebox-insert"
 
@@ -123,9 +122,6 @@ class ChaosSchedule:
     link_repair: Tuple[float, float] = (0.5, 2.0)
     node_crash_rate: float = 0.0
     node_repair: Tuple[float, float] = (1.0, 4.0)
-    loss_spike_rate: float = 0.0
-    loss_probability: Tuple[float, float] = (0.2, 0.8)
-    loss_duration: Tuple[float, float] = (0.5, 2.0)
     delay_spike_rate: float = 0.0
     delay_factor: Tuple[float, float] = (2.0, 10.0)
     delay_duration: Tuple[float, float] = (0.5, 2.0)
@@ -137,12 +133,11 @@ class ChaosSchedule:
             raise ResilienceError(
                 f"chaos horizon must be positive, got {self.horizon}")
         for name in ("link_failure_rate", "node_crash_rate",
-                     "loss_spike_rate", "delay_spike_rate",
-                     "middlebox_rate"):
+                     "delay_spike_rate", "middlebox_rate"):
             if getattr(self, name) < 0:
                 raise ResilienceError(f"{name} must be >= 0")
-        for name in ("link_repair", "node_repair", "loss_duration",
-                     "delay_duration", "delay_factor", "loss_probability"):
+        for name in ("link_repair", "node_repair", "delay_duration",
+                     "delay_factor"):
             lo, hi = getattr(self, name)
             if not 0 <= lo <= hi:
                 raise ResilienceError(
@@ -180,7 +175,8 @@ class ChaosSchedule:
         """
         master = random.Random(self.seed)
         # Sub-streams in a fixed order so adding one process never
-        # perturbs another's draws.
+        # perturbs another's draws.  No process reads "loss", but its
+        # draw keeps the delay and middlebox streams on their seeds.
         streams = {name: random.Random(master.getrandbits(63))
                    for name in ("link", "node", "loss", "delay", "mbox")}
         link_labels = sorted(link_target(l.a, l.b) for l in network.links)
@@ -202,16 +198,6 @@ class ChaosSchedule:
                 plan.add(FaultEvent(t, FaultKind.NODE_CRASH, target))
                 plan.add(FaultEvent(t + repair, FaultKind.NODE_RECOVER,
                                     target))
-        if self.loss_spike_rate > 0:
-            rng = streams["loss"]
-            for t in self._arrivals(rng, self.loss_spike_rate):
-                plan.add(FaultEvent(
-                    t, FaultKind.LOSS_SPIKE, "*",
-                    params=(("duration",
-                             self._window(rng, self.loss_duration)),
-                            ("probability",
-                             self._window(rng, self.loss_probability))),
-                ))
         if link_labels and self.delay_spike_rate > 0:
             rng = streams["delay"]
             for t in self._arrivals(rng, self.delay_spike_rate):
@@ -243,9 +229,7 @@ class ChaosInjector:
     Node crashes take all the node's operational links down and
     recoveries bring exactly those back; delay spikes scale a link's
     latency for their duration; middlebox insertions attach a blocking
-    :class:`~tussle.netsim.middlebox.PortFilterFirewall`; and loss
-    spikes are only recorded in :attr:`applied`, since no layer models
-    random packet loss.
+    :class:`~tussle.netsim.middlebox.PortFilterFirewall`.
     """
 
     def __init__(self, engine: Any, plan: FaultPlan):
@@ -311,8 +295,6 @@ class ChaosInjector:
             for a, b in self._crashed_links.pop(event.target, []):
                 if network.has_link(a, b):
                     network.restore_link(a, b)
-        elif kind is FaultKind.LOSS_SPIKE:
-            pass  # recorded in ``applied`` only
         elif kind is FaultKind.DELAY_SPIKE:
             a, b = parse_link_target(event.target)
             if network.has_link(a, b):

@@ -7,35 +7,26 @@ to die or hang on a given attempt.  This is how the chaos gate forces
 set is the same for every run with the same chaos seed, regardless of
 worker scheduling order or process ids.
 
-The digest construction mirrors ``sweep.cells.derive_seed`` (SHA-256
-over labelled identity components) but is implemented locally so that
-:mod:`tussle.resil` stays import-free of :mod:`tussle.sweep` — the
-sweep executors import *us*, not the other way round.
+The digest is :func:`tussle.canon.derive_seed` over labelled identity
+components, the same derivation that seeds sweep cells; it lives in the
+leaf :mod:`tussle.canon`, so :mod:`tussle.resil` stays import-free of
+:mod:`tussle.sweep` — the sweep executors import *us*, not the other
+way round.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..canon import derive_seed
 from ..errors import ResilienceError
 
-__all__ = ["WorkerChaos", "CHAOS_MODES", "digest63"]
+__all__ = ["WorkerChaos", "CHAOS_MODES"]
 
 #: Failure modes a chaos directive can request of a worker, in the fixed
 #: order used when cycling through them for successive doomed cells.
 CHAOS_MODES: Tuple[str, ...] = ("exit", "kill", "hang")
-
-
-def digest63(seed: int, *labels: str) -> int:
-    """A 63-bit integer digest of ``seed`` and ordered string labels."""
-    h = hashlib.sha256()
-    h.update(str(int(seed)).encode("utf-8"))
-    for label in labels:
-        h.update(b"\x1f")
-        h.update(label.encode("utf-8"))
-    return int.from_bytes(h.digest()[:8], "big") & (2 ** 63 - 1)
 
 
 @dataclass(frozen=True)
@@ -81,8 +72,8 @@ class WorkerChaos:
     def doomed(self, experiment_id: str, params_json: str,
                base_seed: int) -> bool:
         """Is this cell in the sabotaged set?"""
-        d = digest63(self.seed, "doom", experiment_id, params_json,
-                     str(int(base_seed)))
+        d = derive_seed(self.seed, "doom", experiment_id, params_json,
+                        str(int(base_seed)))
         return (d % 10_000) < self.fraction * 10_000
 
     def mode_for(self, experiment_id: str, params_json: str,
@@ -92,6 +83,6 @@ class WorkerChaos:
             return None
         if not self.doomed(experiment_id, params_json, base_seed):
             return None
-        d = digest63(self.seed, "mode", experiment_id, params_json,
-                     str(int(base_seed)), str(int(attempt)))
+        d = derive_seed(self.seed, "mode", experiment_id, params_json,
+                        str(int(base_seed)), str(int(attempt)))
         return self.modes[d % len(self.modes)]

@@ -5,7 +5,7 @@ matrix over the stub ASes of a generated internet — who sends how much
 to whom — at 10^3 x 10^3 scale and beyond.  These kernels build it the
 way every other at-scale workload in :mod:`tussle.scale` is built:
 whole-array NumPy, no per-entry Python loops, and every random draw
-seeded through an explicit substream (``digest63`` over labelled
+seeded through an explicit substream (``derive_seed`` over labelled
 identity components), so the matrix is a pure function of
 ``(stub count, seed, knobs)`` and byte-identical across runs.
 
@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..canon import derive_seed
 from ..errors import ScaleError
-from ..resil.workerchaos import digest63
 
 __all__ = ["zipf_attribute", "stub_populations", "stub_content",
            "gravity_demand"]
@@ -53,7 +53,7 @@ def zipf_attribute(n: int, seed: int, exponent: float,
     1.0) assigned to positions by a seeded permutation, so the *set* of
     values is a pure function of ``(n, exponent)`` and only the
     assignment varies with the seed.  The RNG substream is derived with
-    ``digest63(seed, *labels)`` — callers give each attribute its own
+    ``derive_seed(seed, *labels)`` — callers give each attribute its own
     label so adding a draw to one attribute can never shift another's.
     """
     if n < 1:
@@ -63,7 +63,7 @@ def zipf_attribute(n: int, seed: int, exponent: float,
     ranks = np.arange(1, n + 1, dtype=np.float64)
     weights = ranks ** -exponent
     weights *= n / weights.sum()  # mean 1.0
-    rng = np.random.default_rng(digest63(seed, *labels))
+    rng = np.random.default_rng(derive_seed(seed, *labels))
     return weights[rng.permutation(n)]
 
 

@@ -37,9 +37,10 @@ Quickstart::
 or from the command line: ``python -m tussle sweep E01 --seeds 20 --jobs 4``.
 """
 
+from ..canon import derive_seed
 from .aggregate import aggregate, metric_scalars
 from .cache import ResultCache, code_fingerprint
-from .cells import Cell, SweepSpec, canonical_params, derive_seed, expand_grid
+from .cells import Cell, SweepSpec, canonical_params, expand_grid
 from .executors import InProcessExecutor, ResilientExecutor, run_cell
 from .progress import StreamingAggregator
 from .scheduler import SweepReport, run_sweep

@@ -13,8 +13,9 @@ insertion order name the same cell.
 Seed isolation
 --------------
 Workers never share RNG state: each cell's run seed is *derived* from
-the sweep's base seed and the cell's identity via :func:`derive_seed`
-(SHA-256 over the labels).  Two cells with the same base seed but
+the sweep's base seed and the cell's identity via
+:func:`tussle.canon.derive_seed` (SHA-256 over the labels).  Two cells
+with the same base seed but
 different experiments or parameters therefore drive their simulations
 from statistically independent streams, and a cell's seed is a pure
 function of its identity — independent of which worker runs it, or in
@@ -23,37 +24,21 @@ what order.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence
 
+from ..canon import derive_seed
 from ..errors import SweepError
 from ..experiments.common import canonical_json
 
-__all__ = ["Cell", "SweepSpec", "canonical_params", "derive_seed",
-           "expand_grid"]
+__all__ = ["Cell", "SweepSpec", "canonical_params", "expand_grid"]
 
 
 def canonical_params(params: Mapping[str, Any]) -> str:
     """Canonical JSON of a parameter mapping (sorted keys, exact floats)."""
     return canonical_json(dict(params))
-
-
-def derive_seed(base_seed: int, *labels: Any) -> int:
-    """A 63-bit seed derived from ``base_seed`` and identity labels.
-
-    Deterministic across processes and platforms (SHA-256, no hash
-    randomization), and collision-resistant enough that no two cells in
-    any practical sweep share RNG state.
-    """
-    digest = hashlib.sha256()
-    digest.update(str(int(base_seed)).encode("ascii"))
-    for label in labels:
-        digest.update(b"\x1f")
-        digest.update(str(label).encode("utf-8"))
-    return int.from_bytes(digest.digest()[:8], "big") % (2 ** 63)
 
 
 def expand_grid(grid: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:

@@ -5,8 +5,8 @@ Everything else in the simulation stack is single-threaded by design
 hazards of parallel simulation are contained:
 
 * **RNG isolation** — a worker runs a cell at its *derived* seed
-  (:func:`tussle.sweep.cells.derive_seed`), a pure function of the
-  cell's identity, so no two cells share RNG state and results do not
+  (:func:`tussle.canon.derive_seed`), a pure function of the cell's
+  identity, so no two cells share RNG state and results do not
   depend on worker assignment.
 * **Completion order** — both executors return payloads in whatever
   order cells finish; the scheduler re-sorts by cell identity before
@@ -36,11 +36,12 @@ import time
 from multiprocessing.connection import wait
 from typing import Any, Dict, Iterator, List, Optional
 
+from ..canon import derive_seed
 from ..errors import SweepError
 from ..obs import Profiler, current
 from ..resil.backoff import Backoff
 from ..resil.failures import FailedCell
-from ..resil.workerchaos import WorkerChaos, digest63
+from ..resil.workerchaos import WorkerChaos
 from .cells import Cell
 
 __all__ = ["InProcessExecutor", "ResilientExecutor", "run_cell", "cell_task"]
@@ -255,8 +256,8 @@ class ResilientExecutor:
 
     def _cell_backoff(self, task: Dict[str, Any]) -> Backoff:
         """A per-cell retry schedule seeded from the cell's identity."""
-        seed = digest63(self.backoff_seed, "retry", task["experiment_id"],
-                        task["params_json"], str(task["base_seed"]))
+        seed = derive_seed(self.backoff_seed, "retry", task["experiment_id"],
+                           task["params_json"], str(task["base_seed"]))
         return self._backoff_template.spawn(seed)
 
     def _attempt_task(self, pending: _PendingCell) -> Dict[str, Any]:

@@ -7,6 +7,7 @@ from tussle.errors import GameError
 from tussle.gametheory.games import NormalFormGame
 from tussle.gametheory.nash import best_response, support_enumeration
 from tussle.gametheory.repeated import prisoners_dilemma
+from tussle.gametheory.tussle_games import encryption_escalation_game
 
 
 def battle_of_sexes():
@@ -89,3 +90,16 @@ class TestSupportEnumeration:
         b = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         equilibria = support_enumeration(NormalFormGame([a, b]))
         assert equilibria  # at least the pure ones
+
+    def test_exact_game_values_come_back_exact(self):
+        """Each square indifference system is LU-solved, so a game with
+        an exact value reads it to the last bit (an SVD least-squares
+        solve returned 5.999999999999998 and 7.999999999999999 here)."""
+        user = np.array([[10.0, 4.0, 10.0], [9.0, 9.0, 0.0]])
+        [equilibrium] = support_enumeration(NormalFormGame([user, -user]))
+        assert equilibrium.payoffs == (6.0, -6.0)
+        for competition in (0.0, 0.5, 1.0):
+            user = np.asarray(encryption_escalation_game(
+                competition, steganography=True).payoffs[0], dtype=float)
+            equilibria = support_enumeration(NormalFormGame([user, -user]))
+            assert [e.payoffs[0] for e in equilibria] == [8.0, 8.0, 8.0]

@@ -1,165 +1,191 @@
-"""Perf-history ledger: ingest, trend extraction, regression gating."""
+"""Perf ledger: perfbench results in, run-numbered entries out, and the
+gate at the benchmark contract's bounds."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from tussle.errors import ObservabilityError
 from tussle.obs import perfdb
 
+REPO = Path(__file__).resolve().parents[2]
 
-def bench_record(bench_id, wall_min, wall=None, counts=None):
-    return {
-        "id": bench_id,
-        "wall_seconds": wall if wall is not None else wall_min * 1.2,
-        "wall_seconds_min": wall_min,
-        "calls": 3,
-        "event_counts": counts or {"engine.fire": 10},
-        "shape_holds": True,
-    }
+#: A two-metric contract: one ``lower`` and one ``higher`` end-to-end
+#: metric, and one per-layer metric.
+BENCHMARK = {
+    "workloads": [{"name": "w"}],
+    "end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "items_per_s", "unit": "1/s", "better": "higher",
+         "bound": 0.25},
+    ],
+    "per_layer": [{"name": "step_s", "unit": "s", "better": "lower"}],
+}
 
 
-def write_results(directory, *records):
-    directory.mkdir(parents=True, exist_ok=True)
-    for record in records:
-        path = directory / f"bench_{record['id'].lower()}.json"
-        path.write_text(json.dumps(record))
-    return directory
+def result(failed=0, **values):
+    """The payload of a perfbench result line."""
+    return {"correct": failed == 0, "attempted": 3, "failed": failed,
+            "metrics": {name: {"value": value, "unit": "s"}
+                        for name, value in values.items()}}
+
+
+def measured(wall_s=1.0, items_per_s=10.0, step_s=0.5, failed=0):
+    """The ``--trace 0`` and ``--trace 1`` results of one tree."""
+    return [result(wall_s=wall_s, items_per_s=items_per_s, failed=failed),
+            result(step_s=step_s)]
+
+
+def ledger(*runs):
+    """A ledger with one ingested entry per ``measured`` keyword set."""
+    history = {"schema": 2, "workloads": {}}
+    for run in runs:
+        perfdb.ingest(history, BENCHMARK, "w", measured(**run))
+    return history
+
+
+def write_result(path, payload):
+    """A perfbench stdout: lines for people, then the JSON result."""
+    path.write_text("workload w, workload seed 0\n"
+                    + (payload if isinstance(payload, str)
+                       else json.dumps(payload)) + "\n")
+    return path
 
 
 class TestLedgerIO:
     def test_missing_history_is_empty_ledger(self, tmp_path):
         history = perfdb.load_history(tmp_path / "history.json")
-        assert history == {"schema": 1, "benchmarks": {}}
+        assert history == {"schema": 2, "workloads": {}}
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "history.json"
-        history = perfdb.load_history(path)
-        perfdb.ingest(history, {"E01": bench_record("E01", 0.05)})
+        history = ledger({})
         perfdb.write_history(path, history)
-        again = perfdb.load_history(path)
-        assert again == history
+        assert perfdb.load_history(path) == history
         # Reviewable: indented, sorted, trailing newline.
         text = path.read_text()
-        assert text.endswith("\n") and '"schema": 1' in text
+        assert text.endswith("\n") and '"schema": 2' in text
 
     def test_wrong_schema_raises(self, tmp_path):
         path = tmp_path / "history.json"
-        path.write_text('{"schema": 99, "benchmarks": {}}')
+        path.write_text('{"schema": 1, "workloads": {}}')
         with pytest.raises(ObservabilityError, match="schema"):
             perfdb.load_history(path)
 
-    def test_load_results_rejects_damaged_record(self, tmp_path):
-        directory = write_results(tmp_path / "results",
-                                  bench_record("E01", 0.05))
-        (directory / "bench_broken.json").write_text("{truncated")
-        with pytest.raises(ObservabilityError, match="cannot read"):
-            perfdb.load_results(directory)
-
-    def test_load_results_requires_id(self, tmp_path):
-        directory = tmp_path / "results"
-        directory.mkdir()
-        (directory / "bench_x.json").write_text('{"wall_seconds": 1}')
-        with pytest.raises(ObservabilityError, match="missing 'id'"):
-            perfdb.load_results(directory)
-
 
 class TestIngest:
-    def test_runs_are_ledger_positions_not_timestamps(self, tmp_path):
-        history = perfdb.load_history(tmp_path / "h.json")
-        perfdb.ingest(history, {"E01": bench_record("E01", 0.05)})
-        perfdb.ingest(history, {"E01": bench_record("E01", 0.04)})
-        entries = history["benchmarks"]["E01"]
+    def test_runs_are_ledger_positions_not_timestamps(self):
+        entries = ledger({}, {"wall_s": 0.9})["workloads"]["w"]
         assert [entry["run"] for entry in entries] == [1, 2]
-        assert all("timestamp" not in entry for entry in entries)
+        assert all(set(entry) == {"run", "wall", "layers", "det"}
+                   for entry in entries)
 
-    def test_wall_quarantined_under_wall_key(self, tmp_path):
-        history = perfdb.load_history(tmp_path / "h.json")
-        perfdb.ingest(history, {"E01": bench_record("E01", 0.05)})
-        [entry] = history["benchmarks"]["E01"]
-        assert entry["wall"]["seconds_min"] == 0.05
-        assert entry["det"]["event_counts"] == {"engine.fire": 10}
-        assert "seconds" not in entry["det"]
+    def test_wall_quarantined_under_wall_key(self):
+        [entry] = ledger({})["workloads"]["w"]
+        assert entry == {"run": 1,
+                         "wall": {"wall_s": 1.0, "items_per_s": 10.0},
+                         "layers": {"step_s": 0.5},
+                         "det": {"attempted": 6, "failed": 0}}
+
+    def test_reads_the_last_line_of_a_result_file(self, tmp_path):
+        path = write_result(tmp_path / "r.txt", result(wall_s=1.0))
+        assert perfdb.read_result(path) == result(wall_s=1.0)
+
+    def test_refuses_a_damaged_result(self, tmp_path):
+        path = write_result(tmp_path / "r.txt", "{truncated")
+        with pytest.raises(ObservabilityError, match="not a perfbench"):
+            perfdb.read_result(path)
+
+    def test_refuses_a_line_that_is_not_a_result(self, tmp_path):
+        path = write_result(tmp_path / "r.txt", {"wall_seconds": 1})
+        with pytest.raises(ObservabilityError, match="not a perfbench"):
+            perfdb.read_result(path)
+
+    def test_refuses_unknown_workload(self):
+        history = ledger({})
+        before = copy.deepcopy(history)
+        with pytest.raises(ObservabilityError, match="not in the benchmark"):
+            perfdb.ingest(history, BENCHMARK, "v", measured())
+        assert history == before
+
+    def test_refuses_results_that_miss_a_listed_metric(self):
+        history = ledger({})
+        before = copy.deepcopy(history)
+        with pytest.raises(ObservabilityError, match="miss 1 metric.*step_s"):
+            perfdb.ingest(history, BENCHMARK, "w", measured()[:1])
+        assert history == before
+
+    def test_refuses_a_repeat_of_the_previous_entry(self):
+        history = ledger({})
+        before = copy.deepcopy(history)
+        with pytest.raises(ObservabilityError, match="repeats run 1"):
+            perfdb.ingest(history, BENCHMARK, "w", measured())
+        assert history == before
 
 
-class TestTrend:
-    def test_direction(self, tmp_path):
-        history = perfdb.load_history(tmp_path / "h.json")
-        for wall in (0.05, 0.055, 0.10):
-            perfdb.ingest(history, {"E01": bench_record("E01", wall)})
-        trend = perfdb.trend(history, "E01")
-        assert trend["runs"] == 3
-        assert trend["latest"] == 0.10 and trend["best"] == 0.05
-        assert trend["direction"] == "slower"
+class TestMoves:
+    def test_relative_move(self):
+        rows = perfdb.moves(ledger({}, {"wall_s": 1.5}), BENCHMARK, "w")
+        assert rows == [("wall_s", "s", 1.0, 1.5, 0.5),
+                        ("items_per_s", "1/s", 10.0, 10.0, 0.0),
+                        ("step_s", "s", 0.5, 0.5, 0.0)]
 
-    def test_unknown_benchmark_raises(self):
-        with pytest.raises(ObservabilityError, match="no history"):
-            perfdb.trend({"schema": 1, "benchmarks": {}}, "E99")
+    def test_first_entry_has_no_previous_value(self):
+        rows = perfdb.moves(ledger({}), BENCHMARK, "w")
+        assert rows[0] == ("wall_s", "s", None, 1.0, None)
+        assert perfdb.moves(ledger(), BENCHMARK, "w") == []
 
 
 class TestCheck:
-    def setup_method(self):
-        self.history = {"schema": 1, "benchmarks": {}}
-        perfdb.ingest(self.history, {"E01": bench_record("E01", 0.05)})
-
     def test_within_threshold_passes(self):
-        findings, ok = perfdb.check(
-            self.history, {"E01": bench_record("E01", 0.06)})
-        assert ok and findings == []
+        assert perfdb.check(ledger({}), BENCHMARK) == []
+        assert perfdb.check(ledger({}, {"wall_s": 1.2, "items_per_s": 8.0}),
+                            BENCHMARK) == []
 
     def test_regression_blocks(self):
-        findings, ok = perfdb.check(
-            self.history, {"E01": bench_record("E01", 0.50)})
-        assert not ok
-        [finding] = findings
-        assert finding.kind == "regression" and finding.blocking
-        assert "0.5000s" in finding.message
+        [finding] = perfdb.check(ledger({}, {"wall_s": 1.3}), BENCHMARK)
+        assert (finding.workload, finding.kind) == ("w", "regression")
+        assert "wall_s 1.0 -> 1.3 s (run 1 -> 2)" in finding.message
 
-    def test_abs_floor_swallows_microbench_jitter(self):
-        history = {"schema": 1, "benchmarks": {}}
-        perfdb.ingest(history, {"E07": bench_record("E07", 0.0002)})
-        # 5x slower but only 0.8ms absolute: noise, not a regression.
-        findings, ok = perfdb.check(
-            history, {"E07": bench_record("E07", 0.001)})
-        assert ok
+    def test_higher_metric_regression_blocks(self):
+        [finding] = perfdb.check(ledger({}, {"items_per_s": 7.4}),
+                                 BENCHMARK)
+        assert finding.kind == "regression"
+        assert finding.message.startswith("items_per_s 10.0 -> 7.4")
 
     def test_new_benchmark_blocks(self):
-        findings, ok = perfdb.check(
-            self.history, {"NEW": bench_record("NEW", 1.0)})
-        assert not ok
-        [finding] = findings
-        assert finding.kind == "new-benchmark" and finding.blocking
+        contract = dict(BENCHMARK, workloads=[{"name": "w"}, {"name": "v"}])
+        [finding] = perfdb.check(ledger({}), contract)
+        assert (finding.workload, finding.kind) == ("v", "missing")
 
-    def test_counter_drift_reported_non_blocking(self):
-        findings, ok = perfdb.check(
-            self.history,
-            {"E01": bench_record("E01", 0.05,
-                                 counts={"engine.fire": 99})})
-        assert ok
-        [finding] = findings
-        assert finding.kind == "counter-drift" and not finding.blocking
+    def test_incomplete_entry_blocks(self):
+        history = ledger({}, {"wall_s": 0.9})
+        del history["workloads"]["w"][-1]["layers"]["step_s"]
+        [finding] = perfdb.check(history, BENCHMARK)
+        assert finding.kind == "incomplete" and "step_s" in finding.message
 
-    def test_fresh_record_without_wall_is_reported_unmeasured(self):
-        record = bench_record("E01", 0.05)
-        record["wall_seconds"] = record["wall_seconds_min"] = None
-        findings, ok = perfdb.check(self.history, {"E01": record})
-        assert not ok
-        [finding] = findings
-        assert finding.kind == "unmeasured" and finding.blocking
-        assert "fresh record" in finding.message
+    def test_failed_operation_blocks(self):
+        [finding] = perfdb.check(ledger({"failed": 1}), BENCHMARK)
+        assert finding.kind == "failed"
+        assert "failed 1 of 6" in finding.message
 
-    def test_ledger_without_walls_is_reported_unmeasured(self):
-        history = {"schema": 1, "benchmarks": {}}
-        unmeasured = bench_record("S01", 0.05)
-        unmeasured["wall_seconds"] = unmeasured["wall_seconds_min"] = None
-        perfdb.ingest(history, {"S01": unmeasured})
-        findings, ok = perfdb.check(history,
-                                    {"S01": bench_record("S01", 50.0)})
-        assert not ok
-        [finding] = findings
-        assert finding.kind == "unmeasured" and finding.blocking
-        assert "ledger" in finding.message
+    def test_per_layer_move_never_blocks(self):
+        history = ledger({}, {"step_s": 50.0})
+        assert perfdb.check(history, BENCHMARK) == []
 
-    def test_threshold_must_exceed_one(self):
-        with pytest.raises(ObservabilityError, match="threshold"):
-            perfdb.check(self.history, {}, threshold=0.9)
+
+class TestCommittedLedger:
+    def test_passes_check_and_covers_every_metric(self):
+        benchmark = perfdb.load_benchmark(REPO / "BENCHMARK.json")
+        history = perfdb.load_history(REPO / "benchmarks" / "history.json")
+        assert perfdb.check(history, benchmark) == []
+        wall = {metric["name"] for metric in benchmark["end_to_end"]}
+        layers = {metric["name"] for metric in benchmark["per_layer"]}
+        for workload in benchmark["workloads"]:
+            entries = history["workloads"][workload["name"]]
+            assert len(entries) >= 2
+            for entry in entries:
+                assert set(entry["wall"]) == wall
+                assert set(entry["layers"]) == layers

@@ -273,25 +273,46 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["index"] == 1
 
-    def test_perf_subcommands(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "bench_e01.json").write_text(json.dumps({
-            "id": "E01", "wall_seconds": 0.06, "wall_seconds_min": 0.05,
-            "calls": 3, "event_counts": {}}))
-        history = tmp_path / "history.json"
-        argv = ["perf", "--history", str(history), "--results",
-                str(results)]
-        assert obs_main(argv + ["--ingest"]) == 0
-        assert "ingested 1 benchmark" in capsys.readouterr().out
-        assert obs_main(argv + ["--check"]) == 0
+    def test_perf_subcommands(self, tmp_path, capsys, monkeypatch):
+        # BENCHMARK.json and the default ledger path resolve from the
+        # working directory.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+            "workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "wall_s", "unit": "s",
+                            "better": "lower", "bound": 0.25}],
+            "per_layer": [{"name": "step_s", "unit": "s",
+                           "better": "lower"}]}))
+
+        def results(wall_s):
+            paths = []
+            for trace, name, value in ((0, "wall_s", wall_s),
+                                       (1, "step_s", 0.5)):
+                path = tmp_path / f"wall{wall_s}-trace{trace}.txt"
+                path.write_text(f"  {name} = {value}\n" + json.dumps({
+                    "correct": True, "attempted": 1, "failed": 0,
+                    "metrics": {name: {"value": value, "unit": "s"}}}))
+                paths.append(str(path))
+            return paths
+
+        ledger = tmp_path / "benchmarks" / "history.json"
+        assert obs_main(["perf", "--ingest", "w", *results(1.0)]) == 0
+        assert "ingested w run 1" in capsys.readouterr().out
+        # The same results again are refused; the ledger is unchanged.
+        before = ledger.read_text()
+        assert obs_main(["perf", "--ingest", "w", *results(1.0)]) == 2
+        assert "repeats run 1" in capsys.readouterr().err
+        assert ledger.read_text() == before
+        assert obs_main(["perf", "--check"]) == 0
         assert "ok" in capsys.readouterr().out
-        # A 10x regression blocks.
-        (results / "bench_e01.json").write_text(json.dumps({
-            "id": "E01", "wall_seconds": 0.6, "wall_seconds_min": 0.5,
-            "calls": 3, "event_counts": {}}))
-        assert obs_main(argv + ["--check"]) == 1
+        # A 2x slower wall blocks.
+        assert obs_main(["perf", "--ingest", "w", *results(2.0)]) == 0
+        assert obs_main(["perf", "--check"]) == 1
         out = capsys.readouterr().out
-        assert "REGRESSION" in out and "REGRESSED" in out
-        assert obs_main(argv) == 0
-        assert "1 run(s)" in capsys.readouterr().out
+        assert "REGRESSION: w: wall_s" in out and "REGRESSED" in out
+        assert obs_main(["perf"]) == 0
+        out = capsys.readouterr().out
+        assert "w: run 1 -> run 2" in out and "+100.0%" in out
+        assert obs_main(["perf", "--ingest", "w"]) == 2
+        assert obs_main(["perf", "--ingest", "v", *results(3.0)]) == 2
+        assert ledger.read_text() != before

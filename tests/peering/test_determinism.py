@@ -22,11 +22,11 @@ from pathlib import Path
 
 import pytest
 
+from tussle.canon import derive_seed
 from tussle.experiments import run_p01, run_p02
 from tussle.lint import run_lint
 from tussle.netsim.topology import Network, Relationship
 from tussle.peering import PeeringDynamics
-from tussle.resil.workerchaos import digest63
 from tussle.scale.tmatrix import stub_content, stub_populations
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -125,14 +125,14 @@ class TestIterationOrderIndependence:
 class TestSubstreamIsolation:
     def test_streams_are_distinct_substreams_of_the_master_seed(self):
         seed = 13
-        population_stream = digest63(seed, "tmatrix", "population")
-        content_stream = digest63(seed, "tmatrix", "content")
-        bargain_stream = digest63(seed, "peering", "bargain")
+        population_stream = derive_seed(seed, "tmatrix", "population")
+        content_stream = derive_seed(seed, "tmatrix", "content")
+        bargain_stream = derive_seed(seed, "peering", "bargain")
         assert len({population_stream, content_stream, bargain_stream}) == 3
 
     def test_dynamics_exposes_the_bargain_substream(self):
         dyn = PeeringDynamics(_mesh_network("forward"), seed=13)
-        assert dyn.bargain_seed == digest63(13, "peering", "bargain")
+        assert dyn.bargain_seed == derive_seed(13, "peering", "bargain")
 
     def test_traffic_attributes_are_label_isolated(self):
         """Same seed, different labels: independent assignments, and a

@@ -52,7 +52,6 @@ def schedules_strategy():
         horizon=st.floats(min_value=1.0, max_value=20.0),
         link_failure_rate=rates,
         node_crash_rate=rates,
-        loss_spike_rate=rates,
         delay_spike_rate=rates,
         middlebox_rate=st.floats(min_value=0.0, max_value=0.5),
     )
@@ -86,6 +85,31 @@ class TestFaultPlanDeterminism:
         b = ChaosSchedule(seed=2, horizon=50.0, link_failure_rate=1.0)
         net = ring_network()
         assert a.plan(net) != b.plan(net)
+
+    def test_substream_order_pins_the_plan(self):
+        """The master seed spawns link, node, loss, delay and middlebox
+        substreams in that order.  No process reads "loss", but dropping
+        its draw would reseed the delay and middlebox streams and change
+        every plan that uses them."""
+        schedule = ChaosSchedule(seed=4, horizon=3.0, link_failure_rate=0.4,
+                                 node_crash_rate=0.3, delay_spike_rate=0.5,
+                                 middlebox_rate=0.4)
+        assert [e.sort_key for e in schedule.plan(ring_network()).events] == [
+            (0.10374963485272014, "link-down", "n1|n2", "{}"),
+            (0.3787987079084345, "delay-spike", "n0|n4",
+             '{"duration":1.297227982048817,"factor":6.208721454027684}'),
+            (1.0746919611024144, "link-up", "n1|n2", "{}"),
+            (1.189992850533715, "middlebox-insert", "n0",
+             '{"application":"generic","discloses":false}'),
+            (1.2327959550085845, "node-crash", "n4", "{}"),
+            (2.0696570380520622, "middlebox-insert", "n1",
+             '{"application":"generic","discloses":false}'),
+            (2.1170572928115927, "node-crash", "n1", "{}"),
+            (2.5031221224362197, "delay-spike", "n1|n2",
+             '{"duration":1.3891444218406155,"factor":4.33643624176406}'),
+            (2.6381345107095604, "node-recover", "n4", "{}"),
+            (3.5250742063027625, "node-recover", "n1", "{}"),
+        ]
 
 
 class TestFaultPlanOrdering:
