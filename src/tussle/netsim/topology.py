@@ -11,6 +11,10 @@ the paper's tussle spaces:
 
 Both levels live in one :class:`Network` object so experiments can relate
 business structure to forwarding behaviour (e.g. E04: who controls routes).
+The AS level is also readable as arrays: :meth:`Network.relation_index`
+returns the business graph as sorted row arrays (:class:`RelationIndex`),
+which the array routing, volume and bargaining layers read instead of
+walking the per-AS sets.
 """
 
 from __future__ import annotations
@@ -19,9 +23,12 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
-from ..errors import TopologyError
+import numpy as np
+
+from ..errors import ScaleError, TopologyError
 
 __all__ = [
     "NodeKind",
@@ -29,6 +36,9 @@ __all__ = [
     "Node",
     "Link",
     "ASNode",
+    "ASIndex",
+    "RelationIndex",
+    "isin_sorted",
     "Network",
     "line_topology",
     "star_topology",
@@ -140,19 +150,141 @@ class ASNode:
             self.name = f"AS{self.asn}"
 
 
+class ASIndex:
+    """Bidirectional ASN <-> row mapping, rows sorted by ASN."""
+
+    def __init__(self, asns: Sequence[int]):
+        self.asns = np.array(sorted(asns), dtype=np.int64)
+        if (np.diff(self.asns) == 0).any():
+            raise ScaleError("AS numbers must be unique")
+        self._row: Dict[int, int] = {int(a): i
+                                     for i, a in enumerate(self.asns)}
+
+    @classmethod
+    def from_network(cls, network: "Network") -> "ASIndex":
+        return network.relation_index().index
+
+    def __len__(self) -> int:
+        return int(self.asns.shape[0])
+
+    def of(self, asn: int) -> int:
+        try:
+            return self._row[asn]
+        except KeyError:
+            raise ScaleError(f"unknown AS {asn}") from None
+
+    def rows_of(self, asn_values: np.ndarray) -> np.ndarray:
+        """Vectorized ASN -> row (values must all be indexed)."""
+        return np.searchsorted(self.asns, asn_values)
+
+
+def isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``np.isin(values, table)`` for an ascending ``table``, by binary search.
+
+    numpy 2's ``isin`` first deduplicates both arrays through a hash
+    table, which on the few thousand edge keys of a 10^3-AS internet
+    takes tens of times longer than this search.
+    """
+    if not table.size:
+        return np.zeros(values.shape, dtype=bool)
+    return table[np.minimum(np.searchsorted(table, values),
+                            table.size - 1)] == values
+
+
+def _edge_rows(index: ASIndex,
+               table: Dict[int, FrozenSet[int]]) -> Tuple[np.ndarray, ...]:
+    """``table`` (ASN -> neighbour ASNs) as ``(row, neighbour row)`` arrays,
+    sorted by row, then neighbour row, and read-only."""
+    counts = np.fromiter(map(len, table.values()), dtype=np.int64,
+                         count=len(table))
+    owners = np.repeat(np.fromiter(table, dtype=np.int64, count=len(table)),
+                       counts)
+    neighbours = np.fromiter(itertools.chain.from_iterable(table.values()),
+                             dtype=np.int64, count=int(counts.sum()))
+    n = len(index)
+    keys = np.sort(index.rows_of(owners) * n + index.rows_of(neighbours))
+    rows = np.divmod(keys, max(n, 1))
+    for array in rows:
+        array.flags.writeable = False
+    return rows
+
+
+class RelationIndex:
+    """A :class:`Network`'s business graph as row arrays, at one version.
+
+    Rows follow ``index`` (ascending ASN).  Each relationship kind is a
+    pair of row arrays in CSR order, sorted by the row that owns the
+    edge, then by the neighbour's row, so each row's edges are one
+    ascending run:
+
+    * ``customer``/``provider``: every customer/provider edge;
+    * ``peer_dst``/``peer_src``: every peering, once in each direction
+      (``peer_src`` announces to ``peer_dst``);
+    * ``sibling_dst``/``sibling_src``: every sibling link, likewise.
+
+    ``pays_transit[row]`` says whether the AS has a provider.  The
+    arrays are read-only.  ``version`` and ``hierarchy_version`` are the
+    network's counts of AS and relationship changes, and of AS and
+    customer/provider changes, when the index was built: an index
+    rebuilt after peer or sibling changes alone shares ``index``,
+    ``customer``, ``provider`` and ``pays_transit`` with the one before.
+    """
+
+    def __init__(self, version: int, hierarchy_version: int,
+                 index: ASIndex, customer: np.ndarray, provider: np.ndarray,
+                 pays_transit: np.ndarray, peers: Tuple[np.ndarray, ...],
+                 siblings: Tuple[np.ndarray, ...]):
+        self.version = version
+        self.hierarchy_version = hierarchy_version
+        self.index = index
+        self.customer = customer
+        self.provider = provider
+        self.pays_transit = pays_transit
+        self.peer_dst, self.peer_src = peers
+        self.sibling_dst, self.sibling_src = siblings
+
+    def peer_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every peering once, as ``(low row, high row)`` arrays in
+        ascending order."""
+        once = self.peer_dst < self.peer_src
+        return self.peer_dst[once], self.peer_src[once]
+
+    def related_keys(self) -> np.ndarray:
+        """``low * n + high`` for every related row pair ``low < high``."""
+        n = len(self.index)
+        low, high = self.peer_pairs()
+        once = self.sibling_dst < self.sibling_src
+        return np.concatenate([
+            np.minimum(self.customer, self.provider) * n
+            + np.maximum(self.customer, self.provider),
+            low * n + high,
+            self.sibling_dst[once] * n + self.sibling_src[once]])
+
+
 class Network:
-    """A mutable topology holding nodes, links, ASes and AS relationships."""
+    """A mutable topology holding nodes, links, ASes and AS relationships.
+
+    The AS relationship sets are frozensets that the mutators replace,
+    so the accessors hand out the stored set itself.  Every AS or
+    relationship mutator bumps a version, and :meth:`relation_index`
+    rebuilds its array view on the first read after one.
+    """
 
     def __init__(self) -> None:
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._adj: Dict[str, Set[str]] = {}
         self._ases: Dict[int, ASNode] = {}
-        # provider -> customers, and symmetrical peer sets
-        self._providers: Dict[int, Set[int]] = {}
-        self._customers: Dict[int, Set[int]] = {}
-        self._peers: Dict[int, Set[int]] = {}
-        self._siblings: Dict[int, Set[int]] = {}
+        self._sorted_ases: Optional[Tuple[ASNode, ...]] = None
+        # customer -> providers, provider -> customers, and symmetrical
+        # peer and sibling sets
+        self._providers: Dict[int, FrozenSet[int]] = {}
+        self._customers: Dict[int, FrozenSet[int]] = {}
+        self._peers: Dict[int, FrozenSet[int]] = {}
+        self._siblings: Dict[int, FrozenSet[int]] = {}
+        self._version = 0
+        self._hierarchy_version = 0
+        self._relations: Optional[RelationIndex] = None
 
     # ------------------------------------------------------------------
     # Node-level API
@@ -277,10 +409,11 @@ class Network:
             raise TopologyError(f"duplicate AS {asn}")
         node = ASNode(asn=asn, name=name, tier=tier, metadata=dict(metadata))
         self._ases[asn] = node
-        self._providers[asn] = set()
-        self._customers[asn] = set()
-        self._peers[asn] = set()
-        self._siblings[asn] = set()
+        self._sorted_ases = None
+        self._providers[asn] = self._customers[asn] = frozenset()
+        self._peers[asn] = self._siblings[asn] = frozenset()
+        self._version += 1
+        self._hierarchy_version += 1
         return node
 
     def autonomous_system(self, asn: int) -> ASNode:
@@ -293,8 +426,11 @@ class Network:
         return asn in self._ases
 
     @property
-    def ases(self) -> List[ASNode]:
-        return [self._ases[k] for k in sorted(self._ases)]
+    def ases(self) -> Tuple[ASNode, ...]:
+        """Every AS in ascending ASN order."""
+        if self._sorted_ases is None:
+            self._sorted_ases = tuple(self._ases[k] for k in sorted(self._ases))
+        return self._sorted_ases
 
     def add_as_relationship(self, a: int, b: int, rel: Relationship) -> None:
         """Record a business relationship.
@@ -306,15 +442,17 @@ class Network:
         self.autonomous_system(b)
         if a == b:
             raise TopologyError(f"AS {a} cannot have a relationship with itself")
+        self._version += 1
         if rel is Relationship.CUSTOMER_PROVIDER:
-            self._providers[a].add(b)
-            self._customers[b].add(a)
+            self._hierarchy_version += 1
+            self._providers[a] = self._providers[a] | {b}
+            self._customers[b] = self._customers[b] | {a}
         elif rel is Relationship.PEER_PEER:
-            self._peers[a].add(b)
-            self._peers[b].add(a)
+            self._peers[a] = self._peers[a] | {b}
+            self._peers[b] = self._peers[b] | {a}
         else:
-            self._siblings[a].add(b)
-            self._siblings[b].add(a)
+            self._siblings[a] = self._siblings[a] | {b}
+            self._siblings[b] = self._siblings[b] | {a}
 
     def remove_as_relationship(self, a: int, b: int) -> Relationship:
         """Remove the business relationship between two ASes.
@@ -328,38 +466,40 @@ class Network:
         rel = self.relationship(a, b)
         if rel is None:
             raise TopologyError(f"ASes {a} and {b} have no relationship")
+        self._version += 1
         if rel is Relationship.CUSTOMER_PROVIDER:
-            if b in self._providers[a]:
-                self._providers[a].discard(b)
-                self._customers[b].discard(a)
-            else:
-                self._providers[b].discard(a)
-                self._customers[a].discard(b)
+            self._hierarchy_version += 1
+            customer, provider = (a, b) if b in self._providers[a] else (b, a)
+            self._providers[customer] = self._providers[customer] - {provider}
+            self._customers[provider] = self._customers[provider] - {customer}
         elif rel is Relationship.PEER_PEER:
-            self._peers[a].discard(b)
-            self._peers[b].discard(a)
+            self._peers[a] = self._peers[a] - {b}
+            self._peers[b] = self._peers[b] - {a}
         else:
-            self._siblings[a].discard(b)
-            self._siblings[b].discard(a)
+            self._siblings[a] = self._siblings[a] - {b}
+            self._siblings[b] = self._siblings[b] - {a}
         return rel
 
-    def providers_of(self, asn: int) -> Set[int]:
-        self.autonomous_system(asn)
-        return set(self._providers[asn])
+    @staticmethod
+    def _related(table: Dict[int, FrozenSet[int]], asn: int) -> FrozenSet[int]:
+        try:
+            return table[asn]
+        except KeyError:
+            raise TopologyError(f"unknown AS {asn}") from None
 
-    def customers_of(self, asn: int) -> Set[int]:
-        self.autonomous_system(asn)
-        return set(self._customers[asn])
+    def providers_of(self, asn: int) -> FrozenSet[int]:
+        return self._related(self._providers, asn)
 
-    def peers_of(self, asn: int) -> Set[int]:
-        self.autonomous_system(asn)
-        return set(self._peers[asn])
+    def customers_of(self, asn: int) -> FrozenSet[int]:
+        return self._related(self._customers, asn)
 
-    def siblings_of(self, asn: int) -> Set[int]:
-        self.autonomous_system(asn)
-        return set(self._siblings[asn])
+    def peers_of(self, asn: int) -> FrozenSet[int]:
+        return self._related(self._peers, asn)
 
-    def as_neighbors(self, asn: int) -> Set[int]:
+    def siblings_of(self, asn: int) -> FrozenSet[int]:
+        return self._related(self._siblings, asn)
+
+    def as_neighbors(self, asn: int) -> FrozenSet[int]:
         """All ASes adjacent in the business graph."""
         return (
             self.providers_of(asn)
@@ -367,6 +507,31 @@ class Network:
             | self.peers_of(asn)
             | self.siblings_of(asn)
         )
+
+    def relation_index(self) -> RelationIndex:
+        """The business graph as row arrays (see :class:`RelationIndex`).
+
+        Built on the first call after an AS or relationship changed; a
+        change to peer or sibling edges alone keeps the hierarchy part.
+        """
+        current = self._relations
+        if current is not None and current.version == self._version:
+            return current
+        if (current is not None
+                and current.hierarchy_version == self._hierarchy_version):
+            index, customer, provider, pays_transit = (
+                current.index, current.customer, current.provider,
+                current.pays_transit)
+        else:
+            index = ASIndex(list(self._ases))
+            customer, provider = _edge_rows(index, self._providers)
+            pays_transit = np.bincount(customer, minlength=len(index)) > 0
+            pays_transit.flags.writeable = False
+        self._relations = RelationIndex(
+            self._version, self._hierarchy_version, index, customer,
+            provider, pays_transit, _edge_rows(index, self._peers),
+            _edge_rows(index, self._siblings))
+        return self._relations
 
     def relationship(self, a: int, b: int) -> Optional[Relationship]:
         """The relationship from ``a``'s point of view toward ``b``."""

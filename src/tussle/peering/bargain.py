@@ -93,7 +93,9 @@ def nash_bargain(total: float, disagreement: Tuple[float, float],
     if w_a <= 0 or w_b <= 0:
         raise PeeringError("bargaining weights must be positive")
     d_a, d_b = float(disagreement[0]), float(disagreement[1])
-    if not all(math.isfinite(x) for x in (total, d_a, d_b, w_a, w_b)):
+    if not (math.isfinite(total) and math.isfinite(d_a)
+            and math.isfinite(d_b) and math.isfinite(w_a)
+            and math.isfinite(w_b)):
         raise PeeringError("bargaining inputs must be finite")
     surplus = float(total) - (w_a * d_a + w_b * d_b)
     utilities = (d_a + surplus / (2.0 * w_a), d_b + surplus / (2.0 * w_b))

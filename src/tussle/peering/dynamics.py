@@ -45,6 +45,7 @@ checks it rather than assuming it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -52,7 +53,7 @@ import numpy as np
 
 from ..canon import derive_seed
 from ..errors import PeeringError
-from ..netsim.topology import Network, Relationship
+from ..netsim.topology import Network, Relationship, isin_sorted
 from ..routing.pathvector import PathVectorRouting
 from .bargain import PeeringAgreement, evaluate_pair
 from .value import (
@@ -147,6 +148,12 @@ class PeeringDynamics:
     state at most twice, so the loop terminates; switching it off
     exposes genuine bargaining oscillation, which the loop detects and
     reports instead of hanging.
+
+    The customer cones, the IXP co-located pairs and every candidate
+    bargain are fixed at construction, for the customer/provider
+    hierarchy of that moment: :meth:`reconverge` raises
+    :class:`~tussle.errors.PeeringError` once an AS or a
+    customer/provider edge has changed since.
     """
 
     def __init__(self, network: Network, seed: int,
@@ -166,12 +173,16 @@ class PeeringDynamics:
         self.embargo: Set[Pair] = set()
         self.refused: Set[Pair] = set()
         self._tier1 = frozenset(a.asn for a in network.ases if a.tier == 1)
+        self._hierarchy = network.relation_index().hierarchy_version
         self._cones = customer_cones(network)
+        self._colocated = self._colocated_pairs()
         self.routing: Optional[PathVectorRouting] = None
         self.volumes: Optional[np.ndarray] = None
         # pair -> (bargain inputs, agreement) of its last evaluate_existing.
         self._bargained: Dict[
             Pair, Tuple[tuple, Optional[PeeringAgreement]]] = {}
+        # pair -> agreement of its candidate bargain.
+        self._candidates: Dict[Pair, Optional[PeeringAgreement]] = {}
 
     # ------------------------------------------------------------------
     # Routing / measurement
@@ -182,7 +193,15 @@ class PeeringDynamics:
         The last RIB seeds the convergence, so only the columns a
         peer-edge change can reach are recomputed.  An unchanged graph
         gets that RIB back, and the volumes measured on it are kept.
+        Raises :class:`PeeringError` when an AS or a customer/provider
+        edge changed since construction: the cones and candidate
+        bargains would be stale.
         """
+        if self.network.relation_index().hierarchy_version != self._hierarchy:
+            raise PeeringError(
+                "the customer/provider hierarchy changed after this "
+                "PeeringDynamics was built; its customer cones and "
+                "candidate bargains are stale (build a new one)")
         previous = self.routing.fast_rib if self.routing is not None else None
         proto = PathVectorRouting(self.network)
         proto.converge_fast(destinations=tuple(self.traffic.stub_asns),
@@ -210,36 +229,47 @@ class PeeringDynamics:
     # Bargaining
     # ------------------------------------------------------------------
     def _peer_pairs(self) -> List[Pair]:
-        return sorted((autonomous.asn, peer)
-                      for autonomous in self.network.ases
-                      for peer in self.network.peers_of(autonomous.asn)
-                      if autonomous.asn < peer)
+        relations = self.network.relation_index()
+        low, high = relations.peer_pairs()
+        asns = relations.index.asns
+        return list(zip(asns[low].tolist(), asns[high].tolist()))
 
     def _mutable(self, pair: Pair) -> bool:
         # The tier-1 clique is the substrate's reachability backbone;
         # the market neither prices nor dismantles it.
         return not (pair[0] in self._tier1 and pair[1] in self._tier1)
 
-    def candidate_pairs(self) -> List[Pair]:
-        """Unrelated pairs co-located at an IXP, in sorted total order."""
+    def _colocated_pairs(self) -> np.ndarray:
+        """Mutable pairs sharing an IXP, as sorted ``(a, b)`` ASN rows."""
         at_ixp: Dict[str, List[int]] = {}
         for autonomous in self.network.ases:
             for ixp in sorted(autonomous.metadata.get("ixps", ())):
                 at_ixp.setdefault(ixp, []).append(autonomous.asn)
-        candidates: Set[Pair] = set()
-        for ixp in sorted(at_ixp):
-            members = sorted(at_ixp[ixp])
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
-                    pair = (a, b)
-                    if pair in self.embargo or not self._mutable(pair):
-                        continue
-                    if self.refusal_memory and pair in self.refused:
-                        continue
-                    if self.network.relationship(a, b) is not None:
-                        continue
-                    candidates.add(pair)
-        return sorted(candidates)
+        pairs = {(a, b) for ixp in sorted(at_ixp)
+                 for a, b in itertools.combinations(sorted(at_ixp[ixp]), 2)
+                 if self._mutable((a, b))}
+        return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+    def candidate_pairs(self) -> List[Pair]:
+        """Unrelated pairs co-located at an IXP, in sorted total order.
+
+        The co-located pairs are fixed at construction; one membership
+        test drops those that are related, embargoed or (with refusal
+        memory) refused.
+        """
+        barred = self.embargo | (self.refused if self.refusal_memory
+                                 else set())
+        relations = self.network.relation_index()
+        index = relations.index
+        n = len(index)
+        rows = index.rows_of(self._colocated)
+        barred_rows = index.rows_of(
+            np.array(sorted(barred), dtype=np.int64).reshape(-1, 2))
+        excluded = np.sort(np.concatenate([
+            relations.related_keys(),
+            barred_rows[:, 0] * n + barred_rows[:, 1]]))
+        free = ~isin_sorted(rows[:, 0] * n + rows[:, 1], excluded)
+        return [(a, b) for a, b in self._colocated[free].tolist()]
 
     def evaluate_existing(self, pair: Pair) -> Optional[PeeringAgreement]:
         """Re-bargain a live peering at the volumes its edge carried.
@@ -255,9 +285,11 @@ class PeeringDynamics:
         rib = self.routing.fast_rib
         ra, rb = rib.index.of(pair[0]), rib.index.of(pair[1])
         bits = self.volumes.view(np.int64)
+        relations = self.network.relation_index()
+        pays = relations.pays_transit
         inputs = (self.econ, bits.item(ra, rb), bits.item(rb, ra),
-                  bool(self.network.providers_of(pair[0])),
-                  bool(self.network.providers_of(pair[1])))
+                  bool(pays[relations.index.of(pair[0])]),
+                  bool(pays[relations.index.of(pair[1])]))
         last = self._bargained.get(pair)
         if last is not None and last[0] == inputs:
             return last[1]
@@ -270,29 +302,61 @@ class PeeringDynamics:
         return agreement
 
     def evaluate_candidate(self, pair: Pair) -> Optional[PeeringAgreement]:
-        """Bargain a prospective peering over exclusive-cone demand."""
-        traffic = cone_traffic(self.traffic, self._cones, pair[0], pair[1])
-        return evaluate_pair(
-            traffic, self.econ,
-            a_pays_transit=bool(self.network.providers_of(pair[0])),
-            b_pays_transit=bool(self.network.providers_of(pair[1])),
-        )
+        """Bargain a prospective peering over exclusive-cone demand.
+
+        The bargain is a pure function of the pair's cones, the traffic
+        matrix and the transit flags, all fixed for this dynamics' life,
+        so each pair is bargained once and its agreement kept.
+        """
+        if pair not in self._candidates:
+            relations = self.network.relation_index()
+            pays = relations.pays_transit
+            traffic = cone_traffic(self.traffic, self._cones,
+                                   pair[0], pair[1])
+            self._candidates[pair] = evaluate_pair(
+                traffic, self.econ,
+                a_pays_transit=bool(pays[relations.index.of(pair[0])]),
+                b_pays_transit=bool(pays[relations.index.of(pair[1])]),
+            )
+        return self._candidates[pair]
 
     # ------------------------------------------------------------------
     # The loop
     # ------------------------------------------------------------------
     def step(self, iteration: int) -> IterationRecord:
-        """One route/measure/re-bargain/apply round."""
+        """One route/measure/re-bargain/apply round.
+
+        Every live peering's bargain inputs are gathered in one array
+        pass; only a pair whose inputs differ from its last evaluation
+        (or that has none) goes to :meth:`evaluate_existing`.
+        """
         proto = self.reconverge()
+        # The RIB was converged over this index, so its rows are the
+        # volume matrix's; the inputs are the ones evaluate_existing
+        # keys its memo on.
+        relations = self.network.relation_index()
+        low, high = relations.peer_pairs()
+        asns = relations.index.asns
+        bits = self.volumes.view(np.int64)
+        pays = relations.pays_transit
+        gathered = zip(
+            zip(asns[low].tolist(), asns[high].tolist()),
+            bits[low, high].tolist(), bits[high, low].tolist(),
+            pays[low].tolist(), pays[high].tolist())
         to_drop: List[Pair] = []
         to_add: Dict[Pair, PeeringAgreement] = {}
-        for pair in self._peer_pairs():
+        for pair, to_b, to_a, a_pays, b_pays in gathered:
             if not self._mutable(pair):
                 continue
             if pair in self.embargo:
                 to_drop.append(pair)
                 continue
-            agreement = self.evaluate_existing(pair)
+            last = self._bargained.get(pair)
+            if last is not None \
+                    and last[0] == (self.econ, to_b, to_a, a_pays, b_pays):
+                agreement = last[1]
+            else:
+                agreement = self.evaluate_existing(pair)
             if agreement is None:
                 to_drop.append(pair)
             else:

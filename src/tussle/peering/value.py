@@ -42,7 +42,7 @@ import numpy as np
 from ..errors import PeeringError
 from ..netsim.topology import Network
 from ..scale.tmatrix import gravity_demand, stub_content, stub_populations
-from ..scale.vrouting import CLASS_NONE, RibArrays
+from ..scale.vrouting import CLASS_NONE, RibArrays, _depths
 
 __all__ = ["PeeringEconomics", "TrafficMatrix", "customer_cones",
            "route_volumes", "AsAccount", "as_accounts", "PairTraffic",
@@ -161,39 +161,28 @@ def customer_cones(network: Network) -> Dict[int, np.ndarray]:
     ``cones[asn][i]`` is True iff stub ``i`` (ascending-ASN order) is
     reachable from ``asn`` by descending customer edges only — the
     classic CAIDA customer cone, restricted to stubs because only stubs
-    originate demand.  Computed by one pass over ASes in reverse
-    topological order of the provider DAG (customers before providers),
+    originate demand.  Computed over the network's relation index, one
+    height of the provider DAG at a time (customers before providers):
+    each provider ORs in the cones of its customers one height down,
     which the generator guarantees is acyclic.
     """
-    stubs = sorted(a.asn for a in network.ases if a.tier == 3)
-    col = {asn: i for i, asn in enumerate(stubs)}
-    n_stub = len(stubs)
-    # Kahn order over provider edges: process an AS only after all its
-    # customers are done.
-    pending = {a.asn: len(network.customers_of(a.asn)) for a in network.ases}
-    ready = sorted(asn for asn, count in pending.items() if count == 0)
-    cones: Dict[int, np.ndarray] = {}
-    order: List[int] = []
-    while ready:
-        asn = ready.pop(0)
-        order.append(asn)
-        cone = np.zeros(n_stub, dtype=bool)
-        if asn in col:
-            cone[col[asn]] = True
-        for customer in sorted(network.customers_of(asn)):
-            cone |= cones[customer]
-        cones[asn] = cone
-        for provider in sorted(network.providers_of(asn)):
-            pending[provider] -= 1
-            if pending[provider] == 0:
-                # Insert keeping ready sorted so the walk order is a
-                # pure function of the graph.
-                ready.append(provider)
-                ready.sort()
-    if len(order) != len(network.ases):
+    relations = network.relation_index()
+    index = relations.index
+    stubs = np.array(sorted(a.asn for a in network.ases if a.tier == 3),
+                     dtype=np.int64)
+    customer, provider = relations.customer, relations.provider
+    height = _depths(len(index), customer, provider)
+    if (height < 0).any():
         raise PeeringError("customer/provider edges contain a cycle; "
                            "customer cones are undefined")
-    return cones
+    cones = np.zeros((len(index), stubs.size), dtype=bool)
+    cones[index.rows_of(stubs), np.arange(stubs.size)] = True
+    for level in range(1, int(height.max(initial=0)) + 1):
+        at = np.flatnonzero(height[provider] == level)
+        at = at[np.argsort(provider[at], kind="stable")]
+        targets, starts = np.unique(provider[at], return_index=True)
+        cones[targets] |= np.logical_or.reduceat(cones[customer[at]], starts)
+    return {asn: cones[row] for row, asn in enumerate(index.asns.tolist())}
 
 
 def _check_columns(rib: RibArrays, traffic: TrafficMatrix) -> None:
@@ -224,15 +213,18 @@ def route_volumes(rib: RibArrays, traffic: TrafficMatrix) -> np.ndarray:
     moves into one cell all share its column, so either cell order,
     column- or row-major, adds them in the same sequence.
 
-    The first level passes every (column, sender stub) cell, and a cell
-    that sends nothing moves ``0.0``: adding ``+0.0`` leaves every
-    (non-negative) sum unchanged.  Later levels keep weight only where
-    it can travel on: every next hop other than a column's destination
-    has a customer (it forwards down a customer route or up from a
-    customer), so in-flight weight is held over (column, AS with
-    customers) cells, plus one slot per column for weight that reached
-    a destination without customers.  Weight at its destination has
-    arrived and is zeroed, so it never travels on.
+    The first level passes every (sender stub, column) cell, sender by
+    sender: every edge bucket is one sender's row and every weight
+    bucket one column, so each bucket still receives its terms in the
+    order a column-major pass gives them.  A cell that sends nothing
+    moves ``0.0``: adding ``+0.0`` leaves every (non-negative) sum
+    unchanged.  Later levels keep weight only where it can travel on:
+    every next hop other than a column's destination has a customer (it
+    forwards down a customer route or up from a customer), so in-flight
+    weight is held over (column, AS with customers) cells, plus one slot
+    per column for weight that reached a destination without customers.
+    Weight at its destination has arrived and is zeroed, so it never
+    travels on.
     """
     n = len(rib.index)
     d = len(rib.dest_asns)
@@ -248,15 +240,22 @@ def route_volumes(rib: RibArrays, traffic: TrafficMatrix) -> np.ndarray:
     arrived = np.arange(d) * width + slot[stub_rows]
     # The first level leaves the senders: stub i's demand for column c,
     # wherever i holds a route and is not c itself.
-    sending = (traffic.demand.T > 0) & (rib.cls.T[:, stub_rows] != CLASS_NONE)
+    sending = (traffic.demand > 0) & (rib.cls[stub_rows] != CLASS_NONE)
     np.fill_diagonal(sending, False)
-    moving = np.where(sending, traffic.demand.T, 0.0).ravel()
+    moving = np.where(sending, traffic.demand, 0.0).ravel()
     # An unreachable cell's next hop is -1; any row serves, it moves 0.0.
-    hops = np.maximum(rib.nhop.T[:, stub_rows], 0)
-    vol = np.bincount((stub_rows * n + hops).ravel(), weights=moving,
-                      minlength=n * n)
-    weight = np.bincount((np.arange(d)[:, None] * width + slot[hops]).ravel(),
-                         weights=moving, minlength=d * width)
+    # int64 rows gather ``slot`` several times faster than int32 ones,
+    # and the keys are built in place: this level sets the pass's peak
+    # memory.
+    hops = np.maximum(rib.nhop[stub_rows], 0).astype(np.int64)
+    column_keys = slot[hops]
+    column_keys += np.arange(d) * width
+    weight = np.bincount(column_keys.ravel(), weights=moving,
+                         minlength=d * width)
+    del column_keys
+    edge_keys = hops
+    edge_keys += (stub_rows * n)[:, None]
+    vol = np.bincount(edge_keys.ravel(), weights=moving, minlength=n * n)
     nhop = rib.nhop.T.ravel()
     for _ in range(max_levels - 1):
         weight[arrived] = 0.0
@@ -310,12 +309,15 @@ def cone_traffic(traffic: TrafficMatrix, cones: Mapping[int, np.ndarray],
     """
     if a not in cones or b not in cones:
         raise PeeringError(f"no customer cone for pair ({a}, {b})")
-    only_a = cones[a] & ~cones[b]
-    only_b = cones[b] & ~cones[a]
-    if len(traffic) < 2 or not only_a.any() or not only_b.any():
+    cone_a, cone_b = cones[a], cones[b]
+    # On booleans ``x > y`` is ``x and not y``.
+    only_a = np.flatnonzero(cone_a > cone_b)
+    only_b = np.flatnonzero(cone_b > cone_a)
+    if len(traffic) < 2 or not only_a.size or not only_b.size:
         return PairTraffic(a=a, b=b, to_b=0.0, to_a=0.0)
-    to_b = float(traffic.demand[np.ix_(only_a, only_b)].sum())
-    to_a = float(traffic.demand[np.ix_(only_b, only_a)].sum())
+    demand = traffic.demand
+    to_b = float(demand[only_a[:, None], only_b].sum())
+    to_a = float(demand[only_b[:, None], only_a].sum())
     return PairTraffic(a=a, b=b, to_b=to_b, to_a=to_a)
 
 
@@ -357,8 +359,9 @@ def as_accounts(network: Network, rib: RibArrays, vol: np.ndarray,
     ordered passes: each bill adds its providers' edges, and each
     revenue its customers' edges, in ascending-ASN order starting from
     zero, which is the order a loop over ASes adds them.  Peering fees
-    count ``network``'s live peerings.  So every byte of downstream
-    canonical JSON is a pure function of the inputs.
+    count ``network``'s live peerings, read off its relation index.  So
+    every byte of downstream canonical JSON is a pure function of the
+    inputs.
 
     Raises :class:`PeeringError` when the RIB's destination columns are
     not the traffic matrix's stubs in ascending-ASN order: delivered
@@ -383,15 +386,16 @@ def as_accounts(network: Network, rib: RibArrays, vol: np.ndarray,
     revenues = np.bincount(provider[by_provider],
                            weights=metered[by_provider], minlength=n)
     delivered = econ.delivery_value * arrived
+    relations = network.relation_index()
+    peerings = np.bincount(relations.peer_dst, minlength=len(relations.index))
     accounts: Dict[int, AsAccount] = {}
-    for autonomous in network.ases:  # ascending ASN
-        asn = autonomous.asn
+    for asn, count in zip(relations.index.asns.tolist(), peerings.tolist()):
         row = rib.index.of(asn)
         accounts[asn] = AsAccount(
             asn=asn,
             transit_bill=float(bills[row]),
             transit_revenue=float(revenues[row]),
-            peering_fees=econ.peering_cost * len(network.peers_of(asn)),
+            peering_fees=econ.peering_cost * count,
             transfers=float(transfers.get(asn, 0.0)),
             delivered_value=float(delivered[row]),
         )

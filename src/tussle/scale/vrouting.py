@@ -31,8 +31,9 @@ Gao-Rexford phase:
 Customer routes exist only at the ASes above a destination, and peer
 routes only at those ASes' peers: a few cells per column.  So those
 phases push offers from the cells that hold routes
-(``np.minimum.at``), while provider routes reach nearly every cell and
-that phase pulls over dense blocks.
+(``np.minimum.at``), and only those cells seed the provider phase's
+offers, while provider routes reach nearly every cell and that phase
+pulls over dense blocks.
 Destination columns never interact, so the passes run over fixed-width
 column blocks, which bounds the gathered (columns x in-edges) working
 set.  The result is bit-identical to the scalar protocol's fixed point
@@ -45,8 +46,11 @@ ASes, destinations and customer/provider edges, only peer edges can
 differ.  A directed peer edge ``s -> t`` carries only ``s``'s customer
 routes, so a changed edge can alter only the columns where ``s`` holds
 a customer route.  Those columns re-run the peer and provider phases
-over the unchanged customer-phase cells; every other column is reused,
-and an unchanged graph returns ``previous`` itself.
+over ``previous``'s customer-route cells and provider pull steps, which
+depend on the customer/provider edges alone; every other column is
+reused, and an unchanged graph returns ``previous`` itself.  The edges
+are read off the network's relation index
+(:meth:`~tussle.netsim.topology.Network.relation_index`).
 
 Scope: customer/provider and peer relationships only.  Sibling edges
 (which the scalar protocol treats as UNKNOWN neighbours), pairs
@@ -65,7 +69,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ScaleError
-from ..netsim.topology import Network
+from ..netsim.topology import ASIndex, Network, RelationIndex, isin_sorted
 
 __all__ = ["ASIndex", "RibArrays", "converge_valley_free"]
 
@@ -98,63 +102,32 @@ _Step = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
               int]
 
 
-class ASIndex:
-    """Bidirectional ASN <-> row mapping, rows sorted by ASN."""
-
-    def __init__(self, asns: Sequence[int]):
-        self.asns = np.array(sorted(asns), dtype=np.int64)
-        if len(np.unique(self.asns)) != len(self.asns):
-            raise ScaleError("AS numbers must be unique")
-        self._row: Dict[int, int] = {int(a): i
-                                     for i, a in enumerate(self.asns)}
-
-    @classmethod
-    def from_network(cls, network: Network) -> "ASIndex":
-        return cls([a.asn for a in network.ases])
-
-    def __len__(self) -> int:
-        return int(self.asns.shape[0])
-
-    def of(self, asn: int) -> int:
-        try:
-            return self._row[asn]
-        except KeyError:
-            raise ScaleError(f"unknown AS {asn}") from None
-
-    def rows_of(self, asn_values: np.ndarray) -> np.ndarray:
-        """Vectorized ASN -> row (values must all be indexed)."""
-        return np.searchsorted(self.asns, asn_values)
-
-
-def _edge_arrays(network: Network, index: ASIndex) -> Tuple[np.ndarray, ...]:
+def _edge_arrays(relations: RelationIndex) -> Tuple[np.ndarray, ...]:
     """Relationship edges as row arrays; rejects siblings and overlaps.
 
     Customer/provider rows are sorted by customer, then provider, and
-    directed peer rows by target, then source.
+    directed peer rows by target, then source (the index's own order).
+    The lowest-ASN offender is reported, a sibling first.
     """
-    cust_asns: List[int] = []
-    prov_asns: List[int] = []
-    peer_src: List[int] = []
-    peer_dst: List[int] = []
-    for autonomous in network.ases:
-        asn = autonomous.asn
-        if network.siblings_of(asn):
-            raise ScaleError(
-                f"AS {asn} has sibling relationships; the valley-free "
-                f"fast path supports customer/provider and peer edges only "
-                f"(use the scalar converge())")
-        providers, peers = network.providers_of(asn), network.peers_of(asn)
-        if providers & peers:
-            other = min(providers & peers)
-            pair = (min(asn, other), max(asn, other))
-            raise ScaleError(f"ASes {pair} carry two relationship kinds")
-        cust_asns += [asn] * len(providers)
-        prov_asns += sorted(providers)
-        # Directed: each peer announces to asn.
-        peer_src += sorted(peers)
-        peer_dst += [asn] * len(peers)
-    return tuple(index.rows_of(np.array(asns, dtype=np.int64))
-                 for asns in (cust_asns, prov_asns, peer_src, peer_dst))
+    asns = relations.index.asns
+    n = len(asns)
+    doubled = np.flatnonzero(isin_sorted(
+        relations.customer * n + relations.provider,
+        relations.peer_dst * n + relations.peer_src))
+    if relations.sibling_dst.size and (
+            doubled.size == 0
+            or relations.sibling_dst[0] <= relations.customer[doubled[0]]):
+        asn = int(asns[relations.sibling_dst[0]])
+        raise ScaleError(
+            f"AS {asn} has sibling relationships; the valley-free fast path "
+            f"supports customer/provider and peer edges only (use the "
+            f"scalar converge())")
+    if doubled.size:
+        pair = tuple(sorted((int(asns[relations.customer[doubled[0]]]),
+                             int(asns[relations.provider[doubled[0]]]))))
+        raise ScaleError(f"ASes {pair} carry two relationship kinds")
+    return (relations.customer, relations.provider, relations.peer_src,
+            relations.peer_dst)
 
 
 class RibArrays:
@@ -175,14 +148,19 @@ class RibArrays:
     least 1.
 
     ``edges`` are the ``(customer, provider, peer_src, peer_dst)`` row
-    arrays the RIB was converged over, and ``recomputed`` the number of
-    destination columns that convergence computed; both let the next
-    convergence reuse this one (see :func:`converge_valley_free`).
+    arrays the RIB was converged over, ``steps`` the provider phase's
+    pull steps over its customer/provider edges, ``customer_routes``
+    the ``(cells, keys)`` of every customer route (cell ``column * n_as +
+    row``, ascending), and ``recomputed`` the number of destination
+    columns that convergence computed; they let the next convergence
+    reuse this one (see :func:`converge_valley_free`).
     """
 
     def __init__(self, index: ASIndex, dest_asns: Sequence[int],
                  cls: np.ndarray, plen: np.ndarray, nhop: np.ndarray,
                  levels: int, edges: Tuple[np.ndarray, ...],
+                 steps: List[_Step],
+                 customer_routes: Tuple[np.ndarray, np.ndarray],
                  customer_levels: int, recomputed: int):
         self.index = index
         self.dest_asns = [int(d) for d in dest_asns]
@@ -192,6 +170,8 @@ class RibArrays:
         self.nhop = nhop.T
         self.levels = levels
         self.edges = edges
+        self.steps = steps
+        self.customer_routes = customer_routes
         self.customer_levels = customer_levels
         self.recomputed = recomputed
         self._transit: Optional[np.ndarray] = None
@@ -269,6 +249,16 @@ class RibArrays:
                 current = self.nhop[current, column]
         self._transit = load
         return load
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one sort (numpy 2's hashes first, which
+    is several times slower here; see
+    :func:`~tussle.netsim.topology.isin_sorted`)."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _depths(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -365,6 +355,20 @@ def _push(flat: np.ndarray, holders: np.ndarray, n: int,
     return fresh
 
 
+def _customer_block(customer_routes: Tuple[np.ndarray, np.ndarray],
+                    columns: np.ndarray,
+                    n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``customer_routes`` of ``columns`` as cells of a flattened
+    ``(columns, row)`` block, ascending, and their keys."""
+    cells, keys = customer_routes
+    first = np.searchsorted(cells, columns * n)
+    counts = np.searchsorted(cells, columns * n + n) - first
+    at = np.repeat(first - np.cumsum(counts) + counts, counts) \
+        + np.arange(counts.sum())
+    return np.repeat(np.arange(columns.size) * n, counts) + cells[at] % n, \
+        keys[at]
+
+
 def _pull(keys: np.ndarray, offers: np.ndarray, steps: List[_Step]) -> None:
     """Run ``steps`` over one block of ``(column, row)`` keys, in place.
 
@@ -413,16 +417,18 @@ def converge_valley_free(network: Network,
     ``previous`` is a RIB this function returned earlier.  When the
     ASes, the destination list and the customer/provider edges are all
     unchanged, only the columns where an endpoint of a changed directed
-    peer edge holds a customer route are recomputed, and an unchanged
-    graph returns ``previous`` itself.  Otherwise ``previous`` is
-    ignored and every column is converged.  Either way the result, and
-    its ``levels``, equal a fresh convergence's.
+    peer edge holds a customer route are recomputed, over
+    ``previous``'s customer routes and provider pull steps, and an
+    unchanged graph returns ``previous`` itself.  Otherwise ``previous``
+    is ignored and every column is converged.  Either way the result,
+    and its ``levels``, equal a fresh convergence's.
 
     Raises :class:`ScaleError` on sibling edges, doubly-related pairs
     and customer/provider cycles, which only the scalar ``converge()``
     handles.
     """
-    index = ASIndex.from_network(network)
+    relations = network.relation_index()
+    index = relations.index
     n = len(index)
     if n == 0:
         raise ScaleError("network has no ASes to route between")
@@ -434,17 +440,17 @@ def converge_valley_free(network: Network,
             raise ScaleError("destination ASes must be distinct")
     dest_rows = np.array([index.of(d) for d in dest_asns], dtype=np.int64)
     d = len(dest_asns)
-    edges = _edge_arrays(network, index)
+    edges = _edge_arrays(relations)
     cust_u, prov_p, peer_src, peer_dst = edges
 
     base = previous if previous is not None and _same_hierarchy(
         previous, index, dest_asns, edges) else None
     if base is not None:
         changed = np.setxor1d(base.edges[2] * n + base.edges[3],
-                              peer_src * n + peer_dst)
+                              peer_src * n + peer_dst, assume_unique=True)
         if changed.size == 0:
             return base
-        announcers = np.unique(changed // n)
+        announcers = _unique(changed // n)
         columns = np.flatnonzero(
             (base.cls.T[:, announcers] == CLASS_CUSTOMER).any(axis=1))
         # Copies of the destination-major planes: ``previous`` keeps its
@@ -452,6 +458,7 @@ def converge_valley_free(network: Network,
         cls, plen, nhop = (plane.T.copy()
                            for plane in (base.cls, base.plen, base.nhop))
         customer_levels = base.customer_levels
+        steps, customer_routes = base.steps, base.customer_routes
     else:
         height = _depths(n, cust_u, prov_p)
         if (height < 0).any():
@@ -463,38 +470,52 @@ def converge_valley_free(network: Network,
         columns = np.arange(d)
         cls = np.empty((d, n), dtype=np.int8)
         plen, nhop = (np.empty((d, n), dtype=np.int32) for _ in range(2))
-    up = _adjacency(cust_u, prov_p, n)
+        up = _adjacency(cust_u, prov_p, n)
+        steps = _phase(prov_p, cust_u, _depths(n, prov_p, cust_u),
+                       CLASS_PROVIDER)
     across = _adjacency(peer_src, peer_dst, n)
-    steps = _phase(prov_p, cust_u, _depths(n, prov_p, cust_u), CLASS_PROVIDER)
 
-    rows = np.arange(n)
+    found_cells = [np.zeros(0, dtype=np.int64)]
+    found_keys = [np.zeros(0, dtype=np.int64)]
     for start in range(0, columns.size, _BLOCK):
         cols = columns[start:start + _BLOCK]
+        keys = np.full((cols.size, n), _BIG, dtype=np.int64)
+        flat = keys.reshape(-1)
         if base is None:
-            keys = np.full((cols.size, n), _BIG, dtype=np.int64)
-            flat = keys.reshape(-1)
             reached = np.arange(cols.size) * n + dest_rows[cols]
             flat[reached] = dest_rows[cols]
             # Customer routes, one length at a time: a cell first
             # reached at this length is final.
+            held = [reached]
             while reached.size:
-                reached = np.unique(_push(flat, reached, n, up,
+                reached = _unique(_push(flat, reached, n, up,
                                           CLASS_CUSTOMER << _CLASS_SHIFT))
+                held.append(reached)
+            holders = np.concatenate(held)
+            found_cells.append(cols[holders // n] * n + holders % n)
+            found_keys.append(flat[holders])
         else:
             # Same customer/provider DAG: the customer routes carry over.
-            keys = np.where(cls[cols] == CLASS_CUSTOMER,
-                            (plen[cols].astype(np.int64) << 32) | nhop[cols],
-                            _BIG)
-            flat = keys.reshape(-1)
-        _push(flat, np.flatnonzero(flat != _BIG), n, across,
-              CLASS_PEER << _CLASS_SHIFT)
-        _pull(keys, _announce(keys, rows), steps)
+            holders, carried = _customer_block(customer_routes, cols, n)
+            flat[holders] = carried
+        routed = np.concatenate([holders, _push(flat, holders, n, across,
+                                                CLASS_PEER << _CLASS_SHIFT)])
+        # Only routed cells offer anything: the rest offer _BIG.
+        offers = np.full_like(keys, _BIG)
+        offers.reshape(-1)[routed] = _announce(flat[routed], routed % n)
+        _pull(keys, offers, steps)
         cls[cols], plen[cols], nhop[cols] = _unpack(keys)
 
     if base is None:
-        customer_levels = (int(plen[cls == CLASS_CUSTOMER].max()) + 1
+        cells = np.concatenate(found_cells)
+        order = np.argsort(cells)
+        customer_routes = (cells[order],
+                           np.concatenate(found_keys)[order])
+        # A customer route's key is its length << 32 | next hop.
+        customer_levels = (int(customer_routes[1].max() >> 32) + 1
                            if cust_u.size and d else 0)
     levels = (customer_levels + int(peer_src.size > 0)
               + int(np.count_nonzero(np.bincount(plen[cls == CLASS_PROVIDER]))))
     return RibArrays(index, dest_asns, cls, plen, nhop, max(levels, 1),
-                     edges, customer_levels, int(columns.size))
+                     edges, steps, customer_routes, customer_levels,
+                     int(columns.size))

@@ -136,6 +136,43 @@ class TestDegenerateInternets:
             dyn.depeer(1, 10)  # customer-provider, not peers
 
 
+class TestStaleHierarchy:
+    """Cones and candidate bargains are fixed at construction, so a
+    customer/provider edge or an AS added afterwards must stop the loop
+    instead of letting it bargain on the old hierarchy."""
+
+    @pytest.fixture
+    def settled(self):
+        network = generate_internet(
+            TopogenConfig(n_ases=120, router_detail="none"), seed=1)
+        dyn = PeeringDynamics(network, seed=1)
+        assert dyn.run().verdict == "fixed-point"
+        return dyn
+
+    def test_new_customer_provider_edge_is_refused(self, settled):
+        network = settled.network
+        stub = min(a.asn for a in network.ases if a.tier == 3)
+        transit = min(a.asn for a in network.ases if a.tier == 2
+                      and network.relationship(stub, a.asn) is None)
+        network.add_as_relationship(stub, transit,
+                                    Relationship.CUSTOMER_PROVIDER)
+        # The cone the dynamics holds no longer matches the graph.
+        assert not (customer_cones(network)[transit]
+                    == settled._cones[transit]).all()
+        with pytest.raises(PeeringError, match="hierarchy changed"):
+            settled.run()
+
+    def test_new_as_is_refused(self, settled):
+        settled.network.add_as(10**6, tier=3)
+        with pytest.raises(PeeringError, match="hierarchy changed"):
+            settled.reconverge()
+
+    def test_peer_changes_are_the_loops_own(self, settled):
+        pair = next(p for p in settled._peer_pairs() if settled._mutable(p))
+        settled.depeer(*pair)
+        assert settled.run().verdict == "fixed-point"
+
+
 class TestDepeeredLinkStaysDown:
     @pytest.fixture(scope="class")
     def war(self):
