@@ -18,7 +18,8 @@ import os
 from tussle.experiments import ALL_EXPERIMENTS
 from tussle.experiments.common import canonical_json
 from tussle.obs import Profiler
-from tussle.sweep import ResilientExecutor, SweepSpec, aggregate, run_sweep
+from tussle.sweep import ResilientExecutor, SweepSpec, run_sweep
+from tussle.sweep.aggregate import aggregate
 
 #: Worker counts exercised, in recorded order.
 JOB_COUNTS = (1, 2, 4)

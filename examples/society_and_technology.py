@@ -15,12 +15,8 @@ Run:  python examples/society_and_technology.py
 
 import numpy as np
 
-from tussle.actornet import (
-    ChurnSimulation,
-    collide,
-    durability,
-    seed_internet_network,
-)
+from tussle.actornet import ChurnSimulation, collide, seed_internet_network
+from tussle.actornet.durability import durability
 from tussle.experiments.x05_collision import (
     build_internet_side,
     build_telephone_side,

@@ -9,8 +9,9 @@ post-mortem in the paper becomes a runnable experiment.
 
 ``import tussle`` loads only the error taxonomy (:mod:`tussle.errors`,
 re-exported here). Each subpackage loads when it is itself imported
-(``import tussle.core``, ``from tussle import obs``), so a run pays only
-for the machinery it uses.
+(``import tussle.core``, ``from tussle import obs``), and a subpackage's
+module loads only when one of its names is first read
+(:mod:`tussle._lazy`), so a run pays only for the machinery it uses.
 
 Subpackages
 -----------

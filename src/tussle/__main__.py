@@ -267,7 +267,8 @@ def _command_sweep(ids: Sequence[str], seeds: int, jobs: int,
     from .obs import Profiler, SweepTelemetry
     from .resil import WorkerChaos
     from .sweep import (ResilientExecutor, ResultCache, StreamingAggregator,
-                        SweepSpec, aggregate, run_sweep)
+                        SweepSpec, run_sweep)
+    from .sweep.aggregate import aggregate
 
     spec = SweepSpec(
         experiment_ids=_select(ids),

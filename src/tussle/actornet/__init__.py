@@ -5,18 +5,13 @@ them, durability/changeability/freezing metrics, entrant churn, and the
 collision of two networks.
 """
 
-from .actors import DEFAULT_VALUE_DIMS, Actor, ActorKind
-from .network import ActorNetwork, Commitment
-from .alignment import AlignmentConfig, AlignmentDynamics
-from .durability import changeability, durability, is_frozen
-from .churn import ChurnRecord, ChurnSimulation, seed_internet_network
-from .collision import CollisionResult, collide, merge_networks
+from .._lazy import exports
 
-__all__ = [
-    "DEFAULT_VALUE_DIMS", "Actor", "ActorKind",
-    "ActorNetwork", "Commitment",
-    "AlignmentConfig", "AlignmentDynamics",
-    "changeability", "durability", "is_frozen",
-    "ChurnRecord", "ChurnSimulation", "seed_internet_network",
-    "CollisionResult", "collide", "merge_networks",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    ".actors": ("DEFAULT_VALUE_DIMS", "Actor", "ActorKind"),
+    ".network": ("ActorNetwork", "Commitment"),
+    ".alignment": ("AlignmentConfig", "AlignmentDynamics"),
+    ".durability": ("changeability", "is_frozen"),
+    ".churn": ("ChurnRecord", "ChurnSimulation", "seed_internet_network"),
+    ".collision": ("CollisionResult", "collide", "merge_networks"),
+})

@@ -6,39 +6,18 @@ isolation and rigidity) as metrics, spillover measurement, coupled spaces
 and the design guidelines.
 """
 
-from .stakeholders import Interest, Stakeholder, StakeholderKind
-from .mechanisms import Mechanism, Move, MoveKind
-from .tussle import TussleSpace
-from .design import Design, Function, Interface, Module
-from .principles import isolation_score, rigidity
-from .spillover import (
-    DnsScenarioResult,
-    SpilloverReport,
-    dns_spillover,
-    spillover_from_event,
-)
-from .simulator import RoundRecord, TussleOutcome, TussleSimulator
-from .coupling import MultiSpaceResult, MultiSpaceSimulator, SpaceRecord
-from .guidelines import (
-    GUIDELINES,
-    ApplicationDesign,
-    Finding,
-    Guideline,
-    Severity,
-    audit,
-    tussle_readiness_grade,
-)
+from .._lazy import exports
 
-__all__ = [
-    "Interest", "Stakeholder", "StakeholderKind",
-    "Mechanism", "Move", "MoveKind",
-    "TussleSpace",
-    "Design", "Function", "Interface", "Module",
-    "isolation_score", "rigidity",
-    "DnsScenarioResult", "SpilloverReport", "dns_spillover",
-    "spillover_from_event",
-    "RoundRecord", "TussleOutcome", "TussleSimulator",
-    "GUIDELINES", "ApplicationDesign", "Finding", "Guideline", "Severity",
-    "audit", "tussle_readiness_grade",
-    "MultiSpaceResult", "MultiSpaceSimulator", "SpaceRecord",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    ".stakeholders": ("Interest", "Stakeholder", "StakeholderKind"),
+    ".mechanisms": ("Mechanism", "Move", "MoveKind"),
+    ".tussle": ("TussleSpace",),
+    ".design": ("Design", "Function", "Interface", "Module"),
+    ".principles": ("isolation_score", "rigidity"),
+    ".spillover": ("DnsScenarioResult", "SpilloverReport", "dns_spillover",
+                   "spillover_from_event"),
+    ".simulator": ("RoundRecord", "TussleOutcome", "TussleSimulator"),
+    ".coupling": ("MultiSpaceResult", "MultiSpaceSimulator", "SpaceRecord"),
+    ".guidelines": ("GUIDELINES", "ApplicationDesign", "Finding", "Guideline",
+                    "Severity", "audit", "tussle_readiness_grade"),
+})

@@ -7,36 +7,17 @@ market, market concentration, the fear-and-greed investment model and the
 two-layer broadband facilities market.
 """
 
-from .agents import Consumer, Provider
-from .demand import Segment, UniformWtp, WtpDistribution
-from .pricing import (
-    MonopolyPricing,
-    PricingStrategy,
-    UndercutPricing,
-    ValuePricingStrategy,
-)
-from .market import Market, MarketRound
-from .competition import herfindahl_index
-from .investment import (
-    DeploymentChoice,
-    InvestmentModel,
-    QosFactorial,
-    qos_deployment_game,
-)
-from .accesstech import (
-    AccessRegime,
-    Facility,
-    build_access_market,
-    build_service_providers,
-)
+from .._lazy import exports
 
-__all__ = [
-    "Consumer", "Provider",
-    "Segment", "UniformWtp", "WtpDistribution",
-    "MonopolyPricing", "PricingStrategy", "UndercutPricing",
-    "ValuePricingStrategy",
-    "Market", "MarketRound",
-    "herfindahl_index",
-    "DeploymentChoice", "InvestmentModel", "QosFactorial", "qos_deployment_game",
-    "AccessRegime", "Facility", "build_access_market", "build_service_providers",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    ".agents": ("Consumer", "Provider"),
+    ".demand": ("Segment", "UniformWtp", "WtpDistribution"),
+    ".pricing": ("MonopolyPricing", "PricingStrategy", "UndercutPricing",
+                 "ValuePricingStrategy"),
+    ".market": ("Market", "MarketRound"),
+    ".competition": ("herfindahl_index",),
+    ".investment": ("DeploymentChoice", "InvestmentModel", "QosFactorial",
+                    "qos_deployment_game"),
+    ".accesstech": ("AccessRegime", "Facility", "build_access_market",
+                    "build_service_providers"),
+})

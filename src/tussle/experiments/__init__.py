@@ -3,36 +3,13 @@
 Each ``run_eNN`` returns an
 :class:`~tussle.experiments.common.ExperimentResult` holding printable
 tables and explicit shape checks against the paper's qualitative claims.
+
+``ALL_EXPERIMENTS`` maps an experiment id to its ``run_*`` function and
+imports that experiment's module on the first lookup; ``in``, ``len``
+and iteration import nothing, so a run loads only what it names.
 """
 
-from .common import ExperimentResult, ShapeCheck, Table
-from .e01_lockin import run_e01
-from .e02_value_pricing import run_e02
-from .e03_broadband import run_e03
-from .e04_routing_control import run_e04
-from .e05_firewalls import run_e05
-from .e06_identity import run_e06
-from .e07_qos import run_e07
-from .e08_tussle_isolation import run_e08
-from .e09_rigidity import run_e09
-from .e10_freezing import run_e10
-from .e11_encryption import run_e11
-from .e12_game_taxonomy import run_e12
-from .x01_multicast import run_x01
-from .x02_policy_authority import run_x02
-from .x03_mail_choice import run_x03
-from .x04_coupled_spaces import run_x04
-from .x05_collision import run_x05
-from .x06_qos_binding import run_x06
-from .x07_transparency_failures import run_x07
-from .r01_fault_blame import run_r01
-from .r02_retry_recovery import run_r02
-from .n01_substrate import run_n01
-from .p01_paid_peering import run_p01
-from .p02_depeering_war import run_p02
-from .t01_topo_choice import run_t01
-from .t02_topo_blame import run_t02
-from ..scale.large import run_l01, run_l02
+from .._lazy import Registry, exports
 
 #: The twelve paper-claim experiments plus extension experiments
 #: (X01 multicast exercise, X02 policy-authority ablation, X03 mail
@@ -45,45 +22,37 @@ from ..scale.large import run_l01, run_l02
 #: ``tussle.topogen`` internets, and the peering-economics experiments
 #: (P01 paid-peering dispute, P02 depeering war) driving the
 #: ``tussle.peering`` bargaining/routing fixed-point loop.
-ALL_EXPERIMENTS = {
-    "E01": run_e01,
-    "E02": run_e02,
-    "E03": run_e03,
-    "E04": run_e04,
-    "E05": run_e05,
-    "E06": run_e06,
-    "E07": run_e07,
-    "E08": run_e08,
-    "E09": run_e09,
-    "E10": run_e10,
-    "E11": run_e11,
-    "E12": run_e12,
-    "X01": run_x01,
-    "X02": run_x02,
-    "X03": run_x03,
-    "X04": run_x04,
-    "X05": run_x05,
-    "X06": run_x06,
-    "X07": run_x07,
-    "L01": run_l01,
-    "L02": run_l02,
-    "R01": run_r01,
-    "R02": run_r02,
-    "N01": run_n01,
-    "T01": run_t01,
-    "T02": run_t02,
-    "P01": run_p01,
-    "P02": run_p02,
-}
+ALL_EXPERIMENTS = Registry(__name__, {
+    "E01": ".e01_lockin:run_e01",
+    "E02": ".e02_value_pricing:run_e02",
+    "E03": ".e03_broadband:run_e03",
+    "E04": ".e04_routing_control:run_e04",
+    "E05": ".e05_firewalls:run_e05",
+    "E06": ".e06_identity:run_e06",
+    "E07": ".e07_qos:run_e07",
+    "E08": ".e08_tussle_isolation:run_e08",
+    "E09": ".e09_rigidity:run_e09",
+    "E10": ".e10_freezing:run_e10",
+    "E11": ".e11_encryption:run_e11",
+    "E12": ".e12_game_taxonomy:run_e12",
+    "X01": ".x01_multicast:run_x01",
+    "X02": ".x02_policy_authority:run_x02",
+    "X03": ".x03_mail_choice:run_x03",
+    "X04": ".x04_coupled_spaces:run_x04",
+    "X05": ".x05_collision:run_x05",
+    "X06": ".x06_qos_binding:run_x06",
+    "X07": ".x07_transparency_failures:run_x07",
+    "L01": "..scale.large:run_l01",
+    "L02": "..scale.large:run_l02",
+    "R01": ".r01_fault_blame:run_r01",
+    "R02": ".r02_retry_recovery:run_r02",
+    "N01": ".n01_substrate:run_n01",
+    "T01": ".t01_topo_choice:run_t01",
+    "T02": ".t02_topo_blame:run_t02",
+    "P01": ".p01_paid_peering:run_p01",
+    "P02": ".p02_depeering_war:run_p02",
+})
 
-__all__ = [
-    "ExperimentResult", "ShapeCheck", "Table", "ALL_EXPERIMENTS",
-    "run_e01", "run_e02", "run_e03", "run_e04", "run_e05", "run_e06",
-    "run_e07", "run_e08", "run_e09", "run_e10", "run_e11", "run_e12",
-    "run_x01", "run_x02", "run_x03", "run_x04", "run_x05", "run_x06", "run_x07",
-    "run_l01", "run_l02",
-    "run_r01", "run_r02",
-    "run_n01",
-    "run_t01", "run_t02",
-    "run_p01", "run_p02",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    ".common": ("ExperimentResult", "ShapeCheck", "Table"),
+}, ALL_EXPERIMENTS)

@@ -37,11 +37,12 @@ rule list and the blessed idioms each rule steers toward.
 from .engine import LintReport, collect_files, find_repo_root, run_lint
 from .findings import RULE_REGISTRY, Finding, Rule, rule_ids
 
-# Importing the rule modules registers their rules.  The dynamic
-# seedcheck harness is intentionally NOT imported here: it pulls in the
-# whole experiments package, and `python -m tussle.lint.seedcheck` must
-# be able to execute the module fresh.  Import tussle.lint.seedcheck
-# directly when you need it.
+# Importing the rule modules registers their rules, so this package
+# keeps its eager imports.  The dynamic seedcheck harness is
+# intentionally NOT imported here: `python -m tussle.lint.seedcheck`
+# must be able to execute the module fresh (runpy warns when it is
+# already imported).  Import tussle.lint.seedcheck directly when you
+# need it.
 from . import api, conformance, determinism  # noqa: F401  isort: skip
 
 __all__ = [

@@ -4,7 +4,8 @@ Two invariants keep the package's error handling and import surface
 honest: every exception raised by the framework derives from the
 :mod:`tussle.errors` taxonomy (so callers can catch ``TussleError``
 without masking programming errors), and every name exported via
-``__all__`` actually exists in its module.
+``__all__`` or a lazy table (:mod:`tussle._lazy`) actually exists in
+the module it names.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import ast
 import builtins
 from typing import Dict, List, Optional, Set
 
-from .context import ModuleInfo, ProjectContext, dotted_name
+from .context import ProjectContext, dotted_name, module_dotted_name
 from .findings import Finding, Rule, register_rule
 
 __all__ = ["check_api_invariants", "API_RULES"]
@@ -27,9 +28,10 @@ X301 = register_rule(Rule(
 ))
 X302 = register_rule(Rule(
     "X302", "dunder-all-accurate",
-    "__all__ entries must name objects defined in the module",
+    "__all__ and lazy-table entries must name objects defined in the module",
     "A stale __all__ breaks `from module import *` and misleads readers "
-    "about the public surface.",
+    "about the public surface; a stale lazy-table entry fails only when "
+    "a caller first reads the name.",
 ))
 
 API_RULES = (X301, X302)
@@ -41,6 +43,7 @@ _ALLOWED_BUILTIN_RAISES = {
     "StopIteration", "StopAsyncIteration", "GeneratorExit",
     "SystemExit",            # CLI exit paths
     "KeyboardInterrupt",
+    "ImportError",           # a package whose export table is inconsistent
 }
 
 _TAXONOMY_ROOT = "TussleError"
@@ -100,16 +103,28 @@ def _is_builtin_exception(name: str) -> bool:
 def check_api_invariants(context: ProjectContext) -> List[Finding]:
     findings: List[Finding] = []
     hierarchy = _class_bases(context)
+    by_module = {module_dotted_name(info.path): info
+                 for info in context.modules}
+    defined_in: Dict[str, Set[str]] = {}
 
     for info in context.modules:
         path = str(info.path)
 
-        # X301 — exception taxonomy.
+        # X301 — exception taxonomy.  ``hasattr``, ``getattr`` with a
+        # default and ``from package import submodule`` expect a
+        # ``__getattr__`` to raise AttributeError: that is the protocol.
+        in_getattr = {
+            id(node) for fn in ast.walk(info.tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and fn.name == "__getattr__"
+            for node in ast.walk(fn) if isinstance(node, ast.Raise)
+        }
         for node in ast.walk(info.tree):
             if not isinstance(node, ast.Raise):
                 continue
             name = _raised_class_name(node)
-            if name is None or name in _ALLOWED_BUILTIN_RAISES:
+            if (name is None or name in _ALLOWED_BUILTIN_RAISES
+                    or (name == "AttributeError" and id(node) in in_getattr)):
                 continue
             if _is_builtin_exception(name):
                 findings.append(Finding(
@@ -125,6 +140,20 @@ def check_api_invariants(context: ProjectContext) -> List[Finding]:
             # Names that resolve to neither (exception instances bound to
             # variables, imported third-party classes) are skipped: the
             # analyzer only reports what it can prove.
+
+        # X302 — a lazy-table entry is the import it replaces.
+        for entry in info.table_entries():
+            source = by_module.get(entry.module)
+            if source is None:
+                continue  # outside the scan: nothing to check against
+            if entry.module not in defined_in:
+                defined_in[entry.module] = source.top_level_defined_names()
+            if entry.name not in defined_in[entry.module]:
+                findings.append(Finding(
+                    X302.rule_id, path, entry.line, 1,
+                    f"the lazy table exports `{entry.name}` from "
+                    f"`{entry.module}`, which never defines it",
+                ))
 
         # X302 — __all__ accuracy.
         exported = info.dunder_all()

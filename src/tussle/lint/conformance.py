@@ -60,6 +60,8 @@ def _experiment_modules(context: ProjectContext) -> List[ModuleInfo]:
         and node.module is not None
         and any(alias.name.startswith("run_") for alias in node.names)
     }
+    imported.update(entry.module.rsplit(".", 1)[-1]
+                    for entry in init.table_entries() if entry.registry)
     return [info for info in context.modules
             if info.path.parent == init.path.parent
             and (info.path.stem in imported or _defines_run_entry(info))]
@@ -92,15 +94,20 @@ def _returns_experiment_result(fn: ast.FunctionDef) -> bool:
 
 
 def _registered_run_names(context: ProjectContext) -> Optional[Set[str]]:
-    """Function names registered in ALL_EXPERIMENTS, from the package __init__."""
+    """Function names registered in ALL_EXPERIMENTS, from the package __init__:
+    a registry table's entries, or a dict literal of imported functions."""
     init = context.module_by_relpath("experiments/__init__.py")
     if init is None:
         return None
     for node in ast.walk(init.tree):
-        if (isinstance(node, ast.Assign)
+        if not (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "ALL_EXPERIMENTS"
-                        for t in node.targets)
-                and isinstance(node.value, ast.Dict)):
+                        for t in node.targets)):
+            continue
+        if isinstance(node.value, ast.Call):
+            return {entry.name for entry in init.table_entries()
+                    if entry.registry}
+        if isinstance(node.value, ast.Dict):
             names: Set[str] = set()
             for value in node.value.values:
                 name = dotted_name(value)

@@ -22,6 +22,10 @@ from ..errors import LintError
 __all__ = [
     "ModuleInfo",
     "ProjectContext",
+    "TableEntry",
+    "absolute_module",
+    "lazy_entries",
+    "module_dotted_name",
     "parse_module",
     "dotted_name",
     "resolve_call_name",
@@ -152,6 +156,12 @@ class ModuleInfo:
                             names.update(_target_names(target))
         return names
 
+    def table_entries(self) -> List["TableEntry"]:
+        """The lazy-table entries of a package ``__init__`` (else none)."""
+        if self.path.stem != "__init__":
+            return []
+        return lazy_entries(self.tree, module_dotted_name(self.path))
+
     def dunder_all(self) -> Optional[Tuple[List[str], int]]:
         """The literal entries of ``__all__`` and the first definition line.
 
@@ -183,6 +193,104 @@ class ModuleInfo:
         if first_line is None:
             return None
         return entries, first_line
+
+
+def module_dotted_name(path: Path) -> str:
+    """Canonical dotted module name, walking up through ``__init__.py``.
+
+    ``src/tussle/econ/market.py`` -> ``tussle.econ.market`` regardless of
+    the scan root; a loose file in a package-less directory is just its
+    stem.
+    """
+    parts = [] if path.stem == "__init__" else [path.stem]
+    current = path.parent
+    while (current / "__init__.py").is_file():
+        parts.append(current.name)
+        parent = current.parent
+        if parent == current:
+            break
+        current = parent
+    return ".".join(reversed(parts)) or path.stem
+
+
+def absolute_module(text: str, module: str, is_package: bool) -> str:
+    """The absolute dotted name of ``text`` as ``from <text> import`` reads
+    it inside ``module``.
+
+    ``..errors`` in ``tussle.econ.market`` is ``tussle.errors``; in a
+    package ``__init__`` one leading dot already names the package.
+    """
+    level = len(text) - len(text.lstrip("."))
+    if not level:
+        return text
+    drop = level - (1 if is_package else 0)
+    own_parts = module.split(".")
+    base_parts = own_parts[:-drop] if drop else own_parts
+    rest = text[level:]
+    return ".".join(base_parts + ([rest] if rest else []))
+
+
+@dataclass(frozen=True)
+class TableEntry:
+    """One entry of a lazy table (:mod:`tussle._lazy`), read as the
+    ``from module import name`` it replaces."""
+
+    #: The name the package exports, or the registry key.
+    key: str
+    #: Absolute dotted module the entry loads.
+    module: str
+    #: The attribute of ``module`` the entry resolves to.
+    name: str
+    line: int
+    #: A registry entry: its lookup imports ``module``, where an export
+    #: entry is a re-export that loads only when the name is read.
+    registry: bool
+
+
+def lazy_entries(tree: ast.Module, package: str) -> List[TableEntry]:
+    """Every lazy-table entry of the package ``__init__`` parsed as ``tree``.
+
+    Reads both table forms: an export table,
+    ``exports(__name__, {".module": ("name", ...)}[, registry])``, and a
+    registry, ``Registry(__name__, {"key": ".module:function"})``.  Each is
+    a module-level call with ``__name__`` and a literal dict; a registry
+    named as the export table's third argument exports its functions.
+    """
+    entries: List[TableEntry] = []
+    registries: Dict[str, List[TableEntry]] = {}
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
+            continue
+        args = node.value.args
+        if not (len(args) >= 2 and isinstance(args[0], ast.Name)
+                and args[0].id == "__name__" and isinstance(args[1], ast.Dict)):
+            continue
+        rows: List[TableEntry] = []
+        for key, value in zip(args[1].keys, args[1].values):
+            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
+                continue
+            if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                module, _, name = value.value.partition(":")
+                rows.append(TableEntry(key.value,
+                                       absolute_module(module, package, True),
+                                       name, key.lineno, True))
+            elif isinstance(value, (ast.Tuple, ast.List)):
+                module = absolute_module(key.value, package, True)
+                rows.extend(TableEntry(element.value, module, element.value,
+                                       element.lineno, False)
+                            for element in value.elts
+                            if isinstance(element, ast.Constant)
+                            and isinstance(element.value, str))
+        for arg in args[2:]:
+            if isinstance(arg, ast.Name):
+                rows.extend(TableEntry(row.name, row.module, row.name,
+                                       row.line, False)
+                            for row in registries.get(arg.id, ()))
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                registries[target.id] = [row for row in rows if row.registry]
+        entries.extend(rows)
+    return entries
 
 
 def _target_names(target: ast.expr) -> Set[str]:

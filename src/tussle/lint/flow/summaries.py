@@ -48,14 +48,14 @@ import builtins
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
-from ..context import dotted_name
+from ..context import (absolute_module, dotted_name, lazy_entries,
+                       module_dotted_name)
 
 __all__ = [
     "RNG_CTORS",
     "SEED_DERIVATION_FNS",
     "extract_summary",
     "import_base",
-    "module_dotted_name",
     "is_seedlike",
 ]
 
@@ -86,24 +86,6 @@ def is_seedlike(identifier: str) -> bool:
     return _SEED_FRAGMENT in identifier.lower()
 
 
-def module_dotted_name(path: Path) -> str:
-    """Canonical dotted module name, walking up through ``__init__.py``.
-
-    ``src/tussle/econ/market.py`` -> ``tussle.econ.market`` regardless of
-    the scan root; a loose file in a package-less directory is just its
-    stem.
-    """
-    parts = [] if path.stem == "__init__" else [path.stem]
-    current = path.parent
-    while (current / "__init__.py").is_file():
-        parts.append(current.name)
-        parent = current.parent
-        if parent == current:
-            break
-        current = parent
-    return ".".join(reversed(parts)) or path.stem
-
-
 def import_base(node: ast.ImportFrom, module: str, is_package: bool) -> str:
     """The absolute dotted module a ``from ... import`` in ``module`` reads.
 
@@ -111,13 +93,8 @@ def import_base(node: ast.ImportFrom, module: str, is_package: bool) -> str:
     ``tussle.errors``; in a package ``__init__`` one leading dot already
     names the package itself.
     """
-    if not node.level:
-        return node.module or ""
-    # Relative: strip (level - (1 if package else 0)) tails.
-    drop = node.level - (1 if is_package else 0)
-    own_parts = module.split(".")
-    base_parts = own_parts[:-drop] if drop else own_parts
-    return ".".join(base_parts + ([node.module] if node.module else []))
+    return absolute_module("." * node.level + (node.module or ""), module,
+                           is_package)
 
 
 def _resolve_import_table(tree: ast.Module, module: str,
@@ -705,10 +682,15 @@ def extract_summary(path: Path, tree: ast.Module) -> Dict[str, Any]:
         mx._walk_expr(decorator)
     functions.append(mx.summary())
 
+    # A registry table's functions run whenever the registry is looked up.
+    registry = ([f"{entry.module}.{entry.name}"
+                 for entry in lazy_entries(tree, module) if entry.registry]
+                if path.stem == "__init__" else [])
     return {
         "module": module,
         "path": str(path),
         "functions": functions,
         "classes": classes,
         "mutable_globals": sorted(set(mutable_globals)),
+        "registry": registry,
     }

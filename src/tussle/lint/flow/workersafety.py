@@ -8,9 +8,10 @@ unpicklable may cross the executor boundary (lambdas and nested
 functions pickle under *fork* but die under *spawn*).
 
 Reachability starts from the executor entry points plus every
-experiment ``run_*`` function: ``run_cell`` dispatches through the
-``ALL_EXPERIMENTS`` registry dynamically, so the call graph cannot see
-those edges and we add them synthetically.
+experiment ``run_*`` function and every function a registry table
+names: ``run_cell`` dispatches through the ``ALL_EXPERIMENTS`` registry
+dynamically, so the call graph cannot see those edges and we add them
+synthetically.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ def worker_entries(program: Program) -> List[str]:
         if qual.startswith("tussle.experiments.") and \
                 qual.rsplit(".", 1)[-1].startswith("run_"):
             entries.append(qual)
+    for module in sorted(program.modules):
+        entries.extend(qual for qual in program.modules[module]["registry"]
+                       if qual in program.functions and qual not in entries)
     return entries
 
 

@@ -11,9 +11,13 @@ modules:
   ``__init__`` to the module that defines it;
 * reaching a module reaches its enclosing packages, and a reached
   package reaches the submodules its ``__init__`` imports *as modules*
-  (``from . import api, conformance, determinism``);
-* the other imports of an ``__init__`` count only once an importer uses
-  a name the ``__init__`` defines itself (``ALL_EXPERIMENTS``).
+  (``from . import api, conformance, determinism``) and the modules
+  outside itself that it imports (the lazy-export helper);
+* a lazy export table entry (:mod:`tussle._lazy`) is the re-export it
+  replaces, ``from .module import name``;
+* the other imports of an ``__init__``, and the modules its registry
+  table names, count only once an importer uses a name the ``__init__``
+  defines itself (``ALL_EXPERIMENTS``).
 
 Every non-``__init__`` module left unreached is reported.  A scan with no
 entry point among its files reports nothing.
@@ -24,9 +28,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .context import ProjectContext
+from .context import ProjectContext, module_dotted_name
 from .findings import Finding, Rule, register_rule
-from .flow.summaries import import_base, module_dotted_name
+from .flow.summaries import import_base
 
 __all__ = ["check_reachability"]
 
@@ -72,6 +76,7 @@ def check_reachability(context: ProjectContext) -> List[Finding]:
     packages = {name for name, info in infos.items()
                 if info.path.stem == "__init__"}
     edges: Dict[str, List[_Target]] = {}
+    registered: Dict[str, List[_Target]] = {}
     exported: Dict[str, Dict[str, _Target]] = {}
     for name, info in infos.items():
         is_package = name in packages
@@ -79,6 +84,15 @@ def check_reachability(context: ProjectContext) -> List[Finding]:
                        _targets(ast.walk(info.tree), name, is_package)]
         if is_package:
             exported[name] = dict(_targets(iter(info.tree.body), name, True))
+            for entry in info.table_entries():
+                target = (entry.module, entry.name)
+                if entry.registry:
+                    registered.setdefault(name, []).append(target)
+                else:
+                    exported[name][entry.key] = target
+
+    def outside(target: _Target, package: str) -> bool:
+        return not (target[0] + ".").startswith(package + ".")
 
     def as_module(target: _Target) -> Optional[str]:
         base, name = target
@@ -117,12 +131,16 @@ def check_reachability(context: ProjectContext) -> List[Finding]:
                      for cut in range(1, len(parts))
                      if ".".join(parts[:cut]) in packages)
         if full:
-            stack.extend(filter(None, (resolve(target, set())
-                                       for target in edges[name])))
+            stack.extend(filter(None, (
+                resolve(target, set())
+                for target in edges[name] + registered.get(name, []))))
         else:
             stack.extend((module, module not in packages)
                          for module in map(as_module, edges[name])
                          if module is not None)
+            stack.extend(filter(None, (resolve(target, set())
+                                       for target in edges[name]
+                                       if outside(target, name))))
 
     return [
         Finding(X305.rule_id, str(info.path), 1, 1,

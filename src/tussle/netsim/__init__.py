@@ -7,84 +7,25 @@ forwarding engine, a name system, QoS classifiers, mail and fault
 reports.
 """
 
-from .topology import (
-    ASNode,
-    Link,
-    Network,
-    Node,
-    NodeKind,
-    Relationship,
-    dumbbell_topology,
-    line_topology,
-    multihomed_topology,
-    random_as_graph,
-    star_topology,
-)
-from .addressing import (
-    AddressBlock,
-    AddressRegistry,
-    AddressingMode,
-    RenumberingModel,
-)
-from .packets import Header, Packet, Protocol, WELL_KNOWN_PORTS, make_packet, port_for_app
-from .middlebox import (
-    Action,
-    BlanketFirewall,
-    Middlebox,
-    PortFilterFirewall,
-    Redirector,
-    TransparencyLedger,
-    Verdict,
-    Wiretap,
-)
-from .forwarding import DeliveryReceipt, DeliveryStatus, ForwardingEngine
-from .dns import (
-    DisputeOutcome,
-    EntangledNameSystem,
-    NameSystem,
-    SeparatedNameSystem,
-    TrademarkDispute,
-)
-from .faults import Audience, FaultReport, FaultReporter
-from .qos import (
-    PRIORITY_TOS,
-    PortQosClassifier,
-    QosClassifier,
-    QosScheduler,
-    TosQosClassifier,
-)
-from .mail import (
-    MailOutcome,
-    MailServer,
-    MailSystem,
-    MailUser,
-    build_mail_topology,
-    server_market_discipline,
-)
+from .._lazy import exports
 
-__all__ = [
-    # topology
-    "ASNode", "Link", "Network", "Node", "NodeKind", "Relationship",
-    "dumbbell_topology", "line_topology", "multihomed_topology",
-    "random_as_graph", "star_topology",
-    # addressing
-    "AddressBlock", "AddressRegistry", "AddressingMode", "RenumberingModel",
-    # packets
-    "Header", "Packet", "Protocol", "WELL_KNOWN_PORTS", "make_packet", "port_for_app",
-    # middleboxes
-    "Action", "BlanketFirewall", "Middlebox", "PortFilterFirewall",
-    "Redirector", "TransparencyLedger", "Verdict", "Wiretap",
-    # forwarding
-    "DeliveryReceipt", "DeliveryStatus", "ForwardingEngine",
-    # dns
-    "DisputeOutcome", "EntangledNameSystem", "NameSystem",
-    "SeparatedNameSystem", "TrademarkDispute",
-    # faults
-    "Audience", "FaultReport", "FaultReporter",
-    # qos
-    "PRIORITY_TOS", "PortQosClassifier", "QosClassifier",
-    "QosScheduler", "TosQosClassifier",
-    # mail
-    "MailOutcome", "MailServer", "MailSystem", "MailUser",
-    "build_mail_topology", "server_market_discipline",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    ".topology": ("ASNode", "Link", "Network", "Node", "NodeKind",
+                  "Relationship", "dumbbell_topology", "line_topology",
+                  "multihomed_topology", "random_as_graph", "star_topology"),
+    ".addressing": ("AddressBlock", "AddressRegistry", "AddressingMode",
+                    "RenumberingModel"),
+    ".packets": ("Header", "Packet", "Protocol", "WELL_KNOWN_PORTS",
+                 "make_packet", "port_for_app"),
+    ".middlebox": ("Action", "BlanketFirewall", "Middlebox",
+                   "PortFilterFirewall", "Redirector", "TransparencyLedger",
+                   "Verdict", "Wiretap"),
+    ".forwarding": ("DeliveryReceipt", "DeliveryStatus", "ForwardingEngine"),
+    ".dns": ("DisputeOutcome", "EntangledNameSystem", "NameSystem",
+             "SeparatedNameSystem", "TrademarkDispute"),
+    ".faults": ("Audience", "FaultReport", "FaultReporter"),
+    ".qos": ("PRIORITY_TOS", "PortQosClassifier", "QosClassifier",
+             "QosScheduler", "TosQosClassifier"),
+    ".mail": ("MailOutcome", "MailServer", "MailSystem", "MailUser",
+              "build_mail_topology", "server_market_discipline"),
+})

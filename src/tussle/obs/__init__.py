@@ -31,26 +31,15 @@ Analyze a trace with ``python -m tussle.obs report trace.jsonl``; gate
 the perf ledger with ``python -m tussle.obs perf --check``.
 """
 
-from .diff import Divergence, diff_files, first_divergence, format_divergence
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    Metrics,
-    MetricsScope,
-    NullMetrics,
-)
-from .profiler import NullProfiler, Profiler
-from .runtime import ObsContext, current, observe
-from .telemetry import NullSweepTelemetry, SweepTelemetry, wall_path_for
-from .tracer import NullTracer, Span, Tracer
+from .._lazy import exports
 
-__all__ = [
-    "Counter", "Gauge", "Histogram", "Metrics", "MetricsScope",
-    "NullMetrics",
-    "NullProfiler", "Profiler",
-    "ObsContext", "current", "observe",
-    "NullTracer", "Span", "Tracer",
-    "NullSweepTelemetry", "SweepTelemetry", "wall_path_for",
-    "Divergence", "diff_files", "first_divergence", "format_divergence",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    ".diff": ("Divergence", "diff_files", "first_divergence",
+              "format_divergence"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "Metrics", "MetricsScope",
+                 "NullMetrics"),
+    ".profiler": ("NullProfiler", "Profiler"),
+    ".runtime": ("ObsContext", "current", "observe"),
+    ".telemetry": ("NullSweepTelemetry", "SweepTelemetry", "wall_path_for"),
+    ".tracer": ("NullTracer", "Span", "Tracer"),
+})

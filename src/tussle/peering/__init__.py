@@ -25,49 +25,14 @@ Experiments P01 (paid-peering dispute) and P02 (depeering war at
 core to its game-theoretic properties with Hypothesis.
 """
 
-from .bargain import (
-    AgreementKind,
-    BargainOutcome,
-    PeeringAgreement,
-    depeering_stage_game,
-    evaluate_pair,
-    nash_bargain,
-    peering_sustainable,
-)
-from .dynamics import FixedPointResult, IterationRecord, PeeringDynamics
-from .value import (
-    AsAccount,
-    PairTraffic,
-    PeeringEconomics,
-    TrafficMatrix,
-    as_accounts,
-    cone_traffic,
-    customer_cones,
-    edge_traffic,
-    route_volumes,
-)
+from .._lazy import exports
 
-__all__ = [
-    # value: demand, volumes, accounts
-    "PeeringEconomics",
-    "TrafficMatrix",
-    "customer_cones",
-    "route_volumes",
-    "cone_traffic",
-    "edge_traffic",
-    "PairTraffic",
-    "AsAccount",
-    "as_accounts",
-    # bargain: the Nash split and the agreements it yields
-    "BargainOutcome",
-    "nash_bargain",
-    "AgreementKind",
-    "PeeringAgreement",
-    "evaluate_pair",
-    "depeering_stage_game",
-    "peering_sustainable",
-    # dynamics: the coupled fixed-point loop
-    "PeeringDynamics",
-    "IterationRecord",
-    "FixedPointResult",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    ".bargain": ("AgreementKind", "BargainOutcome", "PeeringAgreement",
+                 "depeering_stage_game", "evaluate_pair", "nash_bargain",
+                 "peering_sustainable"),
+    ".dynamics": ("FixedPointResult", "IterationRecord", "PeeringDynamics"),
+    ".value": ("AsAccount", "PairTraffic", "PeeringEconomics", "TrafficMatrix",
+               "as_accounts", "cone_traffic", "customer_cones", "edge_traffic",
+               "route_volumes"),
+})

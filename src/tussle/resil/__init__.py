@@ -20,32 +20,12 @@ Everything is a pure function of explicit seeds; no module here reads a
 wall clock or an unseeded RNG.
 """
 
-from .backoff import Backoff, BreakerState, CircuitBreaker, Deadline
-from .chaos import (
-    ChaosInjector,
-    ChaosSchedule,
-    FaultEvent,
-    FaultKind,
-    FaultPlan,
-    link_target,
-    parse_link_target,
-)
-from .failures import FailedCell
-from .workerchaos import CHAOS_MODES, WorkerChaos
+from .._lazy import exports
 
-__all__ = [
-    "Backoff",
-    "BreakerState",
-    "CHAOS_MODES",
-    "ChaosInjector",
-    "ChaosSchedule",
-    "CircuitBreaker",
-    "Deadline",
-    "FailedCell",
-    "FaultEvent",
-    "FaultKind",
-    "FaultPlan",
-    "WorkerChaos",
-    "link_target",
-    "parse_link_target",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    ".backoff": ("Backoff", "BreakerState", "CircuitBreaker", "Deadline"),
+    ".chaos": ("ChaosInjector", "ChaosSchedule", "FaultEvent", "FaultKind",
+               "FaultPlan", "link_target", "parse_link_target"),
+    ".failures": ("FailedCell",),
+    ".workerchaos": ("CHAOS_MODES", "WorkerChaos"),
+})

@@ -6,30 +6,15 @@ Gao–Rexford policy), user control (payment-aware source routing), or the
 user's workaround (overlays).
 """
 
-from .base import ControlPoint, Route, RoutingProtocol
-from .policies import (
-    GaoRexfordPolicy,
-    NeighborClass,
-    RoutingPolicy,
-    classify_neighbor,
-    is_valley_free,
-)
-from .pathvector import PathVectorRouting
-from .sourcerouting import (
-    RouteAttempt,
-    SourceRoutingSystem,
-    TransitTerms,
-    valley_free_paths,
-)
-from .overlay import OverlayNetwork, OverlayPath
-from .recovery import RouteRecovery
+from .._lazy import exports
 
-__all__ = [
-    "ControlPoint", "Route", "RoutingProtocol",
-    "GaoRexfordPolicy", "NeighborClass", "RoutingPolicy",
-    "classify_neighbor", "is_valley_free",
-    "PathVectorRouting",
-    "RouteAttempt", "SourceRoutingSystem", "TransitTerms", "valley_free_paths",
-    "OverlayNetwork", "OverlayPath",
-    "RouteRecovery",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    ".base": ("ControlPoint", "Route", "RoutingProtocol"),
+    ".policies": ("GaoRexfordPolicy", "NeighborClass", "RoutingPolicy",
+                  "classify_neighbor", "is_valley_free"),
+    ".pathvector": ("PathVectorRouting",),
+    ".sourcerouting": ("RouteAttempt", "SourceRoutingSystem", "TransitTerms",
+                       "valley_free_paths"),
+    ".overlay": ("OverlayNetwork", "OverlayPath"),
+    ".recovery": ("RouteRecovery",),
+})

@@ -27,55 +27,20 @@ fixed point on 10^3-10^4-AS graphs in seconds.
 
 One harness, :mod:`~tussle.scale.parity` (``python -m tussle.scale
 parity``), holds all three fast backends bit-for-bit equal to their
-scalar references.  This package does not import it: its market cases
-load the experiment registry, which only the gate needs.
+scalar references.  Nothing here exports it: its market cases load
+the E01-E03 experiment modules, which only the gate needs.
 """
 
-from .arrays import ConsumerBatch, MarketArrays
-from .flowsim import FlowArrays, FlowReport, FlowSim, random_flows
-from .narrays import (
-    FibArrays,
-    LinkArrays,
-    NetIndex,
-    PacketArrays,
-    packets_from_traffic,
-    traffic_stream,
-)
-from .tmatrix import (
-    gravity_demand,
-    stub_content,
-    stub_populations,
-    zipf_attribute,
-)
-from .vforwarding import NetRound, VectorForwardingEngine
-from .vmarket import VectorMarket
-from .vrouting import ASIndex, RibArrays, converge_valley_free
+from .._lazy import exports
 
-__all__ = [
-    "ConsumerBatch",
-    "MarketArrays",
-    "VectorMarket",
-    # netsim backend
-    "NetIndex",
-    "LinkArrays",
-    "FibArrays",
-    "PacketArrays",
-    "traffic_stream",
-    "packets_from_traffic",
-    "NetRound",
-    "VectorForwardingEngine",
-    # flow-level approximation
-    "FlowArrays",
-    "FlowReport",
-    "FlowSim",
-    "random_flows",
-    # valley-free convergence fast path
-    "ASIndex",
-    "RibArrays",
-    "converge_valley_free",
-    # gravity traffic-demand kernels
-    "zipf_attribute",
-    "stub_populations",
-    "stub_content",
-    "gravity_demand",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    ".arrays": ("ConsumerBatch", "MarketArrays"),
+    ".flowsim": ("FlowArrays", "FlowReport", "FlowSim", "random_flows"),
+    ".narrays": ("FibArrays", "LinkArrays", "NetIndex", "PacketArrays",
+                 "packets_from_traffic", "traffic_stream"),
+    ".tmatrix": ("gravity_demand", "stub_content", "stub_populations",
+                 "zipf_attribute"),
+    ".vforwarding": ("NetRound", "VectorForwardingEngine"),
+    ".vmarket": ("VectorMarket",),
+    ".vrouting": ("ASIndex", "RibArrays", "converge_valley_free"),
+})

@@ -35,7 +35,28 @@ from ..econ.agents import Consumer
 from ..econ.demand import Segment
 from ..errors import ScaleError
 
-__all__ = ["ConsumerBatch", "MarketArrays"]
+__all__ = ["ConsumerBatch", "MarketArrays", "random_doubles"]
+
+
+def random_doubles(rng: random.Random, n: int) -> np.ndarray:
+    """``n`` successive ``rng.random()`` values, in draw order.
+
+    ``random.Random`` and numpy's legacy ``RandomState`` are both
+    MT19937 and build each double from two 32-bit outputs the same way
+    (``genrand_res53``), so ``random_sample`` run from a copy of
+    ``rng``'s state draws the very floats a Python loop would.  The
+    final state is written back: ``rng`` advances exactly as if the
+    loop had run.
+    """
+    version, internal, gauss_next = rng.getstate()
+    # The seed is a placeholder: set_state replaces the whole state.
+    bits = np.random.RandomState(0)
+    bits.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32),
+                    internal[-1]))
+    draws = bits.random_sample(n)
+    _, key, pos, _, _ = bits.get_state()
+    rng.setstate((version, tuple(key.tolist()) + (int(pos),), gauss_next))
+    return draws
 
 
 @dataclass
@@ -147,13 +168,10 @@ class MarketArrays:
         """
         if preference_noise <= 0:
             return None
-        noise_rng = random.Random(seed + 1)
-        flat = [
-            noise_rng.uniform(-preference_noise, preference_noise)
-            for _ in range(n_consumers * n_providers)
-        ]
-        return np.array(flat, dtype=np.float64).reshape(
-            n_consumers, n_providers)
+        # random.uniform(a, b) is a + (b - a) * random(), elementwise here.
+        low, high = -preference_noise, preference_noise
+        u = random_doubles(random.Random(seed + 1), n_consumers * n_providers)
+        return (low + (high - low) * u).reshape(n_consumers, n_providers)
 
     @classmethod
     def from_consumers(

@@ -43,12 +43,11 @@ from ..econ.pricing import (
     ValuePricingStrategy,
 )
 from ..netsim.addressing import AddressingMode, RenumberingModel
-from .arrays import ConsumerBatch
+from .arrays import ConsumerBatch, random_doubles
 from .vmarket import VectorMarket
 
-# The experiment registry imports run_l01/run_l02 from here, so the
-# result types are imported inside them: a module-level import would
-# load the registry first and find this module half-initialised.
+# The result types are imported inside run_l01/run_l02, so the batch
+# builders load without the experiments package.
 if TYPE_CHECKING:
     from ..experiments.common import ExperimentResult
 
@@ -80,12 +79,6 @@ def _uniform_column(model: UniformWtp, u: np.ndarray) -> np.ndarray:
     return model.low + (model.high - model.low) * u
 
 
-def _random_draws(rng: random.Random, n: int) -> np.ndarray:
-    """``n`` successive ``rng.random()`` values, in draw order."""
-    draw = rng.random
-    return np.array([draw() for _ in range(n)], dtype=np.float64)
-
-
 def lockin_batch(switching_cost: float, n_consumers: int,
                  seed: int) -> ConsumerBatch:
     """E01's consumer population as columns (same draw stream).
@@ -94,7 +87,7 @@ def lockin_batch(switching_cost: float, n_consumers: int,
     ``random.Random(seed)`` in consumer order, everyone basic-segment
     and locked to the incumbent.
     """
-    u = _random_draws(random.Random(seed), n_consumers)
+    u = random_doubles(random.Random(seed), n_consumers)
     zeros = np.zeros(n_consumers, dtype=np.float64)
     return ConsumerBatch(
         wtp=_uniform_column(UniformWtp(35.0, 110.0), u),
@@ -139,7 +132,7 @@ def value_pricing_batch(n_consumers: int, can_tunnel: bool,
     One shared ``random.Random(seed)`` stream, sampled in consumer
     order, keeps the draws identical to the scalar builder's.
     """
-    u = _random_draws(random.Random(seed), n_consumers)
+    u = random_doubles(random.Random(seed), n_consumers)
     values_server = np.arange(n_consumers) % 3 == 0
     wtp = np.where(values_server,
                    _uniform_column(UniformWtp(35.0, 70.0), u),

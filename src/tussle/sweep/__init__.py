@@ -28,7 +28,8 @@ byte-reproducible:
 
 Quickstart::
 
-    from tussle.sweep import SweepSpec, ResilientExecutor, run_sweep, aggregate
+    from tussle.sweep import SweepSpec, ResilientExecutor, run_sweep
+    from tussle.sweep.aggregate import aggregate
 
     spec = SweepSpec(experiment_ids=["E01"], seeds=list(range(20)), grid={})
     report = run_sweep(spec, executor=ResilientExecutor(jobs=4))
@@ -37,19 +38,14 @@ Quickstart::
 or from the command line: ``python -m tussle sweep E01 --seeds 20 --jobs 4``.
 """
 
-from ..canon import derive_seed
-from .aggregate import aggregate, metric_scalars
-from .cache import ResultCache, code_fingerprint
-from .cells import Cell, SweepSpec, canonical_params, expand_grid
-from .executors import InProcessExecutor, ResilientExecutor, run_cell
-from .progress import StreamingAggregator
-from .scheduler import SweepReport, run_sweep
+from .._lazy import exports
 
-__all__ = [
-    "aggregate", "metric_scalars",
-    "ResultCache", "code_fingerprint",
-    "Cell", "SweepSpec", "canonical_params", "derive_seed", "expand_grid",
-    "InProcessExecutor", "ResilientExecutor", "run_cell",
-    "StreamingAggregator",
-    "SweepReport", "run_sweep",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "..canon": ("derive_seed",),
+    ".aggregate": ("metric_scalars",),
+    ".cache": ("ResultCache", "code_fingerprint"),
+    ".cells": ("Cell", "SweepSpec", "canonical_params", "expand_grid"),
+    ".executors": ("InProcessExecutor", "ResilientExecutor", "run_cell"),
+    ".progress": ("StreamingAggregator",),
+    ".scheduler": ("SweepReport", "run_sweep"),
+})

@@ -324,6 +324,15 @@ class ResilientExecutor:
             if telemetry is not None:
                 telemetry.worker_exited(worker.name, reason)
 
+        # Look every experiment up before the first fork, so each worker
+        # inherits its module instead of importing it again; an import
+        # error is left for the cell's own worker to report.
+        from ..experiments import ALL_EXPERIMENTS
+        for experiment_id in sorted({task["experiment_id"] for task in tasks}):
+            try:
+                ALL_EXPERIMENTS.get(experiment_id)
+            except Exception:
+                pass
         waiting = [_PendingCell(task, self._cell_backoff(task))
                    for task in tasks]
         workers = [spawn() for _ in range(min(self.jobs, len(tasks)))]

@@ -17,26 +17,13 @@ Quickstart::
     python -m tussle.topogen gen --ases 1000 --seed 0
 """
 
-from .caida import infer_tiers, load_caida, parse_caida
-from .canonical import (GRAPH_SCHEMA, graph_from_dict, graph_from_json,
-                        graph_to_dict, graph_to_json)
-from .config import ROUTER_DETAIL_LEVELS, TopogenConfig
-from .generator import (betweenness_centrality, core_routers,
-                        generate_internet, waxman_graph)
+from .._lazy import exports
 
-__all__ = [
-    "TopogenConfig",
-    "ROUTER_DETAIL_LEVELS",
-    "generate_internet",
-    "waxman_graph",
-    "betweenness_centrality",
-    "core_routers",
-    "GRAPH_SCHEMA",
-    "graph_to_dict",
-    "graph_to_json",
-    "graph_from_dict",
-    "graph_from_json",
-    "parse_caida",
-    "load_caida",
-    "infer_tiers",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    ".caida": ("infer_tiers", "load_caida", "parse_caida"),
+    ".canonical": ("GRAPH_SCHEMA", "graph_from_dict", "graph_from_json",
+                   "graph_to_dict", "graph_to_json"),
+    ".config": ("ROUTER_DETAIL_LEVELS", "TopogenConfig"),
+    ".generator": ("betweenness_centrality", "core_routers",
+                   "generate_internet", "waxman_graph"),
+})

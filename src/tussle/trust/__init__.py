@@ -1,18 +1,11 @@
 """Trust substrate (§V-B): identity, trust graphs, firewalls, threats."""
 
-from .identity import IdentityFramework, IdentityScheme, Principal
-from .trustgraph import TrustGraph
-from .firewall import (
-    ControlChannel,
-    PinholeRequest,
-    PolicyAuthority,
-    TrustAwareFirewall,
-)
-from .threats import AttackKind, Attacker, ThreatCampaign, TrafficMix
+from .._lazy import exports
 
-__all__ = [
-    "IdentityFramework", "IdentityScheme", "Principal",
-    "TrustGraph",
-    "ControlChannel", "PinholeRequest", "PolicyAuthority", "TrustAwareFirewall",
-    "AttackKind", "Attacker", "ThreatCampaign", "TrafficMix",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    ".identity": ("IdentityFramework", "IdentityScheme", "Principal"),
+    ".trustgraph": ("TrustGraph",),
+    ".firewall": ("ControlChannel", "PinholeRequest", "PolicyAuthority",
+                  "TrustAwareFirewall"),
+    ".threats": ("AttackKind", "Attacker", "ThreatCampaign", "TrafficMix"),
+})

@@ -16,11 +16,15 @@ needed.
 Shared work: the healthy in-process registry sweep is the reference of
 several slow tiers; ``registry_sweep`` runs each base seed of it once
 per session.
+
+Test experiments: ``ALL_EXPERIMENTS`` is read-only, so
+``register_experiment`` serves a test's own ``run`` function beside it.
 """
 
 import faulthandler
 import os
 import sys
+from collections import ChainMap
 
 import pytest
 from hypothesis import settings
@@ -89,3 +93,21 @@ def registry_sweep():
         return SweepReport(cells=cells, stats=stats)
 
     return sweep
+
+
+@pytest.fixture
+def register_experiment(monkeypatch):
+    """``register(experiment_id, run)``: serve ``run`` under that id.
+
+    Every reader of the registry (sweep cells, seedcheck) imports
+    ``ALL_EXPERIMENTS`` when it runs, so replacing the package attribute
+    with a view that puts the test's entry first reaches all of them.
+    """
+    import tussle.experiments as experiments
+
+    def register(experiment_id, run):
+        monkeypatch.setattr(
+            experiments, "ALL_EXPERIMENTS",
+            ChainMap({experiment_id: run}, experiments.ALL_EXPERIMENTS))
+
+    return register

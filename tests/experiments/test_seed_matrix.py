@@ -17,7 +17,7 @@ deselect with ``-m 'not slow'``.
 import pytest
 
 from tussle.experiments import ALL_EXPERIMENTS
-from tussle.sweep import aggregate
+from tussle.sweep.aggregate import aggregate
 
 N_SEEDS = 5
 

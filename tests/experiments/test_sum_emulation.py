@@ -18,7 +18,7 @@ import sys
 from tussle.canon import canonical_json, ordered_sum
 from tussle.experiments import ALL_EXPERIMENTS
 from tussle.lint.seedcheck import fingerprint
-from tussle.sweep import aggregate
+from tussle.sweep.aggregate import aggregate
 
 
 C_LONG_MIN, C_LONG_MAX = -2 ** 63, 2 ** 63 - 1

@@ -347,6 +347,41 @@ class TestF207WorkerGlobalMutation:
         assert "F207" not in rule_ids_of(report)
 
 
+    def test_global_write_reachable_from_a_registry_entry_fires(
+            self, tmp_path):
+        # run_l99 lives outside tussle.experiments: only the registry
+        # table makes it a worker entry point.
+        pkg = write_tree(tmp_path, {
+            "tussle/obs/stats.py": """
+                COUNT = 0
+
+                def bump():
+                    global COUNT
+                    COUNT += 1
+            """,
+            "tussle/scale/big.py": """
+                from tussle.obs.stats import bump
+
+                def run_l99(seed=0):
+                    bump()
+                    return seed
+            """,
+            "tussle/experiments/__init__.py": """
+                from .._lazy import Registry
+
+                ALL_EXPERIMENTS = Registry(__name__, {
+                    "L99": "..scale.big:run_l99",
+                })
+            """,
+            "tussle/_lazy.py": """
+                def Registry(package, table):
+                    return table
+            """,
+        })
+        report = run_lint([pkg])
+        assert "F207" in rule_ids_of(report)
+
+
 class TestF208UnpicklableCapture:
     def test_lambda_through_pool_map_fires(self, tmp_path):
         pkg = write_tree(tmp_path, {

@@ -64,6 +64,10 @@ def test_worker_reachability_covers_experiments(tree_report):
     program = tree_report.program
     entries = worker_entries(program)
     assert "tussle.sweep.executors.run_cell" in entries
+    # Registered outside tussle.experiments: only the registry table
+    # names them.
+    assert {"tussle.scale.large.run_l01",
+            "tussle.scale.large.run_l02"} <= set(entries)
     reachable = program.reachable_from(entries)
     # Registry dispatch is synthetic, so experiment internals must be in.
     assert any(q.startswith("tussle.experiments.") for q in reachable)

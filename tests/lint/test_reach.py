@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 from tussle.lint import run_lint
+from tussle.lint.context import lazy_entries, module_dotted_name
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -111,6 +112,64 @@ def test_name_defined_in_the_init_runs_all_its_imports(tmp_path):
     }) == []
 
 
+#: A lazy subpackage: its ``__init__`` imports only the helper, and its
+#: tables name ``pkg.sub.exported`` and ``pkg.sub.registered``.
+LAZY = {
+    "pkg/lazy.py": """
+        def exports(package, table, registry=None):
+            return None, None, []
+
+        def Registry(package, table):
+            return table
+    """,
+    "pkg/sub/__init__.py": """
+        from ..lazy import Registry, exports
+
+        REGISTRY = Registry(__name__, {"A": ".registered:run_a"})
+
+        __getattr__, __dir__, __all__ = exports(__name__, {
+            ".exported": ("helper",),
+        }, REGISTRY)
+    """,
+    "pkg/sub/exported.py": "def helper():\n    return 2\n",
+    "pkg/sub/registered.py": "def run_a():\n    return 3\n",
+}
+
+
+def lazy_main(statement):
+    return {"pkg/__main__.py": f"""
+        {statement}
+        from pkg.live import run
+
+        if __name__ == "__main__":
+            run()
+    """}
+
+
+def test_lazy_table_entries_load_only_when_named(tmp_path):
+    # The helper runs with the package; neither table's modules do.
+    assert unreachable(tmp_path, {**LAZY, **lazy_main("import pkg.sub")}) == [
+        "pkg/sub/exported.py", "pkg/sub/registered.py"]
+
+
+def test_lazy_export_is_the_reexport_it_replaces(tmp_path):
+    assert unreachable(tmp_path, {
+        **LAZY, **lazy_main("from pkg.sub import helper")}) == [
+        "pkg/sub/registered.py"]
+
+
+def test_registry_entries_load_with_the_registry(tmp_path):
+    assert unreachable(tmp_path, {
+        **LAZY, **lazy_main("from pkg.sub import REGISTRY")}) == [
+        "pkg/sub/exported.py"]
+
+
+def test_registry_function_is_exported_by_name(tmp_path):
+    assert unreachable(tmp_path, {
+        **LAZY, **lazy_main("from pkg.sub import run_a")}) == [
+        "pkg/sub/exported.py"]
+
+
 def test_scan_without_an_entry_point_reports_nothing(tmp_path):
     assert unreachable(tmp_path, {
         "pkg/__main__.py": "from pkg.live import run\n",
@@ -134,7 +193,9 @@ def unused_definitions():
     ``src/tussle`` that no code outside their own body names.
 
     ``__all__`` entries are strings, so they never count; a package
-    ``__init__``'s imports (its re-exports) do not count either.
+    ``__init__``'s imports (its re-exports) and its lazy export table
+    entries do not count either.  A registry table entry counts as the
+    name it replaces (``{"E01": run_e01}``).
     """
     uses = Counter()
     definitions = []
@@ -143,6 +204,10 @@ def unused_definitions():
             tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
             is_init = path.name == "__init__.py"
             uses.update(used_names(tree, count_imports=not is_init))
+            if is_init:
+                uses.update(entry.name for entry in
+                            lazy_entries(tree, module_dotted_name(path))
+                            if entry.registry)
             if top == "src/tussle" and not is_init:
                 definitions += [
                     (path, node) for node in tree.body

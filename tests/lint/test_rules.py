@@ -468,6 +468,29 @@ class TestX301ExceptionTaxonomy:
         """)
         assert rule_ids_found(report) == []
 
+    def test_quiet_on_the_attribute_and_import_protocols(self, tmp_path):
+        report = lint_source(tmp_path, """
+            def exports(table):
+                if len(set(table)) != len(table):
+                    raise ImportError("exported twice")
+
+                def __getattr__(name):
+                    raise AttributeError(name)
+
+                return __getattr__
+        """)
+        assert rule_ids_found(report) == []
+
+    def test_attribute_error_outside_getattr_fires(self, tmp_path):
+        report = lint_source(tmp_path, """
+            def __getattr__(name):
+                return lookup(name)
+
+            def lookup(name):
+                raise AttributeError(name)
+        """)
+        assert rule_ids_found(report) == ["X301"]
+
 
 class TestX302DunderAll:
     def test_fires_on_phantom_export(self, tmp_path):
@@ -496,9 +519,30 @@ class TestX302DunderAll:
         assert rule_ids_found(report) == []
 
 
+    def test_fires_on_a_lazy_table_entry_its_module_never_defines(
+            self, tmp_path):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text(textwrap.dedent("""
+            from .lazy import exports
+
+            __getattr__, __dir__, __all__ = exports(__name__, {
+                ".mod": ("exists", "phantom"),
+            })
+        """))
+        (pkg / "lazy.py").write_text(
+            "def exports(package, table):\n    return None, None, []\n")
+        (pkg / "mod.py").write_text("def exists():\n    return 1\n")
+        report = run_lint([pkg])
+        findings = [f for f in report.active if f.rule_id == "X302"]
+        assert [(f.line, "`phantom`" in f.message) for f in findings] == [
+            (5, True)]
+
+
 def write_fake_repo(tmp_path, *, run_src=None, register=True,
-                    tests_reference=True, module="e01_sample"):
-    """A minimal repo with one experiment module, for E-series tests."""
+                    tests_reference=True, module="e01_sample", table=False):
+    """A minimal repo with one experiment module, for E-series tests;
+    ``table`` registers it in a lazy registry table instead of a dict."""
     (tmp_path / "pyproject.toml").write_text("[project]\nname='fake'\n")
     pkg = tmp_path / "src" / "pkg"
     experiments = pkg / "experiments"
@@ -515,6 +559,13 @@ def write_fake_repo(tmp_path, *, run_src=None, register=True,
         "ALL_EXPERIMENTS = {'E01': run_e01}\n" if register else
         "ALL_EXPERIMENTS = {}\n"
     )
+    if table:
+        (pkg / "lazy.py").write_text(
+            "def Registry(package, table):\n    return table\n")
+        registry = ("from ..lazy import Registry\n"
+                    "ALL_EXPERIMENTS = Registry(__name__, {"
+                    + (f"'E01': '.{module}:run_e01'" if register else "")
+                    + "})\n")
     (experiments / "__init__.py").write_text(registry)
     tests = tmp_path / "tests"
     tests.mkdir()
@@ -556,6 +607,23 @@ class TestESeriesConformance:
         assert "E202" in ids
         # Not registered and not named directly in tests -> also untested.
         assert "E204" in ids
+
+    def test_registry_table_entry_registers(self, tmp_path):
+        pkg = write_fake_repo(tmp_path, table=True)
+        assert rule_ids_found(run_lint([pkg])) == []
+
+    def test_registry_table_without_the_entry_does_not(self, tmp_path):
+        pkg = write_fake_repo(tmp_path, table=True, register=False)
+        assert "E202" in rule_ids_found(run_lint([pkg]))
+
+    def test_registry_table_entry_is_checked_without_a_run_def(self,
+                                                               tmp_path):
+        pkg = write_fake_repo(tmp_path, table=True, run_src=(
+            "def _impl(seed: int = 0) -> 'ExperimentResult':\n"
+            "    return None\n"
+            "run_e01 = _impl\n"
+        ))
+        assert rule_ids_found(run_lint([pkg])) == ["E201"]
 
     def test_any_module_name_is_checked(self, tmp_path):
         # A p-prefixed module (like p01_paid_peering) is checked although

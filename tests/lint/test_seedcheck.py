@@ -92,10 +92,8 @@ class TestReporting:
 
 
 class TestDivergenceDetail:
-    def test_detail_names_the_divergent_row(self, monkeypatch):
+    def test_detail_names_the_divergent_row(self, register_experiment):
         """A cell that changes on the second run is pinned to its row."""
-        import tussle.experiments as experiments
-
         calls = []
 
         def flaky(seed=0):
@@ -108,7 +106,7 @@ class TestDivergenceDetail:
             result.add_check("claim", True)
             return result
 
-        monkeypatch.setitem(experiments.ALL_EXPERIMENTS, "T00", flaky)
+        register_experiment("T00", flaky)
         [outcome] = run_seedcheck(["T00"])
         assert not outcome.deterministic
         assert "table 't' row 1" in outcome.detail
@@ -116,9 +114,7 @@ class TestDivergenceDetail:
         assert "metric" not in outcome.detail
         assert "T00: DIVERGENT" in format_outcomes([outcome])
 
-    def test_detail_survives_values_json_cannot_hold(self, monkeypatch):
-        import tussle.experiments as experiments
-
+    def test_detail_survives_values_json_cannot_hold(self, register_experiment):
         calls = []
 
         def flaky(seed=0):
@@ -130,7 +126,7 @@ class TestDivergenceDetail:
             result.add_check("claim", len(calls) == 1)
             return result
 
-        monkeypatch.setitem(experiments.ALL_EXPERIMENTS, "T00", flaky)
+        register_experiment("T00", flaky)
         [outcome] = run_seedcheck(["T00"])
         assert not outcome.deterministic
         assert "check 'claim'" in outcome.detail

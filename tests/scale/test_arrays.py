@@ -9,7 +9,7 @@ from tussle.econ.agents import Consumer, Provider
 from tussle.econ.demand import Segment
 from tussle.econ.market import Market
 from tussle.errors import ScaleError
-from tussle.scale.arrays import ConsumerBatch, MarketArrays
+from tussle.scale.arrays import ConsumerBatch, MarketArrays, random_doubles
 
 
 def make_consumers(n=6):
@@ -148,3 +148,42 @@ class TestMarketArrays:
 
     def test_taste_matrix_none_without_noise(self):
         assert MarketArrays.taste_matrix(5, 2, 0.0, seed=1) is None
+
+
+def loop_doubles(rng, n):
+    """The reference: ``n`` calls of ``rng.random()`` in a Python loop."""
+    return np.array([rng.random() for _ in range(n)], dtype=np.float64)
+
+
+class TestRandomDoubles:
+    """The numpy replay of a ``random.Random`` stream is the loop's stream."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 2**40 + 3])
+    @pytest.mark.parametrize("n", [0, 1, 624, 625, 100_000])
+    def test_matches_the_python_loop(self, seed, n):
+        reference, replayed = random.Random(seed), random.Random(seed)
+        expected = loop_doubles(reference, n)
+        got = random_doubles(replayed, n)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+        # The passed generator advances exactly as the loop's did.
+        assert replayed.getstate() == reference.getstate()
+        assert replayed.random() == reference.random()
+
+    def test_continues_a_stream_mid_block(self):
+        # Start off a 624-word block boundary, with a cached gauss.
+        reference, replayed = random.Random(5), random.Random(5)
+        for rng in (reference, replayed):
+            rng.gauss(0.0, 1.0)
+            for _ in range(300):
+                rng.random()
+        assert (random_doubles(replayed, 1000).tobytes()
+                == loop_doubles(reference, 1000).tobytes())
+        assert replayed.getstate() == reference.getstate()
+        assert replayed.gauss(0.0, 1.0) == reference.gauss(0.0, 1.0)
+
+    def test_taste_matrix_matches_the_uniform_loop(self):
+        rng = random.Random(13 + 1)
+        expected = np.array([rng.uniform(-1.5, 1.5) for _ in range(625 * 3)])
+        taste = MarketArrays.taste_matrix(625, 3, 1.5, seed=13)
+        assert taste.tobytes() == expected.reshape(625, 3).tobytes()

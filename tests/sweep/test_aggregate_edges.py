@@ -2,8 +2,7 @@
 
 import math
 
-from tussle.sweep import aggregate, metric_scalars
-from tussle.sweep.aggregate import _numeric
+from tussle.sweep.aggregate import _numeric, aggregate, metric_scalars
 
 
 def ok_cell(seed, shape_holds=True, checks=None, rows=None):

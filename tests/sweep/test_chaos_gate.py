@@ -17,9 +17,9 @@ from tussle.sweep import (
     InProcessExecutor,
     ResilientExecutor,
     SweepSpec,
-    aggregate,
     run_sweep,
 )
+from tussle.sweep.aggregate import aggregate
 from tussle.sweep.executors import cell_task
 
 

@@ -25,9 +25,9 @@ from tussle.sweep import (
     InProcessExecutor,
     ResilientExecutor,
     SweepSpec,
-    aggregate,
     run_sweep,
 )
+from tussle.sweep.aggregate import aggregate
 
 
 def small_spec(seeds=(0, 1)):

@@ -8,10 +8,10 @@ from tussle.sweep import (
     InProcessExecutor,
     ResilientExecutor,
     SweepSpec,
-    aggregate,
     run_cell,
     run_sweep,
 )
+from tussle.sweep.aggregate import aggregate
 from tussle.sweep.executors import cell_task
 
 

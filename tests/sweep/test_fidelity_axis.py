@@ -9,7 +9,8 @@ experiments *declare* their fidelity rather than inherit one silently.
 """
 
 from tussle.experiments.n01_substrate import FIDELITIES
-from tussle.sweep import SweepSpec, aggregate, run_sweep
+from tussle.sweep import SweepSpec, run_sweep
+from tussle.sweep.aggregate import aggregate
 
 
 class TestFidelityAxis:

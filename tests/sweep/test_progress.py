@@ -12,9 +12,9 @@ from tussle.sweep import (
     InProcessExecutor,
     StreamingAggregator,
     SweepSpec,
-    aggregate,
     run_sweep,
 )
+from tussle.sweep.aggregate import aggregate
 from tussle.sweep.progress import summary
 
 SPEC = SweepSpec(

@@ -3,7 +3,6 @@
 import pytest
 
 from tussle.errors import SweepError
-from tussle.experiments import ALL_EXPERIMENTS
 from tussle.experiments.common import ExperimentResult, Table, canonical_json
 from tussle.obs import Metrics, observe
 from tussle.sweep import (
@@ -105,11 +104,12 @@ class TestCache:
         module.write_text("X = 2\n")
         assert code_fingerprint(tmp_path) != before
 
-    def test_failed_cells_are_not_cached(self, tmp_path, monkeypatch):
+    def test_failed_cells_are_not_cached(self, tmp_path,
+                                          register_experiment):
         def explode(seed=0):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(ALL_EXPERIMENTS, "Z99", explode)
+        register_experiment("Z99", explode)
         spec = SweepSpec(experiment_ids=["Z99"], seeds=[0], grid={})
         cache = ResultCache(tmp_path, fingerprint="fp-a")
         report = run_sweep(spec, cache=cache)
@@ -129,7 +129,8 @@ class TestCache:
 
 
 class TestFailureIsolation:
-    def test_one_raising_cell_marks_only_itself_failed(self, monkeypatch):
+    def test_one_raising_cell_marks_only_itself_failed(self,
+                                                        register_experiment):
         def fragile(seed=0, parity=0):
             if parity:
                 raise RuntimeError("diverged")
@@ -141,7 +142,7 @@ class TestFailureIsolation:
             result.add_check("ok", True)
             return result
 
-        monkeypatch.setitem(ALL_EXPERIMENTS, "Z98", fragile)
+        register_experiment("Z98", fragile)
         spec = SweepSpec(experiment_ids=["Z98"], seeds=[0],
                          grid={"parity": [0, 1]})
         report = run_sweep(spec)

@@ -5,9 +5,10 @@ loaded, and a test run loads modules in whatever order its tests
 happen to import them.  So each entry point is imported here in its
 own interpreter, the way ``python -m`` and the benchmark workloads
 load it.  The same fresh interpreters check what an import costs:
-``import tussle`` loads only the error taxonomy, no benchmark entry
-module loads scipy or networkx, and running every registry experiment
-loads no scipy.
+``import tussle`` loads only the error taxonomy, each benchmark entry
+module loads only the modules its run uses (package exports and the
+experiment registry are lazy), none loads scipy or networkx, and
+running every registry experiment loads no scipy.
 """
 
 import os
@@ -80,3 +81,35 @@ def test_registry_loads_no_scipy():
                        "print('scipy' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def loaded_after(statement):
+    """The ``tussle.*`` modules a fresh interpreter holds after ``statement``."""
+    result = run_fresh(f"import sys\n{statement}\n"
+                       "print(' '.join(sorted(m for m in sys.modules "
+                       "if m.startswith('tussle.'))))")
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_depeering_war_loads_only_its_own_experiment():
+    loaded = loaded_after("import tussle.experiments.p02_depeering_war")
+    experiments = {m for m in loaded if m.startswith("tussle.experiments.")}
+    assert experiments == {"tussle.experiments.common",
+                           "tussle.experiments.p02_depeering_war"}
+    unused = ("core", "econ", "actornet", "trust", "resil", "sweep")
+    assert not {m for m in loaded
+                if m.split(".")[1] in unused}, sorted(loaded)
+
+
+def test_cli_loads_no_experiment_before_parsing_argv():
+    loaded = loaded_after("import tussle.__main__")
+    assert not {m for m in loaded if m.startswith("tussle.experiments.")}
+
+
+def test_large_scale_market_loads_no_netsim_backend():
+    loaded = loaded_after("import tussle.scale.large")
+    netsim_side = {f"tussle.scale.{name}" for name in (
+        "flowsim", "narrays", "nkernels", "vforwarding", "vrouting",
+        "tmatrix")}
+    assert not loaded & netsim_side
