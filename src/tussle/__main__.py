@@ -186,10 +186,12 @@ def _select(ids: Sequence[str]) -> List[str]:
 
 
 def _command_list() -> int:
-    for identifier in sorted(ALL_EXPERIMENTS):
-        result_fn = ALL_EXPERIMENTS[identifier]
-        doc = (result_fn.__module__ or "").rsplit(".", 1)[-1]
-        print(f"{identifier}  ({doc})")
+    # The registry table names each module; looking the functions up
+    # would import every experiment.
+    targets = ALL_EXPERIMENTS.targets()
+    for identifier in sorted(targets):
+        module, _ = targets[identifier]
+        print(f"{identifier}  ({module.rsplit('.', 1)[-1]})")
     print(f"\n{len(ALL_EXPERIMENTS)} experiments; "
           f"run them with: python -m tussle run [ID ...]")
     return 0

@@ -42,11 +42,13 @@ class Registry(Mapping):
         self._package = package
         self._table = dict(table)
 
-    def targets(self) -> Iterator[Tuple[str, str]]:
-        """``(module, function)`` of every entry, importing nothing."""
-        for target in self._table.values():
+    def targets(self) -> Dict[str, Tuple[str, str]]:
+        """Key to ``(module, function)`` of every entry, importing nothing."""
+        targets = {}
+        for key, target in self._table.items():
             module, _, function = target.partition(":")
-            yield module, function
+            targets[key] = (module, function)
+        return targets
 
     def __getitem__(self, key: str) -> Callable:
         module, _, function = self._table[key].partition(":")
@@ -90,7 +92,7 @@ def exports(package: str, table: Dict[str, Sequence[str]],
     sources: List[Tuple[str, str]] = [
         (module, name) for module, names in table.items() for name in names]
     if registry is not None:
-        sources += list(registry.targets())
+        sources += list(registry.targets().values())
     for module, name in sources:
         if name in where:
             raise ImportError(f"{package} exports {name!r} twice")

@@ -22,15 +22,21 @@ Division of labour per round:
   kernel call over per-consumer price columns gathered by each
   consumer's chosen provider, and revenue is one ordered scatter.
 
-Offer columns are cached per provider and recomputed only when that
-provider's pricing signature changes, mirroring the scalar market's
-offer cache.  Pricing reads round-start shares from the previous
-round's :class:`~tussle.econ.market.MarketRound` (the assignment does
-not move between rounds), so the subscriber count runs once per round;
-only round 0 counts the initial assignment.  Each round reports the
-scalar market's ``econ.market`` span and counters through the same
-:class:`~tussle.econ.market.MarketObserver`, plus its own
-``scale.kernel`` counters.
+Offer columns are cached by pricing signature (price, business price,
+tunnel detection) and recomputed only when a signature first appears,
+so equal-priced providers share one column.  Pricing reads round-start
+shares from the previous round's :class:`~tussle.econ.market.MarketRound`
+(the assignment does not move between rounds), so the subscriber count
+runs once per round; only round 0 counts the initial assignment.  Each
+round reports the scalar market's ``econ.market`` span and counters
+through the same :class:`~tussle.econ.market.MarketObserver`, plus its
+own ``scale.kernel`` counters.
+
+A round's per-consumer scratch lives in a :class:`_RoundWork` that
+:meth:`VectorMarket.run` allocates once for all its rounds and drops
+when it returns; a bare :meth:`VectorMarket.step` gets a fresh one.
+The state columns of :class:`~tussle.scale.arrays.MarketArrays`
+(assignment, surplus, switches, tunnelling) are updated in place.
 """
 
 from __future__ import annotations
@@ -49,6 +55,28 @@ from . import kernels
 from .arrays import ConsumerBatch, MarketArrays
 
 __all__ = ["VectorMarket"]
+
+
+class _RoundWork:
+    """Per-consumer buffers for one round's kernels, reused across rounds.
+
+    :meth:`VectorMarket.run` allocates one for all its rounds and drops
+    it when it returns, so no N-length scratch outlives a run (L01 and
+    L02 build the next market while the last one is still bound).
+    """
+
+    def __init__(self, n: int):
+        self.column = np.empty(n, dtype=np.int64)
+        self.raw = np.empty(n, dtype=np.float64)
+        words = [np.empty(n, dtype=np.int64) for _ in range(4)]
+        self.scan = (words, [np.empty(n, dtype=bool) for _ in range(3)])
+        # The scan's words are dead once best_provider returns; the
+        # settlement's float columns reuse them.
+        self.credit, self.price, self.business_price, self.paid = (
+            word.view(np.float64) for word in words)
+        self.masks = (np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+        self.stays = np.empty(n, dtype=bool)
+        self.slots = np.empty(n, dtype=np.int64)
 
 
 class VectorMarket:
@@ -92,8 +120,8 @@ class VectorMarket:
                 consumers, self._sorted_names,
                 preference_noise=preference_noise, seed=seed)
         self.history: List[MarketRound] = []
-        self._offer_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        self._offer_signatures: Dict[str, Tuple] = {}
+        self._offer_cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        self._work: Optional[_RoundWork] = None
         self._obs = MarketObserver()
         ctx = _obs_current()
         if ctx.metrics.enabled:
@@ -110,44 +138,41 @@ class VectorMarket:
     # ------------------------------------------------------------------
     # Offers
     # ------------------------------------------------------------------
-    def _provider_offers(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached (surplus, tunnels) columns for one provider."""
-        provider = self.providers[name]
-        signature = (provider.price, provider.business_price,
-                     provider.detects_tunnels)
-        if self._offer_signatures.get(name) != signature:
-            self._offer_cache[name] = kernels.effective_offer_column(
-                self.arrays,
-                price=provider.price,
-                business_price=provider.business_price,
-                detects_tunnels=provider.detects_tunnels,
-                server_prohibited_without_tier=(
-                    self.server_prohibited_without_tier),
-            )
-            self._offer_signatures[name] = signature
-        return self._offer_cache[name]
-
     def _offer_columns(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Each provider's (surplus, tunnels) columns, in sorted-name order.
+
+        Columns are cached by pricing signature, so providers at the same
+        rates share one pair; the cache keeps only the signatures in use.
+        """
+        cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
         offers: List[np.ndarray] = []
         tunnels: List[np.ndarray] = []
         for name in self._sorted_names:
-            surplus_column, tunnel_column = self._provider_offers(name)
-            offers.append(surplus_column)
-            tunnels.append(tunnel_column)
+            provider = self.providers[name]
+            signature = (provider.price, provider.business_price,
+                         provider.detects_tunnels)
+            columns = cache.get(signature) or self._offer_cache.get(signature)
+            if columns is None:
+                columns = kernels.effective_offer_column(
+                    self.arrays,
+                    price=provider.price,
+                    business_price=provider.business_price,
+                    detects_tunnels=provider.detects_tunnels,
+                    server_prohibited_without_tier=(
+                        self.server_prohibited_without_tier),
+                )
+            cache[signature] = columns
+            offers.append(columns[0])
+            tunnels.append(columns[1])
+        self._offer_cache = cache
         return offers, tunnels
-
-    def _choose(self, free_switch: bool = False
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        offers, tunnels = self._offer_columns()
-        return kernels.best_provider(
-            offers, tunnels, self.arrays.taste,
-            self.arrays.switching_cost, self.arrays.assignment,
-            free_switch=free_switch,
-        )
 
     def _initial_assignment(self) -> None:
         """Round-0 free choice for every unassigned consumer."""
-        best_column, _, _ = self._choose(free_switch=True)
+        offers, tunnels = self._offer_columns()
+        best_column, _, _ = kernels.best_provider(
+            offers, tunnels, self.arrays.taste, self.arrays.switching_cost,
+            self.arrays.assignment, free_switch=True)
         unassigned = self.arrays.assignment < 0
         self.arrays.assignment = np.where(
             unassigned, best_column, self.arrays.assignment)
@@ -171,13 +196,14 @@ class VectorMarket:
         ``MarketRound.shares``.
         """
         return self._shares(kernels.subscriber_counts(
-            self.arrays.assignment, self.arrays.n_providers))
+            self.arrays.assignment + 1, self.arrays.n_providers))
 
     def step(self) -> MarketRound:
         """Run one market round and return its record."""
         arrays = self.arrays
         index = len(self.history)
         n = len(arrays)
+        work = self._work if self._work is not None else _RoundWork(n)
 
         # 1. Providers adjust prices (identical to the scalar phase).  The
         # assignment has not moved since the last round's record.
@@ -191,44 +217,65 @@ class VectorMarket:
                 pricing_moves += 1
 
         # 2. Whole-population choice, switching and settlement.
-        best_column, best_raw, best_tunnels = self._choose()
-        _, switched = kernels.switching_masks(arrays.assignment, best_column)
-        stays = best_raw >= 0.0
-
-        kernels.apply_surplus_updates(
-            arrays.surplus, best_raw, switched, stays, arrays.switching_cost)
-        arrays.switches += switched
-        arrays.tunnelling = best_tunnels
-        arrays.assignment = np.where(stays, best_column, -1)
-
+        offers, tunnels = self._offer_columns()
+        best_column, best_raw, best_tunnels = kernels.best_provider(
+            offers, tunnels, arrays.taste, arrays.switching_cost,
+            arrays.assignment, out=(work.column, work.raw, arrays.tunnelling),
+            work=work.scan)
+        _, switched = kernels.switching_masks(
+            arrays.assignment, best_column, out=work.masks)
+        stays = np.greater_equal(best_raw, 0.0, out=work.stays)
+        # The round credit: the best offer for a consumer who stays, +0.0
+        # for one who leaves (raw offers are never -0.0).
+        credit = np.maximum(best_raw, 0.0, out=work.credit)
         switches = int(np.count_nonzero(switched))
         tunnelling = int(np.count_nonzero(best_tunnels))
+        debit = None
+        if switches:
+            debit = arrays.switching_cost * switched
+            arrays.switches += switched
+        kernels.apply_surplus_updates(arrays.surplus, debit, credit)
 
         # The scalar loop interleaves, per consumer, the switching-cost
         # debit and the surplus credit; two columns flattened row-major
-        # replay that exact accumulation order.
-        deltas = np.zeros((n, 2), dtype=np.float64)
-        np.negative(arrays.switching_cost, out=deltas[:, 0], where=switched)
-        np.copyto(deltas[:, 1], best_raw, where=stays)
-        total_surplus = kernels.ordered_total(deltas)
+        # replay that exact accumulation order.  Without switches every
+        # debit is +0.0, a bitwise no-op on the running total, so the
+        # credits alone replay it.
+        if debit is None:
+            total_surplus = kernels.ordered_total(credit)
+        else:
+            deltas = np.empty((n, 2), dtype=np.float64)
+            np.subtract(0.0, debit, out=deltas[:, 0])
+            np.copyto(deltas[:, 1], credit)
+            total_surplus = kernels.ordered_total(deltas)
 
         # Each consumer's rates, gathered from their chosen provider's
-        # column; an untiered provider's business rate is NaN.
+        # column (every column is in range, so "clip" clips nothing and
+        # lets take write straight into the buffer); an untiered
+        # provider's business rate is NaN.  Without a consumer who values
+        # a server nobody can pay the tier, so that column is skipped.
         providers = [self.providers[name] for name in self._sorted_names]
-        price_of = np.array([p.price for p in providers], dtype=np.float64)
-        business_of = np.array(
-            [np.nan if p.business_price is None else p.business_price
-             for p in providers], dtype=np.float64)
+        price = np.take(np.array([p.price for p in providers]), best_column,
+                        out=work.price, mode="clip")
+        business_price = None
+        if arrays.values_server.any():
+            business_price = np.take(
+                np.array([np.nan if p.business_price is None
+                          else p.business_price for p in providers]),
+                best_column, out=work.business_price, mode="clip")
         paid = kernels.amount_paid_values(
             arrays.wtp, arrays.server_value, arrays.values_server,
-            best_tunnels,
-            price=price_of[best_column],
-            business_price=business_of[best_column],
+            best_tunnels, price=price, business_price=business_price,
             server_prohibited_without_tier=(
                 self.server_prohibited_without_tier),
+            out=work.paid,
         )
+        # A stayer's slot is its column + 1, a leaver's 0 (dropped).
+        slots = np.add(best_column, 1, out=work.slots)
+        np.multiply(slots, stays, out=slots)
+        np.subtract(slots, 1, out=arrays.assignment)
         revenue_columns = kernels.per_provider_revenue(
-            paid, best_column, stays, arrays.n_providers)
+            paid, slots, arrays.n_providers)
         revenue = {
             name: float(revenue_columns[j])
             for j, name in enumerate(self._sorted_names)
@@ -236,8 +283,7 @@ class VectorMarket:
 
         # 3. Accounting — same iteration shapes as the scalar backend so
         # the Python-level float folds (mean, profit sum) match bitwise.
-        counts_after = kernels.subscriber_counts(
-            arrays.assignment, arrays.n_providers)
+        counts_after = kernels.subscriber_counts(slots, arrays.n_providers)
         column_of = {name: j for j, name in enumerate(self._sorted_names)}
         for name, provider in self.providers.items():
             provider.record_round(
@@ -265,8 +311,12 @@ class VectorMarket:
         return record
 
     def run(self, rounds: int) -> List[MarketRound]:
-        for _ in range(rounds):
-            self.step()
+        self._work = _RoundWork(len(self.arrays))
+        try:
+            for _ in range(rounds):
+                self.step()
+        finally:
+            self._work = None
         return self.history
 
     # ------------------------------------------------------------------

@@ -184,13 +184,17 @@ class TestBestProvider:
                        value_pricing_market_at_scale(
                            3, True, False, n_consumers=300, seed=2)):
             market.run(6)
-            for name in market._sorted_names:
-                provider = market.providers[name]
-                cached = market._offer_cache[name]
+            # The cache is keyed by pricing signature and holds exactly
+            # the signatures the providers are at now.
+            assert set(market._offer_cache) == {
+                (p.price, p.business_price, p.detects_tunnels)
+                for p in market.providers.values()}
+            for signature, cached in market._offer_cache.items():
+                price, business_price, detects_tunnels = signature
                 fresh = kernels.effective_offer_column(
-                    market.arrays, price=provider.price,
-                    business_price=provider.business_price,
-                    detects_tunnels=provider.detects_tunnels,
+                    market.arrays, price=price,
+                    business_price=business_price,
+                    detects_tunnels=detects_tunnels,
                     server_prohibited_without_tier=(
                         market.server_prohibited_without_tier))
                 assert cached[0].tobytes() == fresh[0].tobytes()
@@ -240,12 +244,15 @@ class TestMasksAndReductions:
             for i in range(n):
                 if stays[i] and best[i] >= 0:
                     expected[best[i]] += paid[i]
-            revenue = kernels.per_provider_revenue(paid, best, stays, p)
+            # The market's slots: column + 1 for a stayer, 0 for a leaver.
+            slots = (best + 1) * stays
+            revenue = kernels.per_provider_revenue(paid, slots, p)
             assert list(revenue) == expected
 
     def test_subscriber_counts_ignore_unsubscribed(self):
         assignment = np.array([0, 0, 1, -1, -1, 2], dtype=np.int64)
-        assert list(kernels.subscriber_counts(assignment, 4)) == [2, 1, 1, 0]
+        assert list(kernels.subscriber_counts(assignment + 1, 4)) \
+            == [2, 1, 1, 0]
 
     def test_round_kernel_bytes_scales_with_population(self):
         small = kernels.round_kernel_bytes(1_000, 3, True)

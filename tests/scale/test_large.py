@@ -1,5 +1,9 @@
 """Large-N builders and the L01/L02 experiments at their default tier."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,19 @@ from tussle.scale.large import (
     value_pricing_batch,
     value_pricing_market_at_scale,
 )
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _perfbench_pins(seed: int) -> dict:
+    """The L01/L02 digests ``perfbench/pins.json`` pins (read, never
+    written)."""
+    pins = json.loads((ROOT / "perfbench" / "pins.json").read_text())
+    return pins["full"]["population"][str(seed)]
 
 
 def assert_batch_matches(batch, consumers):
@@ -139,3 +156,15 @@ class TestL02:
         b = run_l02(seed=12)
         assert a.shape_holds and b.shape_holds
         assert a.tables[0].column("market") == b.tables[0].column("market")
+
+
+class TestFullSizePins:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_full_size_population_matches_the_benchmark_pin(self, seed):
+        """10^5-consumer bytes: the parity pair and the registry reach only
+        N <= 10^4, where the choice masks mix differently."""
+        pins = _perfbench_pins(seed)
+        l01 = run_l01(tiers=(100_000,), rounds=30, seed=seed)
+        assert _sha256(l01.to_json()) == pins["L01"]
+        l02 = run_l02(tiers=(100_000,), rounds=25, seed=seed)
+        assert _sha256(l02.to_json()) == pins["L02"]

@@ -113,3 +113,14 @@ def test_large_scale_market_loads_no_netsim_backend():
         "flowsim", "narrays", "nkernels", "vforwarding", "vrouting",
         "tmatrix")}
     assert not loaded & netsim_side
+
+
+def test_list_loads_no_experiment():
+    """``tussle list`` prints module names from the registry table."""
+    loaded = loaded_after(
+        "import contextlib, io\n"
+        "from tussle.__main__ import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['list']) == 0")
+    assert not {m for m in loaded if m.startswith("tussle.experiments.")}
+    assert "tussle.scale.large" not in loaded
