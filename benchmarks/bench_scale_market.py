@@ -13,9 +13,9 @@ live behind the ``slow``/``large`` markers.
 import pytest
 
 from tussle.econ.market import Market
-from tussle.experiments.e01_lockin import lockin_market_spec
 from tussle.obs import Profiler
-from tussle.scale.large import lockin_market_at_scale
+from tussle.scale.large import lockin_market_spec
+from tussle.scale.vmarket import VectorMarket
 
 ROUNDS = 30
 SWITCHING_COST = 3.0
@@ -26,12 +26,12 @@ SPEEDUP_FLOOR_AT_1E4 = 10.0
 def _time_backends(n_consumers, profiler, repeats=3):
     """Best-of-N wall time for a full run of each backend at ``n``."""
     for _ in range(repeats):
-        scalar = Market(**lockin_market_spec(SWITCHING_COST, n_consumers,
-                                             seed=SEED))
+        spec = lockin_market_spec(SWITCHING_COST, n_consumers, seed=SEED)
+        scalar = Market(consumers=spec.pop("batch").to_consumers(), **spec)
         with profiler.time(f"scalar/{n_consumers}"):
             scalar.run(ROUNDS)
-        vector = lockin_market_at_scale(SWITCHING_COST, n_consumers,
-                                        seed=SEED)
+        vector = VectorMarket(**lockin_market_spec(SWITCHING_COST,
+                                                   n_consumers, seed=SEED))
         with profiler.time(f"vector/{n_consumers}"):
             vector.run(ROUNDS)
     return (profiler.min_seconds(f"scalar/{n_consumers}"),
@@ -73,7 +73,8 @@ def test_vector_backend_speedup_at_1e5():
 @pytest.mark.large
 def test_million_agent_round_within_budget():
     """A warm N=10^6 vector round stays under a second."""
-    market = lockin_market_at_scale(SWITCHING_COST, 1_000_000, seed=SEED)
+    market = VectorMarket(**lockin_market_spec(SWITCHING_COST, 1_000_000,
+                                               seed=SEED))
     market.step()  # pay first-touch allocation outside the timed region
     profiler = Profiler()
 

@@ -15,8 +15,8 @@ things:
 
 import os
 
+from tussle.canon import canonical_json
 from tussle.experiments import ALL_EXPERIMENTS
-from tussle.experiments.common import canonical_json
 from tussle.obs import Profiler
 from tussle.sweep import ResilientExecutor, SweepSpec, run_sweep
 from tussle.sweep.aggregate import aggregate

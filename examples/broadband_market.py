@@ -13,8 +13,8 @@ plus the paper's warning that the wrong open-access boundary barely helps.
 Run:  python examples/broadband_market.py
 """
 
-from tussle.econ import herfindahl_index
-from tussle.econ.accesstech import AccessRegime, Facility, build_access_market
+from tussle.econ import Market, herfindahl_index
+from tussle.econ.accesstech import AccessRegime, Facility, access_market_spec
 
 
 def facilities_for(world):
@@ -29,8 +29,10 @@ def facilities_for(world):
 
 
 def simulate(world, regime, rounds=30):
-    market = build_access_market(facilities_for(world), regime,
-                                 n_consumers=200, seed=3)
+    spec = access_market_spec(facilities_for(world), regime,
+                              n_consumers=200, seed=3)
+    # The scalar market takes the population as Consumer objects.
+    market = Market(consumers=spec.pop("batch").to_consumers(), **spec)
     market.run(rounds)
     shares = [len(p.subscribers) / 200 for p in market.providers.values()
               if p.subscribers]

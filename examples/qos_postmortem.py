@@ -14,7 +14,7 @@ ablation where vertical integration (closed deployment) is impossible.
 Run:  python examples/qos_postmortem.py
 """
 
-from tussle.econ.investment import InvestmentModel, qos_deployment_game
+from tussle.econ.investment import InvestmentModel, deployment_game
 
 
 def label(flag):
@@ -31,7 +31,7 @@ def main():
 
     print("value-flow  user-choice  ->  industry equilibrium")
     print("-" * 52)
-    for cell in qos_deployment_game(model):
+    for cell in deployment_game(model):
         marker = "  <- the only OPEN deployment" if cell.open_deployment else ""
         print(f"   {label(cell.value_flow)}         {label(cell.user_choice)}"
               f"       ->  {cell.outcome.value}{marker}")
@@ -47,7 +47,7 @@ def main():
           "(no vertical integration):")
     print("value-flow  user-choice  ->  equilibrium")
     print("-" * 44)
-    for cell in qos_deployment_game(model, allow_closed=False):
+    for cell in deployment_game(model, allow_closed=False):
         print(f"   {label(cell.value_flow)}         {label(cell.user_choice)}"
               f"       ->  {cell.outcome.value}")
     print("\nWithout the closed escape hatch and without user choice, QoS")

@@ -4,8 +4,6 @@ labelled seed derivation.
 Lives at the package root with no dependencies beyond :mod:`tussle.errors`
 so that leaf subsystems (``resil``, ``sweep``, ``experiments``) can all
 share the same bytes without importing each other.
-:mod:`tussle.experiments.common` re-exports :func:`canonical_json` for
-backwards compatibility.
 """
 
 from __future__ import annotations

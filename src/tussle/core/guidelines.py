@@ -105,9 +105,6 @@ class ApplicationDesign:
     needs_value_flow: bool = False
     preconfigured_defaults: bool = False
 
-    def all_roles(self) -> Set[str]:
-        return self.user_selectable_roles | self.fixed_roles
-
 
 def _choice_of_services(design: ApplicationDesign) -> bool:
     # "Protocols must permit all the parties to express choice" — every

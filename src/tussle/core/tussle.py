@@ -52,9 +52,6 @@ class TussleSpace:
         self._mechanisms[mechanism.name] = mechanism
         return mechanism
 
-    def set_variable(self, variable: str, value: float) -> None:
-        self.state[variable] = value
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -16,8 +16,8 @@ __getattr__, __dir__, __all__ = exports(__name__, {
                  "ValuePricingStrategy"),
     ".market": ("Market", "MarketRound"),
     ".competition": ("herfindahl_index",),
-    ".investment": ("DeploymentChoice", "InvestmentModel", "QosFactorial",
-                    "qos_deployment_game"),
-    ".accesstech": ("AccessRegime", "Facility", "build_access_market",
+    ".investment": ("DeploymentCell", "DeploymentChoice", "InvestmentModel",
+                    "deployment_game"),
+    ".accesstech": ("AccessRegime", "Facility", "access_market_spec",
                     "build_service_providers"),
 })

@@ -17,9 +17,10 @@ This module models a two-layer market:
 
 :func:`access_market_spec` turns a facility configuration into market
 constructor kwargs, so E03 can sweep facility count x regime and read
-prices/welfare from the standard market machinery;
-:func:`build_access_market` assembles the scalar
-:class:`~tussle.econ.market.Market` from the same spec.
+prices/welfare from the standard market machinery.  The population is a
+:class:`~tussle.scale.arrays.ConsumerBatch`; the scalar
+:class:`~tussle.econ.market.Market` runs the same spec with
+``batch.to_consumers()``.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from enum import Enum
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import MarketError
-from .agents import Consumer, Provider
-from .demand import Segment, UniformWtp
-from .market import Market
+from ..scale.arrays import ConsumerBatch, random_doubles
+from .agents import Provider
+from .demand import UniformWtp
 from .pricing import MonopolyPricing, PricingStrategy, UndercutPricing
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "Facility",
     "build_service_providers",
     "access_market_spec",
-    "build_access_market",
 ]
 
 
@@ -151,39 +151,18 @@ def access_market_spec(
 ) -> dict:
     """Constructor kwargs for one E03 cell (fresh objects per call).
 
-    Both the scalar :class:`~tussle.econ.market.Market` and the
-    ``tussle.scale`` vector backend accept these kwargs; the parity
-    harness builds one of each from two calls to this function.
+    The population is basic-segment, wtp ~ U(25, 95) drawn from
+    ``random.Random(seed)`` in consumer order, and picks freely in round
+    0.  :class:`~tussle.scale.vmarket.VectorMarket` takes these kwargs
+    as they are; the scalar :class:`~tussle.econ.market.Market` takes
+    ``consumers=batch.to_consumers()`` in place of ``batch``.
     """
     providers, strategies = build_service_providers(
         facilities, regime, isps_per_open_facility=isps_per_open_facility
     )
-    rng = random.Random(seed)
-    wtp = UniformWtp(25.0, 95.0)
-    consumers = [
-        Consumer(
-            name=f"home{i}",
-            wtp=wtp.sample(rng),
-            segment=Segment.BASIC,
-            switching_cost=switching_cost,
-        )
-        for i in range(n_consumers)
-    ]
-    return dict(providers=providers, consumers=consumers,
+    wtp = UniformWtp(25.0, 95.0).from_unit(
+        random_doubles(random.Random(seed), n_consumers))
+    return dict(providers=providers,
+                batch=ConsumerBatch.basic(wtp, switching_cost,
+                                          name_prefix="home"),
                 strategies=strategies, preference_noise=2.0, seed=seed)
-
-
-def build_access_market(
-    facilities: Sequence[Facility],
-    regime: AccessRegime,
-    n_consumers: int = 200,
-    isps_per_open_facility: int = 4,
-    switching_cost: float = 2.0,
-    seed: int = 0,
-) -> Market:
-    """Assemble the full two-layer access market for one E03 cell."""
-    return Market(**access_market_spec(
-        facilities, regime, n_consumers=n_consumers,
-        isps_per_open_facility=isps_per_open_facility,
-        switching_cost=switching_cost, seed=seed,
-    ))

@@ -52,6 +52,14 @@ class UniformWtp(WtpDistribution):
     def sample(self, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
 
+    def from_unit(self, u):
+        """``sample`` applied to pre-drawn ``rng.random()`` values.
+
+        ``rng.uniform(a, b)`` evaluates ``a + (b - a) * rng.random()``;
+        the same two IEEE operations over an array give the same floats.
+        """
+        return self.low + (self.high - self.low) * u
+
 
 #: Default per-segment distributions: business WTP dominates basic WTP.
 DEFAULT_SEGMENT_WTP: Dict[Segment, WtpDistribution] = {

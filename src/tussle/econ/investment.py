@@ -23,28 +23,27 @@ attractive to users than an open service, so under user choice it loses
 customers to open rivals.
 
 :class:`InvestmentModel` encodes these payoffs as a symmetric game among
-identical ISPs; :func:`qos_deployment_game` finds the symmetric pure
-equilibrium in each cell of the 2x2 factorial (E07). The paper's predicted
-shape: *open* deployment appears only in the (value-flow, user-choice)
-cell.
+identical ISPs; :func:`deployment_game` finds the symmetric pure
+equilibria in each cell of the 2x2 factorial. For QoS (E07) the
+paper's predicted shape is that *open* deployment appears only in the
+(value-flow, user-choice) cell. The same model, with an open service
+that is worth little until rivals deploy it too, is the multicast
+exercise of X01.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..errors import MarketError
 
 __all__ = [
     "DeploymentChoice",
     "InvestmentModel",
-    "QosFactorial",
-    "qos_deployment_game",
-    "MulticastModel",
-    "MulticastCell",
-    "multicast_deployment_game",
+    "DeploymentCell",
+    "deployment_game",
 ]
 
 
@@ -54,14 +53,6 @@ class DeploymentChoice(Enum):
     NO_DEPLOY = "no-deploy"
     DEPLOY_OPEN = "deploy-open"      # open end-to-end service
     DEPLOY_CLOSED = "deploy-closed"  # only for the ISP's own applications
-
-
-#: How attractive each posture is to users exercising choice.
-_ATTRACTIVENESS: Dict[DeploymentChoice, float] = {
-    DeploymentChoice.NO_DEPLOY: 0.0,
-    DeploymentChoice.DEPLOY_CLOSED: 1.0,
-    DeploymentChoice.DEPLOY_OPEN: 2.0,
-}
 
 
 @dataclass
@@ -87,6 +78,15 @@ class InvestmentModel:
         over rivals, when users can choose — the fear term.
     horizon:
         Rounds over which revenue accrues.
+    solo_coverage:
+        Fraction of the open service's value realized when rivals have
+        not deployed it.  1.0 for QoS; small for multicast, where a
+        single ISP's island covers almost no group members.
+    island_attractiveness:
+        Attractiveness to users of an open deployment no rival supports
+        (closed is 1.0, no deployment 0.0).  2.0, the same as any open
+        deployment, for QoS; low for multicast: you cannot multicast to
+        people whose networks lack it.
     """
 
     deployment_cost: float = 100.0
@@ -95,10 +95,14 @@ class InvestmentModel:
     closed_service_revenue: float = 35.0
     churn_revenue_per_attractiveness: float = 25.0
     horizon: int = 10
+    solo_coverage: float = 1.0
+    island_attractiveness: float = 2.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.captive_fraction <= 1.0:
             raise MarketError("captive_fraction must be in [0, 1]")
+        if not 0.0 <= self.solo_coverage <= 1.0:
+            raise MarketError("solo_coverage must be in [0, 1]")
         if self.horizon <= 0:
             raise MarketError("horizon must be positive")
 
@@ -111,7 +115,8 @@ class InvestmentModel:
         value_flow_exists: bool,
         users_can_choose: bool,
     ) -> float:
-        """Service revenue per round, before churn effects."""
+        """Service revenue per round when rivals deploy open too, before
+        churn effects."""
         if choice is DeploymentChoice.DEPLOY_OPEN:
             if not value_flow_exists:
                 return 0.0
@@ -121,6 +126,15 @@ class InvestmentModel:
             return self.closed_service_revenue
         return 0.0
 
+    def _attractiveness(self, choice: DeploymentChoice,
+                        rivals_open: bool) -> float:
+        """How attractive ``choice`` is to users exercising choice."""
+        if choice is DeploymentChoice.DEPLOY_OPEN:
+            return 2.0 if rivals_open else self.island_attractiveness
+        if choice is DeploymentChoice.DEPLOY_CLOSED:
+            return 1.0
+        return 0.0
+
     def payoff(
         self,
         my_choice: DeploymentChoice,
@@ -128,11 +142,16 @@ class InvestmentModel:
         value_flow_exists: bool,
         users_can_choose: bool,
     ) -> float:
-        """My total profit when rivals all play ``rivals_choice``."""
-        revenue = self.direct_revenue(my_choice, value_flow_exists, users_can_choose)
+        """My total profit when every rival plays ``rivals_choice``."""
+        rivals_open = rivals_choice is DeploymentChoice.DEPLOY_OPEN
+        revenue = self.direct_revenue(my_choice, value_flow_exists,
+                                      users_can_choose)
+        if my_choice is DeploymentChoice.DEPLOY_OPEN and not rivals_open:
+            revenue *= self.solo_coverage
         churn = 0.0
         if users_can_choose:
-            advantage = _ATTRACTIVENESS[my_choice] - _ATTRACTIVENESS[rivals_choice]
+            advantage = (self._attractiveness(my_choice, rivals_open)
+                         - self._attractiveness(rivals_choice, rivals_open))
             churn = self.churn_revenue_per_attractiveness * advantage
         total = (revenue + churn) * self.horizon
         if my_choice is not DeploymentChoice.NO_DEPLOY:
@@ -153,9 +172,7 @@ class InvestmentModel:
         A profile where everyone plays ``c`` is an equilibrium when no ISP
         gains by unilaterally deviating.
         """
-        choices = [DeploymentChoice.NO_DEPLOY, DeploymentChoice.DEPLOY_OPEN]
-        if allow_closed:
-            choices.append(DeploymentChoice.DEPLOY_CLOSED)
+        choices = _choices(allow_closed)
         stable: List[DeploymentChoice] = []
         for candidate in choices:
             incumbent = self.payoff(candidate, candidate, value_flow_exists, users_can_choose)
@@ -189,164 +206,42 @@ class InvestmentModel:
                     -list(DeploymentChoice).index(c),
                 ),
             )
-        choices = [DeploymentChoice.NO_DEPLOY, DeploymentChoice.DEPLOY_OPEN]
-        if allow_closed:
-            choices.append(DeploymentChoice.DEPLOY_CLOSED)
         return max(
-            choices,
+            _choices(allow_closed),
             key=lambda c: self.payoff(
                 c, DeploymentChoice.NO_DEPLOY, value_flow_exists, users_can_choose
             ),
         )
 
 
-@dataclass
-class QosFactorial:
-    """One cell of the E07 factorial: conditions and equilibrium outcome."""
-
-    value_flow: bool
-    user_choice: bool
-    outcome: DeploymentChoice
-    open_deployment: bool
-
-    def describe(self) -> str:
-        vf = "value-flow" if self.value_flow else "no-value-flow"
-        uc = "user-choice" if self.user_choice else "no-user-choice"
-        return f"{vf}/{uc} -> {self.outcome.value}"
-
-
-def qos_deployment_game(
-    model: Optional[InvestmentModel] = None,
-    allow_closed: bool = True,
-) -> List[QosFactorial]:
-    """Run the 2x2 QoS deployment factorial (E07).
-
-    Returns one :class:`QosFactorial` per cell, in (value_flow,
-    user_choice) order: (F,F), (F,T), (T,F), (T,T).
-    """
-    model = model or InvestmentModel()
-    results: List[QosFactorial] = []
-    for value_flow in (False, True):
-        for user_choice in (False, True):
-            outcome = model.equilibrium_outcome(
-                value_flow_exists=value_flow,
-                users_can_choose=user_choice,
-                allow_closed=allow_closed,
-            )
-            results.append(
-                QosFactorial(
-                    value_flow=value_flow,
-                    user_choice=user_choice,
-                    outcome=outcome,
-                    open_deployment=outcome is DeploymentChoice.DEPLOY_OPEN,
-                )
-            )
-    return results
+def _choices(allow_closed: bool) -> List[DeploymentChoice]:
+    choices = [DeploymentChoice.NO_DEPLOY, DeploymentChoice.DEPLOY_OPEN]
+    if allow_closed:
+        choices.append(DeploymentChoice.DEPLOY_CLOSED)
+    return choices
 
 
 @dataclass
-class MulticastModel:
-    """The multicast post-mortem — "left as an exercise for the reader".
-
-    §VII footnote 19: "The case study of the failure to deploy multicast
-    is left as an exercise for the reader." This model does the exercise.
-
-    Multicast differs from QoS in one structural way: an *open* multicast
-    service is only useful when (nearly) everyone deploys it — a single
-    ISP's multicast island covers almost no group members. That makes the
-    deployment game a **coordination (stag-hunt) game**: universal open
-    deployment is an equilibrium, but so is universal non-deployment, and
-    a lone deployer loses money. Even fixing both QoS failure factors
-    (value flow and user choice) does not make open deployment the
-    *unique* outcome — the industry can rationally sit in the no-deploy
-    trap forever, which is what happened.
-
-    Parameters mirror :class:`InvestmentModel`, plus:
-
-    solo_coverage:
-        Fraction of the open service's value realized when rivals have
-        not deployed (a multicast island).
-    island_attractiveness:
-        Attractiveness-to-users of an open deployment nobody else
-        supports (low: you cannot multicast to people whose networks
-        lack it).
-    """
-
-    deployment_cost: float = 100.0
-    open_service_revenue: float = 20.0
-    captive_fraction: float = 0.3
-    closed_service_revenue: float = 12.0
-    churn_revenue_per_attractiveness: float = 25.0
-    horizon: int = 10
-    solo_coverage: float = 0.1
-    island_attractiveness: float = 0.3
-
-    def _attractiveness(self, choice: DeploymentChoice,
-                        rivals_open: bool) -> float:
-        if choice is DeploymentChoice.DEPLOY_OPEN:
-            return 2.0 if rivals_open else self.island_attractiveness
-        if choice is DeploymentChoice.DEPLOY_CLOSED:
-            return 1.0
-        return 0.0
-
-    def payoff(
-        self,
-        my_choice: DeploymentChoice,
-        rivals_choice: DeploymentChoice,
-        value_flow_exists: bool,
-        users_can_choose: bool,
-    ) -> float:
-        """My total profit when every rival plays ``rivals_choice``."""
-        rivals_open = rivals_choice is DeploymentChoice.DEPLOY_OPEN
-        revenue = 0.0
-        if my_choice is DeploymentChoice.DEPLOY_OPEN and value_flow_exists:
-            reach = 1.0 if users_can_choose else self.captive_fraction
-            coverage = 1.0 if rivals_open else self.solo_coverage
-            revenue = self.open_service_revenue * reach * coverage
-        elif my_choice is DeploymentChoice.DEPLOY_CLOSED:
-            revenue = self.closed_service_revenue
-        churn = 0.0
-        if users_can_choose:
-            advantage = (self._attractiveness(my_choice, rivals_open)
-                         - self._attractiveness(rivals_choice, rivals_open))
-            churn = self.churn_revenue_per_attractiveness * advantage
-        total = (revenue + churn) * self.horizon
-        if my_choice is not DeploymentChoice.NO_DEPLOY:
-            total -= self.deployment_cost
-        return total
-
-    def symmetric_equilibria(
-        self,
-        value_flow_exists: bool,
-        users_can_choose: bool,
-        allow_closed: bool = True,
-    ) -> List[DeploymentChoice]:
-        """Symmetric pure equilibria — typically more than one."""
-        choices = [DeploymentChoice.NO_DEPLOY, DeploymentChoice.DEPLOY_OPEN]
-        if allow_closed:
-            choices.append(DeploymentChoice.DEPLOY_CLOSED)
-        stable: List[DeploymentChoice] = []
-        for candidate in choices:
-            incumbent = self.payoff(candidate, candidate,
-                                    value_flow_exists, users_can_choose)
-            if all(
-                self.payoff(deviation, candidate,
-                            value_flow_exists, users_can_choose)
-                <= incumbent + 1e-9
-                for deviation in choices if deviation is not candidate
-            ):
-                stable.append(candidate)
-        return stable
-
-
-@dataclass
-class MulticastCell:
-    """One factorial cell of the multicast exercise."""
+class DeploymentCell:
+    """One factorial cell: its conditions, symmetric equilibria and the
+    predicted industry outcome."""
 
     value_flow: bool
     user_choice: bool
     equilibria: List[DeploymentChoice]
-    coordination_trap: bool
+    outcome: DeploymentChoice
+
+    @property
+    def open_deployment(self) -> bool:
+        return self.outcome is DeploymentChoice.DEPLOY_OPEN
+
+    @property
+    def coordination_trap(self) -> bool:
+        """Universal open deployment is an equilibrium, and so is staying
+        out (or closed): the industry can rationally never get there."""
+        return (DeploymentChoice.DEPLOY_OPEN in self.equilibria
+                and any(e is not DeploymentChoice.DEPLOY_OPEN
+                        for e in self.equilibria))
 
     def describe(self) -> str:
         vf = "value-flow" if self.value_flow else "no-value-flow"
@@ -355,32 +250,22 @@ class MulticastCell:
         return f"{vf}/{uc}: equilibria={{{names}}} trap={self.coordination_trap}"
 
 
-def multicast_deployment_game(
-    model: Optional[MulticastModel] = None,
+def deployment_game(
+    model: Optional[InvestmentModel] = None,
     allow_closed: bool = True,
-) -> List[MulticastCell]:
-    """Run the multicast 2x2 factorial.
-
-    A cell is a **coordination trap** when universal open deployment is
-    an equilibrium *and* universal non- (or closed) deployment is also an
-    equilibrium: the industry can rationally never get there. The
-    paper-matching shape: unlike QoS, even the (value-flow, user-choice)
-    cell is a trap — coordination, not incentives alone, killed open
-    multicast.
-    """
-    model = model or MulticastModel()
-    cells: List[MulticastCell] = []
-    for value_flow in (False, True):
-        for user_choice in (False, True):
-            equilibria = model.symmetric_equilibria(
-                value_flow, user_choice, allow_closed=allow_closed)
-            open_stable = DeploymentChoice.DEPLOY_OPEN in equilibria
-            other_stable = any(e is not DeploymentChoice.DEPLOY_OPEN
-                               for e in equilibria)
-            cells.append(MulticastCell(
-                value_flow=value_flow,
-                user_choice=user_choice,
-                equilibria=equilibria,
-                coordination_trap=open_stable and other_stable,
-            ))
-    return cells
+) -> List[DeploymentCell]:
+    """Run the 2x2 deployment factorial, one :class:`DeploymentCell` per
+    cell in (value_flow, user_choice) order: (F,F), (F,T), (T,F), (T,T)."""
+    model = model or InvestmentModel()
+    return [
+        DeploymentCell(
+            value_flow=value_flow,
+            user_choice=user_choice,
+            equilibria=model.symmetric_equilibria(
+                value_flow, user_choice, allow_closed=allow_closed),
+            outcome=model.equilibrium_outcome(
+                value_flow, user_choice, allow_closed=allow_closed),
+        )
+        for value_flow in (False, True)
+        for user_choice in (False, True)
+    ]

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..canon import canonical_json
 from ..errors import ExperimentError
 
-__all__ = ["Table", "ShapeCheck", "ExperimentResult", "canonical_json"]
+__all__ = ["Table", "ShapeCheck", "ExperimentResult"]
 
 
 class Table:

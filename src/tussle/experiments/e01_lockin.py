@@ -9,73 +9,27 @@ Workload: an access market with one price-creeping incumbent and two
 undercutting rivals. Consumer switching cost is derived from the
 addressing substrate (:class:`~tussle.netsim.addressing.RenumberingModel`)
 per addressing mode. We sweep the mode and report switching, prices,
-surplus and core-table cost. Each cell runs on
-:class:`~tussle.scale.vmarket.VectorMarket`; the ``market`` parity pair
-holds it to the scalar :class:`~tussle.econ.market.Market` bit for bit.
+surplus and core-table cost. The scenarios, line-up and population are
+L01's (:mod:`tussle.scale.large`) at a few hundred consumers; each cell
+runs on :class:`~tussle.scale.vmarket.VectorMarket`, and the ``market``
+parity pair holds it to the scalar :class:`~tussle.econ.market.Market`
+bit for bit.
 """
 
 from __future__ import annotations
 
-import random
-
-from ..econ import Consumer, MonopolyPricing, Provider, UndercutPricing
-from ..econ.demand import Segment, UniformWtp
-from ..netsim.addressing import AddressingMode, AddressRegistry, RenumberingModel
-from ..scale.vmarket import VectorMarket
+from ..netsim.addressing import AddressRegistry, RenumberingModel
+from ..scale.large import lockin_claims, lockin_outcomes
 from .common import ExperimentResult, Table
 
-__all__ = ["run_e01", "LOCKIN_SCENARIOS", "lockin_market_spec"]
+__all__ = ["run_e01"]
 
-#: (label, addressing mode or None for provider-independent space)
-LOCKIN_SCENARIOS = [
-    ("static", AddressingMode.STATIC),
-    ("dhcp", AddressingMode.DHCP),
-    ("dhcp+ddns", AddressingMode.DHCP_DDNS),
-    ("provider-independent", None),
+#: E01's wording of the lock-in claims, in ``lockin_claims`` order.
+_CLAIMS = [
+    "switching rises as renumbering gets cheaper (static -> ddns/PI)",
+    "prices are highest under static lock-in",
+    "consumer surplus improves when switching is freed",
 ]
-
-
-def lockin_market_spec(switching_cost: float, n_consumers: int,
-                       seed: int) -> dict:
-    """Constructor kwargs for one E01 lock-in market cell.
-
-    Returns fresh provider/consumer objects on every call so the same
-    spec can build both the scalar :class:`~tussle.econ.market.Market`
-    and the vectorized ``tussle.scale`` backend (the parity harness
-    does exactly that).
-    """
-    providers = [
-        Provider(name="incumbent", price=45.0, unit_cost=5.0),
-        Provider(name="rival-a", price=40.0, unit_cost=5.0),
-        Provider(name="rival-b", price=42.0, unit_cost=5.0),
-    ]
-    strategies = {
-        "incumbent": MonopolyPricing(price_cap=90.0),
-        "rival-a": UndercutPricing(),
-        "rival-b": UndercutPricing(),
-    }
-    rng = random.Random(seed)
-    wtp = UniformWtp(35.0, 110.0)
-    consumers = [
-        Consumer(
-            name=f"site{i}",
-            wtp=wtp.sample(rng),
-            segment=Segment.BASIC,
-            switching_cost=switching_cost,
-            provider="incumbent",   # everyone starts locked to the incumbent
-        )
-        for i in range(n_consumers)
-    ]
-    return dict(providers=providers, consumers=consumers,
-                strategies=strategies, seed=seed)
-
-
-def _market_with_switching_cost(switching_cost: float, n_consumers: int,
-                                rounds: int, seed: int) -> VectorMarket:
-    market = VectorMarket(**lockin_market_spec(switching_cost, n_consumers,
-                                               seed))
-    market.run(rounds)
-    return market
 
 
 def run_e01(
@@ -92,16 +46,11 @@ def run_e01(
          "final_price", "consumer_surplus", "core_table"],
     )
 
-    for label, mode in LOCKIN_SCENARIOS:
+    for label, mode, cost, outcome in lockin_outcomes(
+            n_hosts_per_site, n_consumers, rounds, seed):
         provider_independent = mode is None
-        cost = model.switching_cost(
-            n_hosts_per_site,
-            mode or AddressingMode.STATIC,
-            provider_independent=provider_independent,
-        )
         lockin = (0.0 if provider_independent
                   else model.lock_in_index(n_hosts_per_site, mode))
-        market = _market_with_switching_cost(cost, n_consumers, rounds, seed)
 
         # Core-table cost: 3 provider aggregates, plus one PI entry per
         # customer when customers hold provider-independent space.
@@ -114,17 +63,8 @@ def run_e01(
             else:
                 registry.assign_customer_block(f"site{i}", provider_asn=1)
 
-        consumer_rounds = n_consumers * rounds
-        table.add_row(
-            mode=label,
-            switch_cost=cost,
-            lockin_index=lockin,
-            switch_rate=(market.total_switches() / consumer_rounds
-                         if consumer_rounds else 0.0),
-            final_price=market.mean_price(),
-            consumer_surplus=market.total_consumer_surplus(),
-            core_table=registry.core_table_size(),
-        )
+        table.add_row(mode=label, switch_cost=cost, lockin_index=lockin,
+                      **outcome, core_table=registry.core_table_size())
 
     result = ExperimentResult(
         experiment_id="E01",
@@ -135,27 +75,9 @@ def run_e01(
         tables=[table],
     )
 
-    switch_rates = table.column("switch_rate")
-    prices = table.column("final_price")
-    surpluses = table.column("consumer_surplus")
+    for claim, (holds, detail) in zip(_CLAIMS, lockin_claims(table.rows)):
+        result.add_check(claim, holds, detail=detail)
     core_tables = table.column("core_table")
-
-    result.add_check(
-        "switching rises as renumbering gets cheaper (static -> ddns/PI)",
-        switch_rates[0] <= switch_rates[1] <= switch_rates[2]
-        and switch_rates[0] < switch_rates[2],
-        detail=f"switch rates {['%.4f' % s for s in switch_rates]}",
-    )
-    result.add_check(
-        "prices are highest under static lock-in",
-        prices[0] >= max(prices[1:]) - 1e-9,
-        detail=f"final prices {['%.2f' % p for p in prices]}",
-    )
-    result.add_check(
-        "consumer surplus improves when switching is freed",
-        surpluses[2] > surpluses[0] and surpluses[3] > surpluses[0],
-        detail=f"surplus {['%.0f' % s for s in surpluses]}",
-    )
     result.add_check(
         "PI addressing blows up the core table relative to PA",
         core_tables[3] > 10 * core_tables[0],

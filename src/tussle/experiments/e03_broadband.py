@@ -29,7 +29,17 @@ from ..errors import ExperimentError
 from ..scale.vmarket import VectorMarket
 from .common import ExperimentResult, Table
 
-__all__ = ["run_e03", "scenario_facilities"]
+__all__ = ["run_e03", "ACCESS_CELLS", "scenario_facilities"]
+
+#: (scenario, regime): the cells E03 runs and the parity gate checks.
+ACCESS_CELLS: List[Tuple[str, AccessRegime]] = [
+    ("dialup-era", AccessRegime.OPEN_NATURAL_BOUNDARY),
+    ("duopoly", AccessRegime.CLOSED),
+    ("duopoly", AccessRegime.OPEN_WRONG_BOUNDARY),
+    ("duopoly", AccessRegime.OPEN_NATURAL_BOUNDARY),
+    ("duopoly+muni-fiber", AccessRegime.CLOSED),
+    ("duopoly+muni-fiber", AccessRegime.OPEN_NATURAL_BOUNDARY),
+]
 
 
 def scenario_facilities(kind: str) -> List[Facility]:
@@ -56,16 +66,8 @@ def run_e03(n_consumers: int = 200, rounds: int = 30, seed: int = 3) -> Experime
         ["scenario", "regime", "n_retailers", "hhi",
          "final_price", "consumer_surplus"],
     )
-    cells: List[Tuple[str, AccessRegime]] = [
-        ("dialup-era", AccessRegime.OPEN_NATURAL_BOUNDARY),
-        ("duopoly", AccessRegime.CLOSED),
-        ("duopoly", AccessRegime.OPEN_WRONG_BOUNDARY),
-        ("duopoly", AccessRegime.OPEN_NATURAL_BOUNDARY),
-        ("duopoly+muni-fiber", AccessRegime.CLOSED),
-        ("duopoly+muni-fiber", AccessRegime.OPEN_NATURAL_BOUNDARY),
-    ]
     rows: Dict[Tuple[str, AccessRegime], Dict[str, float]] = {}
-    for scenario, regime in cells:
+    for scenario, regime in ACCESS_CELLS:
         market = VectorMarket(**access_market_spec(
             scenario_facilities(scenario), regime,
             n_consumers=n_consumers, seed=seed,

@@ -19,16 +19,39 @@ source routing with payment; overlay over BGP.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from ..routing import (
-    OverlayNetwork,
     PathVectorRouting,
     SourceRoutingSystem,
     TransitTerms,
+    overlay_regime,
 )
 from ..topogen.presets import e04_reference_graph, stub_pairs
 from .common import ExperimentResult, Table
 
 __all__ = ["run_e04"]
+
+
+def _source_routing(network, pairs, payment_enabled: bool) -> Dict[str, float]:
+    """User source routing over ``pairs`` when every AS refuses unpaid
+    source routes at price 1.0: mean usable paths per pair, the share of
+    pairs with an affordable route, and the transit revenue collected."""
+    system = SourceRoutingSystem(network, payment_enabled=payment_enabled)
+    for autonomous_system in network.ases:
+        system.set_terms(autonomous_system.asn,
+                         TransitTerms(accepts_source_routes=False, price=1.0))
+    success = 0
+    diversity = 0
+    for src, dst in pairs:
+        if system.best_affordable_route(src, dst, budget=100.0) is not None:
+            success += 1
+        diversity += system.path_diversity(src, dst, budget=100.0)
+    return {
+        "mean_paths_per_pair": diversity / len(pairs),
+        "success_rate": success / len(pairs),
+        "transit_revenue": sum(system.revenue.values()),
+    }
 
 
 def run_e04(n_pairs: int = 8, seed: int = 5) -> ExperimentResult:
@@ -53,58 +76,17 @@ def run_e04(n_pairs: int = 8, seed: int = 5) -> ExperimentResult:
         uncompensated_transit=0,
     )
 
-    # --- Regime 2: source routing, no payment (today's reality).
-    no_pay = SourceRoutingSystem(network, payment_enabled=False)
-    for autonomous_system in network.ases:
-        no_pay.set_terms(autonomous_system.asn,
-                         TransitTerms(accepts_source_routes=False, price=1.0))
-    no_pay_success = 0
-    no_pay_diversity = 0
-    for src, dst in pairs:
-        attempt = no_pay.best_affordable_route(src, dst, budget=100.0)
-        if attempt is not None:
-            no_pay_success += 1
-        no_pay_diversity += no_pay.path_diversity(src, dst, budget=100.0)
-    table.add_row(
-        regime="source-routing/no-payment", control="user",
-        mean_paths_per_pair=no_pay_diversity / len(pairs),
-        success_rate=no_pay_success / len(pairs),
-        transit_revenue=sum(no_pay.revenue.values()),
-        uncompensated_transit=0,
-    )
-
-    # --- Regime 3: source routing with payment.
-    paid = SourceRoutingSystem(network, payment_enabled=True)
-    for autonomous_system in network.ases:
-        paid.set_terms(autonomous_system.asn,
-                       TransitTerms(accepts_source_routes=False, price=1.0))
-    paid_success = 0
-    paid_diversity = 0
-    for src, dst in pairs:
-        attempt = paid.best_affordable_route(src, dst, budget=100.0)
-        if attempt is not None and attempt.succeeded:
-            paid_success += 1
-        paid_diversity += paid.path_diversity(src, dst, budget=100.0)
-    table.add_row(
-        regime="source-routing/payment", control="user",
-        mean_paths_per_pair=paid_diversity / len(pairs),
-        success_rate=paid_success / len(pairs),
-        transit_revenue=sum(paid.revenue.values()),
-        uncompensated_transit=0,
-    )
+    # --- Regimes 2 and 3: source routing without payment (today's
+    # reality) and with it.
+    for regime, payment_enabled in (("source-routing/no-payment", False),
+                                    ("source-routing/payment", True)):
+        table.add_row(regime=regime, control="user",
+                      **_source_routing(network, pairs, payment_enabled),
+                      uncompensated_transit=0)
 
     # --- Regime 4: overlay over BGP (the workaround).
-    members = sorted({asn for pair in pairs for asn in pair})
-    overlay = OverlayNetwork(bgp, members=members)
-    overlay_choices = 0
-    overlay_success = 0
-    uncompensated = 0
-    for src, dst in pairs:
-        choices = overlay.path_choice_count(src, dst)
-        overlay_choices += choices
-        if overlay.reachable_via_overlay(src, dst):
-            overlay_success += 1
-        uncompensated += sum(overlay.uncompensated_transit(src, dst).values())
+    overlay_choices, overlay_success, uncompensated = overlay_regime(
+        bgp, pairs)
     table.add_row(
         regime="overlay", control="user",
         mean_paths_per_pair=overlay_choices / len(pairs),

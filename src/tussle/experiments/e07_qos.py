@@ -18,11 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..econ.investment import (
-    DeploymentChoice,
-    InvestmentModel,
-    qos_deployment_game,
-)
+from ..econ.investment import DeploymentChoice, InvestmentModel, deployment_game
 from .common import ExperimentResult, Table
 
 __all__ = ["run_e07"]
@@ -38,7 +34,7 @@ def run_e07(model: InvestmentModel = None,
         "E07: QoS deployment equilibrium per factorial cell",
         ["value_flow", "user_choice", "equilibrium", "open_deployment"],
     )
-    cells = qos_deployment_game(model, allow_closed=True)
+    cells = deployment_game(model, allow_closed=True)
     outcomes: Dict[Tuple[bool, bool], DeploymentChoice] = {}
     for cell in cells:
         outcomes[(cell.value_flow, cell.user_choice)] = cell.outcome
@@ -54,7 +50,7 @@ def run_e07(model: InvestmentModel = None,
         ["value_flow", "user_choice", "equilibrium"],
     )
     ablation_outcomes: Dict[Tuple[bool, bool], DeploymentChoice] = {}
-    for cell in qos_deployment_game(model, allow_closed=False):
+    for cell in deployment_game(model, allow_closed=False):
         ablation_outcomes[(cell.value_flow, cell.user_choice)] = cell.outcome
         ablation.add_row(
             value_flow=cell.value_flow,

@@ -25,11 +25,12 @@ and checks that blame routing stays consistent under random faults.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, Collection, Tuple
 
 from ..netsim.faults import Audience, FaultReporter
 from ..netsim.forwarding import ForwardingEngine
 from ..netsim.packets import make_packet
+from ..netsim.topology import Network
 from ..resil import ChaosInjector, ChaosSchedule
 from ..routing import RouteRecovery
 from ..topogen.presets import (
@@ -39,53 +40,57 @@ from ..topogen.presets import (
 )
 from .common import ExperimentResult, Table
 
-__all__ = ["run_r01"]
+__all__ = ["run_r01", "fault_table", "chaos_table"]
 
 
-def _engine() -> ForwardingEngine:
-    engine = ForwardingEngine(_build_network())
+def _engine(network: Network) -> ForwardingEngine:
+    engine = ForwardingEngine(network)
     engine.install_shortest_path_tables()
     return engine
 
 
-def _structural_table() -> Tuple[Table, List[str]]:
-    """Fail every link in turn and route the blame."""
+def fault_table(experiment_id: str, build: Callable[[], Network],
+                providers: Tuple[str, ...],
+                primary_links: Collection[Tuple[str, str]]) -> Table:
+    """Fail every link of a fresh ``build()`` in turn, probe ``u`` ->
+    ``dst`` and route the blame among ``providers``' nodes, then
+    re-converge to see whether the user's remedy works."""
     reporter = FaultReporter()
     table = Table(
-        "R01: single-link faults, blame routing, and recovery",
+        f"{experiment_id}: single-link faults, blame routing, and recovery",
         ["link", "on_primary", "delivered", "audience", "actionable",
          "recovered"],
     )
-    failures: List[str] = []
-    links = sorted(_build_network().links, key=lambda l: l.key())
-    for link in links:
-        engine = _engine()
+    for link in sorted(build().links, key=lambda l: l.key()):
+        engine = _engine(build())
         engine.network.fail_link(link.a, link.b)
         receipt = engine.send(make_packet("u", "dst"))
-        on_primary = link.key() in _PRIMARY_LINKS
         audience = None
         actionable = None
         if not receipt.delivered:
-            report = reporter.route(receipt, _PROVIDER_NODES)
+            report = reporter.route(receipt, providers)
             audience = report.audience.value
             actionable = report.actionable
-            failures.append(audience)
         recovered = RouteRecovery(engine).reconverge(1.0, probe=("u", "dst"))
-        table.add_row(link="-".join(link.key()), on_primary=on_primary,
+        table.add_row(link="-".join(link.key()),
+                      on_primary=link.key() in primary_links,
                       delivered=receipt.delivered, audience=audience,
                       actionable=actionable, recovered=recovered)
-    return table, failures
+    return table
 
 
-def _chaos_table(seed: int, probes: int) -> Table:
-    """Probe under a seeded fault process; blame must stay consistent."""
+def chaos_table(experiment_id: str, build: Callable[[], Network],
+                providers: Tuple[str, ...], seed: int, probes: int) -> Table:
+    """Probe ``u`` -> ``dst`` under a seeded fault process; the blame is
+    consistent when it names the operator exactly when the fault sits on
+    a provider's node."""
     reporter = FaultReporter()
     schedule = ChaosSchedule(seed=seed, horizon=float(probes),
                              link_failure_rate=0.4, link_repair=(0.5, 2.0))
-    engine = _engine()
+    engine = _engine(build())
     injector = ChaosInjector(engine, schedule.plan(engine.network))
     table = Table(
-        "R01: seeded chaos probes",
+        f"{experiment_id}: seeded chaos probes",
         ["time", "delivered", "location", "audience", "consistent"],
     )
     for i in range(probes):
@@ -96,12 +101,12 @@ def _chaos_table(seed: int, probes: int) -> Table:
         audience = None
         consistent = True
         if not receipt.delivered:
-            report = reporter.route(receipt, _PROVIDER_NODES)
+            report = reporter.route(receipt, providers)
             location = report.location
             audience = report.audience.value
-            blamed_provider = location in _PROVIDER_NODES
             consistent = (
-                (audience == Audience.OPERATOR.value) == blamed_provider
+                (audience == Audience.OPERATOR.value)
+                == (location in providers)
                 and report.actionable
             )
         table.add_row(time=now, delivered=receipt.delivered,
@@ -119,9 +124,10 @@ def run_r01(probes: int = 12, seed: int = 0) -> ExperimentResult:
                      "provider, the user (whose remedy is choice) at the "
                      "edge."),
     )
-    structural, _ = _structural_table()
+    structural = fault_table("R01", _build_network, _PROVIDER_NODES,
+                             _PRIMARY_LINKS)
     result.tables.append(structural)
-    chaos = _chaos_table(seed, probes)
+    chaos = chaos_table("R01", _build_network, _PROVIDER_NODES, seed, probes)
     result.tables.append(chaos)
 
     rows = structural.rows

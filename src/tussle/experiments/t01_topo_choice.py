@@ -23,7 +23,7 @@ not express:
 
 from __future__ import annotations
 
-from ..routing import OverlayNetwork, PathVectorRouting, is_valley_free
+from ..routing import PathVectorRouting, is_valley_free, overlay_regime
 from ..topogen import TopogenConfig, generate_internet
 from ..topogen.presets import stub_pairs
 from .common import ExperimentResult, Table
@@ -67,16 +67,8 @@ def run_t01(n_ases: int = 1000, n_pairs: int = 20,
         success_rate=bgp_success / len(pairs),
         uncompensated_transit=0,
     )
-    members = sorted({asn for pair in pairs for asn in pair})
-    overlay = OverlayNetwork(bgp, members=members)
-    overlay_choices = 0
-    overlay_success = 0
-    uncompensated = 0
-    for src, dst in pairs:
-        overlay_choices += overlay.path_choice_count(src, dst)
-        if overlay.reachable_via_overlay(src, dst):
-            overlay_success += 1
-        uncompensated += sum(overlay.uncompensated_transit(src, dst).values())
+    overlay_choices, overlay_success, uncompensated = overlay_regime(
+        bgp, pairs)
     regimes.add_row(
         regime="overlay", control="user",
         mean_paths_per_pair=overlay_choices / len(pairs),

@@ -8,7 +8,10 @@ graph, reads its two provider-level paths out of the converged
 valley-free RIB, and lowers them to a node-level network (one router
 chain per AS path, chains node-disjoint by construction).  The blame
 claims then re-run unchanged: if they only held on R01's hand-picked
-geometry, this is where that would show.
+geometry, this is where that would show.  Both tables are R01's
+(:func:`~tussle.experiments.r01_fault_blame.fault_table` and
+:func:`~tussle.experiments.r01_fault_blame.chaos_table`), built over the
+derived network instead of the hand-drawn one.
 
 The standby chain is padded one hop longer than the primary whenever
 the two AS paths tie, so shortest-path forwarding deterministically
@@ -20,14 +23,12 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..netsim.faults import Audience, FaultReporter
-from ..netsim.forwarding import ForwardingEngine
-from ..netsim.packets import make_packet
+from ..netsim.faults import Audience
 from ..netsim.topology import Network, Relationship
-from ..resil import ChaosInjector, ChaosSchedule
-from ..routing import PathVectorRouting, RouteRecovery
+from ..routing import PathVectorRouting
 from ..topogen import TopogenConfig, generate_internet
 from .common import ExperimentResult, Table
+from .r01_fault_blame import chaos_table, fault_table
 
 __all__ = ["run_t02"]
 
@@ -107,72 +108,6 @@ def _provider_nodes(net: Network) -> Tuple[str, ...]:
                         if n.name not in ("u", "dst")))
 
 
-def _engine(net: Network) -> ForwardingEngine:
-    engine = ForwardingEngine(net)
-    engine.install_shortest_path_tables()
-    return engine
-
-
-def _structural_table(build, providers: Tuple[str, ...],
-                      primary_links: Tuple[Tuple[str, str], ...]) -> Table:
-    reporter = FaultReporter()
-    table = Table(
-        "T02: single-link faults, blame routing, and recovery",
-        ["link", "on_primary", "delivered", "audience", "actionable",
-         "recovered"],
-    )
-    links = sorted(build().links, key=lambda l: l.key())
-    for link in links:
-        engine = _engine(build())
-        engine.network.fail_link(link.a, link.b)
-        receipt = engine.send(make_packet("u", "dst"))
-        audience = None
-        actionable = None
-        if not receipt.delivered:
-            report = reporter.route(receipt, providers)
-            audience = report.audience.value
-            actionable = report.actionable
-        recovered = RouteRecovery(engine).reconverge(1.0, probe=("u", "dst"))
-        table.add_row(link="-".join(link.key()),
-                      on_primary=link.key() in primary_links,
-                      delivered=receipt.delivered, audience=audience,
-                      actionable=actionable, recovered=recovered)
-    return table
-
-
-def _chaos_table(build, providers: Tuple[str, ...], seed: int,
-                 probes: int) -> Table:
-    reporter = FaultReporter()
-    engine = _engine(build())
-    schedule = ChaosSchedule(seed=seed, horizon=float(probes),
-                             link_failure_rate=0.4, link_repair=(0.5, 2.0))
-    injector = ChaosInjector(engine, schedule.plan(engine.network))
-    table = Table(
-        "T02: seeded chaos probes",
-        ["time", "delivered", "location", "audience", "consistent"],
-    )
-    for i in range(probes):
-        now = i + 0.5
-        injector.advance(now)
-        receipt = engine.send(make_packet("u", "dst"))
-        location = None
-        audience = None
-        consistent = True
-        if not receipt.delivered:
-            report = reporter.route(receipt, providers)
-            location = report.location
-            audience = report.audience.value
-            consistent = (
-                (audience == Audience.OPERATOR.value)
-                == (location in providers)
-                and report.actionable
-            )
-        table.add_row(time=now, delivered=receipt.delivered,
-                      location=location, audience=audience,
-                      consistent=consistent)
-    return table
-
-
 def run_t02(n_ases: int = 60, probes: int = 12,
             seed: int = 0) -> ExperimentResult:
     config = TopogenConfig(n_ases=n_ases, router_detail="none")
@@ -199,8 +134,8 @@ def run_t02(n_ases: int = 60, probes: int = 12,
                        as_path="-".join(map(str, standby)),
                        router_hops=len(workload.links) - len(primary_names) + 1)
 
-    structural = _structural_table(build, providers, primary_links)
-    chaos = _chaos_table(build, providers, seed, probes)
+    structural = fault_table("T02", build, providers, primary_links)
+    chaos = chaos_table("T02", build, providers, seed, probes)
 
     result = ExperimentResult(
         experiment_id="T02",

@@ -18,29 +18,37 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..econ.investment import (
-    DeploymentChoice,
-    MulticastModel,
-    multicast_deployment_game,
-    qos_deployment_game,
-)
+from ..econ.investment import DeploymentChoice, InvestmentModel, deployment_game
 from .common import ExperimentResult, Table
 
-__all__ = ["run_x01"]
+__all__ = ["run_x01", "multicast_model"]
 
 
-def run_x01(model: MulticastModel = None,
+def multicast_model() -> InvestmentModel:
+    """The deployment game for multicast.
+
+    Multicast differs from QoS in one structural way: an *open*
+    multicast service is only useful when (nearly) everyone deploys it.
+    A lone deployer's island realizes a tenth of the service's value and
+    draws few users, and the closed, bundled version earns less than
+    QoS's.  That makes the game a coordination (stag-hunt) game.
+    """
+    return InvestmentModel(closed_service_revenue=12.0, solo_coverage=0.1,
+                           island_attractiveness=0.3)
+
+
+def run_x01(model: InvestmentModel = None,
             seed: int = 0) -> ExperimentResult:
     # `seed` satisfies the uniform run(seed=...) harness contract; the
     # factorial deployment game is fully deterministic.
-    model = model or MulticastModel()
+    model = model or multicast_model()
 
     table = Table(
         "X01: multicast deployment equilibria per factorial cell",
         ["value_flow", "user_choice", "equilibria", "coordination_trap"],
     )
     multicast_cells: Dict[Tuple[bool, bool], object] = {}
-    for cell in multicast_deployment_game(model):
+    for cell in deployment_game(model):
         multicast_cells[(cell.value_flow, cell.user_choice)] = cell
         table.add_row(
             value_flow=cell.value_flow,
@@ -53,7 +61,7 @@ def run_x01(model: MulticastModel = None,
         "X01b: QoS vs multicast in the best (value-flow, user-choice) cell",
         ["capability", "open_unique_equilibrium", "trap"],
     )
-    qos_best = [c for c in qos_deployment_game()
+    qos_best = [c for c in deployment_game()
                 if c.value_flow and c.user_choice][0]
     multicast_best = multicast_cells[(True, True)]
     contrast.add_row(

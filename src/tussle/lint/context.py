@@ -24,6 +24,7 @@ __all__ = [
     "ProjectContext",
     "TableEntry",
     "absolute_module",
+    "import_base",
     "lazy_entries",
     "module_dotted_name",
     "parse_module",
@@ -105,7 +106,10 @@ class ModuleInfo:
     source_lines: List[str]
     #: local name -> canonical dotted module/object path, built from the
     #: module's import statements (``np`` -> ``numpy``,
-    #: ``default_rng`` -> ``numpy.random.default_rng``).
+    #: ``default_rng`` -> ``numpy.random.default_rng``); relative imports
+    #: resolve against the module's own dotted name (``from ..errors
+    #: import X`` in ``tussle.econ.market`` -> ``tussle.errors.X``), so
+    #: the flow call graph links project symbols across packages.
     imports: Dict[str, str] = field(default_factory=dict)
     #: 1-based line -> rule ids suppressed on that line (None = all).
     suppressions: Dict[int, Optional[Set[str]]] = field(default_factory=dict)
@@ -304,7 +308,14 @@ def _target_names(target: ast.expr) -> Set[str]:
     return set()
 
 
-def _build_import_table(tree: ast.Module) -> Dict[str, str]:
+def import_base(node: ast.ImportFrom, module: str, is_package: bool) -> str:
+    """The absolute dotted module a ``from ... import`` in ``module`` reads."""
+    return absolute_module("." * node.level + (node.module or ""), module,
+                           is_package)
+
+
+def _build_import_table(tree: ast.Module, module: str,
+                        is_package: bool) -> Dict[str, str]:
     table: Dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -315,9 +326,7 @@ def _build_import_table(tree: ast.Module) -> Dict[str, str]:
                     head = alias.name.split(".")[0]
                     table[head] = head
         elif isinstance(node, ast.ImportFrom):
-            if node.level:  # relative import: not an external module
-                continue
-            base = node.module or ""
+            base = import_base(node, module, is_package)
             for alias in node.names:
                 if alias.name == "*":
                     continue
@@ -350,7 +359,8 @@ def parse_module(path: Path) -> ModuleInfo:
         path=path,
         tree=tree,
         source_lines=source_lines,
-        imports=_build_import_table(tree),
+        imports=_build_import_table(tree, module_dotted_name(path),
+                                    path.stem == "__init__"),
         suppressions=_parse_suppressions(source_lines),
         disable_comments=_parse_disable_comments(source_lines),
     )

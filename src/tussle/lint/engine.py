@@ -194,8 +194,7 @@ def run_lint(
     findings.extend(check_api_invariants(context))
     findings.extend(check_reachability(context))
 
-    program = Program(extract_summary(info.path, info.tree)
-                      for info in modules)
+    program = Program(extract_summary(info) for info in modules)
     effects = infer_effects(program)
     findings.extend(check_rng_flow(program))
     findings.extend(check_purity(program, effects))

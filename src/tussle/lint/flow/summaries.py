@@ -1,9 +1,10 @@
 """Per-file summary extraction for the flow analyzer.
 
-The engine hands each parsed module's AST to :func:`extract_summary`,
-which digests it into a **summary**: plain dicts holding everything the
-whole-program analyses need — functions, resolved call sites, trace
-expressions for seed arguments, local mutation effects, RNG bindings.
+The engine hands each parsed :class:`~tussle.lint.context.ModuleInfo`
+to :func:`extract_summary`, which digests its AST and import table into
+a **summary**: plain dicts holding everything the whole-program
+analyses need — functions, resolved call sites, trace expressions for
+seed arguments, local mutation effects, RNG bindings.
 The link phase (:mod:`tussle.lint.flow.project` and the rule modules)
 operates on summaries only and never touches an AST.
 
@@ -45,17 +46,14 @@ from __future__ import annotations
 
 import ast
 import builtins
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
-from ..context import (absolute_module, dotted_name, lazy_entries,
-                       module_dotted_name)
+from ..context import ModuleInfo, dotted_name, lazy_entries, module_dotted_name
 
 __all__ = [
     "RNG_CTORS",
     "SEED_DERIVATION_FNS",
     "extract_summary",
-    "import_base",
     "is_seedlike",
 ]
 
@@ -84,44 +82,6 @@ _BUILTIN_NAMES = frozenset(dir(builtins))
 def is_seedlike(identifier: str) -> bool:
     """Does this identifier carry a seed by naming convention?"""
     return _SEED_FRAGMENT in identifier.lower()
-
-
-def import_base(node: ast.ImportFrom, module: str, is_package: bool) -> str:
-    """The absolute dotted module a ``from ... import`` in ``module`` reads.
-
-    ``from ..errors import X`` in ``tussle.econ.market`` reads
-    ``tussle.errors``; in a package ``__init__`` one leading dot already
-    names the package itself.
-    """
-    return absolute_module("." * node.level + (node.module or ""), module,
-                           is_package)
-
-
-def _resolve_import_table(tree: ast.Module, module: str,
-                          is_package: bool) -> Dict[str, str]:
-    """Local name -> canonical dotted path, resolving *relative* imports too.
-
-    Unlike the engine-level table this maps ``from ..errors import X`` in
-    ``tussle.econ.market`` to ``tussle.errors.X`` so the call graph can
-    link project symbols across packages.
-    """
-    table: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    table[alias.asname] = alias.name
-                else:
-                    head = alias.name.split(".")[0]
-                    table[head] = head
-        elif isinstance(node, ast.ImportFrom):
-            base = import_base(node, module, is_package)
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                table[local] = f"{base}.{alias.name}" if base else alias.name
-    return table
 
 
 class _FunctionExtractor:
@@ -560,9 +520,9 @@ class _FunctionExtractor:
 class _ModuleExtractor:
     """Shared per-module resolution state for function extraction."""
 
-    def __init__(self, module: str, tree: ast.Module, is_package: bool):
+    def __init__(self, module: str, tree: ast.Module, imports: Dict[str, str]):
         self.module = module
-        self.imports = _resolve_import_table(tree, module, is_package)
+        self.imports = imports
         self.top_names: Set[str] = set()
         self.function_names: Set[str] = set()
         self.class_names: Set[str] = set()
@@ -632,10 +592,11 @@ def _is_mutable_literal(node: ast.expr) -> bool:
     return False
 
 
-def extract_summary(path: Path, tree: ast.Module) -> Dict[str, Any]:
+def extract_summary(info: ModuleInfo) -> Dict[str, Any]:
     """Digest one parsed module into its flow summary."""
+    path, tree = info.path, info.tree
     module = module_dotted_name(path)
-    owner = _ModuleExtractor(module, tree, is_package=path.stem == "__init__")
+    owner = _ModuleExtractor(module, tree, info.imports)
 
     functions: List[Dict[str, Any]] = []
     classes: Dict[str, Dict[str, Any]] = {}

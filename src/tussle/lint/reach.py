@@ -28,9 +28,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .context import ProjectContext, module_dotted_name
+from .context import ProjectContext, import_base, module_dotted_name
 from .findings import Finding, Rule, register_rule
-from .flow.summaries import import_base
 
 __all__ = ["check_reachability"]
 

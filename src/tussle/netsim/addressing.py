@@ -199,9 +199,6 @@ class AddressRegistry:
             return self._pi_blocks[customer]
         raise AddressingError(f"customer {customer!r} holds no block")
 
-    def has_block(self, customer: str) -> bool:
-        return customer in self._customer_blocks or customer in self._pi_blocks
-
     def provider_of(self, customer: str) -> Optional[int]:
         """The provider a customer's addresses tie it to (None for PI)."""
         return self.block_of(customer).provider_asn

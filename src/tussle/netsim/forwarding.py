@@ -178,8 +178,6 @@ class ForwardingEngine:
                             diagnostic=f"served at {current}" if disclosed else "",
                         )
                     packet = self._retarget(new_packet or packet, new_destination)
-                if action is Action.MODIFY and new_packet is not None:
-                    packet = new_packet
 
             destination = packet.header.dst
             if decision.at_destination(current, destination):
@@ -246,20 +244,12 @@ class ForwardingEngine:
         self, packet: Packet, node: str
     ) -> Optional[Tuple[Action, Optional[Packet], Optional[str], str, bool]]:
         """Run every middlebox at ``node``; first non-FORWARD verdict wins."""
-        boxes = self.middleboxes.get(node)
-        if not boxes:
-            return None
-        current_packet = packet
-        for box in boxes:
-            verdict = box.process(current_packet)
+        for box in self.middleboxes.get(node, ()):
+            verdict = box.process(packet)
             self.ledger.record(box.name, verdict.action, verdict.disclosed)
-            if verdict.action is Action.FORWARD:
-                current_packet = verdict.packet or current_packet
-                continue
-            return (verdict.action, verdict.packet, verdict.new_destination,
-                    box.name, verdict.disclosed)
-        if current_packet is not packet:
-            return (Action.MODIFY, current_packet, None, boxes[-1].name, False)
+            if verdict.action is not Action.FORWARD:
+                return (verdict.action, verdict.packet, verdict.new_destination,
+                        box.name, verdict.disclosed)
         return None
 
     def _retarget(self, packet: Packet, new_destination: str) -> Packet:

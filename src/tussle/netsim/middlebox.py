@@ -43,15 +43,14 @@ class Action(Enum):
     FORWARD = "forward"
     DROP = "drop"
     REDIRECT = "redirect"
-    MODIFY = "modify"
 
 
 @dataclass
 class Verdict:
     """Outcome of middlebox processing.
 
-    ``packet`` carries the (possibly modified) packet for FORWARD/MODIFY/
-    REDIRECT; ``new_destination`` is set for REDIRECT; ``disclosed`` records
+    ``packet`` carries the packet for FORWARD/REDIRECT;
+    ``new_destination`` is set for REDIRECT; ``disclosed`` records
     whether the middlebox announced its interference (the paper's visibility
     requirement).
     """

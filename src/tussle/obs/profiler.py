@@ -7,8 +7,9 @@ exception, allowlisted in :data:`tussle.lint.determinism.WALL_CLOCK_ALLOWLIST`.
 Quarantine rule: wall-clock measurements never enter a trace, a metrics
 snapshot, or an :class:`~tussle.experiments.common.ExperimentResult` —
 the channels covered by the seedcheck fingerprint.  They flow only into
-the separate profile channel (:meth:`Profiler.snapshot`), which the
-benchmark emitter writes to ``benchmarks/results/bench_<id>.json``.
+the separate profile channel (:meth:`Profiler.snapshot`): the sweep
+folds its workers' cell seconds into it, and the benchmarks' budgets
+and perfbench's sweep metrics read it.  No file records it.
 """
 
 from __future__ import annotations

@@ -15,6 +15,6 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     ".pathvector": ("PathVectorRouting",),
     ".sourcerouting": ("RouteAttempt", "SourceRoutingSystem", "TransitTerms",
                        "valley_free_paths"),
-    ".overlay": ("OverlayNetwork", "OverlayPath"),
+    ".overlay": ("OverlayNetwork", "OverlayPath", "overlay_regime"),
     ".recovery": ("RouteRecovery",),
 })

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .base import ControlPoint
 from .pathvector import PathVectorRouting
 
-__all__ = ["OverlayNetwork", "OverlayPath"]
+__all__ = ["OverlayNetwork", "OverlayPath", "overlay_regime"]
 
 
 @dataclass(frozen=True)
@@ -124,3 +124,22 @@ class OverlayNetwork:
             for asn in path.underlay_path[1:-1]:
                 counts[asn] = counts.get(asn, 0) + 1
         return counts
+
+
+def overlay_regime(underlay: PathVectorRouting,
+                   pairs: Sequence[Tuple[int, int]]) -> Tuple[int, int, int]:
+    """The overlay regime over ``pairs``, with a relay at every endpoint:
+    distinct underlay paths offered, pairs reachable through the
+    overlay, and uncompensated transit hops, each summed over the pairs.
+    """
+    overlay = OverlayNetwork(underlay,
+                             members=[asn for pair in pairs for asn in pair])
+    choices = 0
+    reachable = 0
+    uncompensated = 0
+    for src, dst in pairs:
+        choices += overlay.path_choice_count(src, dst)
+        if overlay.reachable_via_overlay(src, dst):
+            reachable += 1
+        uncompensated += sum(overlay.uncompensated_transit(src, dst).values())
+    return choices, reachable, uncompensated

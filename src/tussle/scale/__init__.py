@@ -28,7 +28,7 @@ fixed point on 10^3-10^4-AS graphs in seconds.
 One harness, :mod:`~tussle.scale.parity` (``python -m tussle.scale
 parity``), holds all three fast backends bit-for-bit equal to their
 scalar references.  Nothing here exports it: its market cases load
-the E01-E03 experiment modules, which only the gate needs.
+the E03 experiment module, which only the gate needs.
 """
 
 from .._lazy import exports

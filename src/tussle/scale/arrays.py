@@ -16,11 +16,11 @@ into the matrix, so the vector backend consumes the same uniform draws
 the scalar backend would, in the same order.  Parity therefore holds bit
 for bit instead of merely in distribution.
 
-:class:`ConsumerBatch` is the large-N construction path: scenario
-builders fill columns directly (a million-consumer population is a few
-8 MB arrays) and never materialize a million ``Consumer`` dataclasses;
-:meth:`ConsumerBatch.to_consumers` converts to objects when a scalar
-cross-check at small N needs them.
+:class:`ConsumerBatch` is the one construction path: scenario builders
+fill columns directly (a million-consumer population is a few 8 MB
+arrays) and never materialize a million ``Consumer`` dataclasses;
+:meth:`ConsumerBatch.to_consumers` converts to objects when the scalar
+market runs the same population.
 """
 
 from __future__ import annotations
@@ -65,8 +65,7 @@ class ConsumerBatch:
 
     ``initial_provider`` is a single provider name shared by the whole
     batch (the E01 "everyone starts locked to the incumbent" shape) or
-    ``None`` for a round-0 free choice; heterogeneous starting
-    assignments go through :meth:`MarketArrays.from_consumers` instead.
+    ``None`` for a round-0 free choice.
     """
 
     wtp: np.ndarray
@@ -95,6 +94,26 @@ class ConsumerBatch:
         for name in ("wtp", "switching_cost", "server_value", "tunnel_cost"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ScaleError(f"batch column {name} must be finite")
+
+    @classmethod
+    def basic(cls, wtp: np.ndarray, switching_cost: float,
+              initial_provider: Optional[str] = None,
+              name_prefix: str = "site") -> "ConsumerBatch":
+        """A basic-segment population with these willingness-to-pay
+        values: nobody values a server or tunnels, everyone pays
+        ``switching_cost`` to switch, and the tunnel cost is
+        :class:`~tussle.econ.agents.Consumer`'s default."""
+        n = len(wtp)
+        return cls(
+            wtp=wtp,
+            server_value=np.zeros(n, dtype=np.float64),
+            values_server=np.zeros(n, dtype=bool),
+            switching_cost=np.full(n, switching_cost, dtype=np.float64),
+            can_tunnel=np.zeros(n, dtype=bool),
+            tunnel_cost=np.full(n, 2.0, dtype=np.float64),
+            initial_provider=initial_provider,
+            name_prefix=name_prefix,
+        )
 
     def __len__(self) -> int:
         return int(self.wtp.shape[0])
@@ -172,43 +191,6 @@ class MarketArrays:
         low, high = -preference_noise, preference_noise
         u = random_doubles(random.Random(seed + 1), n_consumers * n_providers)
         return (low + (high - low) * u).reshape(n_consumers, n_providers)
-
-    @classmethod
-    def from_consumers(
-        cls,
-        consumers: Sequence[Consumer],
-        provider_names: Sequence[str],
-        preference_noise: float = 0.0,
-        seed: int = 0,
-    ) -> "MarketArrays":
-        """Snapshot scalar ``Consumer`` objects into columns."""
-        order = {name: j for j, name in enumerate(provider_names)}
-        n = len(consumers)
-        assignment = np.full(n, -1, dtype=np.int64)
-        for i, consumer in enumerate(consumers):
-            if consumer.provider is not None:
-                try:
-                    assignment[i] = order[consumer.provider]
-                except KeyError:
-                    raise ScaleError(
-                        f"consumer {consumer.name!r} starts at unknown "
-                        f"provider {consumer.provider!r}") from None
-        return cls(
-            wtp=np.array([c.wtp for c in consumers], dtype=np.float64),
-            server_value=np.array([c.server_value for c in consumers],
-                                  dtype=np.float64),
-            values_server=np.array([c.values_server() for c in consumers],
-                                   dtype=bool),
-            switching_cost=np.array([c.switching_cost for c in consumers],
-                                    dtype=np.float64),
-            can_tunnel=np.array([c.can_tunnel for c in consumers], dtype=bool),
-            tunnel_cost=np.array([c.tunnel_cost for c in consumers],
-                                 dtype=np.float64),
-            assignment=assignment,
-            taste=cls.taste_matrix(n, len(provider_names), preference_noise,
-                                   seed),
-            provider_names=provider_names,
-        )
 
     @classmethod
     def from_batch(

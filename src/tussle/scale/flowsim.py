@@ -8,12 +8,12 @@ is written down in ``DESIGN.md`` ("Scale backends") and re-stated here.
 
 Kept, exactly:
 
-* **Routing outcomes.**  The path table is computed by running the very
-  same :mod:`tussle.scale.nkernels` forwarding rounds over one probe
-  packet per (src, dst) pair, so a flow is delivered/no-route/link-down/
-  TTL-exceeded exactly when a packet between the same endpoints would
-  be, and its path latency is bitwise equal to that packet's accumulated
-  latency.
+* **Routing outcomes.**  The path table is one batch of probe packets,
+  one per (src, dst) pair, sent through
+  :meth:`~tussle.scale.vforwarding.VectorForwardingEngine.send_batch`,
+  so a flow is delivered/no-route/link-down/TTL-exceeded exactly when a
+  packet between the same endpoints would be, and its path latency is
+  bitwise equal to that packet's accumulated latency.
 * **Link traversal.**  Per-link load is accumulated by replaying each
   delivered flow's hop sequence from the same FIB.
 
@@ -33,7 +33,7 @@ finishes in seconds where per-packet simulation would take hours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -41,7 +41,8 @@ from ..errors import ScaleError
 from ..netsim.decision import MAX_TTL
 from ..netsim.topology import Network
 from . import nkernels
-from .narrays import FibArrays, LinkArrays, NetIndex
+from .narrays import PacketArrays
+from .vforwarding import VectorForwardingEngine
 
 __all__ = ["FlowArrays", "FlowReport", "FlowSim", "random_flows"]
 
@@ -64,12 +65,11 @@ class FlowArrays:
         return int(self.src.shape[0])
 
 
-def random_flows(n_flows: int, n_nodes: int, seed: int,
-                 mean_demand: float = 1.0) -> FlowArrays:
+def random_flows(n_flows: int, n_nodes: int, seed: int) -> FlowArrays:
     """A reproducible synthetic flow population.
 
     Sources are uniform over nodes, destinations uniform over the other
-    nodes, demands exponential with the given mean.  Uses NumPy's
+    nodes, demands exponential with mean 1.  Uses NumPy's
     generator (not the shared scalar stream): flow populations are
     approximation-backend inputs, never parity subjects.
     """
@@ -79,7 +79,7 @@ def random_flows(n_flows: int, n_nodes: int, seed: int,
     src = rng.integers(0, n_nodes, size=n_flows, dtype=np.int64)
     dst_raw = rng.integers(0, n_nodes - 1, size=n_flows, dtype=np.int64)
     dst = dst_raw + (dst_raw >= src)
-    demand = rng.exponential(mean_demand, size=n_flows)
+    demand = rng.exponential(1.0, size=n_flows)
     return FlowArrays(src, dst, demand)
 
 
@@ -116,68 +116,26 @@ class FlowReport:
 class FlowSim:
     """Route flow populations against a once-computed path table.
 
-    The path table is produced by the *packet* kernels: one probe per
-    (src, dst) pair forwarded through the same round loop as
-    :class:`~tussle.scale.vforwarding.VectorForwardingEngine`, so the
-    fidelity drop is confined to load aggregation — routing outcomes and
-    path latencies agree with the packet backends bit for bit.
+    The path table is one probe per (src, dst) pair, forwarded as a
+    single batch by :class:`~tussle.scale.vforwarding.VectorForwardingEngine`
+    over the network's shortest-path tables, so the fidelity drop is
+    confined to load aggregation — routing outcomes and path latencies
+    agree with the packet backends bit for bit.
     """
 
-    def __init__(self, network: Network,
-                 tables: Optional[Dict[str, Dict[str, str]]] = None):
+    def __init__(self, network: Network):
         self.network = network
-        self.index = NetIndex.from_network(network)
-        if tables is None:
-            tables = network.next_hop_tables()
-        self._fib = FibArrays.from_tables(tables, self.index)
-        self._links = LinkArrays.from_network(network, self.index)
-        (self._path_status, self._path_latency,
-         self._path_hops) = self._probe_all_pairs()
-
-    def _probe_all_pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Forward one probe per (src, dst) pair through the kernels."""
+        engine = VectorForwardingEngine(network)
+        engine.install_shortest_path_tables()
+        self.index = engine.index
         n = len(self.index)
-        src = np.repeat(np.arange(n, dtype=np.int64), n)
-        dst = np.tile(np.arange(n, dtype=np.int64), n)
-        status = np.full(n * n, nkernels.IN_FLIGHT, dtype=np.int64)
-        current = src.copy()
-        latency = np.zeros(n * n, dtype=np.float64)
-        hops = np.ones(n * n, dtype=np.int64)
-        active = np.ones(n * n, dtype=bool)
-
-        arrived = nkernels.delivered_mask(active, current, dst)
-        status = nkernels.resolve_status(status, arrived, nkernels.DELIVERED)
-        active = active & ~arrived
-        r = 0
-        while nkernels.mask_count(active) > 0 and r < MAX_TTL:
-            r += 1
-            hop = nkernels.lookup_next_hop(self._fib.next_hop, current, dst)
-            no_route = nkernels.no_route_mask(active, hop)
-            link_down = nkernels.link_down_mask(active, self._links.usable,
-                                                current, hop)
-            moving = active & ~no_route & ~link_down
-            latency = latency + nkernels.hop_latency_deltas(
-                self._links.latency, current, hop, moving)
-            current = nkernels.advance(current, hop, moving)
-            hops = hops + moving
-            status = nkernels.resolve_status(status, no_route,
-                                             nkernels.NO_ROUTE)
-            status = nkernels.resolve_status(status, link_down,
-                                             nkernels.LINK_DOWN)
-            active = moving
-            if r < MAX_TTL:
-                arrived = nkernels.delivered_mask(active, current, dst)
-                status = nkernels.resolve_status(status, arrived,
-                                                 nkernels.DELIVERED)
-                active = active & ~arrived
-            else:
-                status = nkernels.resolve_status(status, active,
-                                                 nkernels.TTL_EXCEEDED)
-                active = np.zeros(n * n, dtype=bool)
-
-        shape = (n, n)
-        return (status.reshape(shape), latency.reshape(shape),
-                hops.reshape(shape))
+        probes = PacketArrays(src=np.repeat(np.arange(n, dtype=np.int64), n),
+                              dst=np.tile(np.arange(n, dtype=np.int64), n),
+                              tos=np.zeros(n * n, dtype=np.int64))
+        engine.send_batch(probes)
+        self._next_hop = engine.fib().next_hop
+        self._path_status = probes.status.reshape(n, n)
+        self._path_latency = probes.latency.reshape(n, n)
 
     def path_status(self, src: int, dst: int) -> int:
         """Packet-kernel status code for the (src, dst) pair."""
@@ -202,7 +160,7 @@ class FlowSim:
         steps = 0
         while np.count_nonzero(walking) and steps < MAX_TTL:
             steps += 1
-            hop = self._fib.next_hop[current, flows.dst]
+            hop = self._next_hop[current, flows.dst]
             safe_hop = np.where(hop >= 0, hop, 0)
             np.add.at(load, (current[walking], safe_hop[walking]),
                       flows.demand[walking])

@@ -16,11 +16,13 @@ module re-runs those claims on 10^4–10^6-consumer populations through
   cuts monopoly extraction, competition disciplines the tier, and
   detection restores extraction — at every tier.
 
-Scenario builders produce :class:`~tussle.scale.arrays.ConsumerBatch`
-columns from the *same* Python ``random.Random(seed)`` draw sequence
-the scalar builders use, so a small-N batch market is bit-comparable
-against its scalar twin (tests do exactly that) while a 10^6 batch is
-just bigger arrays.
+This module is the one home of both scenarios: E01/E02 run the same
+cell lists, line-ups and batch builders at a few hundred consumers, and
+the parity gate's ``market`` cases run them on both backends.  The
+batch builders replay a Python ``random.Random(seed)`` draw sequence
+into :class:`~tussle.scale.arrays.ConsumerBatch` columns, so a small-N
+batch equals the population a ``Consumer``-by-``Consumer`` loop would
+draw (tests keep that loop) while a 10^6 batch is just bigger arrays.
 
 Both experiments take a ``tiers`` tuple; defaults stay modest because
 the registry's seedcheck double-runs every experiment, and the 10^5 /
@@ -31,7 +33,16 @@ the registry's seedcheck double-runs every experiment, and the 10^5 /
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -52,10 +63,17 @@ if TYPE_CHECKING:
     from ..experiments.common import ExperimentResult
 
 __all__ = [
+    "LOCKIN_SCENARIOS",
+    "lockin_switching_cost",
     "lockin_batch",
-    "lockin_market_at_scale",
+    "lockin_market_spec",
+    "lockin_outcomes",
+    "lockin_claims",
+    "VALUE_PRICING_CELLS",
     "value_pricing_batch",
-    "value_pricing_market_at_scale",
+    "value_pricing_market_spec",
+    "value_pricing_outcomes",
+    "value_pricing_claims",
     "run_l01",
     "run_l02",
     "DEFAULT_TIERS",
@@ -68,75 +86,131 @@ DEFAULT_TIERS: Tuple[int, ...] = (10_000,)
 
 
 # ----------------------------------------------------------------------
-# Scenario builders
+# Lock-in (E01, L01)
 # ----------------------------------------------------------------------
-def _uniform_column(model: UniformWtp, u: np.ndarray) -> np.ndarray:
-    """``model.sample`` applied to pre-drawn ``rng.random()`` values.
+#: (label, addressing mode or None for provider-independent space): the
+#: sweep E01 and L01 run.
+LOCKIN_SCENARIOS = [
+    ("static", AddressingMode.STATIC),
+    ("dhcp", AddressingMode.DHCP),
+    ("dhcp+ddns", AddressingMode.DHCP_DDNS),
+    ("provider-independent", None),
+]
 
-    ``random.uniform(a, b)`` evaluates ``a + (b - a) * random()``; the
-    same two IEEE operations over an array give the same floats.
-    """
-    return model.low + (model.high - model.low) * u
+
+def lockin_switching_cost(mode: Optional[AddressingMode],
+                          n_hosts_per_site: int) -> float:
+    """A site's cost to change providers under ``mode`` (``None``:
+    provider-independent space)."""
+    return RenumberingModel().switching_cost(
+        n_hosts_per_site,
+        mode or AddressingMode.STATIC,
+        provider_independent=mode is None,
+    )
 
 
 def lockin_batch(switching_cost: float, n_consumers: int,
                  seed: int) -> ConsumerBatch:
-    """E01's consumer population as columns (same draw stream).
-
-    Mirrors ``lockin_market_spec``: wtp ~ UniformWtp(35, 110) drawn from
+    """The lock-in population: wtp ~ U(35, 110) drawn from
     ``random.Random(seed)`` in consumer order, everyone basic-segment
-    and locked to the incumbent.
-    """
+    and locked to the incumbent."""
     u = random_doubles(random.Random(seed), n_consumers)
-    zeros = np.zeros(n_consumers, dtype=np.float64)
-    return ConsumerBatch(
-        wtp=_uniform_column(UniformWtp(35.0, 110.0), u),
-        server_value=zeros,
-        values_server=np.zeros(n_consumers, dtype=bool),
-        switching_cost=np.full(n_consumers, switching_cost, dtype=np.float64),
-        can_tunnel=np.zeros(n_consumers, dtype=bool),
-        tunnel_cost=np.full(n_consumers, 2.0, dtype=np.float64),
-        initial_provider="incumbent",
-        name_prefix="site",
-    )
+    return ConsumerBatch.basic(UniformWtp(35.0, 110.0).from_unit(u),
+                               switching_cost, initial_provider="incumbent",
+                               name_prefix="site")
 
 
-def lockin_market_at_scale(switching_cost: float, n_consumers: int,
-                           seed: int) -> VectorMarket:
-    """The E01 market (incumbent + two undercutting rivals) at any N."""
-    providers = [
-        Provider(name="incumbent", price=45.0, unit_cost=5.0),
-        Provider(name="rival-a", price=40.0, unit_cost=5.0),
-        Provider(name="rival-b", price=42.0, unit_cost=5.0),
-    ]
-    strategies = {
-        "incumbent": MonopolyPricing(price_cap=90.0),
-        "rival-a": UndercutPricing(),
-        "rival-b": UndercutPricing(),
-    }
-    return VectorMarket(
-        providers=providers,
+def lockin_market_spec(switching_cost: float, n_consumers: int,
+                       seed: int) -> Dict[str, Any]:
+    """:class:`VectorMarket` arguments for one lock-in cell: an incumbent
+    with a price cap and two undercutting rivals.
+
+    Fresh objects on every call, so each parity backend builds from
+    its own call (the scalar side runs ``batch.to_consumers()``).
+    """
+    return dict(
+        providers=[
+            Provider(name="incumbent", price=45.0, unit_cost=5.0),
+            Provider(name="rival-a", price=40.0, unit_cost=5.0),
+            Provider(name="rival-b", price=42.0, unit_cost=5.0),
+        ],
         batch=lockin_batch(switching_cost, n_consumers, seed),
-        strategies=strategies,
+        strategies={
+            "incumbent": MonopolyPricing(price_cap=90.0),
+            "rival-a": UndercutPricing(),
+            "rival-b": UndercutPricing(),
+        },
         seed=seed,
     )
 
 
+def lockin_outcomes(
+    n_hosts_per_site: int, n_consumers: int, rounds: int, seed: int,
+) -> Iterator[Tuple[str, Optional[AddressingMode], float, Dict[str, float]]]:
+    """Run the market of every :data:`LOCKIN_SCENARIOS` entry, in order,
+    and yield its label, mode, switching cost and outcome — switches per
+    consumer-round, final mean price and consumer surplus.
+
+    Each market runs when its scenario is asked for, so a caller's own
+    work for a scenario traces between that market's rounds and the
+    next market's.
+    """
+    for label, mode in LOCKIN_SCENARIOS:
+        cost = lockin_switching_cost(mode, n_hosts_per_site)
+        market = VectorMarket(**lockin_market_spec(cost, n_consumers, seed))
+        market.run(rounds)
+        consumer_rounds = n_consumers * rounds
+        yield label, mode, cost, {
+            "switch_rate": (market.total_switches() / consumer_rounds
+                            if consumer_rounds else 0.0),
+            "final_price": market.mean_price(),
+            "consumer_surplus": market.total_consumer_surplus(),
+        }
+
+
+def lockin_claims(rows: Sequence[Dict[str, float]]) -> List[Tuple[bool, str]]:
+    """``(holds, detail)`` of the lock-in shape over one outcome per
+    :data:`LOCKIN_SCENARIOS` entry, in order: switching rises as
+    renumbering gets cheaper, prices are highest under static lock-in,
+    and surplus improves when switching is freed."""
+    rates = [row["switch_rate"] for row in rows]
+    prices = [row["final_price"] for row in rows]
+    surpluses = [row["consumer_surplus"] for row in rows]
+    return [
+        (rates[0] <= rates[1] <= rates[2] and rates[0] < rates[2],
+         f"switch rates {['%.4f' % r for r in rates]}"),
+        (prices[0] >= max(prices[1:]) - 1e-9,
+         f"final prices {['%.2f' % p for p in prices]}"),
+        (surpluses[2] > surpluses[0] and surpluses[3] > surpluses[0],
+         f"surplus {['%.0f' % s for s in surpluses]}"),
+    ]
+
+
+# ----------------------------------------------------------------------
+# Value pricing (E02, L02)
+# ----------------------------------------------------------------------
+#: (label, n_providers, consumers can tunnel, providers detect tunnels):
+#: the cells E02 and L02 run.
+VALUE_PRICING_CELLS = [
+    ("monopoly", 1, False, False),
+    ("monopoly", 1, True, False),
+    ("competitive", 4, False, False),
+    ("competitive", 4, True, False),
+    ("monopoly+dpi", 1, True, True),
+]
+
+
 def value_pricing_batch(n_consumers: int, can_tunnel: bool,
                         seed: int) -> ConsumerBatch:
-    """E02's mixed basic/business population as columns.
-
-    Mirrors ``value_pricing_market_spec``: every third consumer is a
-    server-runner (wtp ~ U(35, 70), server value 30, tunnel cost 3),
-    the rest basic (wtp ~ U(25, 60)); everyone has switching cost 2.
-    One shared ``random.Random(seed)`` stream, sampled in consumer
-    order, keeps the draws identical to the scalar builder's.
-    """
+    """The value-pricing population: every third consumer runs a server
+    (wtp ~ U(35, 70), server value 30, tunnel cost 3), the rest are basic
+    (wtp ~ U(25, 60)); everyone has switching cost 2.  One
+    ``random.Random(seed)`` stream, sampled in consumer order."""
     u = random_doubles(random.Random(seed), n_consumers)
     values_server = np.arange(n_consumers) % 3 == 0
     wtp = np.where(values_server,
-                   _uniform_column(UniformWtp(35.0, 70.0), u),
-                   _uniform_column(UniformWtp(25.0, 60.0), u))
+                   UniformWtp(35.0, 70.0).from_unit(u),
+                   UniformWtp(25.0, 60.0).from_unit(u))
     server_value = np.where(values_server, 30.0, 0.0)
     tunnel_cost = np.where(values_server, 3.0, 2.0)
     return ConsumerBatch(
@@ -151,11 +225,15 @@ def value_pricing_batch(n_consumers: int, can_tunnel: bool,
     )
 
 
-def value_pricing_market_at_scale(
-    n_providers: int, can_tunnel: bool, detects_tunnels: bool,
-    n_consumers: int, seed: int,
-) -> VectorMarket:
-    """The E02 all-providers-tier market at any N."""
+def value_pricing_market_spec(n_providers: int, can_tunnel: bool,
+                              detects_tunnels: bool, n_consumers: int,
+                              seed: int) -> Dict[str, Any]:
+    """:class:`VectorMarket` arguments for one value-pricing cell: every
+    provider tiers a business rate on top of its base strategy (a price
+    cap for a monopolist, undercutting under competition).
+
+    Fresh objects on every call, like :func:`lockin_market_spec`.
+    """
     providers = []
     strategies: Dict[str, ValuePricingStrategy] = {}
     for i in range(n_providers):
@@ -171,33 +249,74 @@ def value_pricing_market_at_scale(
                 else UndercutPricing())
         strategies[name] = ValuePricingStrategy(
             tier_multiple=1.4, base_strategy=base)
-    return VectorMarket(
-        providers=providers,
-        batch=value_pricing_batch(n_consumers, can_tunnel, seed),
-        strategies=strategies,
-        seed=seed,
-    )
+    return dict(providers=providers,
+                batch=value_pricing_batch(n_consumers, can_tunnel, seed),
+                strategies=strategies, seed=seed)
 
 
-def _tunnel_uptake(market: VectorMarket) -> float:
-    """Fraction of server-running consumers currently tunnelling."""
-    business = market.arrays.values_server
-    n_business = int(np.count_nonzero(business))
-    if n_business == 0:
-        return 0.0
-    return int(np.count_nonzero(market.arrays.tunnelling & business)) / n_business
+def value_pricing_outcomes(
+    n_consumers: int, rounds: int, seed: int,
+) -> Dict[Tuple[str, bool, bool], Dict[str, float]]:
+    """Run the market of every :data:`VALUE_PRICING_CELLS` entry: its
+    outcome — the share of server-running consumers tunnelling at the
+    end, provider profit and consumer surplus — keyed ``(label,
+    can_tunnel, detects)`` in cell order."""
+    outcomes = {}
+    for label, n_providers, can_tunnel, detects in VALUE_PRICING_CELLS:
+        market = VectorMarket(**value_pricing_market_spec(
+            n_providers, can_tunnel, detects, n_consumers, seed))
+        market.run(rounds)
+        business = market.arrays.values_server
+        n_business = int(np.count_nonzero(business))
+        tunnelling = int(np.count_nonzero(market.arrays.tunnelling & business))
+        outcomes[(label, can_tunnel, detects)] = {
+            "tunnel_uptake": tunnelling / n_business if n_business else 0.0,
+            "provider_profit": market.total_provider_profit(),
+            "consumer_surplus": market.total_consumer_surplus(),
+        }
+    return outcomes
+
+
+def value_pricing_claims(
+    cells: Dict[Tuple[str, bool, bool], Dict[str, float]],
+) -> List[Tuple[bool, str]]:
+    """``(holds, detail)`` of the value-pricing shape over the outcomes of
+    :data:`VALUE_PRICING_CELLS`, keyed ``(label, can_tunnel, detects)``,
+    in order: tunnelling raises consumer surplus under monopoly tiering
+    and cuts the monopolist's extraction, competition alone disciplines
+    extraction, tunnel detection restores it, and tunnels are used."""
+    mono_plain = cells[("monopoly", False, False)]
+    mono_tunnel = cells[("monopoly", True, False)]
+    comp_plain = cells[("competitive", False, False)]
+    mono_dpi = cells[("monopoly+dpi", True, True)]
+    return [
+        (mono_tunnel["consumer_surplus"] > mono_plain["consumer_surplus"],
+         f"surplus {mono_plain['consumer_surplus']:.0f} -> "
+         f"{mono_tunnel['consumer_surplus']:.0f}"),
+        (mono_tunnel["provider_profit"] < mono_plain["provider_profit"],
+         f"profit {mono_plain['provider_profit']:.0f} -> "
+         f"{mono_tunnel['provider_profit']:.0f}"),
+        (comp_plain["provider_profit"] < mono_plain["provider_profit"]
+         and comp_plain["consumer_surplus"] > mono_plain["consumer_surplus"],
+         f"monopoly profit {mono_plain['provider_profit']:.0f} vs "
+         f"competitive {comp_plain['provider_profit']:.0f}"),
+        (mono_dpi["provider_profit"] > mono_tunnel["provider_profit"]
+         and mono_dpi["tunnel_uptake"] < mono_tunnel["tunnel_uptake"] + 1e-9,
+         f"profit {mono_tunnel['provider_profit']:.0f} -> "
+         f"{mono_dpi['provider_profit']:.0f} with DPI"),
+        (mono_tunnel["tunnel_uptake"] > 0.3,
+         f"uptake {mono_tunnel['tunnel_uptake']:.2f}"),
+    ]
 
 
 # ----------------------------------------------------------------------
 # L01 — lock-in at scale
 # ----------------------------------------------------------------------
-#: (label, addressing mode or None for provider-independent space) —
-#: the same sweep E01 runs.
-_L01_SCENARIOS = [
-    ("static", AddressingMode.STATIC),
-    ("dhcp", AddressingMode.DHCP),
-    ("dhcp+ddns", AddressingMode.DHCP_DDNS),
-    ("provider-independent", None),
+#: L01's wording of the :func:`lockin_claims`, in order.
+_L01_CLAIMS = [
+    "switching rises as renumbering gets cheaper",
+    "prices are highest under static lock-in",
+    "surplus improves when switching is freed",
 ]
 
 
@@ -211,7 +330,6 @@ def run_l01(
     from ..experiments.common import ExperimentResult, Table
 
     tiers = tuple(DEFAULT_TIERS if tiers is None else tiers)
-    model = RenumberingModel()
     table = Table(
         "L01: addressing mode vs lock-in at population scale",
         ["n", "mode", "switch_cost", "switch_rate",
@@ -228,57 +346,27 @@ def run_l01(
     )
 
     for n_consumers in tiers:
-        rates = []
-        prices = []
-        surpluses = []
-        for label, mode in _L01_SCENARIOS:
-            provider_independent = mode is None
-            cost = model.switching_cost(
-                n_hosts_per_site,
-                mode or AddressingMode.STATIC,
-                provider_independent=provider_independent,
-            )
-            market = lockin_market_at_scale(cost, n_consumers, seed)
-            market.run(rounds)
-            consumer_rounds = n_consumers * rounds
-            rate = (market.total_switches() / consumer_rounds
-                    if consumer_rounds else 0.0)
-            rates.append(rate)
-            prices.append(market.mean_price())
-            surpluses.append(market.total_consumer_surplus())
-            table.add_row(
-                n=n_consumers, mode=label, switch_cost=cost,
-                switch_rate=rate, final_price=prices[-1],
-                consumer_surplus=surpluses[-1],
-            )
-        result.add_check(
-            f"n={n_consumers}: switching rises as renumbering gets cheaper",
-            rates[0] <= rates[1] <= rates[2] and rates[0] < rates[2],
-            detail=f"switch rates {['%.4f' % r for r in rates]}",
-        )
-        result.add_check(
-            f"n={n_consumers}: prices are highest under static lock-in",
-            prices[0] >= max(prices[1:]) - 1e-9,
-            detail=f"final prices {['%.2f' % p for p in prices]}",
-        )
-        result.add_check(
-            f"n={n_consumers}: surplus improves when switching is freed",
-            surpluses[2] > surpluses[0] and surpluses[3] > surpluses[0],
-            detail=f"surplus {['%.0f' % s for s in surpluses]}",
-        )
+        outcomes = list(lockin_outcomes(n_hosts_per_site, n_consumers,
+                                        rounds, seed))
+        for label, _, cost, row in outcomes:
+            table.add_row(n=n_consumers, mode=label, switch_cost=cost, **row)
+        rows = [row for _, _, _, row in outcomes]
+        for claim, (holds, detail) in zip(_L01_CLAIMS, lockin_claims(rows)):
+            result.add_check(f"n={n_consumers}: {claim}", holds,
+                             detail=detail)
     return result
 
 
 # ----------------------------------------------------------------------
 # L02 — value pricing at scale
 # ----------------------------------------------------------------------
-#: (label, n_providers, consumers can tunnel, providers detect tunnels)
-_L02_CELLS = [
-    ("monopoly", 1, False, False),
-    ("monopoly", 1, True, False),
-    ("competitive", 4, False, False),
-    ("competitive", 4, True, False),
-    ("monopoly+dpi", 1, True, True),
+#: L02's wording of the :func:`value_pricing_claims`, in order.
+_L02_CLAIMS = [
+    "tunnelling raises consumer surplus under monopoly tiering",
+    "tunnelling cuts the monopolist's extraction",
+    "competition alone disciplines extraction",
+    "tunnel detection restores extraction",
+    "tunnels are actually used under monopoly tiering",
 ]
 
 
@@ -306,55 +394,12 @@ def run_l02(
     )
 
     for n_consumers in tiers:
-        cells: Dict[Tuple[str, bool, bool], Dict[str, float]] = {}
-        for label, n_providers, can_tunnel, detects in _L02_CELLS:
-            market = value_pricing_market_at_scale(
-                n_providers, can_tunnel, detects, n_consumers, seed)
-            market.run(rounds)
-            row = {
-                "tunnel_uptake": _tunnel_uptake(market),
-                "provider_profit": market.total_provider_profit(),
-                "consumer_surplus": market.total_consumer_surplus(),
-            }
-            cells[(label, can_tunnel, detects)] = row
+        cells = value_pricing_outcomes(n_consumers, rounds, seed)
+        for (label, can_tunnel, detects), row in cells.items():
             table.add_row(n=n_consumers, market=label, tunnels=can_tunnel,
                           detects=detects, **row)
-
-        mono_plain = cells[("monopoly", False, False)]
-        mono_tunnel = cells[("monopoly", True, False)]
-        comp_plain = cells[("competitive", False, False)]
-        mono_dpi = cells[("monopoly+dpi", True, True)]
-        result.add_check(
-            f"n={n_consumers}: tunnelling raises consumer surplus under "
-            f"monopoly tiering",
-            mono_tunnel["consumer_surplus"] > mono_plain["consumer_surplus"],
-            detail=(f"surplus {mono_plain['consumer_surplus']:.0f} -> "
-                    f"{mono_tunnel['consumer_surplus']:.0f}"),
-        )
-        result.add_check(
-            f"n={n_consumers}: tunnelling cuts the monopolist's extraction",
-            mono_tunnel["provider_profit"] < mono_plain["provider_profit"],
-            detail=(f"profit {mono_plain['provider_profit']:.0f} -> "
-                    f"{mono_tunnel['provider_profit']:.0f}"),
-        )
-        result.add_check(
-            f"n={n_consumers}: competition alone disciplines extraction",
-            comp_plain["provider_profit"] < mono_plain["provider_profit"]
-            and comp_plain["consumer_surplus"] > mono_plain["consumer_surplus"],
-            detail=(f"monopoly profit {mono_plain['provider_profit']:.0f} vs "
-                    f"competitive {comp_plain['provider_profit']:.0f}"),
-        )
-        result.add_check(
-            f"n={n_consumers}: tunnel detection restores extraction",
-            mono_dpi["provider_profit"] > mono_tunnel["provider_profit"]
-            and mono_dpi["tunnel_uptake"] < mono_tunnel["tunnel_uptake"] + 1e-9,
-            detail=(f"profit {mono_tunnel['provider_profit']:.0f} -> "
-                    f"{mono_dpi['provider_profit']:.0f} with DPI"),
-        )
-        result.add_check(
-            f"n={n_consumers}: tunnels are actually used under monopoly "
-            f"tiering",
-            mono_tunnel["tunnel_uptake"] > 0.3,
-            detail=f"uptake {mono_tunnel['tunnel_uptake']:.2f}",
-        )
+        for claim, (holds, detail) in zip(_L02_CLAIMS,
+                                          value_pricing_claims(cells)):
+            result.add_check(f"n={n_consumers}: {claim}", holds,
+                             detail=detail)
     return result

@@ -38,10 +38,7 @@ from ..canon import canonical_json
 from ..econ.accesstech import AccessRegime, access_market_spec
 from ..econ.market import Market
 from ..errors import ScaleError
-from ..experiments.e01_lockin import LOCKIN_SCENARIOS, lockin_market_spec
-from ..experiments.e02_value_pricing import value_pricing_market_spec
-from ..experiments.e03_broadband import scenario_facilities
-from ..netsim.addressing import AddressingMode, RenumberingModel
+from ..experiments.e03_broadband import ACCESS_CELLS, scenario_facilities
 from ..netsim.decision import MAX_TTL
 from ..netsim.forwarding import DeliveryStatus, ForwardingEngine
 from ..netsim.qos import PRIORITY_TOS, TosQosClassifier
@@ -58,6 +55,13 @@ from ..obs.diff import Divergence, first_divergence
 from ..routing.pathvector import PathVectorRouting
 from ..topogen import TopogenConfig, generate_internet
 from .narrays import NetIndex, PacketArrays, packets_from_traffic, traffic_stream
+from .large import (
+    LOCKIN_SCENARIOS,
+    VALUE_PRICING_CELLS,
+    lockin_market_spec,
+    lockin_switching_cost,
+    value_pricing_market_spec,
+)
 from .vforwarding import NetRound, VectorForwardingEngine
 from .vmarket import VectorMarket
 
@@ -224,33 +228,16 @@ def _market_cases() -> List[ParityCase]:
             build: Callable[[int], Dict[str, object]]) -> None:
         cases.append(ParityCase(label, partial(_market_spec, rounds, build)))
 
-    model = RenumberingModel()
     for label, mode in LOCKIN_SCENARIOS:
-        cost = model.switching_cost(
-            20, mode or AddressingMode.STATIC,
-            provider_independent=mode is None,
-        )
-        add(f"e01-{label}", 30, partial(lockin_market_spec, cost, 120))
-
-    for label, n_providers, can_tunnel, detects in (
-        ("monopoly", 1, False, False),
-        ("monopoly+tunnels", 1, True, False),
-        ("competitive", 4, False, False),
-        ("competitive+tunnels", 4, True, False),
-        ("monopoly+dpi", 1, True, True),
-    ):
+        add(f"e01-{label}", 30, partial(lockin_market_spec,
+                                        lockin_switching_cost(mode, 20), 120))
+    for label, n_providers, can_tunnel, detects in VALUE_PRICING_CELLS:
+        # The cell whose consumers tunnel undetected is named for it.
+        label += "+tunnels" if can_tunnel and not detects else ""
         add(f"e02-{label}", 25, partial(value_pricing_market_spec,
                                         n_providers, can_tunnel, detects,
                                         150))
-
-    for scenario, regime in (
-        ("dialup-era", AccessRegime.OPEN_NATURAL_BOUNDARY),
-        ("duopoly", AccessRegime.CLOSED),
-        ("duopoly", AccessRegime.OPEN_WRONG_BOUNDARY),
-        ("duopoly", AccessRegime.OPEN_NATURAL_BOUNDARY),
-        ("duopoly+muni-fiber", AccessRegime.CLOSED),
-        ("duopoly+muni-fiber", AccessRegime.OPEN_NATURAL_BOUNDARY),
-    ):
+    for scenario, regime in ACCESS_CELLS:
         add(f"e03-{scenario}-{regime.value}", 30,
             partial(_access_spec, scenario, regime))
     return cases
@@ -258,7 +245,7 @@ def _market_cases() -> List[ParityCase]:
 
 def _run_market(spec: Tuple[int, Dict[str, object]]) -> Trace:
     rounds, kwargs = spec
-    market = Market(**kwargs)
+    market = Market(consumers=kwargs.pop("batch").to_consumers(), **kwargs)
     market.run(rounds)
     return [asdict(market_round) for market_round in market.history], [
         {"provider": consumer.provider, "surplus": consumer.surplus,

@@ -93,14 +93,12 @@ class NetRound:
 class VectorForwardingEngine:
     """Whole-batch packet forwarding over structure-of-arrays state.
 
-    Parameters mirror the scalar engine where they apply; tables install
-    through the same validating API and the dense FIB is rebuilt lazily
-    on the next batch after any table change.
+    Tables install through the scalar engine's validating API and the
+    dense FIB is rebuilt lazily after any table change.
     """
 
-    def __init__(self, network: Network, honor_source_routes: bool = True):
+    def __init__(self, network: Network):
         self.network = network
-        self.honor_source_routes = honor_source_routes
         self.index = NetIndex.from_network(network)
         self.tables: Dict[str, Dict[str, str]] = {}
         self.history: List[NetRound] = []
@@ -151,6 +149,12 @@ class VectorForwardingEngine:
         """Re-snapshot link state (after fail_link/restore_link)."""
         self._links = None
 
+    def fib(self) -> FibArrays:
+        """The dense FIB of the installed tables (rebuilt after a change)."""
+        if self._fib is None:
+            self._fib = FibArrays.from_tables(self.tables, self.index)
+        return self._fib
+
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
@@ -168,11 +172,9 @@ class VectorForwardingEngine:
         in packet order).  Final per-packet state lands back on
         ``packets`` (status/current/latency/hops/prioritized columns).
         """
-        if self._fib is None:
-            self._fib = FibArrays.from_tables(self.tables, self.index)
+        fib = self.fib()
         if self._links is None:
             self._links = LinkArrays.from_network(self.network, self.index)
-        fib = self._fib
         links = self._links
 
         n = len(packets)

@@ -1,12 +1,15 @@
 """VectorMarket: the NumPy backend for the access market.
 
 Drop-in for :class:`tussle.econ.market.Market` on the round interface —
-same constructor shape, same :class:`~tussle.econ.market.MarketRound`
-records, same measurement helpers — but the consumer side lives in
-:class:`~tussle.scale.arrays.MarketArrays` columns and each round runs
+same :class:`~tussle.econ.market.MarketRound` records, same measurement
+helpers — but the population arrives as a
+:class:`~tussle.scale.arrays.ConsumerBatch` instead of ``Consumer``
+objects, the consumer side lives in
+:class:`~tussle.scale.arrays.MarketArrays` columns, and each round runs
 through the kernels in :mod:`tussle.scale.kernels`.  The parity harness
 (:mod:`tussle.scale.parity`) asserts the two backends emit identical
-round records from identical specs.
+round records from one spec, the scalar side running
+``batch.to_consumers()``.
 
 Division of labour per round:
 
@@ -46,10 +49,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..canon import ordered_sum
-from ..econ.agents import Consumer, Provider
+from ..econ.agents import Provider
 from ..econ.market import MarketObserver, MarketRound
 from ..econ.pricing import PricingStrategy
-from ..errors import MarketError, ScaleError
+from ..errors import MarketError
 from ..obs.runtime import current as _obs_current
 from . import kernels
 from .arrays import ConsumerBatch, MarketArrays
@@ -82,43 +85,32 @@ class _RoundWork:
 class VectorMarket:
     """A round-based access market over structure-of-arrays consumers.
 
-    Parameters mirror :class:`~tussle.econ.market.Market`; the consumer
-    population arrives either as scalar ``Consumer`` objects
-    (``consumers=...``, snapshotted into columns) or as a
-    :class:`~tussle.scale.arrays.ConsumerBatch` (``batch=...``, the
-    large-N path that never materializes per-consumer objects).
+    Parameters mirror :class:`~tussle.econ.market.Market`, with the
+    population as a :class:`~tussle.scale.arrays.ConsumerBatch` in place
+    of ``consumers``: no per-consumer object is ever built.
     """
 
     def __init__(
         self,
         providers: Sequence[Provider],
-        consumers: Optional[Sequence[Consumer]] = None,
+        batch: ConsumerBatch,
         strategies: Optional[Dict[str, PricingStrategy]] = None,
         server_prohibited_without_tier: bool = True,
         preference_noise: float = 0.0,
         seed: int = 0,
-        batch: Optional[ConsumerBatch] = None,
     ):
         if not providers:
             raise MarketError("market needs at least one provider")
         names = [p.name for p in providers]
         if len(set(names)) != len(names):
             raise MarketError("provider names must be unique")
-        if (consumers is None) == (batch is None):
-            raise ScaleError(
-                "VectorMarket takes exactly one of consumers= or batch=")
         self.providers: Dict[str, Provider] = {p.name: p for p in providers}
         self.strategies = dict(strategies or {})
         self.server_prohibited_without_tier = server_prohibited_without_tier
         self._sorted_names: List[str] = sorted(self.providers)
-        if batch is not None:
-            self.arrays = MarketArrays.from_batch(
-                batch, self._sorted_names,
-                preference_noise=preference_noise, seed=seed)
-        else:
-            self.arrays = MarketArrays.from_consumers(
-                consumers, self._sorted_names,
-                preference_noise=preference_noise, seed=seed)
+        self.arrays = MarketArrays.from_batch(
+            batch, self._sorted_names,
+            preference_noise=preference_noise, seed=seed)
         self.history: List[MarketRound] = []
         self._offer_cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
         self._work: Optional[_RoundWork] = None

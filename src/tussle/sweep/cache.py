@@ -26,8 +26,8 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from ..canon import canonical_json
 from ..errors import SweepError
-from ..experiments.common import canonical_json
 from .cells import Cell
 
 __all__ = ["ResultCache", "code_fingerprint"]

@@ -29,9 +29,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence
 
-from ..canon import derive_seed
+from ..canon import canonical_json, derive_seed
 from ..errors import SweepError
-from ..experiments.common import canonical_json
 
 __all__ = ["Cell", "SweepSpec", "canonical_params", "expand_grid"]
 

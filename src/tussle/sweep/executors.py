@@ -228,9 +228,7 @@ class ResilientExecutor:
     """
 
     def __init__(self, jobs: int = 1, timeout: float = 30.0,
-                 retries: int = 3, backoff: Optional[Backoff] = None,
-                 chaos: Optional[WorkerChaos] = None,
-                 backoff_seed: int = 0):
+                 retries: int = 3, chaos: Optional[WorkerChaos] = None):
         if jobs < 1:
             raise SweepError(f"jobs must be >= 1, got {jobs}")
         if not 0 < timeout < math.inf:
@@ -241,10 +239,9 @@ class ResilientExecutor:
         self.jobs = jobs
         self.timeout = float(timeout)
         self.retries = int(retries)
-        self._backoff_template = backoff if backoff is not None else Backoff(
+        self._backoff_template = Backoff(
             base=0.05, factor=2.0, cap=1.0, max_retries=retries, jitter=0.5)
         self.chaos = chaos
-        self.backoff_seed = int(backoff_seed)
         self.recovery: Dict[str, int] = self._fresh_recovery()
         #: quarantined telemetry sink, injected by the scheduler
         self.telemetry: Any = None
@@ -255,8 +252,8 @@ class ResilientExecutor:
                 "recovered_cells": 0, "failed_cells": 0}
 
     def _cell_backoff(self, task: Dict[str, Any]) -> Backoff:
-        """A per-cell retry schedule seeded from the cell's identity."""
-        seed = derive_seed(self.backoff_seed, "retry", task["experiment_id"],
+        """A per-cell retry schedule seeded from the cell's identity alone."""
+        seed = derive_seed(0, "retry", task["experiment_id"],
                            task["params_json"], str(task["base_seed"]))
         return self._backoff_template.spawn(seed)
 

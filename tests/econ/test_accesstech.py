@@ -1,18 +1,28 @@
 """Tests for the broadband facilities market (E03 substrate)."""
 
+import random
+
 import pytest
 
 from tussle.errors import MarketError
 from tussle.econ.accesstech import (
     AccessRegime,
     Facility,
-    build_access_market,
+    access_market_spec,
     build_service_providers,
 )
+from tussle.econ.demand import Segment, UniformWtp
+from tussle.econ.market import Market
 from tussle.econ.pricing import MonopolyPricing, UndercutPricing
 
 
 DUOPOLY = [Facility("telco", wholesale_fee=8.0), Facility("cable", wholesale_fee=8.0)]
+
+
+def scalar_access_market(facilities, regime, **kwargs):
+    """The scalar market of one access cell, its population as objects."""
+    spec = access_market_spec(facilities, regime, **kwargs)
+    return Market(consumers=spec.pop("batch").to_consumers(), **spec)
 
 
 class TestProviderConstruction:
@@ -49,20 +59,20 @@ class TestProviderConstruction:
 
 class TestMarketOutcomes:
     def test_open_natural_cheaper_than_closed(self):
-        closed = build_access_market(DUOPOLY, AccessRegime.CLOSED,
-                                     n_consumers=100, seed=0)
+        closed = scalar_access_market(DUOPOLY, AccessRegime.CLOSED,
+                                      n_consumers=100, seed=0)
         closed.run(25)
-        open_market = build_access_market(DUOPOLY,
-                                          AccessRegime.OPEN_NATURAL_BOUNDARY,
-                                          n_consumers=100, seed=0)
+        open_market = scalar_access_market(DUOPOLY,
+                                           AccessRegime.OPEN_NATURAL_BOUNDARY,
+                                           n_consumers=100, seed=0)
         open_market.run(25)
         assert open_market.mean_price() < closed.mean_price()
 
     def test_more_facilities_more_surplus(self):
-        few = build_access_market(DUOPOLY[:1], AccessRegime.CLOSED,
-                                  n_consumers=100, seed=0)
+        few = scalar_access_market(DUOPOLY[:1], AccessRegime.CLOSED,
+                                   n_consumers=100, seed=0)
         few.run(25)
-        many = build_access_market(
+        many = scalar_access_market(
             [Facility(f"f{i}", wholesale_fee=8.0) for i in range(4)],
             AccessRegime.OPEN_NATURAL_BOUNDARY, n_consumers=100, seed=0)
         many.run(25)
@@ -70,9 +80,26 @@ class TestMarketOutcomes:
 
     def test_market_is_deterministic_under_seed(self):
         def run():
-            market = build_access_market(DUOPOLY, AccessRegime.CLOSED,
-                                         n_consumers=50, seed=5)
+            market = scalar_access_market(DUOPOLY, AccessRegime.CLOSED,
+                                          n_consumers=50, seed=5)
             market.run(10)
             return market.mean_price(), market.total_consumer_surplus()
 
         assert run() == run()
+
+
+class TestPopulation:
+    def test_batch_replays_the_consumer_loop(self):
+        """The batch holds the draws a Consumer-by-Consumer loop makes."""
+        spec = access_market_spec(DUOPOLY, AccessRegime.CLOSED,
+                                  n_consumers=47, seed=5)
+        rng = random.Random(5)
+        wtp = UniformWtp(25.0, 95.0)
+        expected = [wtp.sample(rng) for _ in range(47)]
+        consumers = spec["batch"].to_consumers()
+        assert [c.wtp for c in consumers] == expected
+        assert [c.name for c in consumers][:2] == ["home0", "home1"]
+        assert all(c.segment is Segment.BASIC and c.switching_cost == 2.0
+                   and c.provider is None and not c.can_tunnel
+                   for c in consumers)
+        assert spec["preference_noise"] == 2.0

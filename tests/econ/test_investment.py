@@ -6,7 +6,7 @@ from tussle.errors import MarketError
 from tussle.econ.investment import (
     DeploymentChoice,
     InvestmentModel,
-    qos_deployment_game,
+    deployment_game,
 )
 
 
@@ -77,18 +77,18 @@ class TestEquilibria:
 
     def test_factorial_shape(self):
         cells = {(c.value_flow, c.user_choice): c.outcome
-                 for c in qos_deployment_game()}
+                 for c in deployment_game()}
         assert cells[(True, True)] is DeploymentChoice.DEPLOY_OPEN
         for key in [(False, False), (False, True), (True, False)]:
             assert cells[key] is DeploymentChoice.DEPLOY_CLOSED
 
     def test_ablation_no_closed_option(self):
         cells = {(c.value_flow, c.user_choice): c.outcome
-                 for c in qos_deployment_game(allow_closed=False)}
+                 for c in deployment_game(allow_closed=False)}
         assert cells[(True, True)] is DeploymentChoice.DEPLOY_OPEN
         assert cells[(False, False)] is DeploymentChoice.NO_DEPLOY
         assert cells[(True, False)] is DeploymentChoice.NO_DEPLOY
 
     def test_describe(self):
-        cell = qos_deployment_game()[0]
+        cell = deployment_game()[0]
         assert "no-value-flow" in cell.describe()

@@ -8,11 +8,8 @@ per-round (~0.2 s warm) but the first round pays numpy allocation.
 
 import pytest
 
-from tussle.scale.large import (
-    lockin_market_at_scale,
-    run_l01,
-    run_l02,
-)
+from tussle.scale.large import lockin_market_spec, run_l01, run_l02
+from tussle.scale.vmarket import VectorMarket
 
 
 @pytest.mark.slow
@@ -30,7 +27,7 @@ class TestShapesAtHundredThousand:
 @pytest.mark.large
 class TestMillionAgents:
     def test_million_agent_rounds_produce_sane_records(self):
-        market = lockin_market_at_scale(3.0, 1_000_000, seed=7)
+        market = VectorMarket(**lockin_market_spec(3.0, 1_000_000, seed=7))
         history = market.run(3)
         assert len(history) == 3
         for record in history:

@@ -1,33 +1,12 @@
 """Tests for the forwarding engine: delivery, middleboxes, source routes."""
 
-from dataclasses import replace
-
 import pytest
 
 from tussle.errors import RoutingError
 from tussle.netsim.forwarding import DeliveryStatus, ForwardingEngine
-from tussle.netsim.middlebox import (
-    Action,
-    Middlebox,
-    PortFilterFirewall,
-    Redirector,
-    Verdict,
-)
+from tussle.netsim.middlebox import PortFilterFirewall, Redirector
 from tussle.netsim.packets import make_packet, port_for_app
-from tussle.netsim.topology import Network, line_topology, star_topology
-
-
-class SourceNat(Middlebox):
-    """Outbound address translation: every source becomes one public name."""
-
-    def __init__(self, name, public_name):
-        super().__init__(name, discloses=False)
-        self.public_name = public_name
-
-    def process(self, packet):
-        header = replace(packet.header, src=self.public_name)
-        return self._record(
-            packet, Verdict(Action.MODIFY, packet=replace(packet, header=header)))
+from tussle.netsim.topology import line_topology, star_topology
 
 
 @pytest.fixture
@@ -139,19 +118,6 @@ class TestMiddleboxesOnPath:
         assert receipt.status is DeliveryStatus.REDIRECTED
         assert receipt.delivered  # served, just not by the origin
         assert receipt.delivered_to == "n1"
-
-    def test_nat_on_path_rewrites_source(self):
-        net = Network()
-        for name in ("lan-pc", "natbox", "site"):
-            net.add_node(name)
-        net.add_link("lan-pc", "natbox")
-        net.add_link("natbox", "site")
-        engine = ForwardingEngine(net)
-        engine.install_shortest_path_tables()
-        engine.attach_middlebox("natbox", SourceNat("natbox", public_name="pub"))
-        receipt = engine.send(make_packet("lan-pc", "site"))
-        assert receipt.delivered
-        assert receipt.packet.header.src == "pub"
 
 
 class TestSourceRoutes:

@@ -10,6 +10,7 @@ from tussle.econ.demand import Segment
 from tussle.econ.market import Market
 from tussle.errors import ScaleError
 from tussle.scale.arrays import ConsumerBatch, MarketArrays, random_doubles
+from tussle.scale.vmarket import VectorMarket
 
 
 def make_consumers(n=6):
@@ -27,6 +28,20 @@ def make_consumers(n=6):
             provider="alpha" if i < 3 else None,
         ))
     return consumers
+
+
+def make_batch(initial_provider=None):
+    """``make_consumers``' population as columns."""
+    consumers = make_consumers()
+    return ConsumerBatch(
+        wtp=[c.wtp for c in consumers],
+        server_value=[c.server_value for c in consumers],
+        values_server=[c.values_server() for c in consumers],
+        switching_cost=[c.switching_cost for c in consumers],
+        can_tunnel=[c.can_tunnel for c in consumers],
+        tunnel_cost=[c.tunnel_cost for c in consumers],
+        initial_provider=initial_provider,
+    )
 
 
 class TestConsumerBatch:
@@ -91,23 +106,26 @@ class TestConsumerBatch:
 
 
 class TestMarketArrays:
-    def test_from_consumers_snapshots_state(self):
+    def test_from_batch_snapshots_state(self):
         consumers = make_consumers()
-        arrays = MarketArrays.from_consumers(consumers, ["alpha", "beta"])
-        assert len(arrays) == 6
-        assert arrays.n_providers == 2
-        assert list(arrays.assignment[:3]) == [0, 0, 0]
-        assert list(arrays.assignment[3:]) == [-1, -1, -1]
-        assert arrays.provider_of(0) == "alpha"
-        assert arrays.provider_of(3) is None
+        started = MarketArrays.from_batch(make_batch("alpha"),
+                                          ["alpha", "beta"])
+        free = MarketArrays.from_batch(make_batch(), ["alpha", "beta"])
+        assert len(started) == 6
+        assert started.n_providers == 2
+        assert list(started.assignment[:3]) == [0, 0, 0]
+        assert list(free.assignment[3:]) == [-1, -1, -1]
+        assert started.provider_of(0) == "alpha"
+        assert free.provider_of(3) is None
         np.testing.assert_array_equal(
-            arrays.values_server,
+            free.values_server,
             [c.values_server() for c in consumers])
 
     def test_unknown_initial_provider_rejected(self):
-        consumer = Consumer(name="c0", wtp=10.0, provider="nowhere")
+        batch = ConsumerBatch.basic(np.array([10.0]), 0.0,
+                                    initial_provider="nowhere")
         with pytest.raises(ScaleError):
-            MarketArrays.from_consumers([consumer], ["alpha"])
+            VectorMarket([Provider(name="alpha", price=10.0)], batch)
 
     def test_from_batch_unknown_provider_rejected(self):
         batch = ConsumerBatch(
@@ -123,11 +141,9 @@ class TestMarketArrays:
             MarketArrays.from_batch(batch, ["alpha"])
 
     def test_nbytes_counts_all_columns(self):
-        arrays = MarketArrays.from_consumers(
-            make_consumers(), ["alpha", "beta"],
-            preference_noise=1.0, seed=4)
-        without_taste = MarketArrays.from_consumers(
-            make_consumers(), ["alpha", "beta"])
+        arrays = MarketArrays.from_batch(
+            make_batch(), ["alpha", "beta"], preference_noise=1.0, seed=4)
+        without_taste = MarketArrays.from_batch(make_batch(), ["alpha", "beta"])
         assert arrays.nbytes() > without_taste.nbytes() > 0
 
     def test_taste_matrix_replays_the_scalar_stream(self):

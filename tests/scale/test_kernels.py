@@ -7,10 +7,8 @@ import numpy as np
 from tussle.econ.decision import TIE_EPSILON, amount_paid, effective_offer
 from tussle.scale import kernels
 from tussle.scale.arrays import ConsumerBatch, MarketArrays
-from tussle.scale.large import (
-    lockin_market_at_scale,
-    value_pricing_market_at_scale,
-)
+from tussle.scale.large import lockin_market_spec, value_pricing_market_spec
+from tussle.scale.vmarket import VectorMarket
 
 
 def random_population(n=64, seed=5):
@@ -180,9 +178,9 @@ class TestBestProvider:
     def test_cached_offer_columns_stay_fresh_after_rounds(self):
         """The in-place round updates never write into the offer cache:
         after k rounds every cached column equals a fresh one."""
-        for market in (lockin_market_at_scale(3.0, 300, seed=2),
-                       value_pricing_market_at_scale(
-                           3, True, False, n_consumers=300, seed=2)):
+        for market in (VectorMarket(**lockin_market_spec(3.0, 300, seed=2)),
+                       VectorMarket(**value_pricing_market_spec(
+                           3, True, False, n_consumers=300, seed=2))):
             market.run(6)
             # The cache is keyed by pricing signature and holds exactly
             # the signatures the providers are at now.

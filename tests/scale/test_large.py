@@ -2,27 +2,29 @@
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tussle.econ.agents import Consumer
+from tussle.econ.demand import Segment, UniformWtp
 from tussle.econ.market import Market
 from tussle.experiments import ALL_EXPERIMENTS
-from tussle.experiments.e01_lockin import lockin_market_spec
-from tussle.experiments.e02_value_pricing import value_pricing_market_spec
-from tussle.netsim.addressing import AddressingMode, RenumberingModel
 from tussle.scale.large import (
-    _L01_SCENARIOS,
-    _L02_CELLS,
     DEFAULT_TIERS,
+    LOCKIN_SCENARIOS,
+    VALUE_PRICING_CELLS,
     lockin_batch,
-    lockin_market_at_scale,
+    lockin_market_spec,
+    lockin_switching_cost,
     run_l01,
     run_l02,
     value_pricing_batch,
-    value_pricing_market_at_scale,
+    value_pricing_market_spec,
 )
+from tussle.scale.vmarket import VectorMarket
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -38,8 +40,60 @@ def _perfbench_pins(seed: int) -> dict:
     return pins["full"]["population"][str(seed)]
 
 
+def lockin_consumers(switching_cost, n_consumers, seed):
+    """The lock-in population drawn ``Consumer`` by ``Consumer`` from
+    ``random.Random(seed)``: the plain-Python reference the batch
+    replays."""
+    rng = random.Random(seed)
+    wtp = UniformWtp(35.0, 110.0)
+    return [
+        Consumer(
+            name=f"site{i}",
+            wtp=wtp.sample(rng),
+            segment=Segment.BASIC,
+            switching_cost=switching_cost,
+            provider="incumbent",
+        )
+        for i in range(n_consumers)
+    ]
+
+
+def value_pricing_consumers(n_consumers, can_tunnel, seed):
+    """The value-pricing population, drawn the same way."""
+    rng = random.Random(seed)
+    basic_wtp = UniformWtp(25.0, 60.0)
+    business_wtp = UniformWtp(35.0, 70.0)
+    consumers = []
+    for i in range(n_consumers):
+        if i % 3 == 0:  # a third of households want to run a server
+            consumers.append(Consumer(
+                name=f"home{i}",
+                wtp=business_wtp.sample(rng),
+                segment=Segment.BUSINESS,
+                server_value=30.0,
+                can_tunnel=can_tunnel,
+                tunnel_cost=3.0,
+                switching_cost=2.0,
+            ))
+        else:
+            consumers.append(Consumer(
+                name=f"home{i}",
+                wtp=basic_wtp.sample(rng),
+                segment=Segment.BASIC,
+                switching_cost=2.0,
+            ))
+    return consumers
+
+
+def scalar_twin(spec, consumers):
+    """The scalar ``Market`` of ``spec`` over a ``Consumer``-loop
+    population in place of the spec's batch."""
+    del spec["batch"]
+    return Market(consumers=consumers, **spec)
+
+
 def assert_batch_matches(batch, consumers):
-    """Every batch column equals the spec population's, bit for bit."""
+    """Every batch column equals the loop population's, bit for bit."""
     expected = {
         "wtp": [c.wtp for c in consumers],
         "server_value": [c.server_value for c in consumers],
@@ -56,11 +110,10 @@ def assert_batch_matches(batch, consumers):
 
 class TestBuilders:
     def test_lockin_batch_matches_scalar_spec_population(self):
-        """At matching N the batch replays the E01 spec's RNG stream."""
+        """At matching N the batch replays the Consumer loop's RNG stream."""
         n = 40
         batch = lockin_batch(3.0, n, seed=13)
-        scalar = Market(**lockin_market_spec(3.0, n, seed=13))
-        consumers = scalar.consumers
+        consumers = lockin_consumers(3.0, n, seed=13)
         assert len(consumers) == n
         assert_batch_matches(batch, consumers)
         assert batch.initial_provider == "incumbent"
@@ -70,50 +123,47 @@ class TestBuilders:
         n = 47  # not a multiple of 3: the i % 3 pattern ends mid-cycle
         for can_tunnel in (False, True):
             batch = value_pricing_batch(n, can_tunnel=can_tunnel, seed=17)
-            scalar = Market(**value_pricing_market_spec(
-                2, can_tunnel, False, n, seed=17))
-            assert_batch_matches(batch, scalar.consumers)
+            assert_batch_matches(
+                batch, value_pricing_consumers(n, can_tunnel, seed=17))
             assert batch.initial_provider is None
 
     def test_market_builders_wire_strategies(self):
-        market = lockin_market_at_scale(2.0, 100, seed=3)
+        market = VectorMarket(**lockin_market_spec(2.0, 100, seed=3))
         assert set(market.providers) == {"incumbent", "rival-a", "rival-b"}
         assert "incumbent" in market.strategies
-        market = value_pricing_market_at_scale(
+        market = VectorMarket(**value_pricing_market_spec(
             2, can_tunnel=True, detects_tunnels=False,
-            n_consumers=100, seed=3)
+            n_consumers=100, seed=3))
         assert set(market.providers) == {"isp0", "isp1"}
 
 
-def _l01_cost(mode):
-    return RenumberingModel().switching_cost(
-        20, mode or AddressingMode.STATIC,
-        provider_independent=mode is None)
-
-
 class TestScalarTwin:
-    """Each L01/L02 batch market against the scalar Market built from
-    the E01/E02 spec at the same N and seed: equal round records over
-    the experiment's round count."""
+    """Each L01/L02 batch market against the scalar Market over the
+    Consumer-loop population at the same N and seed: equal round records
+    over the experiment's round count."""
 
     N = 1501
 
-    @pytest.mark.parametrize("label, mode", _L01_SCENARIOS,
-                             ids=[label for label, _ in _L01_SCENARIOS])
+    @pytest.mark.parametrize("label, mode", LOCKIN_SCENARIOS,
+                             ids=[label for label, _ in LOCKIN_SCENARIOS])
     def test_l01_scenario(self, label, mode):
-        cost = _l01_cost(mode)
-        batch_market = lockin_market_at_scale(cost, self.N, seed=7)
-        scalar = Market(**lockin_market_spec(cost, self.N, seed=7))
+        cost = lockin_switching_cost(mode, 20)
+        batch_market = VectorMarket(**lockin_market_spec(cost, self.N, seed=7))
+        scalar = scalar_twin(lockin_market_spec(cost, self.N, seed=7),
+                             lockin_consumers(cost, self.N, seed=7))
         assert batch_market.run(30) == scalar.run(30)
 
     @pytest.mark.parametrize(
-        "label, n_providers, can_tunnel, detects", _L02_CELLS,
-        ids=[f"{c[0]}-tunnel{int(c[2])}-dpi{int(c[3])}" for c in _L02_CELLS])
+        "label, n_providers, can_tunnel, detects", VALUE_PRICING_CELLS,
+        ids=[f"{c[0]}-tunnel{int(c[2])}-dpi{int(c[3])}"
+             for c in VALUE_PRICING_CELLS])
     def test_l02_cell(self, label, n_providers, can_tunnel, detects):
-        batch_market = value_pricing_market_at_scale(
-            n_providers, can_tunnel, detects, self.N, seed=11)
-        scalar = Market(**value_pricing_market_spec(
+        batch_market = VectorMarket(**value_pricing_market_spec(
             n_providers, can_tunnel, detects, self.N, seed=11))
+        scalar = scalar_twin(
+            value_pricing_market_spec(n_providers, can_tunnel, detects,
+                                      self.N, seed=11),
+            value_pricing_consumers(self.N, can_tunnel, seed=11))
         assert batch_market.run(25) == scalar.run(25)
 
 

@@ -1,18 +1,16 @@
-"""VectorMarket behaviour: drop-in surface, batch/object equivalence, obs."""
+"""VectorMarket behaviour: drop-in round surface and obs."""
 
 import numpy as np
 import pytest
 
 from tussle import obs
 from tussle.econ.accesstech import AccessRegime, access_market_spec
-from tussle.econ.agents import Consumer, Provider
+from tussle.econ.agents import Provider
 from tussle.econ.market import Market, MarketRound
-from tussle.econ.pricing import UndercutPricing
-from tussle.errors import MarketError, ScaleError
-from tussle.experiments.e01_lockin import lockin_market_spec
-from tussle.experiments.e02_value_pricing import value_pricing_market_spec
+from tussle.errors import MarketError
 from tussle.experiments.e03_broadband import scenario_facilities
-from tussle.scale.large import lockin_batch, lockin_market_at_scale
+from tussle.scale.arrays import ConsumerBatch
+from tussle.scale.large import lockin_market_spec, value_pricing_market_spec
 from tussle.scale.vmarket import VectorMarket
 
 
@@ -21,32 +19,24 @@ def two_provider_market(**kwargs):
         Provider(name="cheap", price=10.0, unit_cost=2.0),
         Provider(name="dear", price=30.0, unit_cost=2.0),
     ]
-    consumers = [
-        Consumer(name=f"c{i}", wtp=50.0, switching_cost=1.0)
-        for i in range(4)
-    ]
-    return VectorMarket(providers=providers, consumers=consumers, **kwargs)
+    batch = ConsumerBatch.basic(np.full(4, 50.0), 1.0, name_prefix="c")
+    return VectorMarket(providers=providers, batch=batch, **kwargs)
+
+
+def empty_batch():
+    return ConsumerBatch.basic(np.zeros(0), 0.0)
 
 
 class TestConstruction:
     def test_needs_providers(self):
         with pytest.raises(MarketError):
-            VectorMarket(providers=[], consumers=[])
+            VectorMarket(providers=[], batch=empty_batch())
 
     def test_unique_provider_names(self):
         providers = [Provider(name="p", price=1.0),
                      Provider(name="p", price=2.0)]
         with pytest.raises(MarketError):
-            VectorMarket(providers=providers, consumers=[])
-
-    def test_exactly_one_population_source(self):
-        providers = [Provider(name="p", price=1.0)]
-        batch = lockin_batch(1.0, 3, seed=0)
-        with pytest.raises(ScaleError):
-            VectorMarket(providers=providers)
-        with pytest.raises(ScaleError):
-            VectorMarket(providers=providers, consumers=[],
-                         batch=batch)
+            VectorMarket(providers=providers, batch=empty_batch())
 
     def test_initial_free_choice_picks_best(self):
         market = two_provider_market()
@@ -74,35 +64,11 @@ class TestRounds:
 
     def test_negative_surplus_consumers_leave(self):
         providers = [Provider(name="only", price=60.0, unit_cost=2.0)]
-        consumers = [Consumer(name="c0", wtp=10.0)]
-        market = VectorMarket(providers=providers, consumers=consumers)
+        batch = ConsumerBatch.basic(np.array([10.0]), 0.0, name_prefix="c")
+        market = VectorMarket(providers=providers, batch=batch)
         market.step()
         assert market.subscribed_fraction() == 0.0
         assert market.arrays.provider_of(0) is None
-
-
-class TestBatchEquivalence:
-    def test_batch_and_object_paths_bitwise_identical(self):
-        """A ConsumerBatch market equals the same population built from
-        Consumer objects, round record for round record."""
-        batch = lockin_batch(3.0, 50, seed=21)
-        from_batch = lockin_market_at_scale(3.0, 50, seed=21)
-        from_objects = VectorMarket(
-            providers=[
-                Provider(name="incumbent", price=45.0, unit_cost=5.0),
-                Provider(name="rival-a", price=40.0, unit_cost=5.0),
-                Provider(name="rival-b", price=42.0, unit_cost=5.0),
-            ],
-            consumers=batch.to_consumers(),
-            strategies=dict(from_batch.strategies),
-            seed=21,
-        )
-        # Strategies are stateless dataclasses here, but give each market
-        # its own instances to be safe.
-        from_batch.run(10)
-        from_objects_history = from_objects.run(10)
-        for ours, theirs in zip(from_batch.history, from_objects_history):
-            assert ours == theirs
 
 
 class TestObservability:
@@ -133,9 +99,12 @@ class TestObservability:
         must read as they did on the scalar Market."""
         reports = []
         for backend in (Market, VectorMarket):
+            kwargs = spec()
+            if backend is Market:
+                kwargs["consumers"] = kwargs.pop("batch").to_consumers()
             tracer, metrics = obs.Tracer(), obs.Metrics()
             with obs.observe(tracer=tracer, metrics=metrics):
-                backend(**spec()).run(rounds)
+                backend(**kwargs).run(rounds)
             reports.append((
                 [r for r in tracer.records() if r["scope"] == "econ.market"],
                 metrics.snapshot()["econ.market"]))

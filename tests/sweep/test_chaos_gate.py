@@ -9,8 +9,8 @@ run — the recovery machinery may cost wall-clock, never bytes.
 
 import pytest
 
+from tussle.canon import canonical_json
 from tussle.experiments import ALL_EXPERIMENTS
-from tussle.experiments.common import canonical_json
 from tussle.obs.diff import first_divergence, format_divergence
 from tussle.resil import WorkerChaos
 from tussle.sweep import (

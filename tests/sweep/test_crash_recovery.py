@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 import tussle
+from tussle.canon import canonical_json
 from tussle.errors import SweepError
-from tussle.experiments.common import canonical_json
 from tussle.obs import Metrics, observe
 from tussle.resil import FailedCell, WorkerChaos
 from tussle.sweep import (

@@ -2,8 +2,8 @@
 
 import pytest
 
+from tussle.canon import canonical_json
 from tussle.experiments import ALL_EXPERIMENTS
-from tussle.experiments.common import canonical_json
 from tussle.sweep import (
     InProcessExecutor,
     ResilientExecutor,

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tussle.canon import canonical_json
 from tussle.experiments import ALL_EXPERIMENTS
-from tussle.experiments.common import Table, canonical_json
+from tussle.experiments.common import Table
 from tussle.sweep import (
     Cell,
     ResultCache,

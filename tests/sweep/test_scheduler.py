@@ -2,8 +2,9 @@
 
 import pytest
 
+from tussle.canon import canonical_json
 from tussle.errors import SweepError
-from tussle.experiments.common import ExperimentResult, Table, canonical_json
+from tussle.experiments.common import ExperimentResult, Table
 from tussle.obs import Metrics, observe
 from tussle.sweep import (
     InProcessExecutor,
